@@ -39,13 +39,16 @@ def _float_list(text: str) -> list[float]:
         raise ConfigurationError(f"bad time list {text!r}: {exc}") from None
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise ConfigurationError(f"range {text!r} must look like lo:hi")
-    lo, hi = (float(p) for p in parts)
+        raise ConfigurationError(f"{flag} {text!r} must look like lo:hi")
+    try:
+        lo, hi = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigurationError(f"{flag} {text!r} must be two numbers lo:hi") from None
     if not hi >= lo:
-        raise ConfigurationError(f"range {text!r} must be nondecreasing")
+        raise ConfigurationError(f"{flag} {text!r} must be nondecreasing")
     return lo, hi
 
 
@@ -372,13 +375,12 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         "backend": "ehrenfest",
         "at_time": None,
         "optimize": True,
-        "workers": None,
     }
     params = _resolve(schema, args, "sweep")
     _check_required(params, "sweep")
     n1, n2 = _parse_grid(params["eta_grid"])
-    lo1, hi1 = _parse_range(params["eta1_range"])
-    lo2, hi2 = _parse_range(params["eta2_range"])
+    lo1, hi1 = _parse_range(params["eta1_range"], "--eta1-range")
+    lo2, hi2 = _parse_range(params["eta2_range"], "--eta2-range")
     gain = params["A"] if params["A"] is not None else 1.0
     if params["r_a"] is not None:
         raise ConfigurationError("sweep takes --A, not the rate trio")
@@ -391,7 +393,6 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         backend=params["backend"],
         at_time=None if at_time is None else float(at_time) * _time_scale(params),
         optimize=bool(params["optimize"]),
-        workers=None if params["workers"] is None else int(params["workers"]),
     )
     recorded = {
         "eta_grid": params["eta_grid"],
@@ -533,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="survey moments at this time instead of the steady state")
     p.add_argument("--no-optimize", dest="optimize", action="store_const", const=False,
                    default=None, help="evaluate default witness gains only")
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count (default: YCEL_THREADS or CPU count)")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -12,9 +12,12 @@ that cut.  The default gain choices pair the modes whose correlations the
 model actually produces: an x-difference / p-sum pair for the squeezing
 type correlations of modes (1,2) and (1,3), an x-difference /
 p-difference pair for the beam-splitter type correlation of modes (2,3).
-A state is reported fully inseparable only when all three bipartitions
-are violated at once; callers wanting a stricter notion can apply their
-own rule to the per-bipartition records.
+optimize_gains replaces the defaults by the exact minimum of each
+bipartition's ratio over all six gains, found in closed form from two
+3x3 singular value decompositions.  A state is reported fully
+inseparable only when all three bipartitions are violated at once;
+callers wanting a stricter notion can apply their own rule to the
+per-bipartition records.
 
 First moments vanish from vacuum in this model, so variances equal raw
 second moments; means are still subtracted defensively when supplied.
@@ -24,10 +27,7 @@ which holds here but would not for a coherently displaced state.
 
 from __future__ import annotations
 
-import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,113 +237,55 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     return VlfReport(records=tuple(records))
 
 
-def _quad(block, v) -> float:
-    """v . block . v for a 3x3 tuple-of-tuples block (hot path)."""
-    b0, b1, b2 = block
-    return (
-        v[0] * (b0[0] * v[0] + b0[1] * v[1] + b0[2] * v[2])
-        + v[1] * (b1[0] * v[0] + b1[1] * v[1] + b1[2] * v[2])
-        + v[2] * (b2[0] * v[0] + b2[1] * v[1] + b2[2] * v[2])
-    )
+def _cholesky(block, label) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(block)[0])
+        raise DegenerateWitnessError(
+            f"{label} block is not positive definite (lowest eigenvalue {low:.6g}); "
+            "no physical state has this covariance"
+        ) from None
 
 
-def _golden_refine(func, lo, hi, iters=60):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
-    mid = 0.5 * (a + b)
-    return mid, func(mid)
-
-
-def _line_minimum(func, center):
-    """Deterministic 1-d search: coarse scan, then golden-section refine."""
-    span = 2.0 * max(1.0, abs(center))
-    lo_edge = center - span
-    step = 2.0 * span / 80.0
-    grid = [lo_edge + i * step for i in range(81)]
-    values = [func(t) for t in grid]
-    best = min(range(81), key=values.__getitem__)
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, 80)]
-    t, val = _golden_refine(func, lo, hi)
-    if values[best] < val:
-        return grid[best], values[best]
-    return t, val
-
-
-def _optimize_bipartition(xb, pb, bip) -> WitnessRecord:
-    xq = tuple(tuple(float(v) for v in row) for row in xb)
-    pq = tuple(tuple(float(v) for v in row) for row in pb)
-    m, (k, l) = bip.lone, bip.partners
-
-    def ratio(h, g):
-        bound = 2.0 * (abs(h[m] * g[m]) + abs(h[k] * g[k] + h[l] * g[l]))
-        if bound <= 1e-12:
-            return math.inf
-        return (_quad(xq, h) + _quad(pq, g)) / bound
-
-    h = list(bip.default_h)
-    g = list(bip.default_g)
-    best = ratio(h, g)
-    best_h, best_g = tuple(h), tuple(g)
-
-    def consider(value):
-        # keep-best bookkeeping shared by every candidate probe
-        nonlocal best, best_h, best_g
-        if value < best - 1e-15:
-            best = value
-            best_h, best_g = tuple(h), tuple(g)
-
-    for _ in range(40):
-        before = best
-        for vec, block, partner in ((h, xq, g), (g, pq, h)):
-            for j in range(3):
-                def func(t, vec=vec, j=j):
-                    old = vec[j]
-                    vec[j] = t
-                    out = ratio(h, g)
-                    vec[j] = old
-                    return out
-
-                t, val = _line_minimum(func, vec[j])
-                vec[j] = t
-                consider(val)
-                if partner[j] == 0.0 and block[j][j] > 0.0:
-                    # coordinate absent from the bound: the ratio is a pure
-                    # quadratic in it with a closed-form stationary point
-                    others = sum(block[j][i] * vec[i] for i in range(3) if i != j)
-                    vec[j] = -others / block[j][j]
-                    consider(ratio(h, g))
-                vec[j] = best_h[j] if vec is h else best_g[j]
-        h, g = list(best_h), list(best_g)
-        if before - best < 1e-13:
-            break
-    return _witness(xb, pb, bip, best_h, best_g)
+def _optimize_bipartition(xb, pb, lx_inv, lp_inv, bip) -> WitnessRecord:
+    svds = []
+    for sign in (1.0, -1.0):
+        d = np.ones(3)
+        d[bip.lone] = sign
+        svds.append(np.linalg.svd((lx_inv * d) @ lp_inv.T))
+    # max keeps the first of equal values, so s = +1 wins a tie
+    u, _, vt = max(svds, key=lambda usv: usv[1][0])
+    # one common scale for h and g keeps h.X.h = g.P.g, the AM-GM equality
+    h = lx_inv.T @ u[:, 0]
+    g = lp_inv.T @ vt[0]
+    pivot = h[int(np.argmax(np.abs(h)))]
+    return _witness(xb, pb, bip, h / pivot, g / pivot)
 
 
 def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
-    """Minimise each bipartition's variance ratio over its six gains.
+    """Exact minimum of each bipartition's variance ratio over its six gains.
 
-    Coordinate descent from the default gains with deterministic line
-    searches; the best visited point is kept, so the returned ratio never
-    exceeds the default-gain ratio.
+    With X = Lx Lx^T and P = Lp Lp^T the Cholesky factors of the x and p
+    blocks, and D_s = diag with s = +-1 in the lone slot and 1 in the
+    partner slots, the bound is 2 max_s |h . D_s g|.  AM-GM and the
+    substitutions h = Lx^-T u, g = Lp^-T v make the minimum ratio
+    1 / max_s s_max(Lx^-1 D_s Lp^-T) (van Loock and Furusawa, PRA 67,
+    052315 (2003)), attained by the top singular pair.  The gains are
+    scaled so that the largest |h_j| is +1 (lowest index and s = +1 win
+    ties), so the result is deterministic and never above the default-gain
+    ratio.  Raises DegenerateWitnessError when a block is not positive
+    definite: no physical state has such a covariance.
     """
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError("cov must be a CovarianceMatrix")
     xb, pb = cov.x_block, cov.p_block
+    lx_inv = np.linalg.inv(_cholesky(xb, "x"))
+    lp_inv = np.linalg.inv(_cholesky(pb, "p"))
     return VlfReport(
-        records=tuple(_optimize_bipartition(xb, pb, bip) for bip in BIPARTITIONS)
+        records=tuple(
+            _optimize_bipartition(xb, pb, lx_inv, lp_inv, bip) for bip in BIPARTITIONS
+        )
     )
 
 
@@ -365,17 +307,6 @@ class SweepPoint:
     failure: str | None = None
 
 
-def _worker_count(workers) -> int:
-    if workers is not None:
-        count = int(workers)
-    else:
-        env = os.environ.get("YCEL_THREADS", "")
-        count = int(env) if env.strip() else min(8, os.cpu_count() or 1)
-    if count < 1:
-        raise ValueError("worker count must be at least 1")
-    return count
-
-
 def _sweep_point(eta1, eta2, gain_scale, kappa, backend, at_time, optimize):
     pref = prefactors_from_inversions(eta1, eta2, gain_scale=gain_scale)
     report = is_stable(drift_matrix(pref, kappa))
@@ -386,6 +317,8 @@ def _sweep_point(eta1, eta2, gain_scale, kappa, backend, at_time, optimize):
             moments = evolve_second_moments(
                 pref, kappa, at_time, backend=backend
             )
+        cov = covariance_from_moments(moments)
+        vlf = optimize_gains(cov) if optimize else vlf_evaluate(cov)
     except YcelError as exc:
         return SweepPoint(
             eta1=eta1,
@@ -397,8 +330,6 @@ def _sweep_point(eta1, eta2, gain_scale, kappa, backend, at_time, optimize):
             report=None,
             failure=str(exc),
         )
-    cov = covariance_from_moments(moments)
-    vlf = optimize_gains(cov) if optimize else vlf_evaluate(cov)
     return SweepPoint(
         eta1=eta1,
         eta2=eta2,
@@ -419,39 +350,20 @@ def sweep(
     backend: str = "ehrenfest",
     at_time: float | None = None,
     optimize: bool = True,
-    workers: int | None = None,
 ):
     """Witness evaluation over a grid of preparations.
 
     The grid is the cartesian product of the two coordinate lists,
     restricted to the physical triangle; points outside it are skipped
-    entirely.  at_time=None evaluates steady states (unstable points are
-    recorded with a failure note), a finite at_time evaluates the
-    transient state there.  Points are computed concurrently and returned
-    in grid order (eta1 outer, eta2 inner).  workers defaults to the
-    YCEL_THREADS environment variable when set.
+    entirely.  at_time=None evaluates steady states, a finite at_time
+    evaluates the transient state there.  A point whose moments or
+    witnesses cannot be computed (an unstable drift, a covariance block
+    that is not positive definite) is recorded with a failure note.
+    Points are returned in grid order (eta1 outer, eta2 inner).
     """
-    grid = [
-        (float(e1), float(e2))
+    return tuple(
+        _sweep_point(float(e1), float(e2), gain_scale, kappa, backend, at_time, optimize)
         for e1 in eta1_values
         for e2 in eta2_values
         if validate_physical(float(e1), float(e2)).valid
-    ]
-    if not grid:
-        return ()
-    count = min(_worker_count(workers), len(grid))
-    if count == 1:
-        points = [
-            _sweep_point(e1, e2, gain_scale, kappa, backend, at_time, optimize)
-            for e1, e2 in grid
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            futures = [
-                pool.submit(
-                    _sweep_point, e1, e2, gain_scale, kappa, backend, at_time, optimize
-                )
-                for e1, e2 in grid
-            ]
-            points = [f.result() for f in futures]
-    return tuple(points)
+    )

@@ -193,8 +193,8 @@ def test_config_flag_override(tmp_path, capsys):
 
 def test_sweep_determinism_and_grid_accounting(tmp_path, capsys):
     args = ("sweep", "--eta-grid", "5x5", "--A", "0.5")
-    code, out1, _ = run_cli(capsys, *args, "--workers", "1")
-    code2, out2, _ = run_cli(capsys, *args, "--workers", "3")
+    code, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
     assert code == code2 == 0
     assert out1 == out2
     comments, header, rows = parse_csv(out1)
@@ -225,6 +225,15 @@ def test_sweep_rejects_malformed_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--eta-grid", "5by5")
     assert code == 2
     assert "NxM" in err
+
+
+@pytest.mark.parametrize("flag", ["--eta1-range", "--eta2-range"])
+def test_sweep_rejects_non_numeric_range(capsys, flag):
+    code, out, err = run_cli(capsys, "sweep", flag, "a:b")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag} 'a:b'")
 
 
 def test_evolve_matches_oracle(capsys):
@@ -379,11 +388,3 @@ def test_console_script_on_path(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
 
-
-def test_threads_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("YCEL_THREADS", "2")
-    code, out_env, _ = run_cli(capsys, "sweep", "--eta-grid", "3x3", "--A", "0.5")
-    monkeypatch.delenv("YCEL_THREADS")
-    code2, out_plain, _ = run_cli(capsys, "sweep", "--eta-grid", "3x3", "--A", "0.5")
-    assert code == code2 == 0
-    assert out_env == out_plain
