@@ -18,6 +18,8 @@ import warnings
 import numpy as np
 
 from .dynamics import (
+    BACKENDS,
+    ROUTES,
     drift_matrix,
     is_stable,
     second_moment_trajectory,
@@ -65,8 +67,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n1, n2
 
 
+_CHOICES = {"backend": BACKENDS, "route": ROUTES, "units": ("kappa", "absolute")}
+
+
 def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, --config values, and explicit flags, in that order."""
+    """Merge defaults, --config values, and explicit flags, in that order.
+
+    Refuses mistyped config values and a non-positive or infinite --kappa or --A.
+    """
     params = dict(schema)
     if args.config is not None:
         cfg_command, cfg = load_config(args.config)
@@ -77,11 +85,21 @@ def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
         for key, value in cfg.items():
             if key not in schema:
                 raise ConfigurationError(f"unknown config key {key!r} for {command}")
+            if isinstance(schema[key], str) and not isinstance(value, str):
+                raise ConfigurationError(f"config key {key!r} must be a string, not {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ConfigurationError(
+                    f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, not {value!r}"
+                )
             params[key] = value
     for key in schema:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
+    for key in ("kappa", "A"):
+        value = params.get(key)
+        if value is not None and not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+            raise ConfigurationError(f"--{key} must be a positive finite rate, got {value!r}")
     return params
 
 
@@ -184,6 +202,14 @@ class _NoteCollector(list):
         return False
 
 
+def _table(args, command: str, recorded: dict, columns, rows, notes=()) -> str:
+    """The run as a JSON or CSV table document, per --format."""
+    if args.format == "json":
+        payload = {"columns": list(columns), "rows": rows}
+        return json_document(command, recorded, payload, notes=notes)
+    return csv_document(command, recorded, columns, rows, notes=notes)
+
+
 def _moment_rows(times, moments) -> list[list[float]]:
     return [[t, m.n1, m.n2, m.n3, m.c32, m.c31, m.c21] for t, m in zip(times, moments)]
 
@@ -264,14 +290,7 @@ def cmd_evolve(args: argparse.Namespace) -> str:
         "times": times,
     }
     rows = _moment_rows(times, moments)
-    if args.format == "json":
-        return json_document(
-            "evolve",
-            recorded,
-            {"columns": ["time", *MOMENT_COLUMNS], "rows": rows},
-            notes=notes,
-        )
-    return csv_document("evolve", recorded, ("time", *MOMENT_COLUMNS), rows, notes=notes)
+    return _table(args, "evolve", recorded, ("time", *MOMENT_COLUMNS), rows, notes)
 
 
 def cmd_steady(args: argparse.Namespace) -> str:
@@ -291,14 +310,7 @@ def cmd_steady(args: argparse.Namespace) -> str:
         "backend": params["backend"],
     }
     row = [moments.n1, moments.n2, moments.n3, moments.c32, moments.c31, moments.c21]
-    if args.format == "json":
-        return json_document(
-            "steady",
-            recorded,
-            {"columns": list(MOMENT_COLUMNS), "rows": [row]},
-            notes=notes,
-        )
-    return csv_document("steady", recorded, MOMENT_COLUMNS, [row], notes=notes)
+    return _table(args, "steady", recorded, MOMENT_COLUMNS, [row], notes)
 
 
 def cmd_oracle(args: argparse.Namespace) -> str:
@@ -359,11 +371,7 @@ def cmd_oracle(args: argparse.Namespace) -> str:
             times, run.moments, run.trace_residues, run.edge_populations
         )
     ]
-    if args.format == "json":
-        return json_document(
-            "oracle", recorded, {"columns": list(columns), "rows": rows}, notes=notes
-        )
-    return csv_document("oracle", recorded, columns, rows, notes=notes)
+    return _table(args, "oracle", recorded, columns, rows, notes)
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
@@ -427,11 +435,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
             row.append(pt.report.fully_inseparable)
         row.append(pt.failure if pt.failure is not None else "")
         rows.append(row)
-    if args.format == "json":
-        return json_document(
-            "sweep", recorded, {"columns": columns, "rows": rows}, notes=()
-        )
-    return csv_document("sweep", recorded, columns, rows)
+    return _table(args, "sweep", recorded, columns, rows)
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -440,7 +444,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument(
         "--backend",
-        choices=("ehrenfest", "paper-literal"),
+        choices=BACKENDS,
         default=None,
         help="moment-equation noise convention (see README)",
     )
@@ -491,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     _add_rate_flags(p)
     _add_time_flags(p)
-    p.add_argument("--route", choices=("closed-form", "ode"), default=None)
+    p.add_argument("--route", choices=ROUTES, default=None)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("steady", help="steady-state second moments")

@@ -14,6 +14,8 @@ import json
 import math
 from typing import Any, Mapping, Sequence
 
+from .errors import ConfigurationError
+
 __all__ = ["format_value", "csv_document", "json_document", "load_config"]
 
 
@@ -80,12 +82,18 @@ def load_config(path: str) -> tuple[str | None, dict[str, Any]]:
     """(command, parameter dict) from a JSON file.
 
     Accepts both a bare parameter object and a full output document from a
-    previous run, whose ``params`` block is then extracted.
+    previous run, whose ``params`` block is then extracted.  An unreadable
+    file, malformed JSON or a non-object raises ConfigurationError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"config {path!r} must hold a JSON object")
+        raise ConfigurationError(f"config {path!r} must hold a JSON object")
     if "params" in doc and isinstance(doc["params"], dict):
         return doc.get("command"), dict(doc["params"])
     return doc.pop("command", None), doc

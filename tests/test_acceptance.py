@@ -193,7 +193,7 @@ def test_criterion_06_oracle_equivalence(oracle_runs):
         assert n_max >= 6
         assert max(run.edge_populations) < 1e-6
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # defective-drift fallback
+            warnings.simplefilter("error")  # defective (0.25, 0.25) needs no fallback
             engine = second_moment_trajectory(
                 pref(eta1, eta2), KAPPA, list(ORACLE_TIMES), backend="ehrenfest"
             )

@@ -236,6 +236,46 @@ def test_sweep_rejects_non_numeric_range(capsys, flag):
     assert err.startswith(f"error: {flag} 'a:b'")
 
 
+def assert_one_error_line(code, out, err, *named):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for name in named:
+        assert name in err
+
+
+STEADY_ARGS = ("steady", "--eta1", "0", "--eta2", "0")
+# (command line, config file text or None for no file, what the error names)
+CONFIG_ERRORS = {
+    "missing-file": (STEADY_ARGS, None, "cfg.json"),
+    "invalid-json": (STEADY_ARGS, '{"eta1": 0,', "cfg.json"),
+    "not-an-object": (STEADY_ARGS, "[0, 0]", "cfg.json"),
+    "eta1_range": (("sweep",), '{"eta1_range": 5}', "eta1_range"),
+    "eta2_range": (("sweep",), '{"eta2_range": [0, 1]}', "eta2_range"),
+    "eta_grid": (("sweep",), '{"command": "sweep", "params": {"eta_grid": 21}}', "eta_grid"),
+    "backend-choice": (STEADY_ARGS, '{"backend": "literal"}', "backend"),
+    "route-choice": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1"),
+                     '{"route": "euler"}', "route"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exits_2_with_one_line(case, tmp_path, capsys):
+    argv, text, named = CONFIG_ERRORS[case]
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert_one_error_line(code, out, err, named)
+
+
+@pytest.mark.parametrize("command", [STEADY_ARGS, ("sweep", "--eta-grid", "2x2")])
+@pytest.mark.parametrize("flag", ["--kappa=0", "--A=-1", "--A=nan"])
+def test_non_positive_rate_flag_exits_2(command, flag, capsys):
+    code, out, err = run_cli(capsys, *command, flag)
+    assert_one_error_line(code, out, err, flag.split("=")[0] + " must be")
+
+
 def test_evolve_matches_oracle(capsys):
     shared = ("--eta1", "0", "--eta2", "0", "--A", "0.5", "--t", "10")
     code, out_e, _ = run_cli(capsys, "evolve", *shared, "--samples", "3")
@@ -388,3 +428,32 @@ def test_console_script_on_path(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
 
+
+
+COLD_START = """\
+import sys
+import ycel.cli
+
+ycel.cli.build_parser()
+assert "scipy.integrate" not in sys.modules, "scipy.integrate imported at start-up"
+assert ycel.cli.main(sys.argv[1:]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cold_start_skips_scipy_integrate_until_the_ode_route(tmp_path, capsys):
+    point = ("evolve", "--eta1", "0.25", "--eta2", "0.25", "--A", "0.5",
+             "--t", "10", "--format", "json")
+    out = tmp_path / "ode.json"
+    proc = run_child([sys.executable, "-c", COLD_START, *point, "--route", "ode",
+                      "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    code, closed, _ = run_cli(capsys, *point)
+    assert code == 0
+    ode, closed = json.loads(out.read_text()), json.loads(closed)
+    assert ode["params"].pop("route") == "ode"
+    assert closed["params"].pop("route") == "closed-form"
+    assert ode["params"] == closed["params"] and "notes" not in ode and "notes" not in closed
+    for row_ode, row_closed in zip(ode["rows"], closed["rows"], strict=True):
+        scale = max(abs(v) for v in row_ode[1:]) or 1.0
+        assert max(abs(a - b) for a, b in zip(row_ode, row_closed)) <= 1e-10 * scale

@@ -18,6 +18,7 @@ from ycel.dynamics import (
     propagator,
     second_moment_trajectory,
     steady_state_moments,
+    _expm,
 )
 from ycel.errors import EigendecompositionError, HorizonError, UnstableDriftError
 from ycel.model import prefactors_from_inversions, validate_physical
@@ -121,10 +122,11 @@ def test_propagator_identity_and_decay():
 
 
 def test_first_moments_zero_stays_zero():
-    # a defective-drift point on purpose: the fallback path must also keep
-    # an exactly zero mean exactly zero
+    # a defective-drift point on purpose: the exponential must keep an
+    # exactly zero mean exactly zero there too, without any warning
     m = drift_matrix(pref(0.25, 0.25), 1.0)
-    with pytest.warns(UserWarning, match="falling back"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = evolve_first_moments(m, np.zeros(3), 7.3)
     assert np.all(out == 0.0)
 
@@ -171,12 +173,10 @@ def test_einstein_relation_via_finite_differences():
     m = drift_matrix(p, 1.0)
     q = diffusion_matrix(p, "ehrenfest")
     t, h = 1.5, 1e-5
-    with warnings.catch_warnings():
-        # defective drift here, so every call takes the warned ode fallback
-        warnings.simplefilter("ignore", UserWarning)
-        sm = evolve_second_moments(p, 1.0, t).as_matrix()
-        sp = evolve_second_moments(p, 1.0, t + h).as_matrix()
-        sms = evolve_second_moments(p, 1.0, t - h).as_matrix()
+    # defective drift here: the closed form handles it like any other
+    sm = evolve_second_moments(p, 1.0, t).as_matrix()
+    sp = evolve_second_moments(p, 1.0, t + h).as_matrix()
+    sms = evolve_second_moments(p, 1.0, t - h).as_matrix()
     ds_dt = (sp - sms) / (2 * h)
     expected = -m @ sm - sm @ m.T + q
     assert np.abs(ds_dt - expected).max() < 1e-6
@@ -188,6 +188,19 @@ def test_steady_state_matches_long_time_evolution():
         ss = np.array(steady_state_moments(p, 1.0).as_tuple())
         lt = np.array(evolve_second_moments(p, 1.0, 100.0 / margin).as_tuple())
         assert np.abs(ss - lt).max() < 1e-8 * max(1.0, np.abs(ss).max())
+
+
+def test_long_horizon_at_small_margins_reaches_the_steady_state():
+    # slowly decaying drifts are where an exponential that squares too few
+    # times loses accuracy (7e-10 at margin 0.002 with scipy's expm)
+    small = [p for p in random_stable_sets(340, seed=5)
+             if is_stable(drift_matrix(p, 1.0)).margin < 0.02]
+    assert len(small) >= 5
+    for p in small:
+        margin = is_stable(drift_matrix(p, 1.0)).margin
+        ss = np.array(steady_state_moments(p, 1.0).as_tuple())
+        lt = np.array(evolve_second_moments(p, 1.0, 200.0 / margin).as_tuple())
+        assert np.abs(ss - lt).max() < 1e-11 * np.abs(ss).max()
 
 
 def test_steady_state_frozen_fixtures():
@@ -258,16 +271,104 @@ def test_moment_matrix_round_trip():
     assert SecondMoments.from_matrix(m.as_matrix()) == m
 
 
-def test_defective_drift_falls_back_to_ode_route():
-    # At equal inversions 0.25 the gain part of the drift is nilpotent:
-    # a triple eigenvalue kappa/2 with a defective eigenbasis. The
-    # closed-form route must refuse it and hand over to the integrator.
-    p = pref(0.25, 0.25, a=0.5)
+def defective_line_points():
+    """(eta1, eta2, A) on or next to the defective line eta1 + eta2 = 1/2."""
+    grid = [float(v) for v in np.linspace(-1.0, 1.0, 21)]
+    on_grid = [
+        (e1, e2, a)
+        for e1 in grid
+        for e2 in grid
+        for a in (0.5, 1.0)
+        if abs(e1 + e2 - 0.5) < 1e-12 and validate_physical(e1, e2).valid
+    ]
+    near = (0.3744843933154953, 0.12555106183003706, 1.1068062611875042)
+    return [(0.25, 0.25, 0.5), *on_grid, near]
+
+
+def test_defective_drift_closed_form_matches_ode_route():
+    # At equal inversions 0.25 the gain part of the drift is nilpotent: a
+    # triple eigenvalue kappa/2 with a defective eigenbasis, which the
+    # eigenbasis refuses.  On the whole line eta1 + eta2 = 1/2 the drift is
+    # defective or nearly so; the exponential route needs no eigenbasis.
     with pytest.raises(EigendecompositionError):
-        eigendecompose(drift_matrix(p, 1.0))
+        eigendecompose(drift_matrix(pref(0.25, 0.25, a=0.5), 1.0))
+    points = defective_line_points()
+    assert len(points) == 2 + 2 * 6
     times = [1.0, 5.0, 20.0]
-    with pytest.warns(UserWarning, match="falling back to the ode route"):
-        via_fallback = second_moment_trajectory(p, 1.0, times)
-    via_ode = second_moment_trajectory(p, 1.0, times, route="ode")
-    for a, b in zip(via_fallback, via_ode):
-        assert np.allclose(a.as_tuple(), b.as_tuple(), rtol=0.0, atol=1e-12)
+    for eta1, eta2, a in points:
+        p = pref(eta1, eta2, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = second_moment_trajectory(p, 1.0, times)
+        via_ode = second_moment_trajectory(p, 1.0, times, route="ode")
+        for c, o in zip(closed, via_ode):
+            c, o = np.array(c.as_tuple()), np.array(o.as_tuple())
+            assert np.abs(c - o).max() <= 1e-10 * np.abs(o).max(), (eta1, eta2, a)
+
+
+# Closed-form second moments from the eigenbasis route that preceded the
+# matrix-exponential route, at four diagonalisable drifts and t = 1, 5, 20
+# (ehrenfest backend, kappa = 1, vacuum start).
+EIGENBASIS_MOMENTS = {
+    (0.3, 0.1, 0.5): [
+        (0.00834690467367279, 0.12325856036863524, 0.05602661834937958,
+         0.08310090444795107, 0.04936934681114659, 0.07322657502594543),
+        (0.03126071281478887, 0.20963726795092963, 0.09528966725042252,
+         0.14133741721968648, 0.08906598010626723, 0.13210619738315832),
+        (0.03272939572117843, 0.21215663121071704, 0.09643483236850778,
+         0.1430359715829302, 0.0904629469412896, 0.13417823404884138),
+    ],
+    (0.0, 0.0, 0.5): [
+        (0.007924227268022267, 0.11704247193259547, 0.11704247193259551,
+         0.11704247193259548, 0.062483349600308886, 0.062483349600308866),
+        (0.033878738639358495, 0.21383859859987736, 0.2138385985998774,
+         0.21383859859987736, 0.12385866861961795, 0.12385866861961795),
+        (0.03636361722091758, 0.2181817970549617, 0.21818179705496174,
+         0.2181817970549617, 0.12727270713793964, 0.12727270713793964),
+    ],
+    (-0.2, 0.4, 0.3): [
+        (0.0029331651535364467, 0.0, 0.11962145199977713, 0.0, 0.050631442771083196, 0.0),
+        (0.011266782407047354, 0.0, 0.20101449530246732, 0.0, 0.08896329105074662, 0.0),
+        (0.011844701558727048, 0.0, 0.20333406195044104, 0.0, 0.09026415192794823, 0.0),
+    ],
+    (0.1, -0.5, 1.2): [
+        (0.04275050750069511, 0.7700554696959316, 0.11000792424227591,
+         0.2910536097914957, 0.09290193609242323, 0.24579541921696763),
+        (0.3814131431987754, 2.5939456084741086, 0.37056365835344396,
+         0.9804192849215154, 0.3968779856777801, 1.0500404509396608),
+        (0.6386323932817338, 3.5477097529720667, 0.5068156789960094,
+         1.3409082471717826, 0.5841634514171967, 1.5455512174630648),
+    ],
+}
+
+
+@pytest.mark.parametrize("point", sorted(EIGENBASIS_MOMENTS))
+def test_closed_form_matches_eigenbasis_table(point):
+    eta1, eta2, a = point
+    p = pref(eta1, eta2, a)
+    eigendecompose(drift_matrix(p, 1.0))  # diagonalisable: the old route applied
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = second_moment_trajectory(p, 1.0, [1.0, 5.0, 20.0])
+    for m, old in zip(got, EIGENBASIS_MOMENTS[point]):
+        old = np.array(old)
+        assert np.abs(np.array(m.as_tuple()) - old).max() <= 1e-9 * np.abs(old).max()
+
+
+def test_matrix_exponential_matches_scipy():
+    # the numpy kernel behind both routes' exponentials, against scipy's
+    # expm on decaying stacks from well inside to far past one squaring
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(5)
+    for n in (3, 10):
+        for scale in (1e-8, 0.1, 1.0, 30.0):
+            a = rng.standard_normal((20, n, n)) * scale / np.sqrt(n) - scale * np.eye(n)
+            ref = np.stack([expm(x) for x in a])
+            got = _expm(a)
+            err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            assert err.max() < 1e-11, (n, scale)
+    # defective drift: exp(-M t) for the Jordan block at (0.25, 0.25)
+    m = drift_matrix(pref(0.25, 0.25), 1.0)
+    for t in (0.0, 0.3, 7.0, 150.0):
+        assert_allclose(_expm(-m * t), expm(-m * t), rtol=0.0, atol=1e-14)
