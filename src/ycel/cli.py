@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 
@@ -69,6 +70,31 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 _CHOICES = {"backend": BACKENDS, "route": ROUTES, "units": ("kappa", "absolute")}
 
+# What each --config value must be; keys whose schema default is None may
+# also be null.
+_NUMBER = ((int, float), "a number")
+_CONFIG_TYPES = {
+    **dict.fromkeys(
+        ("eta1", "eta2", "kappa", "A", "r_a", "g", "gamma", "t", "dt", "edge_tol", "at_time"),
+        _NUMBER,
+    ),
+    **dict.fromkeys(("nmax", "samples"), (int, "an integer")),
+    **dict.fromkeys(("check_convergence", "optimize"), (bool, "true or false")),
+    **dict.fromkeys(
+        ("units", "backend", "route", "eta_grid", "eta1_range", "eta2_range"), (str, "a string")
+    ),
+    "times": (list, "a list of numbers"),
+}
+
+
+def _config_value_ok(key: str, value, default) -> bool:
+    if value is None:
+        return default is None
+    if key == "times":
+        return isinstance(value, list) and all(_config_value_ok("t", v, 0.0) for v in value)
+    types = _CONFIG_TYPES[key][0]
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
 
 def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
     """Merge defaults, --config values, and explicit flags, in that order.
@@ -85,8 +111,10 @@ def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
         for key, value in cfg.items():
             if key not in schema:
                 raise ConfigurationError(f"unknown config key {key!r} for {command}")
-            if isinstance(schema[key], str) and not isinstance(value, str):
-                raise ConfigurationError(f"config key {key!r} must be a string, not {value!r}")
+            if not _config_value_ok(key, value, schema[key]):
+                raise ConfigurationError(
+                    f"config key {key!r} must be {_CONFIG_TYPES[key][1]}, not {value!r}"
+                )
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ConfigurationError(
                     f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, not {value!r}"
@@ -542,9 +570,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a separate negative number as an option's value only in
+# plain or decimal form; in exponent form it reads an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Rewrite '--flag -8.2e-05' as '--flag=-8.2e-05'."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        takes_value = len(prev) > 2 and prev.startswith("--") and "=" not in prev
+        if takes_value and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         text = args.func(args)
     except (PreparationError, ConfigurationError) as exc:

@@ -8,19 +8,30 @@ moment engine makes can be checked against an independent discretisation
 of the same generator.
 
 Basis layout.  Each mode keeps photon numbers 0..n_max; a basis ket is
-|n1 n2 n3> flattened row-major (mode 3 varies fastest).  Density matrices
-are dense complex arrays of dimension (n_max + 1)**3.
+|n1 n2 n3> flattened row-major (mode 3 varies fastest), so a density matrix
+has dimension (n_max + 1)**3.  A ``DensityState`` holds only its nonzero
+elements; the dense complex array is built when ``rho`` is first read.
 
-Charge restriction.  Every term of the generator shifts the ket and the
-bra occupation difference w = n1 - n2 - n3 by the same amount, so the
-difference q = w_ket - w_bra between the two sides of each density-matrix
-element is conserved exactly, truncation included.  A run started from a
-state whose nonzero elements all carry charges in some set Q never leaves
-the sectors in Q; vacuum and Fock starts live entirely in q = 0.
-``integrate`` therefore marches only the populated sectors by default.
-This is an exact reindexing of the dense generator, not an approximation,
-and a unit test pins the restricted march to a dense reference, step for
-step.  Pass ``restrict=False`` to march every sector regardless.
+Hermitian fold.  Every term of the generator is c * X rho Y with a real
+coefficient and real shift monomials X and Y, and the terms come in
+conjugate pairs, so the generator maps the real part of rho to a real
+symmetric matrix and the imaginary part to a real antisymmetric one.  The
+march therefore carries one real vector, Re rho[k, b] for k <= b followed
+by Im rho[k, b] for k < b, under one real sparse operator.  The state is
+hermitian by construction and the coupled coordinates are half the
+complex elements.
+
+Reachable support.  ``integrate`` finds, by one breadth-first search over
+the generator's monomial maps, every folded coordinate that can become
+nonzero from the initial state's nonzero elements, and marches only those.
+Each RK4 step is a polynomial in the generator, so the march never leaves
+that set: this is an exact reindexing of the dense generator, not an
+approximation, and a unit test pins the march to a dense reference, step
+for step.  Every term shifts w = n1 - n2 - n3 equally on ket and bra, so
+the set lies inside the start's charge sectors q = w_ket - w_bra; vacuum and
+Fock starts stay in q = 0 and never populate the imaginary part, and a
+preparation that silences a mode keeps that mode in vacuum on both sides.
+Pass ``restrict=False`` to march every coordinate regardless.
 
 Positivity.  The gain and cross couplings here satisfy the product rules
 cross32**2 = gain3*gain2 (and cyclic), which makes the whole generator a
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,9 +71,6 @@ __all__ = [
     "moments_from_state",
     "integrate",
 ]
-
-# Largest dimension for which final states are embedded back to dense form.
-_EMBED_LIMIT = 1331  # (n_max + 1)**3 at n_max = 10
 
 # Guard against runs whose dense density matrix would not fit in memory.
 _N_MAX_LIMIT = 16
@@ -109,21 +117,25 @@ class FockConfig:
         return (self.n_max + 1) ** 3
 
 
-@dataclass(frozen=True, eq=False)
 class DensityState:
-    """A validated density matrix on the truncated three-mode space."""
+    """A validated density matrix on the truncated three-mode space.
 
-    rho: np.ndarray = field(repr=False)
-    n_max: int = -1  # inferred from the matrix when left at the default
+    ``sparse`` holds its nonzero elements as a CSR matrix.  ``rho``, the
+    dense complex array, is built on first read; ``vacuum``, ``fock`` and
+    the states ``integrate`` returns allocate nothing of size dim x dim
+    until then.  The constructor takes a dense matrix and checks it.
+    """
 
-    def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex, copy=True)
+    __slots__ = ("n_max", "sparse", "_rho")
+
+    def __init__(self, rho, n_max: int = -1):
+        rho = np.array(rho, dtype=complex, copy=True)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ConfigurationError("rho must be a square matrix")
-        n_max = _infer_n_max(rho.shape[0])
-        if self.n_max >= 0 and self.n_max != n_max:
+        inferred = _infer_n_max(rho.shape[0])
+        if n_max >= 0 and n_max != inferred:
             raise ConfigurationError(
-                f"matrix dimension {rho.shape[0]} does not match n_max={self.n_max}"
+                f"matrix dimension {rho.shape[0]} does not match n_max={n_max}"
             )
         scale = max(1.0, float(np.max(np.abs(rho))) if rho.size else 1.0)
         herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -132,15 +144,28 @@ class DensityState:
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > 1e-9:
             raise ConsistencyError(f"trace {tr:.12g} is not 1 within 1e-9")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "n_max", n_max)
+        self.n_max = inferred
+        self.sparse = sp.csr_matrix(rho)
+        self._rho = rho
+
+    @classmethod
+    def _from_sparse(cls, n_max: int, mat) -> "DensityState":
+        """Wrap a hermitian unit-trace sparse matrix without a dense check."""
+        state = cls.__new__(cls)
+        state.n_max = n_max
+        state.sparse = mat.tocsr()
+        state._rho = None
+        return state
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            self._rho = self.sparse.toarray()
+        return self._rho
 
     @staticmethod
     def vacuum(n_max: int) -> "DensityState":
-        dim = (n_max + 1) ** 3
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return DensityState(rho, n_max)
+        return DensityState.fock(n_max, (0, 0, 0))
 
     @staticmethod
     def fock(n_max: int, occupations) -> "DensityState":
@@ -154,10 +179,8 @@ class DensityState:
             )
         side = n_max + 1
         pos = (occ[0] * side + occ[1]) * side + occ[2]
-        dim = side**3
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[pos, pos] = 1.0
-        return DensityState(rho, n_max)
+        mat = sp.csr_matrix(([1.0 + 0j], ([pos], [pos])), shape=(side**3, side**3))
+        return DensityState._from_sparse(_infer_n_max(side**3), mat)
 
 
 def _infer_n_max(dim: int) -> int:
@@ -289,91 +312,51 @@ def liouvillian_apply(rho, pref: Prefactors, kappa: float) -> np.ndarray:
     return out
 
 
-class _PairBasis:
-    """Index bookkeeping for a set of charge sectors.
+def _lookup(keys: np.ndarray, wanted: np.ndarray):
+    """Positions of ``wanted`` in the sorted ``keys``, and which are present."""
+    pos = np.searchsorted(keys, wanted)
+    ok = pos < keys.size
+    ok[ok] = keys[pos[ok]] == wanted[ok]
+    return pos, ok
 
-    Enumerates the (ket, bra) pairs whose charge q = w[ket] - w[bra] lies
-    in the requested set, sorted by the flat key ket*dim + bra so that
-    pair positions resolve by binary search.  Holds the permutation that
-    realises hermitian conjugation, the diagonal positions, and the
-    diagonal positions sitting in each mode's edge layer.
+
+class _Support:
+    """Folded coordinates of a hermitian density matrix on a set of pairs.
+
+    Coordinate i < n_re holds Re rho[ket, bra] for the i-th key of re_keys
+    (ket <= bra); coordinate n_re + j holds Im rho[ket, bra] for the j-th
+    key of im_keys (ket < bra).  Keys are ket * dim + bra, sorted, so
+    positions resolve by binary search.  Also holds the diagonal positions
+    and the diagonal positions sitting in each mode's edge layer.
     """
 
-    __slots__ = (
-        "n_max",
-        "dim",
-        "size",
-        "ket",
-        "bra",
-        "key",
-        "herm_perm",
-        "diag",
-        "edge",
-    )
+    __slots__ = ("n_max", "dim", "re_keys", "im_keys", "n_re", "size", "diag", "edge")
 
-    def __init__(self, n_max: int, charges):
+    def __init__(self, n_max: int, re_keys: np.ndarray, im_keys: np.ndarray):
         side = n_max + 1
-        dim = side**3
-        n1, n2, n3 = np.unravel_index(np.arange(dim), (side, side, side))
-        w = n1.astype(np.int64) - n2 - n3
-        wanted = sorted({int(q) for q in charges} | {-int(q) for q in charges})
-        groups = {int(v): np.flatnonzero(w == v) for v in np.unique(w)}
-        kets, bras = [], []
-        for q in wanted:
-            for v, ki in groups.items():
-                bi = groups.get(v - q)
-                if bi is None:
-                    continue
-                kets.append(np.repeat(ki, bi.size))
-                bras.append(np.tile(bi, ki.size))
-        if not kets:
-            raise ConsistencyError("charge set selects no basis pairs")
-        ket = np.concatenate(kets)
-        bra = np.concatenate(bras)
-        key = ket.astype(np.int64) * dim + bra
-        order = np.argsort(key)
         self.n_max = n_max
-        self.dim = dim
-        self.ket = ket[order]
-        self.bra = bra[order]
-        self.key = key[order]
-        self.size = self.key.size
-        perm, ok = self.lookup(self.bra.astype(np.int64) * dim + self.ket)
-        if not ok.all():
-            raise ConsistencyError("charge set is not closed under conjugation")
-        self.herm_perm = perm
-        self.diag = np.flatnonzero(self.ket == self.bra)
-        kd = self.ket[self.diag]
-        self.edge = tuple(
-            self.diag[occ[kd] == n_max] for occ in (n1, n2, n3)
-        )
+        self.dim = side**3
+        self.re_keys = re_keys
+        self.im_keys = im_keys
+        self.n_re = re_keys.size
+        self.size = re_keys.size + im_keys.size
+        ket, bra = np.divmod(re_keys, self.dim)
+        self.diag = np.flatnonzero(ket == bra)
+        occupations = np.unravel_index(ket[self.diag], (side, side, side))
+        self.edge = tuple(self.diag[occ == n_max] for occ in occupations)
 
-    def lookup(self, keys):
-        pos = np.searchsorted(self.key, keys)
-        pos = np.minimum(pos, self.size - 1)
-        return pos, self.key[pos] == keys
-
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        return mat[self.ket, self.bra]
-
-    def embed(self, re: np.ndarray, im) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[self.ket, self.bra] = re if im is None else re + 1j * im
-        return out
-
-
-def _monomial_colmap(op, dim):
-    """Column -> (row, value) arrays for an operator with <=1 entry per column."""
-    csc = op.tocsc()
-    counts = np.diff(csc.indptr)
-    if counts.max(initial=0) > 1:
-        raise ConsistencyError("generator term is not a shift monomial")
-    rows = np.full(dim, -1, dtype=np.int64)
-    vals = np.zeros(dim)
-    filled = np.flatnonzero(counts)
-    rows[filled] = csc.indices
-    vals[filled] = csc.data
-    return rows, vals
+    def state(self, vec: np.ndarray) -> DensityState:
+        """The density matrix a folded vector stands for, as a sparse state."""
+        dim = self.dim
+        re, im = vec[: self.n_re], vec[self.n_re :]
+        rk, rb = np.divmod(self.re_keys, dim)
+        ik, ib = np.divmod(self.im_keys, dim)
+        off = rk != rb
+        rows = np.concatenate((rk, rb[off], ik, ib))
+        cols = np.concatenate((rb, rk[off], ib, ik))
+        vals = np.concatenate((re, re[off], 1j * im, -1j * im))
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        return DensityState._from_sparse(self.n_max, mat)
 
 
 def _monomial_rowmap(op, dim):
@@ -390,38 +373,68 @@ def _monomial_rowmap(op, dim):
     return cols, vals
 
 
-def _sector_superoperator(pref: Prefactors, kappa: float, basis: _PairBasis):
-    """Real sparse matrix acting on the stacked sector elements."""
-    dim = basis.dim
-    src = np.arange(basis.size, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for coef, left, right in _flat_terms(pref, kappa, basis.n_max):
-        if left is None:
-            tket = basis.ket.astype(np.int64)
-            wl = np.ones(basis.size)
-        else:
-            cmap_rows, cmap_vals = _monomial_colmap(left, dim)
-            tket = cmap_rows[basis.ket]
-            wl = cmap_vals[basis.ket]
-        if right is None:
-            tbra = basis.bra.astype(np.int64)
-            wr = np.ones(basis.size)
-        else:
-            rmap_cols, rmap_vals = _monomial_rowmap(right, dim)
-            tbra = rmap_cols[basis.bra]
-            wr = rmap_vals[basis.bra]
-        alive = (tket >= 0) & (tbra >= 0)
-        pos, ok = basis.lookup(tket[alive] * dim + tbra[alive])
-        if not ok.all():
-            raise ConsistencyError("a generator term left the charge sectors")
-        rows.append(pos.astype(np.int64))
-        cols.append(src[alive])
-        vals.append(coef * wl[alive] * wr[alive])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size),
+def _term_maps(pref: Prefactors, kappa: float, n_max: int):
+    """Each term c * X rho Y as (c, ket map, ket weight, bra map, bra weight).
+
+    The term sends element (k, b) to (kmap[k], bmap[b]) with weight
+    c * kw[k] * bw[b]; a map entry of -1 marks an element it annihilates.
+    """
+    dim = (n_max + 1) ** 3
+    ident = (np.arange(dim, dtype=np.int64), np.ones(dim))
+    return tuple(
+        (
+            coef,
+            *(ident if left is None else _monomial_rowmap(left.T, dim)),
+            *(ident if right is None else _monomial_rowmap(right, dim)),
+        )
+        for coef, left, right in _flat_terms(pref, kappa, n_max)
     )
-    return mat.tocsr()
+
+
+def _explore(maps, dim: int, seeds: np.ndarray, strict: bool):
+    """Pairs reachable from ``seeds``, and the generator's real block on them.
+
+    Pairs are (k, b) with k <= b, or k < b when ``strict`` (the imaginary
+    part, which vanishes on the diagonal); returns their sorted keys and
+    the sparse matrix acting on one real number per pair.  A hermitian
+    state holds (k, b) and (b, k) together (Im rho[b, k] = -Im rho[k, b]),
+    so every pair feeds the terms in both orientations, and only targets
+    on or above the diagonal are kept: the conjugate term of each term
+    sends the mirrored source to the mirror of every target.
+    """
+    keys = frontier = _sorted_unique(seeds.astype(np.int64))
+    targets, sources, weights = [keys[:0]], [keys[:0]], [np.zeros(0)]
+    while frontier.size:
+        ket, bra = np.divmod(frontier, dim)
+        off = ket != bra
+        ket, bra = np.concatenate((ket, bra[off])), np.concatenate((bra, ket[off]))
+        src = np.concatenate((frontier, frontier[off]))
+        sign = np.ones(src.size)
+        if strict:
+            sign[frontier.size :] = -1.0
+        found = []
+        for coef, kmap, kw, bmap, bw in maps:
+            tk, tb = kmap[ket], bmap[bra]
+            keep = (tk >= 0) & (tb >= 0) & ((tk < tb) if strict else (tk <= tb))
+            found.append(tk[keep] * dim + tb[keep])
+            sources.append(src[keep])
+            weights.append(coef * sign[keep] * kw[ket[keep]] * bw[bra[keep]])
+        targets.extend(found)
+        found = _sorted_unique(np.concatenate(found))
+        frontier = found[~_lookup(keys, found)[1]]
+        keys = np.sort(np.concatenate((keys, frontier)))
+    rows = _lookup(keys, np.concatenate(targets))[0]
+    cols = _lookup(keys, np.concatenate(sources))[0]
+    mat = sp.csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
+    return keys, mat
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # a sort is many times faster here than np.unique's hash table
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _moment_operators(n_max: int):
@@ -433,17 +446,24 @@ def _moment_operators(n_max: int):
     return first, cross, pair
 
 
-def _sector_moment_maps(basis: _PairBasis):
-    """Per-operator (positions, weights) so Tr(O rho) = weights @ vec[positions]."""
-    dim = basis.dim
+def _folded_moment_maps(support: _Support):
+    """Per operator (re positions, weights, im positions, weights).
+
+    Tr(O rho) = sum O[r, c] rho[c, r], where rho[c, r] is Re + i s Im of
+    the pair (min, max) with s = +1 above the diagonal and -1 below.
+    """
+    dim = support.dim
 
     def mapping(op):
         coo = op.tocoo()
-        keys = coo.col.astype(np.int64) * dim + coo.row
-        pos, ok = basis.lookup(keys)
-        return pos[ok], coo.data[ok]
+        col, row = coo.col.astype(np.int64), coo.row.astype(np.int64)
+        keys = np.minimum(col, row) * dim + np.maximum(col, row)
+        pr, okr = _lookup(support.re_keys, keys)
+        pi, oki = _lookup(support.im_keys, keys)
+        signed = np.sign(row - col) * coo.data
+        return pr[okr], coo.data[okr], pi[oki] + support.n_re, signed[oki]
 
-    first, cross, pair = _moment_operators(basis.n_max)
+    first, cross, pair = _moment_operators(support.n_max)
     return (
         [mapping(op) for op in first],
         [[mapping(op) for op in row] for row in cross],
@@ -520,10 +540,12 @@ class OracleRun:
     trace_residues and edge_populations the per-sample audit trail.
     convergence_delta is the largest change any tracked moment suffered
     when the step was halved (None when the check was skipped).
+    support_size is the number of real coordinates marched (the reachable
+    folded support, or every coordinate with restrict=False).
     min_eigenvalue is the smallest eigenvalue of the final state when
-    spectrum tracking was requested, final_state the dense final density
-    matrix when the dimension permits, states every sampled state when
-    requested.
+    spectrum tracking was requested, final_state the final density matrix,
+    states every sampled state when requested; their dense ``rho`` is
+    built on first read.
     """
 
     times: tuple
@@ -532,8 +554,9 @@ class OracleRun:
     trace_residues: tuple
     edge_populations: tuple
     convergence_delta: float | None
+    support_size: int
+    final_state: DensityState
     min_eigenvalue: float | None = None
-    final_state: DensityState | None = None
     states: tuple | None = None
 
     def closure_leakage(self) -> float:
@@ -548,46 +571,31 @@ def _rk4(lop, vec, h):
     return vec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _step(lop, basis, re, im, h):
-    re = _rk4(lop, re, h)
-    if im is not None:
-        im = _rk4(lop, im, h)
-    re = 0.5 * (re + re[basis.herm_perm])
-    if im is not None:
-        im = 0.5 * (im - im[basis.herm_perm])
-    return re, im
-
-
-def _audit(basis, re, im, edge_tol, t):
-    peak = float(np.max(np.abs(re)))
-    if im is not None:
-        peak = max(peak, float(np.max(np.abs(im))))
+def _audit(support, vec, edge_tol, t):
+    peak = float(np.max(np.abs(vec)))
     if not math.isfinite(peak) or peak > _DIVERGENCE_PEAK:
         raise IntegrationError(
             f"integration diverged near t={t:.6g} (peak element {peak:.3e}); reduce dt"
         )
-    trace = float(re[basis.diag].sum())
+    trace = float(vec[support.diag].sum())
     residue = abs(trace - 1.0)
     if residue > _TRACE_TOL:
         raise IntegrationError(
             f"trace drifted to {trace:.9g} near t={t:.6g}; reduce dt"
         )
-    edge = max(float(re[idx].sum()) for idx in basis.edge)
+    edge = max(float(vec[idx].sum()) for idx in support.edge)
     if edge > edge_tol:
         raise TruncationError(
             f"edge-layer population {edge:.3e} exceeds edge_tol {edge_tol:.1e} "
-            f"near t={t:.6g}; increase n_max beyond {basis.n_max}"
+            f"near t={t:.6g}; increase n_max beyond {support.n_max}"
         )
     return residue, edge
 
 
-def _table_at(maps, re, im):
+def _table_at(maps, vec):
     def value(entry):
-        pos, weights = entry
-        out = complex(weights @ re[pos])
-        if im is not None:
-            out += 1j * float(weights @ im[pos])
-        return out
+        pr, wr, pi, wi = entry
+        return complex(wr @ vec[pr], wi @ vec[pi])
 
     first_maps, cross_maps, pair_maps = maps
     first = np.array([value(m) for m in first_maps])
@@ -596,9 +604,7 @@ def _table_at(maps, re, im):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _march(lop, basis, maps, re0, im0, samples, dt, edge_tol, keep_vectors):
-    re = re0.copy()
-    im = None if im0 is None else im0.copy()
+def _march(lop, support, maps, vec, samples, dt, edge_tol, keep_vectors):
     tables, residues, edges, vectors = [], [], [], []
     t_prev = 0.0
     for t in samples:
@@ -609,18 +615,18 @@ def _march(lop, basis, maps, re0, im0, samples, dt, edge_tol, keep_vectors):
             rem = 0.0
         for _ in range(nfull):
             t_prev += dt
-            re, im = _step(lop, basis, re, im, dt)
-            _audit(basis, re, im, edge_tol, t_prev)
+            vec = _rk4(lop, vec, dt)
+            _audit(support, vec, edge_tol, t_prev)
         if rem:
-            re, im = _step(lop, basis, re, im, rem)
+            vec = _rk4(lop, vec, rem)
         t_prev = t
-        residue, edge = _audit(basis, re, im, edge_tol, t)
-        tables.append(_table_at(maps, re, im))
+        residue, edge = _audit(support, vec, edge_tol, t)
+        tables.append(_table_at(maps, vec))
         residues.append(residue)
         edges.append(edge)
         if keep_vectors:
-            vectors.append((re.copy(), None if im is None else im.copy()))
-    return tables, residues, edges, (re, im), vectors
+            vectors.append(vec)
+    return tables, residues, edges, vec, vectors
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
@@ -638,14 +644,27 @@ def _sample_grid(cfg: FockConfig, sample_times):
     return samples
 
 
-def _detect_charges(rho: np.ndarray, n_max: int, restrict: bool):
-    side = n_max + 1
-    n1, n2, n3 = np.unravel_index(np.arange(side**3), (side, side, side))
-    w = n1.astype(np.int64) - n2 - n3
-    if not restrict:
-        return np.unique(w[:, None] - w[None, :]).tolist()
-    held = np.argwhere(np.abs(rho) != 0.0)
-    return np.unique(w[held[:, 0]] - w[held[:, 1]]).tolist()
+def _folded_start(rho0: DensityState, maps, restrict: bool):
+    """Support, generator and start vector for the hermitian part of rho0."""
+    dim = (rho0.n_max + 1) ** 3
+    mat = rho0.sparse
+    herm = (0.5 * (mat + mat.conj().T)).tocoo()
+    row, col = herm.row.astype(np.int64), herm.col.astype(np.int64)
+    keys = row * dim + col
+    re_held = (row <= col) & (herm.data.real != 0.0)
+    im_held = (row < col) & (herm.data.imag != 0.0)
+    if restrict:
+        re_seeds, im_seeds = keys[re_held], keys[im_held]
+    else:
+        re_seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
+        im_seeds = np.ravel_multi_index(np.triu_indices(dim, 1), (dim, dim))
+    re_keys, re_op = _explore(maps, dim, re_seeds, strict=False)
+    im_keys, im_op = _explore(maps, dim, im_seeds, strict=True)
+    support = _Support(rho0.n_max, re_keys, im_keys)
+    vec = np.zeros(support.size)
+    vec[_lookup(re_keys, keys[re_held])[0]] = herm.data.real[re_held]
+    vec[_lookup(im_keys, keys[im_held])[0] + support.n_re] = herm.data.imag[im_held]
+    return support, sp.block_diag((re_op, im_op), format="csr"), vec
 
 
 def integrate(
@@ -662,12 +681,13 @@ def integrate(
 ) -> OracleRun:
     """March the density matrix and sample moments along the way.
 
-    Fixed-step fourth-order integration, re-hermitised every step.  The
-    run refuses to continue when any edge layer holds more than
-    cfg.edge_tol population (the cutoff is too small for the physics) or
-    when the trace drifts or the state diverges (the step is too large).
-    With check_convergence the whole march is repeated at dt/2 and the
-    tracked moments must agree within 1e-6.
+    Fixed-step fourth-order integration of the folded real coordinates,
+    so the state is hermitian by construction.  The run refuses to
+    continue when any edge layer holds more than cfg.edge_tol population
+    (the cutoff is too small for the physics) or when the trace drifts or
+    the state diverges (the step is too large).  With check_convergence
+    the whole march is repeated at dt/2 and the tracked moments must agree
+    within 1e-6.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  Integration stops at
@@ -688,16 +708,12 @@ def integrate(
         raise ConfigurationError("kappa must be positive and finite")
 
     samples = _sample_grid(cfg, sample_times)
-    basis = _PairBasis(cfg.n_max, _detect_charges(rho0.rho, cfg.n_max, restrict))
-    lop = _sector_superoperator(pref, kappa, basis)
-    maps = _sector_moment_maps(basis)
+    term_maps = _term_maps(pref, kappa, cfg.n_max)
+    support, lop, vec0 = _folded_start(rho0, term_maps, restrict)
+    maps = _folded_moment_maps(support)
 
-    vec = basis.project(rho0.rho)
-    re0 = np.ascontiguousarray(vec.real)
-    im0 = np.ascontiguousarray(vec.imag) if np.any(vec.imag) else None
-
-    tables, residues, edges, (re, im), vectors = _march(
-        lop, basis, maps, re0, im0, samples, cfg.dt, cfg.edge_tol, keep_states
+    tables, residues, edges, vec, vectors = _march(
+        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol, keep_states
     )
     try:
         moments = tuple(t.closure() for t in tables)
@@ -709,7 +725,7 @@ def integrate(
     delta = None
     if check_convergence:
         halved, _, _, _, _ = _march(
-            lop, basis, maps, re0, im0, samples, 0.5 * cfg.dt, cfg.edge_tol, False
+            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol, False
         )
         delta = max(
             (
@@ -728,24 +744,16 @@ def integrate(
                 f"(tolerance {_CONVERGENCE_TOL:.1e}); reduce dt"
             )
 
-    final_state = None
+    final_state = support.state(vec)
     min_eig = None
-    if basis.dim <= _EMBED_LIMIT or keep_states or track_spectrum:
-        final = basis.embed(re, im)
-        final_state = DensityState(final, cfg.n_max)
-        if track_spectrum:
-            min_eig = float(np.linalg.eigvalsh(final).min())
-            if min_eig < -1e-8:
-                warnings.warn(
-                    f"final state developed eigenvalue {min_eig:.3e}; "
-                    f"truncation or step error is distorting the state",
-                    stacklevel=2,
-                )
-    states = None
-    if keep_states:
-        states = tuple(
-            DensityState(basis.embed(r, i), cfg.n_max) for r, i in vectors
-        )
+    if track_spectrum:
+        min_eig = float(np.linalg.eigvalsh(final_state.rho).min())
+        if min_eig < -1e-8:
+            warnings.warn(
+                f"final state developed eigenvalue {min_eig:.3e}; "
+                f"truncation or step error is distorting the state",
+                stacklevel=2,
+            )
 
     return OracleRun(
         times=tuple(float(t) for t in samples),
@@ -754,7 +762,8 @@ def integrate(
         trace_residues=tuple(residues),
         edge_populations=tuple(edges),
         convergence_delta=delta,
-        min_eigenvalue=min_eig,
+        support_size=support.size,
         final_state=final_state,
-        states=states,
+        min_eigenvalue=min_eig,
+        states=tuple(support.state(v) for v in vectors) if keep_states else None,
     )

@@ -72,8 +72,9 @@ class GoodCavityWarning(UserWarning):
 class PreparationVerdict:
     """Outcome of a domain check on (eta1, eta2).
 
-    Total function output: populations are reported raw (possibly negative)
-    and ``violated`` names every population that came out below -1e-12.
+    Total function output: populations are reported raw (possibly negative
+    or not finite) and ``violated`` names every population that came out
+    below -1e-12 or not finite, so NaN or infinite inversions are refused.
     """
 
     valid: bool
@@ -91,7 +92,7 @@ def validate_physical(eta1: float, eta2: float) -> PreparationVerdict:
     violated = tuple(
         name
         for name, value in (("rho33", rho33), ("rho22", rho22), ("rho00", rho00))
-        if value < -BOUNDARY_TOL
+        if not -BOUNDARY_TOL <= value < math.inf
     )
     return PreparationVerdict(not violated, rho33, rho22, rho00, violated)
 
@@ -146,12 +147,16 @@ def populations_from_inversions(eta1: float, eta2: float) -> AtomPreparation:
     ------
     PreparationError
         If (eta1, eta2) lies outside the physical triangle by more than
-        1e-12 in any population.  The message names the violated ones.
+        1e-12 in any population, or either is not finite.  The message
+        names the violated populations.
     """
     verdict = validate_physical(eta1, eta2)
     if not verdict.valid:
         values = {"rho33": verdict.rho33, "rho22": verdict.rho22, "rho00": verdict.rho00}
-        detail = ", ".join(f"{name}={values[name]:.6g} < 0" for name in verdict.violated)
+        detail = ", ".join(
+            f"{name}={values[name]:.6g} " + ("< 0" if values[name] < 0 else "is not finite")
+            for name in verdict.violated
+        )
         raise PreparationError(
             f"unphysical preparation eta1={eta1!r}, eta2={eta2!r}: {detail}"
         )

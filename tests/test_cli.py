@@ -256,6 +256,16 @@ CONFIG_ERRORS = {
     "backend-choice": (STEADY_ARGS, '{"backend": "literal"}', "backend"),
     "route-choice": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1"),
                      '{"route": "euler"}', "route"),
+    "eta1-string": (("evolve", "--eta2", "0", "--t", "1"), '{"eta1": "a"}', "'eta1'"),
+    "eta1-null": (("evolve", "--eta2", "0", "--t", "1"), '{"eta1": null}', "'eta1'"),
+    "t-string": (("evolve", "--eta1", "0", "--eta2", "0"), '{"t": "x"}', "'t'"),
+    "kappa-bool": (STEADY_ARGS, '{"kappa": true}', "'kappa'"),
+    "samples-float": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1"),
+                      '{"samples": 2.5}', "'samples'"),
+    "times-entry": (("evolve", "--eta1", "0", "--eta2", "0"), '{"times": [0, "1"]}', "'times'"),
+    "nmax-string": (("oracle", "--eta1", "0", "--eta2", "0", "--t", "1"),
+                    '{"nmax": "6"}', "'nmax'"),
+    "optimize-string": (("sweep",), '{"optimize": "no"}', "'optimize'"),
 }
 
 
@@ -274,6 +284,20 @@ def test_config_error_exits_2_with_one_line(case, tmp_path, capsys):
 def test_non_positive_rate_flag_exits_2(command, flag, capsys):
     code, out, err = run_cli(capsys, *command, flag)
     assert_one_error_line(code, out, err, flag.split("=")[0] + " must be")
+
+
+@pytest.mark.parametrize("value", ["-8.2e-05", "-1E-3", "-0.5"])
+def test_separate_negative_value_matches_attached_form(value, capsys):
+    separate = run_cli(capsys, "steady", "--eta1", value, "--eta2", "0.1")
+    attached = run_cli(capsys, "steady", f"--eta1={value}", "--eta2=0.1")
+    assert separate == attached
+    assert separate[0] == 0 and separate[1]
+
+
+@pytest.mark.parametrize("flag", ["--eta1=nan", "--eta1=inf", "--eta1=-inf"])
+def test_non_finite_inversion_exits_2(flag, capsys):
+    code, out, err = run_cli(capsys, "steady", flag, "--eta2", "0")
+    assert_one_error_line(code, out, err, "unphysical preparation")
 
 
 def test_evolve_matches_oracle(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,71 @@ def test_sector_march_matches_dense_reference():
         assert run.moments is None
 
 
+def test_real_start_restricted_march_matches_full_march():
+    # a real start spread over several charges: the restricted march carries
+    # no imaginary coordinate at all, the full march carries every one
+    p = pref(0.3, 0.1, a=0.7)
+    rho0 = pure_state(3, {(0, 0, 0): 1.0, (1, 0, 1): 0.8, (0, 1, 1): -0.5, (2, 1, 0): 0.3})
+    cfg = FockConfig(n_max=3, dt=0.02, t_final=0.6, edge_tol=0.5)
+    runs = [
+        integrate(DensityState(rho0), cfg, p, 1.0, sample_times=[0.2, 0.6],
+                  check_convergence=False, restrict=restrict)
+        for restrict in (True, False)
+    ]
+    narrow, full = runs
+    assert full.support_size == 64**2
+    assert narrow.support_size < (64 * 65) // 2
+    for a, b in zip(narrow.tables, full.tables, strict=True):
+        assert np.max(np.abs(a.first - b.first)) < 1e-12
+        assert np.max(np.abs(a.cross - b.cross)) < 1e-12
+        assert np.max(np.abs(a.pair - b.pair)) < 1e-12
+    assert np.max(np.abs(narrow.final_state.rho - full.final_state.rho)) < 1e-12
+    assert narrow.moments is not None
+
+
+def charge_sector_size(n_max):
+    """Elements (ket, bra) with equal w = n1 - n2 - n3 on both sides."""
+    side = n_max + 1
+    n1, n2, n3 = np.unravel_index(np.arange(side**3), (side, side, side))
+    _, counts = np.unique(n1 - n2 - n3, return_counts=True)
+    return int(np.sum(counts**2))
+
+
+def test_support_is_the_reachable_folded_set():
+    # the vacuum's q = 0 charge sector, folded to Re rho[k, b] for k <= b,
+    # holds (sector + dim) / 2 real coordinates
+    sector, dim = charge_sector_size(8), 9**3
+    cfg = FockConfig(n_max=8, dt=0.02, t_final=0.1, edge_tol=1e-3)
+    run = integrate(DensityState.vacuum(8), cfg, pref(0.0, 0.0), 1.0,
+                    sample_times=[0.1], check_convergence=False)
+    assert (sector, run.support_size) == (32661, (sector + dim) // 2)
+
+    # with mode 2 silenced only pairs holding it in vacuum on both sides are
+    # reachable, a small part of the same q = 0 sector
+    sector = charge_sector_size(9)
+    cfg = FockConfig(n_max=9, dt=0.02, t_final=0.1, edge_tol=1e-3)
+    run = integrate(DensityState.vacuum(9), cfg, pref(0.0, 0.5), 1.0,
+                    sample_times=[0.1], check_convergence=False)
+    assert sector == 55252
+    assert run.support_size < sector / 50
+
+
+def test_default_path_allocates_no_dense_matrix():
+    # one dense complex matrix at n_max = 9 takes 16 MB
+    p = pref(0.0, 0.5)
+    cfg = FockConfig(n_max=9, dt=0.04, t_final=1.0, edge_tol=1e-3)
+    tracemalloc.start()
+    try:
+        run = integrate(DensityState.vacuum(9), cfg, p, 1.0, sample_times=[1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # the dense matrix is still there for a caller that reads it
+    assert run.final_state.rho.shape == (1000, 1000)
+    assert abs(np.trace(run.final_state.rho) - 1.0) < 1e-9
+
+
 def test_moment_table_fixtures():
     vac = moments_from_state(DensityState.vacuum(2))
     assert np.max(np.abs(vac.first)) == 0.0
@@ -267,3 +334,45 @@ def test_sampling_and_shape_validation():
         integrate(DensityState.vacuum(3), cfg, p, 1.0)
     with pytest.raises(ConfigurationError):
         integrate(vac, cfg, p, 0.0)
+
+
+# Moment tables of the march before the hermitian fold and the reachable
+# support replaced the charge-sector march: vacuum start, A = 0.5, kappa = 1,
+# dt = 0.02, no dt/2 check, at t = 1, 2.5 and 5.  Each row is first, cross and
+# pair flattened row-major; every imaginary part was exactly zero.
+PARENT_TIMES = (1.0, 2.5, 5.0)
+PARENT_TABLES = {
+    (0.0, 0.5, 6): (
+        (0, 0, 0, 0.008257353914684521, 0, 0, 0, 0, 0, 0, 0, 0.16628519670284422,
+         0, 0, 0.08726781668484429, 0, 0, 0, 0.08726781668484429, 0, 0),
+        (0, 0, 0, 0.022262581959237242, 0, 0, 0, 0, 0, 0, 0, 0.25170400352890554,
+         0, 0, 0.13691772496951793, 0, 0, 0, 0.13691772496951793, 0, 0),
+        (0, 0, 0, 0.029946249462639775, 0, 0, 0, 0, 0, 0, 0, 0.27819458271713227,
+         0, 0, 0.15390625861470553, 0, 0, 0, 0.15390625861470553, 0, 0),
+    ),
+    (0.0, 0.0, 5): (
+        (0, 0, 0, 0.007923981679862616, 0, 0, 0, 0.11703968606995153,
+         0.11702545557658398, 0, 0.11702545557658398, 0.11703968606995153, 0,
+         0.06247866529047275, 0.062478665290472746, 0.06247866529047275, 0, 0,
+         0.062478665290472746, 0, 0),
+        (0, 0, 0, 0.023307415246375047, 0, 0, 0, 0.1866926080118684,
+         0.18643299693730783, 0, 0.18643299693730783, 0.18669260801186843, 0,
+         0.10493889488503465, 0.10493889488503466, 0.10493889488503465, 0, 0,
+         0.10493889488503466, 0, 0),
+        (0, 0, 0, 0.033805573869482644, 0, 0, 0, 0.2136093378579295,
+         0.212906645641562, 0, 0.212906645641562, 0.2136093378579295, 0,
+         0.12353561936105321, 0.12353561936105324, 0.12353561936105321, 0, 0,
+         0.12353561936105324, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARENT_TABLES))
+def test_march_matches_pinned_parent_tables(case):
+    eta1, eta2, n_max = case
+    cfg = FockConfig(n_max=n_max, dt=0.02, t_final=PARENT_TIMES[-1], edge_tol=1e-2)
+    run = integrate(DensityState.vacuum(n_max), cfg, pref(eta1, eta2), 1.0,
+                    sample_times=PARENT_TIMES, check_convergence=False)
+    for table, want in zip(run.tables, PARENT_TABLES[case], strict=True):
+        got = np.concatenate((table.first, table.cross.ravel(), table.pair.ravel()))
+        assert np.max(np.abs(got - np.array(want))) < 1e-12

@@ -116,6 +116,17 @@ def test_validate_physical_is_total():
     assert ok.valid and ok.violated == ()
 
 
+@pytest.mark.parametrize(
+    "eta1, eta2",
+    [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf)],
+)
+def test_validate_physical_refuses_non_finite(eta1, eta2):
+    verdict = validate_physical(eta1, eta2)
+    assert not verdict.valid and verdict.violated
+    with pytest.raises(PreparationError, match="unphysical"):
+        populations_from_inversions(eta1, eta2)
+
+
 def test_model_params_validation():
     with pytest.raises(PreparationError, match="kappa"):
         ModelParams(r_a=1.0, g=1.0, gamma=10.0, kappa=0.0, eta1=0.0, eta2=0.0)
