@@ -11,7 +11,6 @@ from .errors import (
     ConsistencyError,
     DegenerateSteadyStateError,
     DegenerateWitnessError,
-    EigendecompositionError,
     HorizonError,
     IntegrationError,
     PreparationError,
@@ -36,11 +35,9 @@ from .dynamics import (
     StabilityReport,
     diffusion_matrix,
     drift_matrix,
-    eigendecompose,
     evolve_first_moments,
     evolve_second_moments,
     is_stable,
-    propagator,
     second_moment_trajectory,
     steady_state_moments,
 )

@@ -50,8 +50,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in parts)
     except ValueError:
         raise ConfigurationError(f"{flag} {text!r} must be two numbers lo:hi") from None
-    if not hi >= lo:
-        raise ConfigurationError(f"{flag} {text!r} must be nondecreasing")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ConfigurationError(f"{flag} {text!r} must be finite and nondecreasing")
     return lo, hi
 
 
@@ -201,14 +201,14 @@ def _recorded_rates(params: dict) -> dict:
 def _resolve_times(params: dict, command: str) -> list[float]:
     if params.get("times"):
         times = [float(t) for t in params["times"]]
-        if any(t < 0 for t in times) or times != sorted(times):
-            raise ConfigurationError("--times must be nondecreasing and nonnegative")
+        if not all(0.0 <= t < math.inf for t in times) or times != sorted(times):
+            raise ConfigurationError("--times must be finite, nonnegative and nondecreasing")
         return times
     if params.get("t") is None:
         raise ConfigurationError(f"{command} needs --t or --times")
     t, samples = float(params["t"]), int(params["samples"])
-    if t <= 0 or samples < 1:
-        raise ConfigurationError("--t must be positive and --samples at least 1")
+    if not 0.0 < t < math.inf or samples < 1:
+        raise ConfigurationError("--t must be positive and finite and --samples at least 1")
     if samples == 1:
         return [t]
     return [t * i / (samples - 1) for i in range(samples)]
@@ -421,6 +421,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     if params["r_a"] is not None:
         raise ConfigurationError("sweep takes --A, not the rate trio")
     at_time = params["at_time"]
+    if at_time is not None and not 0.0 <= at_time < math.inf:
+        raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
     points = run_sweep(
         [float(v) for v in np.linspace(lo1, hi1, n1)],
         [float(v) for v in np.linspace(lo2, hi2, n2)],

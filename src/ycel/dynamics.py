@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DegenerateSteadyStateError,
-    EigendecompositionError,
     HorizonError,
     UnstableDriftError,
 )
@@ -45,18 +44,15 @@ from .model import Prefactors
 
 __all__ = [
     "BACKENDS",
-    "EigenSystem",
     "NegativeOccupationWarning",
     "ROUTES",
     "SecondMoments",
     "StabilityReport",
     "diffusion_matrix",
     "drift_matrix",
-    "eigendecompose",
     "evolve_first_moments",
     "evolve_second_moments",
     "is_stable",
-    "propagator",
     "second_moment_trajectory",
     "steady_state_moments",
 ]
@@ -108,44 +104,6 @@ def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray
 
 
 @dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition M = V diag(eigenvalues) V^-1.
-
-    Eigenvalues are sorted by real part (ties by imaginary part) so results
-    are reproducible run to run.
-    """
-
-    eigenvalues: np.ndarray
-    v: np.ndarray
-    v_inv: np.ndarray
-
-
-def eigendecompose(m: np.ndarray, cond_limit: float = 1e10) -> EigenSystem:
-    """Diagonalise a drift matrix, refusing ill-conditioned eigenbases."""
-    eigvals, v = np.linalg.eig(m)
-    order = np.lexsort((eigvals.imag, eigvals.real))
-    eigvals = eigvals[order]
-    v = v[:, order]
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise EigendecompositionError(
-            f"eigenvector condition number {cond:.3g} exceeds {cond_limit:.3g}"
-        )
-    v_inv = np.linalg.inv(v)
-    residual = np.linalg.norm(v @ np.diag(eigvals) @ v_inv - m)
-    if residual > 1e-10 * max(np.linalg.norm(m), 1e-300):
-        raise EigendecompositionError(
-            f"eigendecomposition residual {residual:.3g} too large"
-        )
-    return EigenSystem(eigenvalues=eigvals, v=v, v_inv=v_inv)
-
-
-def propagator(eig: EigenSystem, t: float) -> np.ndarray:
-    """exp(-M t) from a precomputed eigensystem (decaying for stable M)."""
-    return (eig.v * np.exp(-eig.eigenvalues * t)) @ eig.v_inv
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Stability verdict for a drift matrix: stable iff min Re(eig) > 0."""
 
@@ -181,7 +139,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     e = np.linalg.solve(v - u, v + u)
-    for k in range(squarings.max(initial=0)):
+    for k in range(squarings.max()):
         due = squarings > k
         e[due] = e[due] @ e[due]
     return e
@@ -265,15 +223,15 @@ def _lyapunov_operator(m: np.ndarray) -> np.ndarray:
     return np.kron(m, eye) + np.kron(eye, m)
 
 
-def _closed_form_second_moments(m, q, s0, times) -> list[np.ndarray]:
-    """S(t) from the affine generator B = [[-L, vec Q], [0, 0]] (Van Loan).
+def _closed_form_second_moments(m, q, times) -> list[np.ndarray]:
+    """S(t) from vacuum via the affine generator B = [[-L, vec Q], [0, 0]] (Van Loan).
 
     exp(B t) maps (vec S0, 1) to (vec S(t), 1) exactly, whatever the
     Jordan structure of M, and every entry of it stays bounded for a
     stable drift however long t is.
     """
     gen = np.block([[-_lyapunov_operator(m), q.reshape(9, 1)], [np.zeros((1, 10))]])
-    start = np.append(np.zeros(9) if s0 is None else s0.reshape(-1), 1.0)
+    start = np.append(np.zeros(9), 1.0)
     props = _expm(gen * np.asarray(times)[:, None, None])
     return list((props @ start)[:, :9].reshape(-1, 3, 3))
 
@@ -298,13 +256,12 @@ def second_moment_trajectory(
     *,
     backend: str = "ehrenfest",
     route: str = "closed-form",
-    initial: SecondMoments | None = None,
 ) -> list[SecondMoments]:
-    """Second moments at each requested time (nondecreasing, starting >= 0).
+    """Second moments from vacuum at each requested time (nondecreasing, >= 0).
 
     The closed-form route takes one exact matrix exponential per sample and
     handles defective drifts like any other; the ode route integrates the
-    same equation numerically.  From vacuum, ``initial`` may be omitted.
+    same equation numerically.
     """
     times = [float(t) for t in times]
     if not times or any(t < 0.0 for t in times):
@@ -316,20 +273,19 @@ def second_moment_trajectory(
     m = drift_matrix(pref, kappa)
     q = diffusion_matrix(pref, backend)
     _guard_horizon(is_stable(m), times[-1])
-    s0 = initial.as_matrix() if initial is not None else None
 
     if route == "closed-form":
         return [
             _check_occupations(SecondMoments.from_matrix(s, tol=1e-8), backend)
-            for s in _closed_form_second_moments(m, q, s0, times)
+            for s in _closed_form_second_moments(m, q, times)
         ]
-    return _integrate_second_moments(m, q, s0, times, backend)
+    return _integrate_second_moments(m, q, times, backend)
 
 
-def _integrate_second_moments(m, q, s0, times, backend):
+def _integrate_second_moments(m, q, times, backend):
     from scipy.integrate import solve_ivp
 
-    y0 = np.zeros(6) if s0 is None else SecondMoments.from_matrix(s0).as_tuple()
+    y0 = np.zeros(6)
 
     def rhs(_, y):
         s = SecondMoments(*y).as_matrix()
@@ -341,14 +297,12 @@ def _integrate_second_moments(m, q, s0, times, backend):
     # t_eval must be strictly inside the span; handle t=0 and duplicates by lookup
     t_end = times[-1]
     if t_end == 0.0:
-        return [
-            _check_occupations(SecondMoments(*(float(x) for x in y0)), backend)
-        ] * len(times)
+        return [SecondMoments.vacuum()] * len(times)
     unique = sorted({t for t in times if t > 0.0})
     sol = solve_ivp(
         rhs,
         (0.0, t_end),
-        np.asarray(y0, dtype=float),
+        y0,
         method="DOP853",
         rtol=1e-12,
         atol=1e-14,
@@ -358,7 +312,7 @@ def _integrate_second_moments(m, q, s0, times, backend):
     if not sol.success:
         raise ConsistencyError(f"moment integration failed: {sol.message}")
     table = {t: sol.y[:, i] for i, t in enumerate(unique)}
-    table[0.0] = np.asarray(y0, dtype=float)
+    table[0.0] = y0
     return [
         _check_occupations(SecondMoments(*(float(x) for x in table[t])), backend)
         for t in times
@@ -372,11 +326,10 @@ def evolve_second_moments(
     *,
     backend: str = "ehrenfest",
     route: str = "closed-form",
-    initial: SecondMoments | None = None,
 ) -> SecondMoments:
-    """Second moments at a single time (vacuum start by default)."""
+    """Second moments at a single time, from vacuum."""
     return second_moment_trajectory(
-        pref, kappa, [t], backend=backend, route=route, initial=initial
+        pref, kappa, [t], backend=backend, route=route
     )[0]
 
 

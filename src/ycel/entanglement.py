@@ -20,9 +20,7 @@ callers wanting a stricter notion can apply their own rule to the
 per-bipartition records.
 
 First moments vanish from vacuum in this model, so variances equal raw
-second moments; means are still subtracted defensively when supplied.
-The subtraction assumes the pair moments outside the tracked set vanish,
-which holds here but would not for a coherently displaced state.
+second moments.
 """
 
 from __future__ import annotations
@@ -106,14 +104,9 @@ class CovarianceMatrix:
 
 
 def covariance_from_moments(
-    m: SecondMoments, first_moments=None
+    m: SecondMoments,
 ) -> CovarianceMatrix:
-    """Covariance matrix of the Gaussian state with the given moments.
-
-    first_moments, when given, is the complex 3-vector of <a_j>; the
-    quadrature means it implies are subtracted.  For the vacuum-start
-    dynamics of this model they are identically zero.
-    """
+    """Covariance matrix of the zero-mean Gaussian state with the given moments."""
     if not isinstance(m, SecondMoments):
         raise TypeError("m must be a SecondMoments value")
     sigma = np.eye(6)
@@ -128,14 +121,6 @@ def covariance_from_moments(
     sigma[5, 1] = sigma[1, 5] = -2.0 * m.c31
     sigma[2, 0] = sigma[0, 2] = 2.0 * m.c21
     sigma[3, 1] = sigma[1, 3] = -2.0 * m.c21
-    if first_moments is not None:
-        alpha = np.asarray(first_moments, dtype=complex)
-        if alpha.shape != (3,):
-            raise ValueError("first_moments must be a 3-vector")
-        mean = np.empty(6)
-        mean[0::2] = 2.0 * alpha.real
-        mean[1::2] = 2.0 * alpha.imag
-        sigma -= np.outer(mean, mean)
     return CovarianceMatrix(sigma)
 
 

@@ -13,10 +13,6 @@ class ConsistencyError(YcelError):
     """An internal algebraic identity failed beyond tolerance."""
 
 
-class EigendecompositionError(YcelError):
-    """Drift eigenbasis is defective or too ill-conditioned to trust."""
-
-
 class UnstableDriftError(YcelError):
     """The drift matrix has no decaying steady state."""
 

@@ -72,9 +72,14 @@ __all__ = [
     "integrate",
 ]
 
-# Guard against runs whose dense density matrix would not fit in memory.
+# Bounds the breadth-first search over the reachable support and the sparse
+# operator it assembles, which grow about as (n_max + 1)**5.  From vacuum at
+# (0, 0), A = 1, n_max = 16 folds 393,533 coordinates with 8.5M operator
+# entries and peaks near 1 GB.  The search spends that before the support
+# size is known, so the cutoff itself is the guard.
 _N_MAX_LIMIT = 16
 
+_CLOSURE_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-6
 _DIVERGENCE_PEAK = 10.0
@@ -103,7 +108,7 @@ class FockConfig:
         if self.n_max > _N_MAX_LIMIT:
             raise ConfigurationError(
                 f"n_max={self.n_max} exceeds the supported limit {_N_MAX_LIMIT} "
-                f"(dense states of dimension (n_max+1)**3 stop being practical)"
+                "(the reachable-support search and its operator need about 1 GB there)"
             )
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ConfigurationError("dt must be positive and finite")
@@ -112,17 +117,13 @@ class FockConfig:
         if not (0.0 < self.edge_tol < 1.0):
             raise ConfigurationError("edge_tol must lie in (0, 1)")
 
-    @property
-    def dim(self) -> int:
-        return (self.n_max + 1) ** 3
-
 
 class DensityState:
     """A validated density matrix on the truncated three-mode space.
 
     ``sparse`` holds its nonzero elements as a CSR matrix.  ``rho``, the
     dense complex array, is built on first read; ``vacuum``, ``fock`` and
-    the states ``integrate`` returns allocate nothing of size dim x dim
+    the final state ``integrate`` returns allocate nothing of size dim x dim
     until then.  The constructor takes a dense matrix and checks it.
     """
 
@@ -363,7 +364,7 @@ def _monomial_rowmap(op, dim):
     """Row -> (column, value) arrays for an operator with <=1 entry per row."""
     csr = op.tocsr()
     counts = np.diff(csr.indptr)
-    if counts.max(initial=0) > 1:
+    if counts.max() > 1:
         raise ConsistencyError("generator term is not a shift monomial")
     cols = np.full(dim, -1, dtype=np.int64)
     vals = np.zeros(dim)
@@ -485,7 +486,7 @@ class MomentTable:
     cross: np.ndarray
     pair: np.ndarray
 
-    def closure(self, tol: float = 1e-10) -> SecondMoments:
+    def closure(self) -> SecondMoments:
         tracked = (
             self.cross[0, 0],
             self.cross[1, 1],
@@ -495,9 +496,9 @@ class MomentTable:
             self.pair[1, 0],
         )
         residue = max(abs(z.imag) for z in tracked)
-        if residue >= tol:
+        if residue >= _CLOSURE_TOL:
             raise ConsistencyError(
-                f"imaginary residue {residue:.3e} on tracked moments (tol {tol:.1e})"
+                f"imaginary residue {residue:.3e} on tracked moments (tol {_CLOSURE_TOL:.1e})"
             )
         return SecondMoments(*(float(z.real) for z in tracked))
 
@@ -544,8 +545,7 @@ class OracleRun:
     folded support, or every coordinate with restrict=False).
     min_eigenvalue is the smallest eigenvalue of the final state when
     spectrum tracking was requested, final_state the final density matrix,
-    states every sampled state when requested; their dense ``rho`` is
-    built on first read.
+    whose dense ``rho`` is built on first read.
     """
 
     times: tuple
@@ -557,7 +557,6 @@ class OracleRun:
     support_size: int
     final_state: DensityState
     min_eigenvalue: float | None = None
-    states: tuple | None = None
 
     def closure_leakage(self) -> float:
         return max(t.closure_leakage() for t in self.tables)
@@ -604,8 +603,8 @@ def _table_at(maps, vec):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _march(lop, support, maps, vec, samples, dt, edge_tol, keep_vectors):
-    tables, residues, edges, vectors = [], [], [], []
+def _march(lop, support, maps, vec, samples, dt, edge_tol):
+    tables, residues, edges = [], [], []
     t_prev = 0.0
     for t in samples:
         span = t - t_prev
@@ -624,9 +623,7 @@ def _march(lop, support, maps, vec, samples, dt, edge_tol, keep_vectors):
         tables.append(_table_at(maps, vec))
         residues.append(residue)
         edges.append(edge)
-        if keep_vectors:
-            vectors.append(vec)
-    return tables, residues, edges, vec, vectors
+    return tables, residues, edges, vec
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
@@ -676,7 +673,6 @@ def integrate(
     sample_times=None,
     check_convergence: bool = True,
     restrict: bool = True,
-    keep_states: bool = False,
     track_spectrum: bool = False,
 ) -> OracleRun:
     """March the density matrix and sample moments along the way.
@@ -712,8 +708,8 @@ def integrate(
     support, lop, vec0 = _folded_start(rho0, term_maps, restrict)
     maps = _folded_moment_maps(support)
 
-    tables, residues, edges, vec, vectors = _march(
-        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol, keep_states
+    tables, residues, edges, vec = _march(
+        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
     )
     try:
         moments = tuple(t.closure() for t in tables)
@@ -724,9 +720,9 @@ def integrate(
 
     delta = None
     if check_convergence:
-        halved, _, _, _, _ = _march(
-            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol, False
-        )
+        halved = _march(
+            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
+        )[0]
         delta = max(
             (
                 float(np.max(np.abs(np.concatenate((
@@ -765,5 +761,4 @@ def integrate(
         support_size=support.size,
         final_state=final_state,
         min_eigenvalue=min_eig,
-        states=tuple(support.state(v) for v in vectors) if keep_states else None,
     )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConsistencyError, PreparationError
 
@@ -62,6 +62,10 @@ BOUNDARY_TOL = 1e-12
 # Required agreement between the polynomial radicals and the product forms
 # of the cross coefficients.
 CROSS_CHECK_TOL = 1e-12
+
+# The adiabatic elimination of the atoms wants gamma at least this many
+# times kappa.
+GOOD_CAVITY_FACTOR = 10.0
 
 
 class GoodCavityWarning(UserWarning):
@@ -182,8 +186,8 @@ class ModelParams:
     eta1 and eta2 are the ground-minus-upper population inversions selecting
     the preparation.  Construction validates positivity of the rates and the
     physical triangle, and warns (GoodCavityWarning) when gamma is less than
-    ``good_cavity_factor`` times kappa, where the moment-level treatment of
-    the medium starts to lose accuracy.
+    GOOD_CAVITY_FACTOR times kappa, where the moment-level treatment of the
+    medium starts to lose accuracy.
     """
 
     r_a: float
@@ -192,7 +196,6 @@ class ModelParams:
     kappa: float
     eta1: float
     eta2: float
-    good_cavity_factor: float = field(default=10.0, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("r_a", "g", "gamma", "kappa"):
@@ -205,9 +208,9 @@ class ModelParams:
                 f"unphysical preparation eta1={self.eta1!r}, eta2={self.eta2!r}: "
                 + ", ".join(verdict.violated)
             )
-        if self.gamma < self.good_cavity_factor * self.kappa:
+        if self.gamma < GOOD_CAVITY_FACTOR * self.kappa:
             warnings.warn(
-                f"gamma/kappa = {self.gamma / self.kappa:.3g} < {self.good_cavity_factor:g}; "
+                f"gamma/kappa = {self.gamma / self.kappa:.3g} < {GOOD_CAVITY_FACTOR:g}; "
                 "the adiabatic elimination of the atoms assumes a good cavity",
                 GoodCavityWarning,
                 stacklevel=2,

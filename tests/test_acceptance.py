@@ -11,15 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ycel.dynamics import (
     NegativeOccupationWarning,
     SecondMoments,
     drift_matrix,
-    eigendecompose,
     evolve_first_moments,
     is_stable,
-    propagator,
     second_moment_trajectory,
     steady_state_moments,
 )
@@ -112,6 +111,11 @@ def test_criterion_02_prefactor_identities():
     print(f"criterion 2: PASS identities on {checked} triangle points, max residue {worst:.3g}")
 
 
+def propagator_of(m, t):
+    """P(t) = exp(-M t), column by column through the live mean-amplitude map."""
+    return np.column_stack([evolve_first_moments(m, e, t) for e in np.eye(3)])
+
+
 def test_criterion_03_drift_and_propagator():
     rng = np.random.default_rng(7)
     points = [(0.3, 0.1, 0.7), (-0.2, 0.4, 0.3), (0.1, -0.5, 1.2), (0.6, 0.6, 0.9)]
@@ -119,21 +123,44 @@ def test_criterion_03_drift_and_propagator():
         eta1, eta2 = rng.uniform(-1, 1, size=2)
         if validate_physical(eta1, eta2).valid:
             points.append((eta1, eta2, rng.uniform(0.1, 1.5)))
-    worst_recon = worst_prop = 0.0
+    points.append((0.25, 0.25, 0.5))  # defective drift: no eigenbasis exists
+    # Each entry of P agrees with scipy's expm within expm_tol (relative to
+    # max(1, |P|)), so a five-point central difference of step h misses
+    # dP/dt = -M P by at most h^4/30 sup|M^5 P| plus 18 expm_tol / (12 h).
+    expm_tol, h, t_d = 1e-13, 2e-3, 1.0
+    worst_id = worst_semi = worst_expm = worst_deriv = 0.0
     for eta1, eta2, a in points:
         m = drift_matrix(pref(eta1, eta2, a), KAPPA)
-        eig = eigendecompose(m)
-        recon = eig.v @ np.diag(eig.eigenvalues) @ eig.v_inv
-        worst_recon = max(worst_recon, float(np.abs(recon - m).max()))
-        worst_prop = max(worst_prop, float(np.abs(propagator(eig, 0.0) - np.eye(3)).max()))
+        worst_id = max(worst_id, float(np.abs(propagator_of(m, 0.0) - np.eye(3)).max()))
+        for s, t in ((0.7, 4.0), (2.5, 2.5), (0.3, 13.0)):
+            whole = propagator_of(m, s + t)
+            split = propagator_of(m, s) @ propagator_of(m, t)
+            scale = max(1.0, float(np.abs(whole).max()))
+            worst_semi = max(worst_semi, float(np.abs(whole - split).max()) / scale)
+        for t in (0.7, 4.0, 20.0):
+            ref = expm(-m * t)
+            scale = max(1.0, float(np.abs(ref).max()))
+            worst_expm = max(worst_expm, float(np.abs(propagator_of(m, t) - ref).max()) / scale)
+        samples = {k: propagator_of(m, t_d + k * h) for k in (-2, -1, 0, 1, 2)}
+        deriv = (samples[-2] - 8 * samples[-1] + 8 * samples[1] - samples[2]) / (12 * h)
+        norm_m = float(np.abs(m).sum(axis=1).max())
+        # |P(xi)| <= |P(t_k)| exp(|M| 2h) anywhere on the stencil
+        sup_p = max(float(np.abs(p).sum(axis=1).max()) for p in samples.values())
+        sup_p *= math.exp(2 * h * norm_m)
+        bound = h**4 / 30 * norm_m**5 * sup_p + 18 * expm_tol * max(1.0, sup_p) / (12 * h)
+        assert bound <= 1e-10
+        worst_deriv = max(worst_deriv, float(np.abs(deriv + m @ samples[0]).max()) / bound)
         for t in (0.0, 0.7, 4.0):
             r = evolve_first_moments(m, np.zeros(3), t)
             assert np.array_equal(r, np.zeros(3))
-    assert worst_recon < 1e-10
-    assert worst_prop < 1e-12
+    assert worst_id < 1e-12
+    assert worst_semi < 1e-12
+    assert worst_expm < expm_tol
+    assert worst_deriv <= 1.0
     print(
-        "criterion 3: PASS eigen-reconstruction "
-        f"{worst_recon:.3g}, propagator(0) residual {worst_prop:.3g}, vacuum means exactly zero"
+        f"criterion 3: PASS on {len(points)} drifts (one defective): P(0) - I {worst_id:.3g}, "
+        f"semigroup {worst_semi:.3g}, vs expm {worst_expm:.3g}, dP/dt + M P at "
+        f"{worst_deriv:.3g} of its bound, vacuum means exactly zero"
     )
 
 
@@ -148,10 +175,6 @@ def test_criterion_04_route_equivalence():
         p = pref(eta1, eta2, a)
         m = drift_matrix(p, KAPPA)
         if not is_stable(m).stable:
-            continue
-        try:
-            eigendecompose(m)
-        except Exception:
             continue
         draws.append(p)
     worst = 0.0

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ycel
 from ycel.cli import main
@@ -266,6 +269,11 @@ CONFIG_ERRORS = {
     "nmax-string": (("oracle", "--eta1", "0", "--eta2", "0", "--t", "1"),
                     '{"nmax": "6"}', "'nmax'"),
     "optimize-string": (("sweep",), '{"optimize": "no"}', "'optimize'"),
+    "t-nan": (("evolve", "--eta1", "0", "--eta2", "0"), '{"t": NaN}', "--t must be"),
+    "times-infinite": (("evolve", "--eta1", "0", "--eta2", "0"), '{"times": [0, Infinity]}',
+                       "--times must be"),
+    "at_time-negative": (("sweep",), '{"at_time": -1}', "--at-time must be"),
+    "eta1_range-infinite": (("sweep",), '{"eta1_range": "0:inf"}', "--eta1-range"),
 }
 
 
@@ -298,6 +306,28 @@ def test_separate_negative_value_matches_attached_form(value, capsys):
 def test_non_finite_inversion_exits_2(flag, capsys):
     code, out, err = run_cli(capsys, "steady", flag, "--eta2", "0")
     assert_one_error_line(code, out, err, "unphysical preparation")
+
+
+EVOLVE_ARGS = ("evolve", "--eta1", "0", "--eta2", "0")
+SWEEP_ARGS = ("sweep", "--eta-grid", "2x2")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param((*EVOLVE_ARGS, "--times", "1,inf"), "--times must be", id="times=1,inf"),
+        pytest.param((*EVOLVE_ARGS, "--times", "nan"), "--times must be", id="times=nan"),
+        pytest.param((*EVOLVE_ARGS, "--t", "nan"), "--t must be", id="t=nan"),
+        pytest.param((*EVOLVE_ARGS, "--t", "inf", "--route", "ode"), "--t must be",
+                     id="t=inf-ode"),
+        pytest.param((*SWEEP_ARGS, "--at-time", "nan"), "--at-time must be", id="at-time=nan"),
+        pytest.param((*SWEEP_ARGS, "--at-time", "inf"), "--at-time must be", id="at-time=inf"),
+        pytest.param((*SWEEP_ARGS, "--at-time", "-1"), "--at-time must be", id="at-time=-1"),
+    ],
+)
+def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err, named)
 
 
 def test_evolve_matches_oracle(capsys):
@@ -481,3 +511,143 @@ def test_cold_start_skips_scipy_integrate_until_the_ode_route(tmp_path, capsys):
     for row_ode, row_closed in zip(ode["rows"], closed["rows"], strict=True):
         scale = max(abs(v) for v in row_ode[1:]) or 1.0
         assert max(abs(a - b) for a, b in zip(row_ode, row_closed)) <= 1e-10 * scale
+
+
+# Property check of the refusals above: every malformed value argparse still
+# parses as a number, and every mistyped or out-of-range --config value,
+# exits 2 with one error line.  Only malformed values are drawn, so no
+# example can start a real run.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NEGATIVE = st.floats(max_value=-1e-12, allow_infinity=False)
+NON_POSITIVE = NEGATIVE | st.sampled_from([0.0, -0.0])
+OUTSIDE_TRIANGLE = st.floats(min_value=1.5, max_value=1e300) | st.floats(
+    min_value=-1e300, max_value=-1.5
+)
+BAD_RATE = NON_FINITE | NON_POSITIVE
+BAD_TIMES = st.tuples(
+    st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=2),
+    NON_FINITE | NEGATIVE,
+).map(lambda drawn: sorted(drawn[0]) + [drawn[1]])
+
+POINT_COMMANDS = ("prefactors", "evolve", "steady", "oracle")
+TIMED_COMMANDS = ("evolve", "oracle")
+ALL_COMMANDS = (*POINT_COMMANDS, "sweep")
+FUZZ_PARAMS = {
+    "prefactors": {"eta1": 0.0, "eta2": 0.0},
+    "evolve": {"eta1": 0.0, "eta2": 0.0, "t": 1.0},
+    "steady": {"eta1": 0.0, "eta2": 0.0},
+    "oracle": {"eta1": 0.0, "eta2": 0.0, "nmax": 2, "t": 0.1, "dt": 0.05,
+               "check_convergence": False},
+    "sweep": {"eta_grid": "2x2"},
+}
+RATE_TRIO = {"r_a": 1.0, "g": 1.0, "gamma": 100.0}
+
+# key -> (commands taking it, malformed numbers a flag or a config can carry)
+MALFORMED_NUMBERS = {
+    "eta1": (POINT_COMMANDS, NON_FINITE | OUTSIDE_TRIANGLE),
+    "eta2": (POINT_COMMANDS, NON_FINITE | OUTSIDE_TRIANGLE),
+    "kappa": (ALL_COMMANDS, BAD_RATE),
+    "A": (ALL_COMMANDS, BAD_RATE),
+    "r_a": (POINT_COMMANDS, BAD_RATE),
+    "g": (POINT_COMMANDS, BAD_RATE),
+    "gamma": (POINT_COMMANDS, BAD_RATE),
+    "t": (TIMED_COMMANDS, BAD_RATE),
+    "times": (TIMED_COMMANDS, BAD_TIMES),
+    "at_time": (("sweep",), NON_FINITE | NEGATIVE),
+    "dt": (("oracle",), BAD_RATE),
+    "edge_tol": (("oracle",), BAD_RATE | st.floats(min_value=1.0, max_value=1e300)),
+    "nmax": (("oracle",), st.integers(max_value=0) | st.integers(min_value=17)),
+    "samples": (TIMED_COMMANDS, st.integers(max_value=0)),
+}
+
+NOT_A_NUMBER = st.text(max_size=3) | st.booleans() | st.lists(st.integers(), max_size=2)
+NOT_A_BOOL = st.integers() | st.text(max_size=3) | st.floats()
+NOT_A_STRING = st.integers() | st.floats() | st.booleans()
+NOT_A_LIST = NOT_A_STRING | st.text(max_size=3)
+# key -> (commands taking it, values of the wrong type or out of range)
+MALFORMED_CONFIG = {
+    **{key: (commands, NOT_A_NUMBER | bad)
+       for key, (commands, bad) in MALFORMED_NUMBERS.items()},
+    "nmax": (("oracle",), MALFORMED_NUMBERS["nmax"][1] | NOT_A_NUMBER | st.floats()),
+    "samples": (TIMED_COMMANDS, MALFORMED_NUMBERS["samples"][1] | NOT_A_NUMBER | st.floats()),
+    "times": (TIMED_COMMANDS, BAD_TIMES | st.lists(NOT_A_NUMBER, min_size=1, max_size=2)
+              | NOT_A_LIST),
+    "check_convergence": (("oracle",), NOT_A_BOOL),
+    "optimize": (("sweep",), NOT_A_BOOL),
+    "backend": (("evolve", "steady", "sweep"), NOT_A_STRING | st.text(max_size=12).filter(
+        lambda v: v not in ("ehrenfest", "paper-literal"))),
+    "route": (("evolve",), NOT_A_STRING | st.text(max_size=12).filter(
+        lambda v: v not in ("closed-form", "ode"))),
+    "units": (ALL_COMMANDS, NOT_A_STRING | st.text(max_size=12).filter(
+        lambda v: v not in ("kappa", "absolute"))),
+    "eta_grid": (("sweep",), NOT_A_STRING | st.sampled_from(
+        ["", "2", "0x2", "2x0", "-1x2", "2x2x2", "ax2", "2.5x2"])),
+    **{key: (("sweep",), NOT_A_STRING | st.sampled_from(
+        ["", "1", "1:0", "a:b", "0:1:2", "0:inf", "-inf:0", "nan:1", "0:nan"]))
+       for key in ("eta1_range", "eta2_range")},
+}
+
+
+def draw_case(table):
+    """(command, key, value) for one key of ``table`` and one command taking it."""
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda key: st.tuples(st.sampled_from(table[key][0]), st.just(key), table[key][1])
+    )
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def as_flag(key, value):
+    flag = "--" + key.replace("_", "-")
+    if key == "times":
+        return f"{flag}={','.join(repr(v) for v in value)}"
+    return f"{flag}={value if isinstance(value, str) else repr(value)}"
+
+
+def fuzz_argv(command, extra):
+    """A valid command line for ``command`` with the ``extra`` params added."""
+    params = {**FUZZ_PARAMS[command], **extra}
+    argv = [command, *(as_flag(k, v) for k, v in params.items() if k != "check_convergence")]
+    return argv + ["--no-convergence-check"] if command == "oracle" else argv
+
+
+def write_config(path, command, extra):
+    path.write_text(json.dumps({"command": command, "params": {**FUZZ_PARAMS[command], **extra}}))
+    return path
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_fuzz_base_runs_succeed(command, tmp_path):
+    # the property tests below change one value of these runs, so each
+    # refusal they see comes from that value
+    for extra in ({}, RATE_TRIO) if command != "sweep" else ({},):
+        assert run_quietly(fuzz_argv(command, extra))[0] == 0
+        cfg = write_config(tmp_path / "cfg.json", command, extra)
+        assert run_quietly([command, "--config", str(cfg)])[0] == 0
+
+
+FUZZ_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ_SETTINGS
+@given(draw_case(MALFORMED_NUMBERS))
+def test_malformed_numeric_flag_exits_2(case):
+    command, key, value = case
+    argv = fuzz_argv(command, RATE_TRIO if key in RATE_TRIO else {})
+    code, out, err = run_quietly([*argv, as_flag(key, value)])
+    assert_one_error_line(code, out, err)
+
+
+@FUZZ_SETTINGS
+@given(case=draw_case(MALFORMED_CONFIG))
+def test_malformed_config_value_exits_2(case, tmp_path_factory):
+    command, key, value = case
+    extra = {**(RATE_TRIO if key in RATE_TRIO else {}), key: value}
+    cfg = write_config(tmp_path_factory.getbasetemp() / "fuzz_config.json", command, extra)
+    code, out, err = run_quietly([command, "--config", str(cfg)])
+    assert_one_error_line(code, out, err)

@@ -43,16 +43,13 @@ def test_covariance_fixtures():
     assert paired.sigma[4, 0] == pytest.approx(1.0)
 
 
-def test_covariance_mean_subtraction_and_flag():
-    # a displacement larger than the photon count supports is inconsistent
-    # input; the resulting sub-vacuum variance must be flagged, not hidden
-    m = SecondMoments(0.05, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.warns(SubVacuumWarning):
-        cov = covariance_from_moments(m, first_moments=[0.3 + 0.1j, 0.0, 0.0])
-    assert cov.sigma[0, 0] == pytest.approx(1.0 + 0.1 - 4 * 0.3**2)
-    assert cov.sigma[1, 1] == pytest.approx(1.0 + 0.1 - 4 * 0.1**2)
-    clean = covariance_from_moments(m, first_moments=[0.0, 0.0, 0.0])
-    assert np.allclose(clean.sigma, covariance_from_moments(m).sigma)
+def test_sub_vacuum_covariance_flagged():
+    # a negative photon number (what the paper-literal loss mode produces)
+    # pushes a quadrature variance below the vacuum floor: flagged, not hidden
+    m = SecondMoments(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.warns(SubVacuumWarning, match="below the vacuum floor"):
+        cov = covariance_from_moments(m)
+    assert cov.sigma[0, 0] == cov.sigma[1, 1] == pytest.approx(1.0 - 0.2)
 
 
 def test_covariance_validation():

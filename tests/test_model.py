@@ -1,6 +1,7 @@
 """Preparation domain, prefactor values, and their algebraic identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,12 +138,12 @@ def test_model_params_validation():
 def test_good_cavity_warning():
     with pytest.warns(GoodCavityWarning):
         ModelParams(r_a=1.0, g=1.0, gamma=5.0, kappa=1.0, eta1=0.0, eta2=0.0)
-    with pytest.warns(GoodCavityWarning):
-        # configurable threshold
-        ModelParams(
-            r_a=1.0, g=1.0, gamma=50.0, kappa=1.0, eta1=0.0, eta2=0.0,
-            good_cavity_factor=100.0,
-        )
+    with pytest.warns(GoodCavityWarning, match="< 10"):
+        ModelParams(r_a=1.0, g=1.0, gamma=19.9, kappa=2.0, eta1=0.0, eta2=0.0)
+    # the threshold is gamma = 10 kappa, inclusive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ModelParams(r_a=1.0, g=1.0, gamma=20.0, kappa=2.0, eta1=0.0, eta2=0.0)
 
 
 def test_prefactors_type_rejects_inconsistent_values():
