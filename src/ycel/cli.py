@@ -26,13 +26,18 @@ from .dynamics import (
     second_moment_trajectory,
     steady_state_moments,
 )
-from .entanglement import BIPARTITIONS, sweep as run_sweep
+from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
 from .errors import ConfigurationError, PreparationError, YcelError
 from .fock_oracle import DensityState, FockConfig, integrate
 from .model import ModelParams, Prefactors, populations_from_inversions, prefactors, prefactors_from_inversions
 from .serialize import csv_document, format_value, json_document, load_config
 
 MOMENT_COLUMNS = ("n1", "n2", "n3", "c32", "c31", "c21")
+
+# Most sample times one evolve or oracle run takes.  The closed-form route
+# stacks one 10x10 propagator per sample, about 8 kB with its temporaries:
+# 10,000 samples peak near 85 MB above the interpreter.
+MAX_SAMPLES = 10_000
 
 
 def _float_list(text: str) -> list[float]:
@@ -65,6 +70,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigurationError(f"grid {text!r}: {exc}") from None
     if n1 < 1 or n2 < 1:
         raise ConfigurationError("grid sizes must be at least 1")
+    if n1 * n2 > MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"grid {text!r} has {n1 * n2} points; a sweep takes at most {MAX_SWEEP_POINTS}"
+        )
     return n1, n2
 
 
@@ -200,6 +209,10 @@ def _recorded_rates(params: dict) -> dict:
 
 def _resolve_times(params: dict, command: str) -> list[float]:
     if params.get("times"):
+        if len(params["times"]) > MAX_SAMPLES:
+            raise ConfigurationError(
+                f"--times lists {len(params['times'])} times; at most {MAX_SAMPLES} are taken"
+            )
         times = [float(t) for t in params["times"]]
         if not all(0.0 <= t < math.inf for t in times) or times != sorted(times):
             raise ConfigurationError("--times must be finite, nonnegative and nondecreasing")
@@ -209,6 +222,8 @@ def _resolve_times(params: dict, command: str) -> list[float]:
     t, samples = float(params["t"]), int(params["samples"])
     if not 0.0 < t < math.inf or samples < 1:
         raise ConfigurationError("--t must be positive and finite and --samples at least 1")
+    if samples > MAX_SAMPLES:
+        raise ConfigurationError(f"--samples {samples} exceeds the limit {MAX_SAMPLES}")
     if samples == 1:
         return [t]
     return [t * i / (samples - 1) for i in range(samples)]

@@ -25,6 +25,10 @@ of the affine (Van Loan) generator of the vectorised equation, valid for
 every drift whether diagonalisable or defective, and direct integration of
 the six-dimensional linear system.  Only the integration route imports
 scipy.integrate.
+
+The closed-form kernels work on stacks of preparations, along a leading
+batch axis: the public single-preparation calls are stacks of one, and
+entanglement.sweep passes its grid through the same kernels in chunks.
 """
 
 from __future__ import annotations
@@ -75,32 +79,53 @@ class NegativeOccupationWarning(UserWarning):
     """A mean photon number came out negative (paper-literal artifact)."""
 
 
+def _coefficients(prefs) -> np.ndarray:
+    """(N, 7) array of the master-equation coefficients of N preparations,
+    in the order gain_scale, gain3, gain2, loss1, cross32, cross31, cross21."""
+    return np.array(
+        [(p.gain_scale, p.gain3, p.gain2, p.loss1, p.cross32, p.cross31, p.cross21) for p in prefs]
+    )
+
+
+# Each entry of M and Q, in row-major order, is gain_scale a times the
+# column of _coefficients that _TERMS names, times a sign or a scale:
+#   M = kappa/2 I + a [[ loss1,   -cross21, -cross31],
+#                      [ cross21, -gain2,   -cross32],
+#                      [ cross31, -cross32, -gain3  ]]
+#   Q =             a [[ q11,      cross21,    cross31  ],
+#                      [ cross21,  2 gain2,    2 cross32],
+#                      [ cross31,  2 cross32,  2 gain3  ]]
+# with q11 = -2 loss1 (paper-literal) or 0 (ehrenfest).
+_TERMS = (3, 6, 5, 6, 2, 4, 5, 4, 1)
+_DRIFT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
+_NOISE_SCALES = {
+    backend: np.array([q11, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0])
+    for backend, q11 in (("ehrenfest", 0.0), ("paper-literal", -2.0))
+}
+
+
+def _drift(c: np.ndarray, kappa: float) -> np.ndarray:
+    """(N, 3, 3) drift matrices of the (N, 7) coefficients c."""
+    m = c[:, :1] * (c[:, _TERMS] * _DRIFT_SIGNS)
+    m[:, ::4] += kappa / 2.0
+    return m.reshape(-1, 3, 3)
+
+
+def _diffusion(c: np.ndarray, backend: str) -> np.ndarray:
+    """(N, 3, 3) noise matrices of the (N, 7) coefficients c."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    return (c[:, :1] * (c[:, _TERMS] * _NOISE_SCALES[backend])).reshape(-1, 3, 3)
+
+
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
     """3x3 drift matrix M of dR/dt = -M R over R = (a1*, a2, a3)."""
-    a = pref.gain_scale
-    half = kappa / 2.0
-    return np.array(
-        [
-            [half + a * pref.loss1, -a * pref.cross21, -a * pref.cross31],
-            [a * pref.cross21, half - a * pref.gain2, -a * pref.cross32],
-            [a * pref.cross31, -a * pref.cross32, half - a * pref.gain3],
-        ]
-    )
+    return _drift(_coefficients([pref]), kappa)[0]
 
 
 def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray:
     """Noise matrix Q of the second-moment equation, for either backend."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    a = pref.gain_scale
-    q11 = -2.0 * pref.loss1 if backend == "paper-literal" else 0.0
-    return a * np.array(
-        [
-            [q11, pref.cross21, pref.cross31],
-            [pref.cross21, 2.0 * pref.gain2, 2.0 * pref.cross32],
-            [pref.cross31, 2.0 * pref.cross32, 2.0 * pref.gain3],
-        ]
-    )
+    return _diffusion(_coefficients([pref]), backend)[0]
 
 
 @dataclass(frozen=True)
@@ -112,12 +137,51 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...]
 
 
-def is_stable(m: np.ndarray) -> StabilityReport:
+def _spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stability margin and (real, imag)-sorted eigenvalues of each drift in a stack."""
     eigvals = np.linalg.eigvals(m)
-    order = np.lexsort((eigvals.imag, eigvals.real))
-    eigvals = eigvals[order]
-    margin = float(eigvals.real.min())
-    return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals))
+    order = np.lexsort((eigvals.imag, eigvals.real), axis=-1)
+    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    return eigvals.real.min(axis=-1), eigvals
+
+
+def _eigen_text(eigvals) -> str:
+    return ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in eigvals)
+
+
+def is_stable(m: np.ndarray) -> StabilityReport:
+    margin, eigvals = _spectra(np.asarray(m)[None])
+    margin = float(margin[0])
+    return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals[0]))
+
+
+def _linear_system(prefs, kappa: float, backend: str):
+    """Drift, noise, stability margin and sorted drift spectrum of each preparation."""
+    c = _coefficients(prefs)
+    m = _drift(c, kappa)
+    return (m, _diffusion(c, backend), *_spectra(m))
+
+
+def _stacked(fn, a: np.ndarray, *rest: np.ndarray):
+    """fn over a stack of matrices, refusing only the members LAPACK refuses.
+
+    numpy.linalg raises for a whole stack when one member fails.  The
+    members are then tried one at a time; each one that fails is replaced
+    by the identity and its LinAlgError is returned under its index.
+    """
+    try:
+        return fn(a, *rest), {}
+    except np.linalg.LinAlgError:
+        pass
+    failed = {}
+    for i in range(len(a)):
+        try:
+            fn(a[i : i + 1], *(r[i : i + 1] for r in rest))
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+    a = a.copy()
+    a[list(failed)] = np.eye(a.shape[-1])
+    return fn(a, *rest), failed
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -186,17 +250,10 @@ class SecondMoments:
         s = np.asarray(s, dtype=float)
         if s.shape != (3, 3):
             raise ValueError("second-moment matrix must be 3x3")
-        if np.abs(s - s.T).max() > tol * max(1.0, np.abs(s).max()):
+        rows, asymmetric = _moment_rows(s[None], tol)
+        if asymmetric[0]:
             raise ConsistencyError("second-moment matrix is not symmetric")
-        s = (s + s.T) / 2.0
-        return cls(
-            n1=float(s[0, 0]),
-            n2=float(s[1, 1]),
-            n3=float(s[2, 2]),
-            c32=float(s[2, 1]),
-            c31=float(s[2, 0]),
-            c21=float(s[1, 0]),
-        )
+        return cls(*rows[0].tolist())
 
     @classmethod
     def vacuum(cls) -> "SecondMoments":
@@ -206,34 +263,50 @@ class SecondMoments:
         return (self.n1, self.n2, self.n3, self.c32, self.c31, self.c21)
 
 
-def _guard_horizon(report: StabilityReport, t: float) -> None:
-    growth = max(0.0, -report.margin)
-    if 2.0 * growth * t > _MAX_GROWTH_EXPONENT:
-        eigs = ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in report.eigenvalues)
-        raise HorizonError(
-            f"unstable drift (margin {report.margin:.3g}, eigenvalues {eigs}) "
-            f"over t={t:.3g} overflows; no steady state exists in this regime, "
-            "reduce t"
+def _moment_rows(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2, n3, c32, c31, c21) of each symmetrised matrix in a stack,
+    and which matrices were asymmetric beyond tol relative to their size."""
+    st = np.swapaxes(s, -1, -2)
+    size = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
+    asymmetric = np.abs(s - st).max(axis=(-2, -1)) > tol * size
+    s = (s + st) / 2.0
+    return s[..., (0, 1, 2, 2, 2, 1), (0, 1, 2, 1, 0, 0)], asymmetric
+
+
+def _horizon_errors(margin: np.ndarray, eigvals: np.ndarray, t: float) -> list:
+    """HorizonError for each drift whose growth over t overflows, else None."""
+    errors = [None] * len(margin)
+    for i in np.flatnonzero(2.0 * np.maximum(0.0, -margin) * t > _MAX_GROWTH_EXPONENT):
+        errors[i] = HorizonError(
+            f"unstable drift (margin {margin[i]:.3g}, eigenvalues {_eigen_text(eigvals[i])}) "
+            f"over t={t:.3g} overflows; no steady state exists in this regime, reduce t"
         )
+    return errors
 
 
 def _lyapunov_operator(m: np.ndarray) -> np.ndarray:
-    """9x9 matrix L with vec(M S + S M^T) = L vec(S) (row-major vec)."""
+    """9x9 matrices L with vec(M S + S M^T) = L vec(S) (row-major vec), one
+    per drift of an (N, 3, 3) stack: the Kronecker sum M (x) I + I (x) M."""
     eye = np.eye(3)
-    return np.kron(m, eye) + np.kron(eye, m)
+    kron_m_eye = m[:, :, None, :, None] * eye[:, None, :]
+    kron_eye_m = eye[:, None, :, None] * m[:, None, :, None, :]
+    return (kron_m_eye + kron_eye_m).reshape(-1, 9, 9)
 
 
-def _closed_form_second_moments(m, q, times) -> list[np.ndarray]:
+def _closed_form_second_moments(m, q, times) -> np.ndarray:
     """S(t) from vacuum via the affine generator B = [[-L, vec Q], [0, 0]] (Van Loan).
 
+    m and q are (N, 3, 3) stacks; the result is (N, len(times), 3, 3).
     exp(B t) maps (vec S0, 1) to (vec S(t), 1) exactly, whatever the
     Jordan structure of M, and every entry of it stays bounded for a
     stable drift however long t is.
     """
-    gen = np.block([[-_lyapunov_operator(m), q.reshape(9, 1)], [np.zeros((1, 10))]])
+    gen = np.zeros((len(m), 10, 10))
+    gen[:, :9, :9] = -_lyapunov_operator(m)
+    gen[:, :9, 9] = q.reshape(-1, 9)
     start = np.append(np.zeros(9), 1.0)
-    props = _expm(gen * np.asarray(times)[:, None, None])
-    return list((props @ start)[:, :9].reshape(-1, 3, 3))
+    props = _expm(gen[:, None] * np.asarray(times)[:, None, None])
+    return (props @ start)[..., :9].reshape(len(m), -1, 3, 3)
 
 
 def _check_occupations(m: SecondMoments, backend: str) -> SecondMoments:
@@ -270,16 +343,19 @@ def second_moment_trajectory(
         raise ValueError("times must be nondecreasing")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    m = drift_matrix(pref, kappa)
-    q = diffusion_matrix(pref, backend)
-    _guard_horizon(is_stable(m), times[-1])
-
-    if route == "closed-form":
-        return [
-            _check_occupations(SecondMoments.from_matrix(s, tol=1e-8), backend)
-            for s in _closed_form_second_moments(m, q, times)
-        ]
-    return _integrate_second_moments(m, q, times, backend)
+    m, q, margin, eigvals = _linear_system([pref], kappa, backend)
+    overflow = _horizon_errors(margin, eigvals, times[-1])[0]
+    if overflow is not None:
+        raise overflow
+    if route == "ode":
+        return _integrate_second_moments(m[0], q[0], times, backend)
+    rows, asymmetric = _moment_rows(_closed_form_second_moments(m, q, times)[0], 1e-8)
+    out = []
+    for row, asym in zip(rows.tolist(), asymmetric):
+        if asym:
+            raise ConsistencyError("second-moment matrix is not symmetric")
+        out.append(_check_occupations(SecondMoments(*row), backend))
+    return out
 
 
 def _integrate_second_moments(m, q, times, backend):
@@ -333,6 +409,51 @@ def evolve_second_moments(
     )[0]
 
 
+def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None):
+    """Moments of a batch of preparations, in one stacked pass.
+
+    at_time None solves M S + S M^T = Q for the steady states; a time
+    evaluates the state from vacuum there on the closed-form route.
+    Returns the stability margins, the (N, 6) moment rows (n1, n2, n3,
+    c32, c31, c21), NaN where refused, and for each preparation None or
+    the error refusing it: an unstable drift, a singular or inaccurate
+    steady solve, a steady solution that lost its symmetry, a horizon the
+    growth overflows, or an asymmetric transient.
+    """
+    m, q, margin, eigvals = _linear_system(prefs, kappa, backend)
+    if at_time is None:
+        errors = [None] * len(margin)
+        for i in np.flatnonzero(~(margin > 0.0)):
+            errors[i] = UnstableDriftError(f"no steady state: drift margin {margin[i]:.6g} <= 0 "
+                                           f"(eigenvalues {_eigen_text(eigvals[i])})")
+        stable = np.flatnonzero(margin > 0.0)
+        m, q = m[stable], q[stable]
+        vec, singular = _stacked(np.linalg.solve, _lyapunov_operator(m), q.reshape(-1, 9, 1))
+        s = vec.reshape(-1, 3, 3)
+        residual = np.abs(m @ s + s @ np.swapaxes(m, -1, -2) - q).max(axis=(-2, -1))
+        inaccurate = residual > 1e-9 * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
+        rows = np.full((len(margin), 6), np.nan)
+        rows[stable], asymmetric = _moment_rows(s, 1e-10)
+        for j in sorted({*singular, *np.flatnonzero(inaccurate | asymmetric).tolist()}):
+            if j in singular:
+                reason = f"system singular: {singular[j]}"
+            elif inaccurate[j]:
+                reason = f"residual {residual[j]:.3g} too large (near-marginal drift?)"
+            else:
+                reason = "solution lost symmetry"
+            errors[stable[j]] = DegenerateSteadyStateError(f"steady-state {reason}")
+    else:
+        errors = _horizon_errors(margin, eigvals, at_time)
+        bounded = np.array([e is None for e in errors])
+        s = np.full(m.shape, np.nan)
+        s[bounded] = _closed_form_second_moments(m[bounded], q[bounded], [at_time])[:, 0]
+        rows, asymmetric = _moment_rows(s, 1e-8)
+        for i in np.flatnonzero(asymmetric):
+            errors[i] = ConsistencyError("second-moment matrix is not symmetric")
+    rows[[e is not None for e in errors]] = np.nan
+    return margin, rows, errors
+
+
 def steady_state_moments(
     pref: Prefactors, kappa: float, *, backend: str = "ehrenfest"
 ) -> SecondMoments:
@@ -341,24 +462,7 @@ def steady_state_moments(
     Requires a strictly stable drift; the 9x9 vectorised system is solved
     directly and the result symmetrised.
     """
-    m = drift_matrix(pref, kappa)
-    report = is_stable(m)
-    if not report.stable:
-        eigs = ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in report.eigenvalues)
-        raise UnstableDriftError(
-            f"no steady state: drift margin {report.margin:.6g} <= 0 (eigenvalues {eigs})"
-        )
-    q = diffusion_matrix(pref, backend)
-    try:
-        vec = np.linalg.solve(_lyapunov_operator(m), q.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(f"steady-state system singular: {exc}") from exc
-    s = vec.reshape(3, 3)
-    residual = np.abs(m @ s + s @ m.T - q).max()
-    if residual > 1e-9 * max(1.0, np.abs(q).max()):
-        raise DegenerateSteadyStateError(
-            f"steady-state residual {residual:.3g} too large (near-marginal drift?)"
-        )
-    if np.abs(s - s.T).max() > 1e-10 * max(1.0, np.abs(s).max()):
-        raise DegenerateSteadyStateError("steady-state solution lost symmetry")
-    return _check_occupations(SecondMoments.from_matrix(s, tol=1e-10), backend)
+    _, rows, errors = _second_moment_rows([pref], kappa, backend, None)
+    if errors[0] is not None:
+        raise errors[0]
+    return _check_occupations(SecondMoments(*rows[0].tolist()), backend)

@@ -27,17 +27,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .dynamics import (
-    SecondMoments,
-    drift_matrix,
-    evolve_second_moments,
-    is_stable,
-    steady_state_moments,
-)
-from .errors import DegenerateWitnessError, YcelError
+from .dynamics import SecondMoments, _check_occupations, _second_moment_rows, _stacked
+from .errors import ConfigurationError, DegenerateWitnessError, YcelError
 from .model import Prefactors, prefactors_from_inversions, validate_physical
 
 __all__ = [
@@ -58,6 +53,15 @@ _VIOLATION_MARGIN = 1e-12
 _X_SLOTS = (0, 2, 4)
 _P_SLOTS = (1, 3, 5)
 
+# Physical grid points per stacked pass of sweep.  A full chunk holds
+# about 8 MB of stacks on the fixed-time route (its 10x10 exponentials)
+# and 2.5 MB for steady states, besides the 2.3 kB per point it returns.
+_SWEEP_CHUNK = 1024
+
+# Largest n1 x n2 grid a sweep takes.  About 37.5% of a grid over
+# [-1, 1]^2 is physical, so the largest map returns about 375,000 points.
+MAX_SWEEP_POINTS = 1_000_000
+
 
 class SubVacuumWarning(UserWarning):
     """A quadrature variance fell below the vacuum floor.
@@ -67,6 +71,15 @@ class SubVacuumWarning(UserWarning):
     suspect (for instance the literal-coefficient backend, whose loss
     mode goes negative).
     """
+
+
+def _check_vacuum_floor(low: float, stacklevel: int) -> None:
+    if low < 1.0 - 1e-9:
+        warnings.warn(
+            f"quadrature variance {low:.6g} below the vacuum floor",
+            SubVacuumWarning,
+            stacklevel=stacklevel,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +98,7 @@ class CovarianceMatrix:
         if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
             raise ValueError(f"covariance asymmetry {asym:.3e} too large")
         sigma = 0.5 * (sigma + sigma.T)
-        low = float(np.min(np.diag(sigma)))
-        if low < 1.0 - 1e-9:
-            warnings.warn(
-                f"quadrature variance {low:.6g} below the vacuum floor",
-                SubVacuumWarning,
-                stacklevel=3,
-            )
+        _check_vacuum_floor(float(np.min(np.diag(sigma))), stacklevel=4)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -103,25 +110,32 @@ class CovarianceMatrix:
         return self.sigma[np.ix_(_P_SLOTS, _P_SLOTS)]
 
 
+def _covariances(rows: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) covariances of the zero-mean Gaussian states with the
+    (N, 6) moment rows (n1, n2, n3, c32, c31, c21)."""
+    sigma = np.repeat(np.eye(6)[None], len(rows), axis=0)
+    n1, n2, n3, c32, c31, c21 = (2.0 * rows).T
+    for slot, n in enumerate((n1, n2, n3)):
+        sigma[:, 2 * slot, 2 * slot] += n
+        sigma[:, 2 * slot + 1, 2 * slot + 1] += n
+    # beam-splitter type correlation: same sign on x and p
+    sigma[:, 4, 2] = sigma[:, 2, 4] = c32
+    sigma[:, 5, 3] = sigma[:, 3, 5] = c32
+    # squeezing type correlations: opposite signs on x and p
+    sigma[:, 4, 0] = sigma[:, 0, 4] = c31
+    sigma[:, 5, 1] = sigma[:, 1, 5] = -c31
+    sigma[:, 2, 0] = sigma[:, 0, 2] = c21
+    sigma[:, 3, 1] = sigma[:, 1, 3] = -c21
+    return sigma
+
+
 def covariance_from_moments(
     m: SecondMoments,
 ) -> CovarianceMatrix:
     """Covariance matrix of the zero-mean Gaussian state with the given moments."""
     if not isinstance(m, SecondMoments):
         raise TypeError("m must be a SecondMoments value")
-    sigma = np.eye(6)
-    for slot, n in zip((0, 1, 2), (m.n1, m.n2, m.n3)):
-        sigma[2 * slot, 2 * slot] += 2.0 * n
-        sigma[2 * slot + 1, 2 * slot + 1] += 2.0 * n
-    # beam-splitter type correlation: same sign on x and p
-    sigma[4, 2] = sigma[2, 4] = 2.0 * m.c32
-    sigma[5, 3] = sigma[3, 5] = 2.0 * m.c32
-    # squeezing type correlations: opposite signs on x and p
-    sigma[4, 0] = sigma[0, 4] = 2.0 * m.c31
-    sigma[5, 1] = sigma[1, 5] = -2.0 * m.c31
-    sigma[2, 0] = sigma[0, 2] = 2.0 * m.c21
-    sigma[3, 1] = sigma[1, 3] = -2.0 * m.c21
-    return CovarianceMatrix(sigma)
+    return CovarianceMatrix(_covariances(np.array([m.as_tuple()]))[0])
 
 
 @dataclass(frozen=True)
@@ -170,36 +184,60 @@ class VlfReport:
         raise KeyError(name)
 
 
-def _bound(bip: Bipartition, h, g) -> float:
-    k, l = bip.partners
-    return 2.0 * (abs(h[bip.lone] * g[bip.lone]) + abs(h[k] * g[k] + h[l] * g[l]))
+# Per bipartition, in BIPARTITIONS order: the lone slot, the two partner
+# slots, the default gains, and D_s (1 in the partner slots, s = +1 then
+# -1 in the lone slot) shaped to scale the columns of a 3x3 matrix.
+_ROWS = np.arange(len(BIPARTITIONS))
+_LONE = np.array([bip.lone for bip in BIPARTITIONS])
+_PARTNERS = np.array([bip.partners for bip in BIPARTITIONS]).T
+_DEFAULT_H = np.array([bip.default_h for bip in BIPARTITIONS])
+_DEFAULT_G = np.array([bip.default_g for bip in BIPARTITIONS])
+_D = np.ones((len(BIPARTITIONS), 2, 1, 3))
+_D[_ROWS, 1, 0, _LONE] = -1.0
 
 
-def _witness(xb, pb, bip, h, g) -> WitnessRecord:
-    h = tuple(float(v) for v in h)
-    g = tuple(float(v) for v in g)
-    if not any(h) or not any(g):
-        raise DegenerateWitnessError(
-            f"bipartition {bip.name}: gain vector is identically zero"
-        )
-    hv = np.asarray(h)
-    gv = np.asarray(g)
-    lhs = float(hv @ xb @ hv + gv @ pb @ gv)
-    bound = _bound(bip, h, g)
-    if bound <= 0.0:
-        raise DegenerateWitnessError(
-            f"bipartition {bip.name}: gains {h}, {g} give a zero bound"
-        )
-    ratio = lhs / bound
-    return WitnessRecord(
-        name=bip.name,
-        h=h,
-        g=g,
-        lhs=lhs,
-        bound=bound,
-        ratio=ratio,
-        violated=lhs < bound - _VIOLATION_MARGIN,
-    )
+def _reports(xb, pb, h, g, refused=None) -> list:
+    """Witness reports for (N, 3, 3) stacks of x and p blocks.
+
+    h and g hold the gains as [member, bipartition, slot], or without the
+    member axis when the whole stack shares them.  Returns, for each
+    member, its VlfReport or the first DegenerateWitnessError refusing it;
+    refused maps members already refused to their error, which comes first.
+    """
+    n = len(xb)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n, len(BIPARTITIONS), 3))
+    g = np.broadcast_to(np.asarray(g, dtype=float), (n, len(BIPARTITIONS), 3))
+    # one matrix-vector and one dot product per witness, as for a single
+    # covariance, so that a stack reproduces it bit for bit
+    lhs = (h[..., None, :] @ xb[:, None] @ h[..., None]
+           + g[..., None, :] @ pb[:, None] @ g[..., None])[..., 0, 0]
+    hg = h * g
+    bound = 2.0 * (np.abs(hg[:, _ROWS, _LONE])
+                   + np.abs(hg[:, _ROWS, _PARTNERS[0]] + hg[:, _ROWS, _PARTNERS[1]]))
+    zero = ~(h != 0.0).any(axis=-1) | ~(g != 0.0).any(axis=-1)
+    refused = dict(refused or {})
+    for i, b in np.argwhere(zero | (bound <= 0.0)).tolist():
+        reason = ("gain vector is identically zero" if zero[i, b] else
+                  f"gains {tuple(h[i, b].tolist())}, {tuple(g[i, b].tolist())} give a zero bound")
+        error = DegenerateWitnessError(f"bipartition {BIPARTITIONS[b].name}: {reason}")
+        refused.setdefault(i, error)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lhs / bound
+    violated = lhs < bound - _VIOLATION_MARGIN
+    columns = [a.tolist() for a in (h, g, lhs, bound, ratio, violated)]
+    return [
+        refused[i] if i in refused else VlfReport(tuple(
+            WitnessRecord(bip.name, tuple(hs), tuple(gs), *values)
+            for bip, hs, gs, *values in zip(BIPARTITIONS, *(c[i] for c in columns))))
+        for i in range(n)
+    ]
+
+
+def _single(results):
+    """The one report of a batch of one, or raise its refusal."""
+    if isinstance(results[0], YcelError):
+        raise results[0]
+    return results[0]
 
 
 def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
@@ -214,38 +252,42 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     unknown = set(gains) - {b.name for b in BIPARTITIONS}
     if unknown:
         raise DegenerateWitnessError(f"unknown bipartition names: {sorted(unknown)}")
-    xb, pb = cov.x_block, cov.p_block
-    records = []
-    for bip in BIPARTITIONS:
-        h, g = gains.get(bip.name, (bip.default_h, bip.default_g))
-        records.append(_witness(xb, pb, bip, h, g))
-    return VlfReport(records=tuple(records))
+    pairs = [gains.get(bip.name, (bip.default_h, bip.default_g)) for bip in BIPARTITIONS]
+    h, g = ([np.asarray(pair[k], dtype=float) for pair in pairs] for k in (0, 1))
+    return _single(_reports(cov.x_block[None], cov.p_block[None], h, g))
 
 
-def _cholesky(block, label) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        low = float(np.linalg.eigvalsh(block)[0])
-        raise DegenerateWitnessError(
-            f"{label} block is not positive definite (lowest eigenvalue {low:.6g}); "
+def _cholesky(blocks, label) -> tuple[np.ndarray, dict]:
+    """Cholesky factors of a stack of blocks, and the refusal of each
+    block that is not positive definite, by index."""
+    factors, failed = _stacked(np.linalg.cholesky, blocks)
+    return factors, {
+        i: DegenerateWitnessError(
+            f"{label} block is not positive definite (lowest eigenvalue "
+            f"{float(np.linalg.eigvalsh(blocks[i])[0]):.6g}); "
             "no physical state has this covariance"
-        ) from None
+        )
+        for i in failed
+    }
 
 
-def _optimize_bipartition(xb, pb, lx_inv, lp_inv, bip) -> WitnessRecord:
-    svds = []
-    for sign in (1.0, -1.0):
-        d = np.ones(3)
-        d[bip.lone] = sign
-        svds.append(np.linalg.svd((lx_inv * d) @ lp_inv.T))
-    # max keeps the first of equal values, so s = +1 wins a tie
-    u, _, vt = max(svds, key=lambda usv: usv[1][0])
+def _optimal_reports(xb, pb) -> list:
+    """optimize_gains for (N, 3, 3) stacks of x and p blocks: a VlfReport
+    or the DegenerateWitnessError refusing it, for each member."""
+    lx, refused_x = _cholesky(xb, "x")
+    lp, refused_p = _cholesky(pb, "p")
+    # [member, bipartition, sign] stacks of Lx^-1 D_s Lp^-T
+    lx_inv, lp_inv = np.linalg.inv(lx)[:, None], np.linalg.inv(lp)[:, None]
+    u, s, vt = np.linalg.svd((lx_inv[:, :, None] * _D) @ lp_inv.swapaxes(-1, -2)[:, :, None])
+    # the larger top singular value picks the sign; s = +1 wins a tie
+    sign = (s[..., 1, 0] > s[..., 0, 0]).astype(int)
+    members = np.arange(len(xb))[:, None]
+    u, vt = u[members, _ROWS, sign], vt[members, _ROWS, sign]
     # one common scale for h and g keeps h.X.h = g.P.g, the AM-GM equality
-    h = lx_inv.T @ u[:, 0]
-    g = lp_inv.T @ vt[0]
-    pivot = h[int(np.argmax(np.abs(h)))]
-    return _witness(xb, pb, bip, h / pivot, g / pivot)
+    h = (lx_inv.swapaxes(-1, -2) @ u[..., :, 0, None])[..., 0]
+    g = (lp_inv.swapaxes(-1, -2) @ vt[..., 0, :, None])[..., 0]
+    pivot = np.take_along_axis(h, np.abs(h).argmax(axis=-1)[..., None], axis=-1)
+    return _reports(xb, pb, h / pivot, g / pivot, {**refused_p, **refused_x})
 
 
 def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
@@ -264,14 +306,7 @@ def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
     """
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError("cov must be a CovarianceMatrix")
-    xb, pb = cov.x_block, cov.p_block
-    lx_inv = np.linalg.inv(_cholesky(xb, "x"))
-    lp_inv = np.linalg.inv(_cholesky(pb, "p"))
-    return VlfReport(
-        records=tuple(
-            _optimize_bipartition(xb, pb, lx_inv, lp_inv, bip) for bip in BIPARTITIONS
-        )
-    )
+    return _single(_optimal_reports(cov.x_block[None], cov.p_block[None]))
 
 
 @dataclass(frozen=True)
@@ -292,38 +327,35 @@ class SweepPoint:
     failure: str | None = None
 
 
-def _sweep_point(eta1, eta2, gain_scale, kappa, backend, at_time, optimize):
-    pref = prefactors_from_inversions(eta1, eta2, gain_scale=gain_scale)
-    report = is_stable(drift_matrix(pref, kappa))
-    try:
-        if at_time is None:
-            moments = steady_state_moments(pref, kappa, backend=backend)
-        else:
-            moments = evolve_second_moments(
-                pref, kappa, at_time, backend=backend
-            )
-        cov = covariance_from_moments(moments)
-        vlf = optimize_gains(cov) if optimize else vlf_evaluate(cov)
-    except YcelError as exc:
-        return SweepPoint(
-            eta1=eta1,
-            eta2=eta2,
-            prefactors=pref,
-            stable=report.stable,
-            margin=report.margin,
-            moments=None,
-            report=None,
-            failure=str(exc),
-        )
-    return SweepPoint(
-        eta1=eta1,
-        eta2=eta2,
-        prefactors=pref,
-        stable=report.stable,
-        margin=report.margin,
-        moments=moments,
-        report=vlf,
+def _sweep_chunk(chunk, gain_scale, kappa, backend, at_time, optimize) -> list:
+    """SweepPoints of up to _SWEEP_CHUNK physical grid points, in one stacked pass."""
+    prefs = [prefactors_from_inversions(e1, e2, gain_scale=gain_scale) for e1, e2 in chunk]
+    margins, rows, failures = _second_moment_rows(prefs, kappa, backend, at_time)
+    solved = np.array([f is None for f in failures])
+    sigma = _covariances(rows[solved])
+    if not np.isfinite(sigma).all():
+        raise ValueError("covariance entries must be finite")
+    xb = np.ascontiguousarray(sigma[:, 0::2, 0::2])
+    pb = np.ascontiguousarray(sigma[:, 1::2, 1::2])
+    lows = iter(np.diagonal(sigma, axis1=1, axis2=2).min(axis=1).tolist())
+    reports = iter(
+        _optimal_reports(xb, pb) if optimize else _reports(xb, pb, _DEFAULT_H, _DEFAULT_G)
     )
+    points = []
+    for (e1, e2), pref, margin, row, failure in zip(
+        chunk, prefs, margins.tolist(), rows.tolist(), failures
+    ):
+        moments = report = None
+        if failure is None:
+            # the warnings of one point, in the order its scalar calls raise them
+            moments = _check_occupations(SecondMoments(*row), backend)
+            _check_vacuum_floor(next(lows), stacklevel=3)
+            report = next(reports)
+            if isinstance(report, YcelError):
+                moments, report, failure = None, None, report
+        failure = None if failure is None else str(failure)
+        points.append(SweepPoint(e1, e2, pref, margin > 0.0, margin, moments, report, failure))
+    return points
 
 
 def sweep(
@@ -345,10 +377,21 @@ def sweep(
     witnesses cannot be computed (an unstable drift, a covariance block
     that is not positive definite) is recorded with a failure note.
     Points are returned in grid order (eta1 outer, eta2 inner).
+
+    The physical points go through drift, moments, covariance and
+    witnesses as stacks of _SWEEP_CHUNK, so the working memory does not
+    grow with the grid.  A grid of more than MAX_SWEEP_POINTS points is
+    refused with ConfigurationError.
     """
-    return tuple(
-        _sweep_point(float(e1), float(e2), gain_scale, kappa, backend, at_time, optimize)
-        for e1 in eta1_values
-        for e2 in eta2_values
-        if validate_physical(float(e1), float(e2)).valid
-    )
+    eta1_values = [float(e) for e in eta1_values]
+    eta2_values = [float(e) for e in eta2_values]
+    if len(eta1_values) * len(eta2_values) > MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"a {len(eta1_values)}x{len(eta2_values)} grid exceeds the {MAX_SWEEP_POINTS} points"
+        )
+    grid = ((e1, e2) for e1 in eta1_values for e2 in eta2_values
+            if validate_physical(e1, e2).valid)
+    points = []
+    while chunk := list(islice(grid, _SWEEP_CHUNK)):
+        points += _sweep_chunk(chunk, gain_scale, kappa, backend, at_time, optimize)
+    return tuple(points)

@@ -79,6 +79,10 @@ __all__ = [
 # size is known, so the cutoff itself is the guard.
 _N_MAX_LIMIT = 16
 
+# Most fixed steps one march takes (t_final / dt); the dt/2 convergence
+# check marches twice as many.  The acceptance runs take at most 2,000.
+_MAX_STEPS = 1_000_000
+
 _CLOSURE_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-6
@@ -114,6 +118,10 @@ class FockConfig:
             raise ConfigurationError("dt must be positive and finite")
         if not (self.t_final >= 0.0) or not math.isfinite(self.t_final):
             raise ConfigurationError("t_final must be nonnegative and finite")
+        if self.t_final / self.dt > _MAX_STEPS:
+            raise ConfigurationError(
+                f"t_final/dt = {self.t_final / self.dt:.3g} steps exceeds the limit {_MAX_STEPS}"
+            )
         if not (0.0 < self.edge_tol < 1.0):
             raise ConfigurationError("edge_tol must lie in (0, 1)")
 

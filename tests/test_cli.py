@@ -247,6 +247,34 @@ def assert_one_error_line(code, out, err, *named):
         assert name in err
 
 
+@pytest.mark.parametrize("grid", ["100000x100000", "1001x1000", "1x1000001"])
+def test_sweep_refuses_oversized_grid(grid, tmp_path, capsys):
+    # refused from the grid size alone, before any grid array exists
+    code, out, err = run_cli(capsys, "sweep", "--eta-grid", grid)
+    assert_one_error_line(code, out, err, grid, "at most 1000000")
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"eta_grid": grid}))
+    assert_one_error_line(*run_cli(capsys, "sweep", "--config", str(cfg)), grid)
+
+
+@pytest.mark.parametrize("command", ["evolve", "oracle"])
+def test_timed_commands_refuse_too_many_samples(command, tmp_path, capsys):
+    point = (command, "--eta1", "0", "--eta2", "0", "--A", "1")
+    code, out, err = run_cli(capsys, *point, "--t", "5", "--samples", "100000000")
+    assert_one_error_line(code, out, err, "--samples 100000000", "10000")
+    times = ",".join(str(i) for i in range(10_001))
+    assert_one_error_line(*run_cli(capsys, *point, "--times", times), "--times", "10000")
+    cfg = tmp_path / "times.json"
+    cfg.write_text(json.dumps({"times": list(range(10_001))}))
+    assert_one_error_line(*run_cli(capsys, *point, "--config", str(cfg)), "--times")
+
+
+def test_oracle_refuses_too_many_steps(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0", "--A", "1",
+                             "--nmax", "3", "--dt", "1e-300", "--t", "1")
+    assert_one_error_line(code, out, err, "steps exceeds the limit 1000000")
+
+
 STEADY_ARGS = ("steady", "--eta1", "0", "--eta2", "0")
 # (command line, config file text or None for no file, what the error names)
 CONFIG_ERRORS = {

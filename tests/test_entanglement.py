@@ -11,7 +11,7 @@ from ycel.entanglement import (
     sweep,
     vlf_evaluate,
 )
-from ycel.errors import DegenerateWitnessError
+from ycel.errors import ConfigurationError, DegenerateWitnessError
 from ycel.fock_oracle import DensityState, FockConfig, integrate, mode_annihilators
 from ycel.model import prefactors_from_inversions
 
@@ -299,6 +299,12 @@ def test_sweep_grid_and_failures():
     vertexish = by_coord[(-0.5, -0.5)]
     assert vertexish.report is not None
     assert not vertexish.report.fully_inseparable
+
+
+def test_sweep_refuses_oversized_grid():
+    # refused from the list lengths, before any point is evaluated
+    with pytest.raises(ConfigurationError, match="1001x1000 grid exceeds the 1000000"):
+        sweep(np.zeros(1001), np.zeros(1000), gain_scale=1.0)
 
 
 def test_sweep_unstable_point_recorded_inline():

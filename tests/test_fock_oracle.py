@@ -85,6 +85,12 @@ def test_config_validation():
         FockConfig(edge_tol=0.0)
     with pytest.raises(ConfigurationError):
         FockConfig(edge_tol=1.5)
+    # at most 10**6 fixed steps of dt up to t_final
+    assert FockConfig(dt=1e-5, t_final=10.0).t_final == 10.0
+    with pytest.raises(ConfigurationError, match="steps exceeds the limit 1000000"):
+        FockConfig(dt=1e-5, t_final=10.0 + 1e-4)
+    with pytest.raises(ConfigurationError, match="steps exceeds the limit"):
+        FockConfig(dt=1e-300, t_final=1.0)
 
 
 def test_each_group_is_traceless():
