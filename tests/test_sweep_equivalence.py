@@ -104,7 +104,7 @@ MODES = {"steady": (2.0, None), "at-time": (3.5, 400.0)}
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_batched_sweep_matches_scalar_calls(mode, backend, optimize, monkeypatch):
     # a small chunk puts several chunk boundaries inside this grid
-    monkeypatch.setattr(entanglement, "_SWEEP_CHUNK", 37, raising=False)
+    monkeypatch.setattr(entanglement, "_SWEEP_CHUNK", 37)
     gain_scale, at_time = MODES[mode]
     points = assert_equivalent(grid(17), gain_scale=gain_scale, backend=backend,
                                at_time=at_time, optimize=optimize)
@@ -120,9 +120,9 @@ def test_batched_sweep_matches_scalar_calls(mode, backend, optimize, monkeypatch
 
 
 def test_batched_sweep_matches_scalar_calls_past_one_chunk():
-    points = assert_equivalent(grid(55), gain_scale=2.0, backend="paper-literal",
+    points = assert_equivalent(grid(33), gain_scale=2.0, backend="paper-literal",
                                at_time=None, optimize=True)
-    assert len(points) > getattr(entanglement, "_SWEEP_CHUNK", 1024)
+    assert len(points) > entanglement._SWEEP_CHUNK
     assert sum(float.fromhex(p[1]) + float.fromhex(p[2]) == 0.5 for p in points) >= 5
     failures = " ".join(p[-1] or "" for p in points)
     for needle in ("no steady state", "x block is not positive definite"):
