@@ -96,7 +96,7 @@ def _coefficients(prefs) -> np.ndarray:
 #                      [ cross21,  2 gain2,    2 cross32],
 #                      [ cross31,  2 cross32,  2 gain3  ]]
 # with q11 = -2 loss1 (paper-literal) or 0 (ehrenfest).
-_TERMS = (3, 6, 5, 6, 2, 4, 5, 4, 1)
+_TERMS = np.array([3, 6, 5, 6, 2, 4, 5, 4, 1])
 _DRIFT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
 _NOISE_SCALES = {
     backend: np.array([q11, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0])
@@ -141,7 +141,7 @@ def _spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stability margin and (real, imag)-sorted eigenvalues of each drift in a stack."""
     eigvals = np.linalg.eigvals(m)
     order = np.lexsort((eigvals.imag, eigvals.real), axis=-1)
-    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    eigvals = eigvals[np.arange(len(eigvals))[:, None], order]
     return eigvals.real.min(axis=-1), eigvals
 
 
@@ -263,14 +263,17 @@ class SecondMoments:
         return (self.n1, self.n2, self.n3, self.c32, self.c31, self.c21)
 
 
+# Row-major positions of n1, n2, n3, c32, c31, c21 in a 3x3 moment matrix.
+_MOMENT_ENTRIES = np.array([0, 4, 8, 7, 6, 3])
+
+
 def _moment_rows(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2, n3, c32, c31, c21) of each symmetrised matrix in a stack,
-    and which matrices were asymmetric beyond tol relative to their size."""
+    """(n1, n2, n3, c32, c31, c21) of each symmetrised matrix in an
+    (N, 3, 3) stack, and which were asymmetric beyond tol relative to their size."""
     st = np.swapaxes(s, -1, -2)
     size = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
     asymmetric = np.abs(s - st).max(axis=(-2, -1)) > tol * size
-    s = (s + st) / 2.0
-    return s[..., (0, 1, 2, 2, 2, 1), (0, 1, 2, 1, 0, 0)], asymmetric
+    return ((s + st) / 2.0).reshape(-1, 9)[:, _MOMENT_ENTRIES], asymmetric
 
 
 def _horizon_errors(margin: np.ndarray, eigvals: np.ndarray, t: float) -> list:
@@ -424,8 +427,10 @@ def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None
     if at_time is None:
         errors = [None] * len(margin)
         for i in np.flatnonzero(~(margin > 0.0)):
-            errors[i] = UnstableDriftError(f"no steady state: drift margin {margin[i]:.6g} <= 0 "
-                                           f"(eigenvalues {_eigen_text(eigvals[i])})")
+            errors[i] = UnstableDriftError(
+                f"no steady state: drift margin {margin[i]:.6g} <= 0 "
+                f"(eigenvalues {_eigen_text(eigvals[i])})"
+            )
         stable = np.flatnonzero(margin > 0.0)
         m, q = m[stable], q[stable]
         vec, singular = _stacked(np.linalg.solve, _lyapunov_operator(m), q.reshape(-1, 9, 1))
@@ -434,7 +439,7 @@ def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None
         inaccurate = residual > 1e-9 * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
         rows = np.full((len(margin), 6), np.nan)
         rows[stable], asymmetric = _moment_rows(s, 1e-10)
-        for j in sorted({*singular, *np.flatnonzero(inaccurate | asymmetric).tolist()}):
+        for j in {*singular, *np.flatnonzero(inaccurate | asymmetric).tolist()}:
             if j in singular:
                 reason = f"system singular: {singular[j]}"
             elif inaccurate[j]:
