@@ -79,53 +79,48 @@ class NegativeOccupationWarning(UserWarning):
     """A mean photon number came out negative (paper-literal artifact)."""
 
 
-def _coefficients(prefs) -> np.ndarray:
-    """(N, 7) array of the master-equation coefficients of N preparations,
-    in the order gain_scale, gain3, gain2, loss1, cross32, cross31, cross21."""
-    return np.array(
-        [(p.gain_scale, p.gain3, p.gain2, p.loss1, p.cross32, p.cross31, p.cross21) for p in prefs]
+def _couplings(prefs) -> tuple[np.ndarray, np.ndarray]:
+    """gain_scale a, shaped (N, 1, 1), and the symmetric coupling matrices
+    K (N, 3, 3) of N preparations, over R = (a1*, a2, a3)."""
+    a = np.array([p.gain_scale for p in prefs])[:, None, None]
+    k = np.array(
+        [
+            [
+                [p.loss1, p.cross21, p.cross31],
+                [p.cross21, p.gain2, p.cross32],
+                [p.cross31, p.cross32, p.gain3],
+            ]
+            for p in prefs
+        ]
     )
+    return a, k
 
 
-# Each entry of M and Q, in row-major order, is gain_scale a times the
-# column of _coefficients that _TERMS names, times a sign or a scale:
-#   M = kappa/2 I + a [[ loss1,   -cross21, -cross31],
-#                      [ cross21, -gain2,   -cross32],
-#                      [ cross31, -cross32, -gain3  ]]
-#   Q =             a [[ q11,      cross21,    cross31  ],
-#                      [ cross21,  2 gain2,    2 cross32],
-#                      [ cross31,  2 cross32,  2 gain3  ]]
-# with q11 = -2 loss1 (paper-literal) or 0 (ehrenfest).
-_TERMS = np.array([3, 6, 5, 6, 2, 4, 5, 4, 1])
-_DRIFT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
-_NOISE_SCALES = {
-    backend: np.array([q11, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0])
-    for backend, q11 in (("ehrenfest", 0.0), ("paper-literal", -2.0))
-}
+def _drift(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
+    """(N, 3, 3) drift matrices M = kappa/2 I + a K diag(1, -1, -1)."""
+    m = a * (k * np.array([1.0, -1.0, -1.0]))
+    m.reshape(-1, 9)[:, ::4] += kappa / 2.0
+    return m
 
 
-def _drift(c: np.ndarray, kappa: float) -> np.ndarray:
-    """(N, 3, 3) drift matrices of the (N, 7) coefficients c."""
-    m = c[:, :1] * (c[:, _TERMS] * _DRIFT_SIGNS)
-    m[:, ::4] += kappa / 2.0
-    return m.reshape(-1, 3, 3)
-
-
-def _diffusion(c: np.ndarray, backend: str) -> np.ndarray:
-    """(N, 3, 3) noise matrices of the (N, 7) coefficients c."""
+def _diffusion(a: np.ndarray, k: np.ndarray, backend: str) -> np.ndarray:
+    """(N, 3, 3) noise matrices: a K with the mode-2,3 block doubled, and
+    the mode-1 entry -2 a loss1 (paper-literal) or 0 (ehrenfest)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    return (c[:, :1] * (c[:, _TERMS] * _NOISE_SCALES[backend])).reshape(-1, 3, 3)
+    q = a * (k * np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 2.0]]))
+    q[:, 0, 0] = -2.0 * q[:, 0, 0] if backend == "paper-literal" else 0.0
+    return q
 
 
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
     """3x3 drift matrix M of dR/dt = -M R over R = (a1*, a2, a3)."""
-    return _drift(_coefficients([pref]), kappa)[0]
+    return _drift(*_couplings([pref]), kappa)[0]
 
 
 def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray:
     """Noise matrix Q of the second-moment equation, for either backend."""
-    return _diffusion(_coefficients([pref]), backend)[0]
+    return _diffusion(*_couplings([pref]), backend)[0]
 
 
 @dataclass(frozen=True)
@@ -157,9 +152,9 @@ def is_stable(m: np.ndarray) -> StabilityReport:
 
 def _linear_system(prefs, kappa: float, backend: str):
     """Drift, noise, stability margin and sorted drift spectrum of each preparation."""
-    c = _coefficients(prefs)
-    m = _drift(c, kappa)
-    return (m, _diffusion(c, backend), *_spectra(m))
+    a, k = _couplings(prefs)
+    m = _drift(a, k, kappa)
+    return (m, _diffusion(a, k, backend), *_spectra(m))
 
 
 def _stacked(fn, a: np.ndarray, *rest: np.ndarray):
@@ -203,7 +198,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     e = np.linalg.solve(v - u, v + u)
-    for k in range(squarings.max()):
+    for k in range(squarings.max(initial=0)):
         due = squarings > k
         e[due] = e[due] @ e[due]
     return e
@@ -309,7 +304,7 @@ def _closed_form_second_moments(m, q, times) -> np.ndarray:
     gen[:, :9, 9] = q.reshape(-1, 9)
     start = np.append(np.zeros(9), 1.0)
     props = _expm(gen[:, None] * np.asarray(times)[:, None, None])
-    return (props @ start)[..., :9].reshape(len(m), -1, 3, 3)
+    return (props @ start)[..., :9].reshape(len(m), len(times), 3, 3)
 
 
 def _check_occupations(m: SecondMoments, backend: str) -> SecondMoments:
@@ -412,6 +407,13 @@ def evolve_second_moments(
     )[0]
 
 
+def _refuse(errors: list, mask: np.ndarray, error) -> None:
+    """Refuse each preparation i in mask with error(i), unless already refused."""
+    for i in np.asarray(mask).nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = error(i)
+
+
 def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None):
     """Moments of a batch of preparations, in one stacked pass.
 
@@ -419,42 +421,39 @@ def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None
     evaluates the state from vacuum there on the closed-form route.
     Returns the stability margins, the (N, 6) moment rows (n1, n2, n3,
     c32, c31, c21), NaN where refused, and for each preparation None or
-    the error refusing it: an unstable drift, a singular or inaccurate
-    steady solve, a steady solution that lost its symmetry, a horizon the
-    growth overflows, or an asymmetric transient.
+    the first error refusing it, in the order the single-preparation
+    calls check: an unstable drift, then a singular or inaccurate steady
+    solve, or a horizon the growth overflows; last an asymmetric result.
     """
     m, q, margin, eigvals = _linear_system(prefs, kappa, backend)
+    s = np.full(m.shape, np.nan)
     if at_time is None:
         errors = [None] * len(margin)
-        for i in np.flatnonzero(~(margin > 0.0)):
-            errors[i] = UnstableDriftError(
-                f"no steady state: drift margin {margin[i]:.6g} <= 0 "
-                f"(eigenvalues {_eigen_text(eigvals[i])})"
-            )
-        stable = np.flatnonzero(margin > 0.0)
-        m, q = m[stable], q[stable]
-        vec, singular = _stacked(np.linalg.solve, _lyapunov_operator(m), q.reshape(-1, 9, 1))
-        s = vec.reshape(-1, 3, 3)
+        _refuse(errors, ~(margin > 0.0), lambda i: UnstableDriftError(
+            f"no steady state: drift margin {margin[i]:.6g} <= 0 "
+            f"(eigenvalues {_eigen_text(eigvals[i])})"))
+        ok = np.flatnonzero(margin > 0.0)
+        lyapunov = _lyapunov_operator(m[ok])
+        vec, singular = _stacked(np.linalg.solve, lyapunov, q[ok].reshape(-1, 9, 1))
+        singular = {ok[j]: exc for j, exc in singular.items()}
+        s[ok] = vec.reshape(-1, 3, 3)
         residual = np.abs(m @ s + s @ np.swapaxes(m, -1, -2) - q).max(axis=(-2, -1))
         inaccurate = residual > 1e-9 * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
-        rows = np.full((len(margin), 6), np.nan)
-        rows[stable], asymmetric = _moment_rows(s, 1e-10)
-        for j in {*singular, *np.flatnonzero(inaccurate | asymmetric).tolist()}:
-            if j in singular:
-                reason = f"system singular: {singular[j]}"
-            elif inaccurate[j]:
-                reason = f"residual {residual[j]:.3g} too large (near-marginal drift?)"
-            else:
-                reason = "solution lost symmetry"
-            errors[stable[j]] = DegenerateSteadyStateError(f"steady-state {reason}")
+        rows, asymmetric = _moment_rows(s, 1e-10)
+        failed = [i in singular for i in range(len(m))]
+        _refuse(errors, failed, lambda i: DegenerateSteadyStateError(
+            f"steady-state system singular: {singular[i]}"))
+        _refuse(errors, inaccurate, lambda i: DegenerateSteadyStateError(
+            f"steady-state residual {residual[i]:.3g} too large (near-marginal drift?)"))
+        _refuse(errors, asymmetric, lambda i: DegenerateSteadyStateError(
+            "steady-state solution lost symmetry"))
     else:
         errors = _horizon_errors(margin, eigvals, at_time)
-        bounded = np.array([e is None for e in errors])
-        s = np.full(m.shape, np.nan)
-        s[bounded] = _closed_form_second_moments(m[bounded], q[bounded], [at_time])[:, 0]
+        ok = np.flatnonzero([e is None for e in errors])
+        s[ok] = _closed_form_second_moments(m[ok], q[ok], [at_time])[:, 0]
         rows, asymmetric = _moment_rows(s, 1e-8)
-        for i in np.flatnonzero(asymmetric):
-            errors[i] = ConsistencyError("second-moment matrix is not symmetric")
+        _refuse(errors, asymmetric,
+                lambda i: ConsistencyError("second-moment matrix is not symmetric"))
     rows[[e is not None for e in errors]] = np.nan
     return margin, rows, errors
 

@@ -127,3 +127,24 @@ def test_batched_sweep_matches_scalar_calls_past_one_chunk():
     failures = " ".join(p[-1] or "" for p in points)
     for needle in ("no steady state", "x block is not positive definite"):
         assert needle in failures
+
+
+@pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_batched_sweep_matches_scalar_calls_one_point_per_chunk(mode, backend, monkeypatch):
+    # every refused point then fills a chunk on its own: the stacked solve,
+    # exponential and witnesses see empty stacks
+    monkeypatch.setattr(entanglement, "_SWEEP_CHUNK", 1)
+    gain_scale, at_time = MODES[mode]
+    points = assert_equivalent(grid(17), gain_scale=gain_scale, backend=backend,
+                               at_time=at_time, optimize=True)
+    failures = " ".join(p[-1] or "" for p in points)
+    assert ("no steady state" if mode == "steady" else "overflows") in failures
+
+
+def test_sweep_of_only_overflowing_points():
+    # margin 0.5 - 3.5/6 < 0, and 2 * 0.083 * 1e4 overflows the horizon
+    points = assert_equivalent([0.0], gain_scale=3.5, backend="ehrenfest",
+                               at_time=1e4, optimize=True)
+    assert len(points) == 1
+    assert "overflows" in points[0][-1]
