@@ -77,40 +77,66 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n1, n2
 
 
-_CHOICES = {"backend": BACKENDS, "route": ROUTES, "units": ("kappa", "absolute")}
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-# What each --config value must be; keys whose schema default is None may
-# also be null.
-_NUMBER = ((int, float), "a number")
-_CONFIG_TYPES = {
-    **dict.fromkeys(
-        ("eta1", "eta2", "kappa", "A", "r_a", "g", "gamma", "t", "dt", "edge_tol", "at_time"),
-        _NUMBER,
-    ),
-    **dict.fromkeys(("nmax", "samples"), (int, "an integer")),
-    **dict.fromkeys(("check_convergence", "optimize"), (bool, "true or false")),
-    **dict.fromkeys(
-        ("units", "backend", "route", "eta_grid", "eta1_range", "eta2_range"), (str, "a string")
-    ),
-    "times": (list, "a list of numbers"),
+
+_REQUIRED = object()
+_NUMBER = (_number, "a number")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers")
+
+# Every parameter once: its default (_REQUIRED if it must be given), what a
+# --config value must be (a parameter defaulting to None may also be null),
+# the values it may take, and the argparse keywords of its flag, which is
+# --<name> with dashes unless "flag" names another.
+PARAMETERS = {
+    "eta1": (_REQUIRED, _NUMBER, (), {"type": float, "help": "inversion rho00 - rho33"}),
+    "eta2": (_REQUIRED, _NUMBER, (), {"type": float, "help": "inversion rho00 - rho22"}),
+    "kappa": (1.0, _NUMBER, (), {"type": float, "help": "cavity decay rate (default 1)"}),
+    "units": ("kappa", _STRING, ("kappa", "absolute"), {
+        "flag": "--absolute-units", "action": "store_const", "const": "absolute",
+        "help": "rates and times are absolute, not multiples of kappa"}),
+    "A": (None, _NUMBER, (), {"type": float, "help": "linear gain rate (default 1)"}),
+    "r_a": (None, _NUMBER, (), {"type": float, "help": "atomic injection rate"}),
+    "g": (None, _NUMBER, (), {"type": float, "help": "atom-field coupling"}),
+    "gamma": (None, _NUMBER, (), {"type": float, "help": "atomic decay rate"}),
+    "backend": ("ehrenfest", _STRING, BACKENDS, {
+        "help": "moment-equation noise convention (see README)"}),
+    "route": ("closed-form", _STRING, ROUTES, {}),
+    "times": (None, _NUMBERS, (), {
+        "type": _float_list, "help": "comma-separated sample times"}),
+    "t": (None, _NUMBER, (), {"type": float, "help": "final time"}),
+    "samples": (11, _INTEGER, (), {"type": int, "help": "row count for --t (default 11)"}),
+    "nmax": (6, _INTEGER, (), {"type": int, "help": "per-mode photon cutoff (default 6)"}),
+    "dt": (0.01, _NUMBER, (), {"type": float, "help": "integrator step (default 0.01)"}),
+    "edge_tol": (1e-3, _NUMBER, (), {
+        "type": float,
+        "help": "edge-population guard (default 1e-3; oracle-grade checks want 1e-6)"}),
+    "check_convergence": (True, _BOOLEAN, (), {
+        "flag": "--no-convergence-check", "action": "store_const", "const": False,
+        "help": "skip the step-halving audit (3x faster)"}),
+    "eta_grid": ("21x21", _STRING, (), {"help": "NxM grid (default 21x21)"}),
+    "eta1_range": ("-1:1", _STRING, (), {"help": "lo:hi (default -1:1)"}),
+    "eta2_range": ("-1:1", _STRING, (), {"help": "lo:hi (default -1:1)"}),
+    "at_time": (None, _NUMBER, (), {
+        "type": float, "help": "survey moments at this time instead of the steady state"}),
+    "optimize": (True, _BOOLEAN, (), {
+        "flag": "--no-optimize", "action": "store_const", "const": False,
+        "help": "evaluate default witness gains only"}),
 }
 
 
-def _config_value_ok(key: str, value, default) -> bool:
-    if value is None:
-        return default is None
-    if key == "times":
-        return isinstance(value, list) and all(_config_value_ok("t", v, 0.0) for v in value)
-    types = _CONFIG_TYPES[key][0]
-    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
-
-
-def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, --config values, and explicit flags, in that order.
 
-    Refuses mistyped config values and a non-positive or infinite --kappa or --A.
+    Refuses mistyped config values, a non-positive or infinite --kappa or
+    --A, and a missing required parameter.
     """
-    params = dict(schema)
+    command = args.command
+    params = {key: PARAMETERS[key][0] for key in COMMANDS[command][2]}
     if args.config is not None:
         cfg_command, cfg = load_config(args.config)
         if cfg_command is not None and cfg_command != command:
@@ -118,52 +144,30 @@ def _resolve(schema: dict, args: argparse.Namespace, command: str) -> dict:
                 f"config was written by {cfg_command!r}, not {command!r}"
             )
         for key, value in cfg.items():
-            if key not in schema:
+            if key not in params:
                 raise ConfigurationError(f"unknown config key {key!r} for {command}")
-            if not _config_value_ok(key, value, schema[key]):
+            default, (valid, kind), choices, _ = PARAMETERS[key]
+            if not (default is None if value is None else valid(value)):
+                raise ConfigurationError(f"config key {key!r} must be {kind}, not {value!r}")
+            if choices and value not in choices:
                 raise ConfigurationError(
-                    f"config key {key!r} must be {_CONFIG_TYPES[key][1]}, not {value!r}"
-                )
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ConfigurationError(
-                    f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, not {value!r}"
+                    f"config key {key!r} must be one of {', '.join(choices)}, not {value!r}"
                 )
             params[key] = value
-    for key in schema:
-        value = getattr(args, key, None)
+    for key in params:
+        value = getattr(args, key)
         if value is not None:
             params[key] = value
     for key in ("kappa", "A"):
         value = params.get(key)
-        if value is not None and not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+        if value is not None and not 0.0 < value < math.inf:
             raise ConfigurationError(f"--{key} must be a positive finite rate, got {value!r}")
-    return params
-
-
-_REQUIRED = object()
-
-
-def _check_required(params: dict, command: str) -> None:
     missing = [k for k, v in params.items() if v is _REQUIRED]
     if missing:
         raise ConfigurationError(
             f"{command} needs " + ", ".join(f"--{k.replace('_', '-')}" for k in missing)
         )
-
-
-_POINT_SCHEMA = {
-    "eta1": _REQUIRED,
-    "eta2": _REQUIRED,
-}
-
-_RATE_SCHEMA = {
-    "kappa": 1.0,
-    "units": "kappa",
-    "A": None,
-    "r_a": None,
-    "g": None,
-    "gamma": None,
-}
+    return params
 
 
 def _rate_scale(params: dict) -> float:
@@ -258,9 +262,7 @@ def _moment_rows(times, moments) -> list[list[float]]:
 
 
 def cmd_prefactors(args: argparse.Namespace) -> str:
-    schema = {**_POINT_SCHEMA, **_RATE_SCHEMA}
-    params = _resolve(schema, args, "prefactors")
-    _check_required(params, "prefactors")
+    params = _resolve(args)
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
@@ -302,17 +304,7 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
 
 
 def cmd_evolve(args: argparse.Namespace) -> str:
-    schema = {
-        **_POINT_SCHEMA,
-        **_RATE_SCHEMA,
-        "backend": "ehrenfest",
-        "route": "closed-form",
-        "times": None,
-        "t": None,
-        "samples": 11,
-    }
-    params = _resolve(schema, args, "evolve")
-    _check_required(params, "evolve")
+    params = _resolve(args)
     times = _resolve_times(params, "evolve")
     notes = _NoteCollector()
     with notes:
@@ -337,9 +329,7 @@ def cmd_evolve(args: argparse.Namespace) -> str:
 
 
 def cmd_steady(args: argparse.Namespace) -> str:
-    schema = {**_POINT_SCHEMA, **_RATE_SCHEMA, "backend": "ehrenfest"}
-    params = _resolve(schema, args, "steady")
-    _check_required(params, "steady")
+    params = _resolve(args)
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
@@ -357,19 +347,7 @@ def cmd_steady(args: argparse.Namespace) -> str:
 
 
 def cmd_oracle(args: argparse.Namespace) -> str:
-    schema = {
-        **_POINT_SCHEMA,
-        **_RATE_SCHEMA,
-        "nmax": 6,
-        "dt": 0.01,
-        "edge_tol": 1e-3,
-        "times": None,
-        "t": None,
-        "samples": 11,
-        "check_convergence": True,
-    }
-    params = _resolve(schema, args, "oracle")
-    _check_required(params, "oracle")
+    params = _resolve(args)
     if not params.get("times") and params.get("t") is None:
         # default horizon matches the library's FockConfig
         params["t"] = 20.0
@@ -418,23 +396,11 @@ def cmd_oracle(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
-    schema = {
-        **_RATE_SCHEMA,
-        "eta_grid": "21x21",
-        "eta1_range": "-1:1",
-        "eta2_range": "-1:1",
-        "backend": "ehrenfest",
-        "at_time": None,
-        "optimize": True,
-    }
-    params = _resolve(schema, args, "sweep")
-    _check_required(params, "sweep")
+    params = _resolve(args)
     n1, n2 = _parse_grid(params["eta_grid"])
     lo1, hi1 = _parse_range(params["eta1_range"], "--eta1-range")
     lo2, hi2 = _parse_range(params["eta2_range"], "--eta2-range")
     gain = params["A"] if params["A"] is not None else 1.0
-    if params["r_a"] is not None:
-        raise ConfigurationError("sweep takes --A, not the rate trio")
     at_time = params["at_time"]
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
@@ -483,122 +449,65 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     return _table(args, "sweep", recorded, columns, rows)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with parameters (a previous run's JSON output works)")
-    parser.add_argument("--out", help="write here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="moment-equation noise convention (see README)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as ConfigurationError, not usage and exit."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
-def _add_rate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--A", type=float, default=None, help="linear gain rate (default 1)")
-    parser.add_argument("--r-a", dest="r_a", type=float, default=None, help="atomic injection rate")
-    parser.add_argument("--g", type=float, default=None, help="atom-field coupling")
-    parser.add_argument("--gamma", type=float, default=None, help="atomic decay rate")
-    parser.add_argument("--kappa", type=float, default=None, help="cavity decay rate (default 1)")
-    parser.add_argument(
-        "--absolute-units",
-        dest="units",
-        action="store_const",
-        const="absolute",
-        default=None,
-        help="rates and times are absolute, not multiples of kappa",
-    )
+_RATES = ("kappa", "units", "A")
+_POINT = ("eta1", "eta2", *_RATES, "r_a", "g", "gamma")
+_TIMES = ("times", "t", "samples")
 
-
-def _add_point_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta1", type=float, default=None, help="inversion rho00 - rho33")
-    parser.add_argument("--eta2", type=float, default=None, help="inversion rho00 - rho22")
-
-
-def _add_time_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t", type=float, default=None, help="final time")
-    parser.add_argument("--samples", type=int, default=None, help="row count for --t (default 11)")
-    parser.add_argument("--times", type=_float_list, default=None, help="comma-separated sample times")
+# Each command: its function, its help line, and the parameters it reads,
+# which are exactly its flags and the keys its --config accepts.
+COMMANDS = {
+    "prefactors": (cmd_prefactors, "master-equation coefficients for a preparation", _POINT),
+    "evolve": (cmd_evolve, "second-moment trajectory from vacuum",
+               (*_POINT, "backend", "route", *_TIMES)),
+    "steady": (cmd_steady, "steady-state second moments", (*_POINT, "backend")),
+    "oracle": (cmd_oracle, "truncated Fock-space master equation run",
+               (*_POINT, "nmax", "dt", "edge_tol", *_TIMES, "check_convergence")),
+    "sweep": (cmd_sweep, "preparation-plane steady or fixed-time survey",
+              (*_RATES, "eta_grid", "eta1_range", "eta2_range", "backend", "at_time", "optimize")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prefactors", help="master-equation coefficients for a preparation")
-    _add_io_flags(p)
-    _add_point_flags(p)
-    _add_rate_flags(p)
-    p.set_defaults(func=cmd_prefactors)
-
-    p = sub.add_parser("evolve", help="second-moment trajectory from vacuum")
-    _add_io_flags(p)
-    _add_point_flags(p)
-    _add_rate_flags(p)
-    _add_time_flags(p)
-    p.add_argument("--route", choices=ROUTES, default=None)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("steady", help="steady-state second moments")
-    _add_io_flags(p)
-    _add_point_flags(p)
-    _add_rate_flags(p)
-    p.set_defaults(func=cmd_steady)
-
-    p = sub.add_parser("oracle", help="truncated Fock-space master equation run")
-    _add_io_flags(p)
-    _add_point_flags(p)
-    _add_rate_flags(p)
-    _add_time_flags(p)
-    p.add_argument("--nmax", type=int, default=None, help="per-mode photon cutoff (default 6)")
-    p.add_argument("--dt", type=float, default=None, help="integrator step (default 0.01)")
-    p.add_argument(
-        "--edge-tol",
-        dest="edge_tol",
-        type=float,
-        default=None,
-        help="edge-population guard (default 1e-3; oracle-grade checks want 1e-6)",
-    )
-    p.add_argument(
-        "--no-convergence-check",
-        dest="check_convergence",
-        action="store_const",
-        const=False,
-        default=None,
-        help="skip the step-halving audit (3x faster)",
-    )
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("sweep", help="preparation-plane steady or fixed-time survey")
-    _add_io_flags(p)
-    _add_rate_flags(p)
-    p.add_argument("--eta-grid", dest="eta_grid", default=None, help="NxM grid (default 21x21)")
-    p.add_argument("--eta1-range", dest="eta1_range", default=None, help="lo:hi (default -1:1)")
-    p.add_argument("--eta2-range", dest="eta2_range", default=None, help="lo:hi (default -1:1)")
-    p.add_argument("--at-time", dest="at_time", type=float, default=None,
-                   help="survey moments at this time instead of the steady state")
-    p.add_argument("--no-optimize", dest="optimize", action="store_const", const=False,
-                   default=None, help="evaluate default witness gains only")
-    p.set_defaults(func=cmd_sweep)
+    for command, (func, text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON file with parameters (a previous run's JSON output works)")
+        p.add_argument("--out", help="write here instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for key in names:
+            _, _, choices, flag = PARAMETERS[key]
+            flag = dict(flag, dest=key)
+            if choices and "action" not in flag:
+                flag["choices"] = choices
+            p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag)
+        p.set_defaults(func=func)
     return parser
 
 
-# argparse takes a separate negative number as an option's value only in
-# plain or decimal form; in exponent form it reads an unknown option.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# argparse takes a separate value that starts with '-' as an option's value
+# only when it is a plain or decimal number; it reads '-8.2e-05' or
+# '-0.5:1' as an unknown option.
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
 def _attach_negative_numbers(argv: list[str]) -> list[str]:
-    """Rewrite '--flag -8.2e-05' as '--flag=-8.2e-05'."""
+    """Attach each value led by '-' and a digit or '.': '--flag -0.5:1' -> '--flag=-0.5:1'."""
     out: list[str] = []
     for token in argv:
         prev = out[-1] if out else ""
         takes_value = len(prev) > 2 and prev.startswith("--") and "=" not in prev
-        if takes_value and _NEGATIVE_NUMBER.fullmatch(token):
+        if takes_value and _NEGATIVE_VALUE.match(token):
             out[-1] = f"{prev}={token}"
         else:
             out.append(token)
@@ -606,9 +515,10 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = build_parser().parse_args(
+            _attach_negative_numbers(sys.argv[1:] if argv is None else list(argv))
+        )
         text = args.func(args)
     except (PreparationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

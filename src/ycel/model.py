@@ -59,6 +59,11 @@ __all__ = [
 # Populations this far below zero are treated as boundary roundoff.
 BOUNDARY_TOL = 1e-12
 
+# Least radicand accepted below.  Each radicand is 9 rho_a rho_b: one
+# population may sit BOUNDARY_TOL below zero while the other is at most 1,
+# and the polynomial adds a few ulps of its own.
+RADICAND_FLOOR = -10.0 * BOUNDARY_TOL
+
 # Required agreement between the polynomial radicals and the product forms
 # of the cross coefficients.
 CROSS_CHECK_TOL = 1e-12
@@ -164,10 +169,10 @@ def populations_from_inversions(eta1: float, eta2: float) -> AtomPreparation:
         raise PreparationError(
             f"unphysical preparation eta1={eta1!r}, eta2={eta2!r}: {detail}"
         )
-    # Boundary roundoff clamps to exact zero so the radicals below stay real.
-    rho33 = max(verdict.rho33, 0.0)
-    rho22 = max(verdict.rho22, 0.0)
-    rho00 = max(verdict.rho00, 0.0)
+    # Boundary roundoff clamps into [0, 1] so the radicals below stay real.
+    rho33, rho22, rho00 = (
+        min(max(v, 0.0), 1.0) for v in (verdict.rho33, verdict.rho22, verdict.rho00)
+    )
     return AtomPreparation(
         rho33=rho33,
         rho22=rho22,
@@ -290,7 +295,7 @@ def prefactors_from_inversions(
         (pref.cross32, pref.cross31, pref.cross21),
         _radicands(eta1, eta2),
     ):
-        if radicand < -BOUNDARY_TOL:
+        if radicand < RADICAND_FLOOR:
             raise ConsistencyError(
                 f"negative radicand {radicand!r} for {name} at eta1={eta1!r}, eta2={eta2!r}"
             )

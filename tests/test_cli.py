@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ycel
-from ycel.cli import main
+from ycel.cli import build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -334,6 +335,129 @@ def test_separate_negative_value_matches_attached_form(value, capsys):
 def test_non_finite_inversion_exits_2(flag, capsys):
     code, out, err = run_cli(capsys, "steady", flag, "--eta2", "0")
     assert_one_error_line(code, out, err, "unphysical preparation")
+
+
+@pytest.mark.parametrize("value", ["-0.5:1", "-.5:0.5"])
+def test_separate_negative_range_matches_attached_form(value, capsys):
+    argv = ("sweep", "--eta-grid", "3x3", "--format", "json")
+    separate = run_cli(capsys, *argv, "--eta1-range", value)
+    attached = run_cli(capsys, *argv, f"--eta1-range={value}")
+    assert separate == attached
+    assert separate[0] == 0
+    assert json.loads(separate[1])["params"]["eta1_range"] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("prefactors", "--eta1=-2.9e-12", "--eta2", "0.5"), id="rho22-below-0"),
+        pytest.param(("prefactors", "--eta1", "1.000000000003", "--eta2", "1.000000000003"),
+                     id="rho00-above-1"),
+        pytest.param(("sweep", "--eta-grid", "5x5", "--eta1-range=0:1.000000000003",
+                      "--eta2-range=0:1.000000000003"), id="sweep-edge"),
+    ],
+)
+def test_points_within_the_boundary_tolerance_run(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+PREFACTOR_POINT = ("prefactors", "--eta1", "0", "--eta2", "0")
+ORACLE_POINT = ("oracle", "--eta1", "0", "--eta2", "0")
+# Command lines the parser refuses, and what their one error line names.
+PARSER_ERRORS = {
+    "no-command": ((), "command"),
+    "unknown-command": (("bogus",), "bogus"),
+    "unknown-flag": ((*STEADY_ARGS, "--bogus", "1"), "--bogus"),
+    "prefactors-backend": ((*PREFACTOR_POINT, "--backend", "ehrenfest"), "--backend"),
+    "oracle-backend": ((*ORACLE_POINT, "--backend", "ehrenfest"), "--backend"),
+    "sweep-r-a": (("sweep", "--r-a", "1"), "--r-a"),
+    "sweep-g": (("sweep", "--g", "5"), "--g"),
+    "sweep-gamma": (("sweep", "--gamma", "1"), "--gamma"),
+    "missing-value": (("steady", "--eta2", "0", "--eta1"), "--eta1"),
+    "bad-format": ((*STEADY_ARGS, "--format", "xml"), "xml"),
+    "bad-float": (("steady", "--eta1", "abc", "--eta2", "0"), "abc"),
+    "bad-backend": ((*STEADY_ARGS, "--backend", "literal"), "literal"),
+    "bad-times": (("evolve", "--eta1", "0", "--eta2", "0", "--times", "0,a"), "--times"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_ERRORS))
+def test_parser_error_exits_2_with_one_line(case, capsys):
+    argv, named = PARSER_ERRORS[case]
+    assert_one_error_line(*run_cli(capsys, *argv), named)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ycel")
+
+
+# The parameters each command reads: its flags and its --config keys are
+# exactly these, so a flag that does nothing cannot come back.
+COMMAND_KEYS = {
+    "prefactors": {"eta1", "eta2", "kappa", "units", "A", "r_a", "g", "gamma"},
+    "evolve": {"eta1", "eta2", "kappa", "units", "A", "r_a", "g", "gamma",
+               "backend", "route", "times", "t", "samples"},
+    "steady": {"eta1", "eta2", "kappa", "units", "A", "r_a", "g", "gamma", "backend"},
+    "oracle": {"eta1", "eta2", "kappa", "units", "A", "r_a", "g", "gamma",
+               "times", "t", "samples", "nmax", "dt", "edge_tol", "check_convergence"},
+    "sweep": {"kappa", "units", "A", "backend", "eta_grid", "eta1_range", "eta2_range",
+              "at_time", "optimize"},
+}
+
+
+def flag_destinations(command):
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "config", "out", "format"}
+
+
+def config_keys(command, tmp_path):
+    """The keys the command's --config takes, each probed with a value no key accepts."""
+    accepted = set()
+    cfg = tmp_path / "probe.json"
+    for key in set().union(*COMMAND_KEYS.values()):
+        cfg.write_text(json.dumps({key: {}}))
+        code, out, err = run_quietly([command, "--config", str(cfg)])
+        assert_one_error_line(code, out, err)
+        if "unknown config key" not in err:
+            accepted.add(key)
+    return accepted
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_flags_and_config_keys_are_the_parameters_read(command, tmp_path):
+    assert flag_destinations(command) == COMMAND_KEYS[command]
+    assert config_keys(command, tmp_path) == COMMAND_KEYS[command]
+
+
+# A JSON run of each command, whose document --config must reproduce byte
+# for byte; test_json_config_round_trip covers evolve.
+ROUND_TRIPS = {
+    "prefactors-A": (*PREFACTOR_POINT, "--A", "0.7", "--kappa", "2"),
+    "prefactors-trio": ("prefactors", "--eta1", "0.1", "--eta2", "0.2", "--r-a", "4",
+                        "--g", "5", "--gamma", "20", "--absolute-units"),
+    "steady": ("steady", "--eta1", "0.25", "--eta2", "0.25", "--A", "0.5",
+               "--backend", "paper-literal"),
+    "oracle": (*ORACLE_POINT, "--A", "0.5", "--nmax", "3", "--t", "0.5", "--dt", "0.05",
+               "--edge-tol", "0.1", "--no-convergence-check"),
+    "sweep": ("sweep", "--eta-grid", "3x4", "--A", "0.5", "--eta1-range=-0.5:1",
+              "--at-time", "2", "--no-optimize"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
+def test_every_json_document_round_trips_through_config(case, tmp_path, capsys):
+    first = tmp_path / "run.json"
+    argv = ROUND_TRIPS[case]
+    assert run_cli(capsys, *argv, "--format", "json", "--out", str(first))[0] == 0
+    code, out, _ = run_cli(capsys, argv[0], "--config", str(first), "--format", "json")
+    assert code == 0
+    assert out == first.read_text()
 
 
 EVOLVE_ARGS = ("evolve", "--eta1", "0", "--eta2", "0")

@@ -317,6 +317,13 @@ def test_sweep_unstable_point_recorded_inline():
     assert "steady" in pt.failure or "margin" in pt.failure
 
 
+def test_sweep_keeps_a_point_within_the_boundary_tolerance():
+    # rho22 = -9.7e-13 passes validate_physical, so the point gets its row
+    (pt,) = sweep([-2.9e-12], [0.5], gain_scale=1.0)
+    assert pt.failure is None
+    assert pt.prefactors.gain2 == 0.0
+
+
 def test_sweep_refuses_unphysical_covariance_inline():
     # the literal-coefficient backend at A = 2 gives a stable drift whose
     # steady state has an indefinite x block; the point is recorded, not

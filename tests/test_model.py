@@ -82,6 +82,37 @@ def test_triangle_vertices_and_boundary_roundoff():
     assert prep.rho00 == 0.0
 
 
+# Inside the 1e-12 tolerance of validate_physical: rho22 is -9.7e-13 at the
+# first, rho00 is 1 + 2e-12 at the second.
+TOLERATED_POINTS = [(-2.9e-12, 0.5), (1.000000000003, 1.000000000003)]
+
+
+@pytest.mark.parametrize("eta1, eta2", TOLERATED_POINTS)
+def test_points_within_the_boundary_tolerance_clamp(eta1, eta2):
+    assert validate_physical(eta1, eta2).valid
+    prep = populations_from_inversions(eta1, eta2)
+    assert all(0.0 <= rho <= 1.0 for rho in (prep.rho33, prep.rho22, prep.rho00))
+    pref = prefactors_from_inversions(eta1, eta2, gain_scale=1.0)
+    assert 0.0 in (pref.gain3, pref.gain2)
+
+
+def test_model_accepts_exactly_what_validate_physical_accepts():
+    # points along the three triangle edges, nudged across them by up to 3e-12
+    vertices = [(1.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (1.0, 1.0)]
+    nudges = [-3e-12, -2e-12, -1e-12, 0.0, 1e-12, 2e-12, 3e-12]
+    for (a1, a2), (b1, b2) in zip(vertices, vertices[1:]):
+        for t in np.linspace(0.0, 1.0, 41):
+            for d1 in nudges:
+                for d2 in nudges:
+                    eta1 = float(a1 + t * (b1 - a1)) + d1
+                    eta2 = float(a2 + t * (b2 - a2)) + d2
+                    if validate_physical(eta1, eta2).valid:
+                        prefactors_from_inversions(eta1, eta2, gain_scale=1.0)
+                    else:
+                        with pytest.raises(PreparationError):
+                            prefactors_from_inversions(eta1, eta2, gain_scale=1.0)
+
+
 def test_grid_identities():
     for e1, e2 in triangle_grid(41):
         p = prefactors_from_inversions(e1, e2, gain_scale=2.0)
