@@ -41,17 +41,6 @@ from .dynamics import (
     second_moment_trajectory,
     steady_state_moments,
 )
-from .fock_oracle import (
-    DensityState,
-    FockConfig,
-    MomentTable,
-    OracleRun,
-    integrate,
-    liouvillian_apply,
-    master_equation_terms,
-    mode_annihilators,
-    moments_from_state,
-)
 from .entanglement import (
     BIPARTITIONS,
     CovarianceMatrix,
@@ -66,3 +55,30 @@ from .entanglement import (
 )
 
 __version__ = "0.1.0"
+
+# The Fock-space oracle needs scipy.sparse, which takes most of the package's
+# import time; its names load on first access (PEP 562), so only a caller
+# that uses the oracle pays for it.
+_ORACLE_NAMES = frozenset({
+    "DensityState",
+    "FockConfig",
+    "MomentTable",
+    "OracleRun",
+    "integrate",
+    "liouvillian_apply",
+    "master_equation_terms",
+    "mode_annihilators",
+    "moments_from_state",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import fock_oracle
+
+        return getattr(fock_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -11,6 +11,7 @@ byte-identical text, and every JSON document can be fed back through
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -18,17 +19,9 @@ import warnings
 
 import numpy as np
 
-from .dynamics import (
-    BACKENDS,
-    ROUTES,
-    drift_matrix,
-    is_stable,
-    second_moment_trajectory,
-    steady_state_moments,
-)
+from .dynamics import BACKENDS, ROUTES, _steady_state, second_moment_trajectory
 from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
 from .errors import ConfigurationError, PreparationError, YcelError
-from .fock_oracle import DensityState, FockConfig, integrate
 from .model import ModelParams, Prefactors, populations_from_inversions, prefactors, prefactors_from_inversions
 from .serialize import csv_document, format_value, json_document, load_config
 
@@ -44,7 +37,7 @@ def _float_list(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigurationError(f"bad time list {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad time list {text!r}: {exc}") from None
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -333,9 +326,8 @@ def cmd_steady(args: argparse.Namespace) -> str:
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
-        report = is_stable(drift_matrix(pref, params["kappa"]))
-        moments = steady_state_moments(pref, params["kappa"], backend=params["backend"])
-    notes.append(f"stability margin = {format_value(report.margin)}")
+        margin, moments = _steady_state(pref, params["kappa"], params["backend"])
+    notes.append(f"stability margin = {format_value(margin)}")
     recorded = {
         "eta1": params["eta1"],
         "eta2": params["eta2"],
@@ -354,6 +346,8 @@ def cmd_oracle(args: argparse.Namespace) -> str:
     times = _resolve_times(params, "oracle")
     if times[-1] <= 0:
         raise ConfigurationError("oracle needs a positive final time")
+    from .fock_oracle import DensityState, FockConfig, integrate
+
     tscale = _time_scale(params)
     notes = _NoteCollector()
     with notes:
@@ -474,7 +468,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ycel parser, built once per process: parse_args keeps no state."""
     parser = _Parser(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",

@@ -307,7 +307,7 @@ def _closed_form_second_moments(m, q, times) -> np.ndarray:
     return (props @ start)[..., :9].reshape(len(m), len(times), 3, 3)
 
 
-def _check_occupations(m: SecondMoments, backend: str) -> SecondMoments:
+def _check_occupations(m: SecondMoments, backend: str, stacklevel: int = 3) -> SecondMoments:
     low = min(m.n1, m.n2, m.n3)
     if low < -1e-9:
         warnings.warn(
@@ -315,7 +315,7 @@ def _check_occupations(m: SecondMoments, backend: str) -> SecondMoments:
             "the as-printed mode-1 noise term drives this, and the ehrenfest "
             "backend (confirmed by the Fock oracle) does not",
             NegativeOccupationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return m
 
@@ -466,7 +466,14 @@ def steady_state_moments(
     Requires a strictly stable drift; the 9x9 vectorised system is solved
     directly and the result symmetrised.
     """
-    _, rows, errors = _second_moment_rows([pref], kappa, backend, None)
+    return _steady_state(pref, kappa, backend)[1]
+
+
+def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, SecondMoments]:
+    """Stability margin and steady moments, from one drift and one spectrum."""
+    margin, rows, errors = _second_moment_rows([pref], kappa, backend, None)
     if errors[0] is not None:
         raise errors[0]
-    return _check_occupations(SecondMoments(*rows[0].tolist()), backend)
+    return float(margin[0]), _check_occupations(
+        SecondMoments(*rows[0].tolist()), backend, stacklevel=4
+    )

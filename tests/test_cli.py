@@ -379,14 +379,17 @@ PARSER_ERRORS = {
     "bad-format": ((*STEADY_ARGS, "--format", "xml"), "xml"),
     "bad-float": (("steady", "--eta1", "abc", "--eta2", "0"), "abc"),
     "bad-backend": ((*STEADY_ARGS, "--backend", "literal"), "literal"),
-    "bad-times": (("evolve", "--eta1", "0", "--eta2", "0", "--times", "0,a"), "--times"),
+    "bad-times": (("evolve", "--eta1", "0", "--eta2", "0", "--times", "0,a"),
+                  "--times: bad time list '0,a'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PARSER_ERRORS))
 def test_parser_error_exits_2_with_one_line(case, capsys):
     argv, named = PARSER_ERRORS[case]
-    assert_one_error_line(*run_cli(capsys, *argv), named)
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err, named)
+    assert "_float_list" not in err
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("sweep", "--help")])
@@ -636,14 +639,17 @@ def test_console_script_on_path(capsys):
 
 
 
+# Start-up loads neither scipy.integrate nor scipy.sparse; the command in
+# argv[2:] then loads the module named in argv[1].
 COLD_START = """\
 import sys
 import ycel.cli
 
 ycel.cli.build_parser()
-assert "scipy.integrate" not in sys.modules, "scipy.integrate imported at start-up"
-assert ycel.cli.main(sys.argv[1:]) == 0
-assert "scipy.integrate" in sys.modules
+loaded = {"scipy.integrate", "scipy.sparse"} & set(sys.modules)
+assert not loaded, f"{sorted(loaded)} imported at start-up"
+assert ycel.cli.main(sys.argv[2:]) == 0
+assert sys.argv[1] in sys.modules
 """
 
 
@@ -651,8 +657,8 @@ def test_cold_start_skips_scipy_integrate_until_the_ode_route(tmp_path, capsys):
     point = ("evolve", "--eta1", "0.25", "--eta2", "0.25", "--A", "0.5",
              "--t", "10", "--format", "json")
     out = tmp_path / "ode.json"
-    proc = run_child([sys.executable, "-c", COLD_START, *point, "--route", "ode",
-                      "--out", str(out)])
+    proc = run_child([sys.executable, "-c", COLD_START, "scipy.integrate", *point,
+                      "--route", "ode", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     code, closed, _ = run_cli(capsys, *point)
     assert code == 0
@@ -663,6 +669,58 @@ def test_cold_start_skips_scipy_integrate_until_the_ode_route(tmp_path, capsys):
     for row_ode, row_closed in zip(ode["rows"], closed["rows"], strict=True):
         scale = max(abs(v) for v in row_ode[1:]) or 1.0
         assert max(abs(a - b) for a, b in zip(row_ode, row_closed)) <= 1e-10 * scale
+
+
+def test_cold_start_skips_scipy_sparse_until_the_oracle(tmp_path, capsys):
+    argv = (*ROUND_TRIPS["oracle"], "--format", "json")
+    out = tmp_path / "oracle.json"
+    proc = run_child([sys.executable, "-c", COLD_START, "scipy.sparse", *argv,
+                      "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.read_text() == expected
+
+
+def run_call(argv, out_path):
+    """Exit code, stdout, stderr and --out file of one main() call, --help included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    written = out_path.read_text() if out_path.exists() else None
+    out_path.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def test_parser_built_once_gives_the_documents_of_a_fresh_parser(tmp_path):
+    out = tmp_path / "doc.out"
+    config = tmp_path / "steady.json"
+    config.write_text(json.dumps({"eta1": 0.25, "eta2": 0.25, "A": 0.5}))
+    commands = [*ROUND_TRIPS.values(), (*EVOLVE_ARGS, "--t", "2")]
+    interludes = [
+        ("steady", "--config", str(config), "--backend", "paper-literal", "--out", str(out)),
+        PARSER_ERRORS["unknown-flag"][0],
+        ("--help",),
+        ("sweep", "--help"),
+        PARSER_ERRORS["bad-times"][0],
+        ("evolve", "--config", str(config), "--format", "json", "--t", "1"),
+    ]
+    calls = []
+    for argv, interlude in zip(commands, interludes, strict=True):
+        calls += [(*argv, "--format", "csv"), (*argv, "--format", "json", "--out", str(out)),
+                  interlude]
+    assert build_parser() is build_parser()
+    reused = [run_call(argv, out) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_call(argv, out))
+    assert reused == fresh
+    assert [code for code, *_ in reused].count(2) == 2
+    assert all(code == 0 for code, *_ in reused if code != 2)
 
 
 # Property check of the refusals above: every malformed value argparse still

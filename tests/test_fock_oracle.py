@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ycel
+from ycel import fock_oracle
 from ycel.dynamics import second_moment_trajectory
 from ycel.errors import ConfigurationError, ConsistencyError, IntegrationError, TruncationError
 from ycel.fock_oracle import (
@@ -381,3 +383,23 @@ def test_march_matches_pinned_parent_tables(case):
     for table, want in zip(run.tables, PARENT_TABLES[case], strict=True):
         got = np.concatenate((table.first, table.cross.ravel(), table.pair.ravel()))
         assert np.max(np.abs(got - np.array(want))) < 1e-12
+
+
+ORACLE_EXPORTS = ("DensityState", "FockConfig", "MomentTable", "OracleRun", "integrate",
+                  "liouvillian_apply", "master_equation_terms", "mode_annihilators",
+                  "moments_from_state")
+
+
+@pytest.mark.parametrize("name", ORACLE_EXPORTS)
+def test_package_exports_each_oracle_name(name):
+    namespace = {}
+    exec(f"from ycel import {name}", namespace)
+    assert namespace[name] is getattr(fock_oracle, name)
+    assert name in dir(ycel)
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(ycel, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from ycel import no_such_name", {})
