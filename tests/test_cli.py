@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ycel
-from ycel.cli import build_parser, main
+from ycel.cli import PARAMETERS, build_parser, main
+from ycel.serialize import format_value
 
 
 def run_cli(capsys, *args):
@@ -465,6 +466,107 @@ def test_every_json_document_round_trips_through_config(case, tmp_path, capsys):
 
 EVOLVE_ARGS = ("evolve", "--eta1", "0", "--eta2", "0")
 SWEEP_ARGS = ("sweep", "--eta-grid", "2x2")
+
+
+def point(**rates):
+    return {"eta1": 0.0, "eta2": 0.0, "kappa": 1.0, "units": "kappa", **rates}
+
+
+ORACLE_RUN = {"nmax": 2, "dt": 0.05, "edge_tol": 0.5}
+SWEEP_DEFAULTS = {"eta_grid": "2x2", "eta1_range": "-1:1", "eta2_range": "-1:1", "A": 1.0,
+                  "kappa": 1.0, "units": "kappa", "backend": "ehrenfest", "at_time": None,
+                  "optimize": True}
+# What each command records: (command line, --config object or None, the
+# params block, in order).  Config numbers are floats here; integers are
+# test_integer_config_values_give_the_documents_of_their_flags.
+RECORDS = {
+    "prefactors-default-A": (PREFACTOR_POINT, None, point(A=1.0)),
+    "prefactors-A-absolute": ((*PREFACTOR_POINT, "--A", "0.7", "--kappa", "2",
+                               "--absolute-units"),
+                              None, point(kappa=2.0, units="absolute", A=0.7)),
+    "prefactors-trio": ((*PREFACTOR_POINT, "--r-a", "4", "--g", "5", "--gamma", "20"), None,
+                        point(r_a=4.0, g=5.0, gamma=20.0)),
+    "evolve-t-samples": ((*EVOLVE_ARGS, "--t", "4", "--samples", "3"), None,
+                         point(A=1.0, backend="ehrenfest", route="closed-form",
+                               times=[0.0, 2.0, 4.0])),
+    "evolve-times-beat-t": ((*EVOLVE_ARGS, "--A", "0.5", "--backend", "paper-literal",
+                             "--route", "ode", "--times", "0,1.5", "--t", "9"), None,
+                            point(A=0.5, backend="paper-literal", route="ode",
+                                  times=[0.0, 1.5])),
+    "evolve-config-trio": (("evolve",), {"eta1": 0.0, "eta2": 0.0, "t": 2.0, "samples": 1,
+                                         "r_a": 4.0, "g": 5.0, "gamma": 20.0,
+                                         "kappa": 2.0, "units": "absolute"},
+                           point(kappa=2.0, units="absolute", r_a=4.0, g=5.0, gamma=20.0,
+                                 backend="ehrenfest", route="closed-form", times=[2.0])),
+    "steady-config-and-flag": (("steady", "--eta1", "0"),
+                               {"eta1": 0.25, "eta2": 0.0, "A": 0.5, "kappa": 0.5,
+                                "backend": "paper-literal"},
+                               point(kappa=0.5, A=0.5, backend="paper-literal")),
+    "oracle-default-horizon": ((*ORACLE_POINT, "--A", "0.5", "--nmax", "2", "--dt", "0.05",
+                                "--edge-tol", "0.5", "--no-convergence-check"), None,
+                               point(A=0.5, **ORACLE_RUN, check_convergence=False,
+                                     times=[2.0 * i for i in range(11)])),
+    "oracle-config": (("oracle",), {"eta1": 0.0, "eta2": 0.0, **ORACLE_RUN, "t": 1.0,
+                                    "samples": 3},
+                      point(A=1.0, **ORACLE_RUN, check_convergence=True,
+                            times=[0.0, 0.5, 1.0])),
+    "sweep-default": (SWEEP_ARGS, None, SWEEP_DEFAULTS),
+    "sweep-config": ((*SWEEP_ARGS, "--no-optimize"),
+                     {"A": 0.5, "at_time": 2.0, "kappa": 2.0, "units": "absolute",
+                      "eta1_range": "0:0.5", "backend": "paper-literal"},
+                     SWEEP_DEFAULTS | {"eta1_range": "0:0.5", "A": 0.5, "kappa": 2.0,
+                                       "units": "absolute", "backend": "paper-literal",
+                                       "at_time": 2.0, "optimize": False}),
+}
+
+
+def with_config(argv, config, tmp_path):
+    if config is None:
+        return argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return (*argv, "--config", str(cfg))
+
+
+@pytest.mark.parametrize("case", sorted(RECORDS))
+def test_each_command_records_its_resolved_params(case, tmp_path, capsys):
+    argv, config, params = RECORDS[case]
+    argv = with_config(argv, config, tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    # dumped, so that 1 and 1.0 differ
+    assert json.dumps(json.loads(out)["params"]) == json.dumps(params)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    head = [f"# ycel {argv[0]}"] + [
+        f"# {key} = " + (" ".join(map(format_value, v)) if isinstance(v, list) else format_value(v))
+        for key, v in params.items()
+    ]
+    lines = out.splitlines()
+    assert lines[: len(head)] == head
+    assert not lines[len(head)].startswith(tuple(f"# {key} = " for key in PARAMETERS))
+
+
+# Command lines malformed twice over, and the one error each reports.
+ERROR_PRECEDENCE = {
+    "partial-trio-no-times": ((*EVOLVE_ARGS, "--r-a", "1"), "evolve needs --t or --times"),
+    "A-and-trio-no-times": ((*EVOLVE_ARGS, "--A", "1", "--r-a", "1", "--g", "1", "--gamma", "1"),
+                            "evolve needs --t or --times"),
+    "A-and-trio-zero-horizon": ((*ORACLE_POINT, "--times", "0", "--A", "1", "--r-a", "1",
+                                 "--g", "1", "--gamma", "1"), "oracle needs a positive final time"),
+    "bad-A-no-times": ((*EVOLVE_ARGS, "--A=-1"), "--A must be a positive finite rate, got -1.0"),
+    "no-eta-zero-horizon": (("oracle", "--times", "0", "--r-a", "1"), "oracle needs --eta1, --eta2"),
+    "A-and-trio": ((*STEADY_ARGS, "--A", "1", "--r-a", "1", "--g", "1", "--gamma", "1"),
+                   "give either --A or the --r-a/--g/--gamma trio"),
+    "partial-trio": ((*PREFACTOR_POINT, "--g", "1", "--A", "1"),
+                     "--r-a, --g and --gamma must be given together"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PRECEDENCE))
+def test_doubly_malformed_line_reports_its_first_error(case, capsys):
+    argv, message = ERROR_PRECEDENCE[case]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
