@@ -11,6 +11,7 @@ byte-identical text, and every JSON document can be fed back through
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import re
@@ -123,10 +124,14 @@ PARAMETERS = {
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, --config values, and explicit flags, in that order.
+    """The run's parameters, as its document records them under "params".
 
-    Refuses mistyped config values, a non-positive or infinite --kappa or
-    --A, and a missing required parameter.
+    Merges defaults, --config values and explicit flags, in that order.  A
+    number becomes the float (or int) its flag gives, --t/--samples become
+    "times", and A is 1 unless the --r-a/--g/--gamma trio is given; the
+    unused side of that choice is dropped.  Refuses mistyped config values,
+    a non-positive or infinite --kappa or --A, a missing required
+    parameter, malformed times, then a partial trio or both A and the trio.
     """
     command = args.command
     params = {key: PARAMETERS[key][0] for key in COMMANDS[command][2]}
@@ -160,6 +165,25 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigurationError(
             f"{command} needs " + ", ".join(f"--{k.replace('_', '-')}" for k in missing)
         )
+    for key, value in params.items():
+        cast = PARAMETERS[key][3].get("type")
+        if value is not None and cast in (float, int):
+            params[key] = cast(value)
+    if "times" in params:
+        params["times"] = _resolve_times(params, command)
+        del params["t"], params["samples"]
+    trio = [params.get(key) for key in _TRIO]
+    if any(v is not None for v in trio):
+        if None in trio:
+            raise ConfigurationError("--r-a, --g and --gamma must be given together")
+        if params["A"] is not None:
+            raise ConfigurationError("give either --A or the --r-a/--g/--gamma trio")
+        del params["A"]
+    else:
+        for key in _TRIO:
+            params.pop(key, None)
+        if params["A"] is None:
+            params["A"] = 1.0
     return params
 
 
@@ -174,56 +198,44 @@ def _time_scale(params: dict) -> float:
 
 
 def _build_prefactors(params: dict) -> Prefactors:
-    trio = [params["r_a"], params["g"], params["gamma"]]
-    named = [v for v in trio if v is not None]
-    if named and len(named) != 3:
-        raise ConfigurationError("--r-a, --g and --gamma must be given together")
-    if named and params["A"] is not None:
-        raise ConfigurationError("give either --A or the --r-a/--g/--gamma trio")
     scale = _rate_scale(params)
-    if named:
-        model = ModelParams(
-            r_a=params["r_a"] * scale,
-            g=params["g"] * scale,
-            gamma=params["gamma"] * scale,
-            kappa=params["kappa"],
-            eta1=params["eta1"],
-            eta2=params["eta2"],
-        )
-        return prefactors(model)
-    gain = params["A"] if params["A"] is not None else 1.0
-    return prefactors_from_inversions(params["eta1"], params["eta2"], gain * scale)
-
-
-def _recorded_rates(params: dict) -> dict:
-    out = {"kappa": params["kappa"], "units": params["units"]}
-    if params["r_a"] is not None:
-        out.update(r_a=params["r_a"], g=params["g"], gamma=params["gamma"])
-    else:
-        out["A"] = params["A"] if params["A"] is not None else 1.0
-    return out
+    if "A" in params:
+        return prefactors_from_inversions(params["eta1"], params["eta2"], params["A"] * scale)
+    model = ModelParams(
+        r_a=params["r_a"] * scale,
+        g=params["g"] * scale,
+        gamma=params["gamma"] * scale,
+        kappa=params["kappa"],
+        eta1=params["eta1"],
+        eta2=params["eta2"],
+    )
+    return prefactors(model)
 
 
 def _resolve_times(params: dict, command: str) -> list[float]:
-    if params.get("times"):
+    t = params["t"]
+    if t is None and command == "oracle":
+        t = 20.0  # the default horizon of the library's FockConfig
+    if params["times"]:
         if len(params["times"]) > MAX_SAMPLES:
             raise ConfigurationError(
                 f"--times lists {len(params['times'])} times; at most {MAX_SAMPLES} are taken"
             )
-        times = [float(t) for t in params["times"]]
-        if not all(0.0 <= t < math.inf for t in times) or times != sorted(times):
+        times = [float(v) for v in params["times"]]
+        if not all(0.0 <= v < math.inf for v in times) or times != sorted(times):
             raise ConfigurationError("--times must be finite, nonnegative and nondecreasing")
-        return times
-    if params.get("t") is None:
+    elif t is None:
         raise ConfigurationError(f"{command} needs --t or --times")
-    t, samples = float(params["t"]), int(params["samples"])
-    if not 0.0 < t < math.inf or samples < 1:
-        raise ConfigurationError("--t must be positive and finite and --samples at least 1")
-    if samples > MAX_SAMPLES:
-        raise ConfigurationError(f"--samples {samples} exceeds the limit {MAX_SAMPLES}")
-    if samples == 1:
-        return [t]
-    return [t * i / (samples - 1) for i in range(samples)]
+    else:
+        samples = params["samples"]
+        if not 0.0 < t < math.inf or samples < 1:
+            raise ConfigurationError("--t must be positive and finite and --samples at least 1")
+        if samples > MAX_SAMPLES:
+            raise ConfigurationError(f"--samples {samples} exceeds the limit {MAX_SAMPLES}")
+        times = [t] if samples == 1 else [t * i / (samples - 1) for i in range(samples)]
+    if command == "oracle" and times[-1] <= 0:
+        raise ConfigurationError("oracle needs a positive final time")
+    return times
 
 
 class _NoteCollector(list):
@@ -242,16 +254,12 @@ class _NoteCollector(list):
         return False
 
 
-def _table(args, command: str, recorded: dict, columns, rows, notes=()) -> str:
+def _table(args, params: dict, columns, rows, notes=()) -> str:
     """The run as a JSON or CSV table document, per --format."""
     if args.format == "json":
         payload = {"columns": list(columns), "rows": rows}
-        return json_document(command, recorded, payload, notes=notes)
-    return csv_document(command, recorded, columns, rows, notes=notes)
-
-
-def _moment_rows(times, moments) -> list[list[float]]:
-    return [[t, m.n1, m.n2, m.n3, m.c32, m.c31, m.c21] for t, m in zip(times, moments)]
+        return json_document(args.command, params, payload, notes=notes)
+    return csv_document(args.command, params, columns, rows, notes=notes)
 
 
 def cmd_prefactors(args: argparse.Namespace) -> str:
@@ -267,24 +275,11 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
         "residue_cross21": abs(pref.cross21 - math.sqrt(pref.gain2 * pref.loss1)),
     }
     populations = {"rho00": prep.rho00, "rho22": prep.rho22, "rho33": prep.rho33}
-    coefficients = {
-        "gain_scale": pref.gain_scale,
-        "gain3": pref.gain3,
-        "gain2": pref.gain2,
-        "loss1": pref.loss1,
-        "cross32": pref.cross32,
-        "cross31": pref.cross31,
-        "cross21": pref.cross21,
-    }
-    recorded = {
-        "eta1": params["eta1"],
-        "eta2": params["eta2"],
-        **_recorded_rates(params),
-    }
+    coefficients = dataclasses.asdict(pref)
     if args.format == "json":
         return json_document(
             "prefactors",
-            recorded,
+            params,
             {
                 "populations": populations,
                 "prefactors": coefficients,
@@ -293,12 +288,12 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
             notes=notes,
         )
     rows = [[k, v] for k, v in (populations | coefficients | residues).items()]
-    return csv_document("prefactors", recorded, ("quantity", "value"), rows, notes=notes)
+    return csv_document("prefactors", params, ("quantity", "value"), rows, notes=notes)
 
 
 def cmd_evolve(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    times = _resolve_times(params, "evolve")
+    times = params["times"]
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
@@ -309,16 +304,8 @@ def cmd_evolve(args: argparse.Namespace) -> str:
             backend=params["backend"],
             route=params["route"],
         )
-    recorded = {
-        "eta1": params["eta1"],
-        "eta2": params["eta2"],
-        **_recorded_rates(params),
-        "backend": params["backend"],
-        "route": params["route"],
-        "times": times,
-    }
-    rows = _moment_rows(times, moments)
-    return _table(args, "evolve", recorded, ("time", *MOMENT_COLUMNS), rows, notes)
+    rows = [[t, *m.as_tuple()] for t, m in zip(times, moments)]
+    return _table(args, params, ("time", *MOMENT_COLUMNS), rows, notes)
 
 
 def cmd_steady(args: argparse.Namespace) -> str:
@@ -328,35 +315,22 @@ def cmd_steady(args: argparse.Namespace) -> str:
         pref = _build_prefactors(params)
         margin, moments = _steady_state(pref, params["kappa"], params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
-    recorded = {
-        "eta1": params["eta1"],
-        "eta2": params["eta2"],
-        **_recorded_rates(params),
-        "backend": params["backend"],
-    }
-    row = [moments.n1, moments.n2, moments.n3, moments.c32, moments.c31, moments.c21]
-    return _table(args, "steady", recorded, MOMENT_COLUMNS, [row], notes)
+    return _table(args, params, MOMENT_COLUMNS, [moments.as_tuple()], notes)
 
 
 def cmd_oracle(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    if not params.get("times") and params.get("t") is None:
-        # default horizon matches the library's FockConfig
-        params["t"] = 20.0
-    times = _resolve_times(params, "oracle")
-    if times[-1] <= 0:
-        raise ConfigurationError("oracle needs a positive final time")
     from .fock_oracle import DensityState, FockConfig, integrate
 
-    tscale = _time_scale(params)
+    times, tscale = params["times"], _time_scale(params)
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
         cfg = FockConfig(
-            n_max=int(params["nmax"]),
-            dt=float(params["dt"]) * tscale,
+            n_max=params["nmax"],
+            dt=params["dt"] * tscale,
             t_final=times[-1] * tscale,
-            edge_tol=float(params["edge_tol"]),
+            edge_tol=params["edge_tol"],
         )
         run = integrate(
             DensityState.vacuum(cfg.n_max),
@@ -364,29 +338,19 @@ def cmd_oracle(args: argparse.Namespace) -> str:
             pref,
             params["kappa"],
             sample_times=[t * tscale for t in times],
-            check_convergence=bool(params["check_convergence"]),
+            check_convergence=params["check_convergence"],
         )
     if run.convergence_delta is not None:
         notes.append(f"convergence delta = {format_value(run.convergence_delta)}")
     notes.append(f"closure leakage = {format_value(run.closure_leakage())}")
-    recorded = {
-        "eta1": params["eta1"],
-        "eta2": params["eta2"],
-        **_recorded_rates(params),
-        "nmax": int(params["nmax"]),
-        "dt": float(params["dt"]),
-        "edge_tol": float(params["edge_tol"]),
-        "check_convergence": bool(params["check_convergence"]),
-        "times": times,
-    }
     columns = ("time", *MOMENT_COLUMNS, "trace_residue", "edge_population")
     rows = [
-        [t, m.n1, m.n2, m.n3, m.c32, m.c31, m.c21, residue, edge]
+        [t, *m.as_tuple(), residue, edge]
         for t, m, residue, edge in zip(
             times, run.moments, run.trace_residues, run.edge_populations
         )
     ]
-    return _table(args, "oracle", recorded, columns, rows, notes)
+    return _table(args, params, columns, rows, notes)
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
@@ -394,30 +358,18 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     n1, n2 = _parse_grid(params["eta_grid"])
     lo1, hi1 = _parse_range(params["eta1_range"], "--eta1-range")
     lo2, hi2 = _parse_range(params["eta2_range"], "--eta2-range")
-    gain = params["A"] if params["A"] is not None else 1.0
     at_time = params["at_time"]
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
     points = run_sweep(
         [float(v) for v in np.linspace(lo1, hi1, n1)],
         [float(v) for v in np.linspace(lo2, hi2, n2)],
-        gain_scale=gain * _rate_scale(params),
+        gain_scale=params["A"] * _rate_scale(params),
         kappa=params["kappa"],
         backend=params["backend"],
-        at_time=None if at_time is None else float(at_time) * _time_scale(params),
-        optimize=bool(params["optimize"]),
+        at_time=None if at_time is None else at_time * _time_scale(params),
+        optimize=params["optimize"],
     )
-    recorded = {
-        "eta_grid": params["eta_grid"],
-        "eta1_range": params["eta1_range"],
-        "eta2_range": params["eta2_range"],
-        "A": gain,
-        "kappa": params["kappa"],
-        "units": params["units"],
-        "backend": params["backend"],
-        "at_time": at_time,
-        "optimize": bool(params["optimize"]),
-    }
     columns = ["eta1", "eta2", "status", "margin", *MOMENT_COLUMNS]
     for bip in BIPARTITIONS:
         columns += [f"ratio_{bip.name}", f"violated_{bip.name}"]
@@ -429,8 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         if pt.moments is None:
             row += [nan] * 6
         else:
-            m = pt.moments
-            row += [m.n1, m.n2, m.n3, m.c32, m.c31, m.c21]
+            row += pt.moments.as_tuple()
         if pt.report is None:
             row += [nan, ""] * len(BIPARTITIONS) + [""]
         else:
@@ -440,7 +391,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
             row.append(pt.report.fully_inseparable)
         row.append(pt.failure if pt.failure is not None else "")
         rows.append(row)
-    return _table(args, "sweep", recorded, columns, rows)
+    return _table(args, params, columns, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,21 +401,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-_RATES = ("kappa", "units", "A")
-_POINT = ("eta1", "eta2", *_RATES, "r_a", "g", "gamma")
+_TRIO = ("r_a", "g", "gamma")
+_POINT = ("eta1", "eta2", "kappa", "units", "A", *_TRIO)
 _TIMES = ("times", "t", "samples")
 
 # Each command: its function, its help line, and the parameters it reads,
-# which are exactly its flags and the keys its --config accepts.
+# which are exactly its flags and the keys its --config accepts, in the
+# order its document records them.
 COMMANDS = {
     "prefactors": (cmd_prefactors, "master-equation coefficients for a preparation", _POINT),
     "evolve": (cmd_evolve, "second-moment trajectory from vacuum",
                (*_POINT, "backend", "route", *_TIMES)),
     "steady": (cmd_steady, "steady-state second moments", (*_POINT, "backend")),
     "oracle": (cmd_oracle, "truncated Fock-space master equation run",
-               (*_POINT, "nmax", "dt", "edge_tol", *_TIMES, "check_convergence")),
+               (*_POINT, "nmax", "dt", "edge_tol", "check_convergence", *_TIMES)),
     "sweep": (cmd_sweep, "preparation-plane steady or fixed-time survey",
-              (*_RATES, "eta_grid", "eta1_range", "eta2_range", "backend", "at_time", "optimize")),
+              ("eta_grid", "eta1_range", "eta2_range", "A", "kappa", "units", "backend",
+               "at_time", "optimize")),
 }
 
 

@@ -310,6 +310,18 @@ def prefactors_from_inversions(
 
 
 def prefactors(params: ModelParams) -> Prefactors:
-    """Master-equation coefficients for a parameter set."""
-    scale = 2.0 * params.r_a * params.g**2 / params.gamma**2
+    """Master-equation coefficients for a parameter set.
+
+    Raises PreparationError when the gain rate 2 r_a g**2 / gamma**2
+    overflows or underflows to 0 in floating point.
+    """
+    try:
+        scale = 2.0 * params.r_a * params.g**2 / params.gamma**2
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise PreparationError(
+            f"gain rate 2 r_a g**2 / gamma**2 = {scale!r} is out of floating-point range "
+            f"for r_a={params.r_a!r}, g={params.g!r}, gamma={params.gamma!r}"
+        )
     return prefactors_from_inversions(params.eta1, params.eta2, scale)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ycel
-from ycel.cli import PARAMETERS, build_parser, main
+from ycel.cli import COMMANDS, PARAMETERS, build_parser, main
 from ycel.serialize import format_value
 
 
@@ -464,6 +465,31 @@ def test_every_json_document_round_trips_through_config(case, tmp_path, capsys):
     assert out == first.read_text()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flags():
+    """Each command's flags as README's "Quick start (CLI)" table lists them."""
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)")[1]
+    section = section.split("\n## ")[0]
+    rates, times = re.search(r"The rates are `([^`]*)` and the\s+times `([^`]*)`", section).groups()
+    named = {"the rates": rates, "the times": times}
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, flags = line.strip("|").split("|")
+            parts = [named.get(part.strip(), part.strip(" `")) for part in flags.split(",")]
+            table[command.strip(" `")] = " ".join(parts).split()
+    return table
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    assert readme_flags() == {
+        command: [PARAMETERS[key][3].get("flag", "--" + key.replace("_", "-")) for key in names]
+        for command, (_, _, names) in COMMANDS.items()
+    }
+
+
 EVOLVE_ARGS = ("evolve", "--eta1", "0", "--eta2", "0")
 SWEEP_ARGS = ("sweep", "--eta-grid", "2x2")
 
@@ -545,6 +571,38 @@ def test_each_command_records_its_resolved_params(case, tmp_path, capsys):
     lines = out.splitlines()
     assert lines[: len(head)] == head
     assert not lines[len(head)].startswith(tuple(f"# {key} = " for key in PARAMETERS))
+
+
+@pytest.mark.parametrize("command", ["prefactors", "steady"])
+@pytest.mark.parametrize("rates", [("1e200", "1e200", "1e-10"), ("1e300", "1e10", "1"),
+                                   ("1", "1", "1e-200")], ids=["g2", "product", "gamma2"])
+def test_gain_rate_out_of_float_range_exits_2(command, rates, capsys):
+    r_a, g, gamma = rates
+    code, out, err = run_cli(capsys, command, "--eta1", "0.1", "--eta2", "0.2",
+                             "--r-a", r_a, "--g", g, "--gamma", gamma)
+    assert_one_error_line(code, out, err, "out of floating-point range",
+                          f"r_a={float(r_a)!r}, g={float(g)!r}, gamma={float(gamma)!r}")
+
+
+# Integer --config values, and the flags that give the same run.
+INTEGER_CONFIGS = {
+    "steady": ({"eta1": 0, "eta2": 0, "kappa": 1}, STEADY_ARGS + ("--kappa", "1")),
+    "prefactors-trio": ({"eta1": 0, "eta2": 0, "r_a": 4, "g": 5, "gamma": 20},
+                        (*PREFACTOR_POINT, "--r-a", "4", "--g", "5", "--gamma", "20")),
+    "evolve": ({"eta1": 0, "eta2": 0, "A": 1, "t": 2, "samples": 3},
+               (*EVOLVE_ARGS, "--A", "1", "--t", "2", "--samples", "3")),
+    "sweep": ({"eta_grid": "2x2", "A": 1, "kappa": 2, "at_time": 1},
+              (*SWEEP_ARGS, "--A", "1", "--kappa", "2", "--at-time", "1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CONFIGS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_integer_config_values_give_the_documents_of_their_flags(case, fmt, tmp_path, capsys):
+    config, flags = INTEGER_CONFIGS[case]
+    via_config = run_cli(capsys, *with_config((flags[0],), config, tmp_path), "--format", fmt)
+    assert via_config == run_cli(capsys, *flags, "--format", fmt)
+    assert via_config[0] == 0
 
 
 # Command lines malformed twice over, and the one error each reports.

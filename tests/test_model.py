@@ -1,6 +1,7 @@
 """Preparation domain, prefactor values, and their algebraic identities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -138,6 +139,23 @@ def test_gain_scale_formula():
     params = ModelParams(r_a=3.0, g=0.5, gamma=25.0, kappa=1.0, eta1=0.0, eta2=0.0)
     pref = prefactors(params)
     assert pref.gain_scale == pytest.approx(2 * 3.0 * 0.25 / 625.0, rel=1e-15)
+
+
+# Rates whose gain rate 2 r_a g**2 / gamma**2 leaves the float range: g**2
+# overflows, the product overflows to inf, the quotient underflows to 0, and
+# gamma**2 underflows to 0.
+OUT_OF_RANGE_RATES = [(1e200, 1e200, 1e-10), (1e300, 1e10, 1.0), (1e-300, 1e-10, 1e10),
+                      (1.0, 1.0, 1e-200)]
+
+
+@pytest.mark.parametrize("r_a, g, gamma", OUT_OF_RANGE_RATES)
+def test_gain_rate_out_of_float_range_is_refused(r_a, g, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GoodCavityWarning)
+        params = ModelParams(r_a=r_a, g=g, gamma=gamma, kappa=1.0, eta1=0.1, eta2=0.2)
+    named = re.escape(f"r_a={r_a!r}, g={g!r}, gamma={gamma!r}")
+    with pytest.raises(PreparationError, match=named):
+        prefactors(params)
 
 
 def test_validate_physical_is_total():
