@@ -72,7 +72,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max  # JSON integers have no bound
+    return isinstance(value, float)
 
 
 _REQUIRED = object()

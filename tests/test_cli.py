@@ -294,6 +294,9 @@ CONFIG_ERRORS = {
     "eta1-null": (("evolve", "--eta2", "0", "--t", "1"), '{"eta1": null}', "'eta1'"),
     "t-string": (("evolve", "--eta1", "0", "--eta2", "0"), '{"t": "x"}', "'t'"),
     "kappa-bool": (STEADY_ARGS, '{"kappa": true}', "'kappa'"),
+    "kappa-beyond-float": (STEADY_ARGS, '{"kappa": 1%s}' % ("0" * 400), "'kappa'"),
+    "times-beyond-float": (("evolve", "--eta1", "0", "--eta2", "0"),
+                           '{"times": [0, 1%s]}' % ("0" * 400), "'times'"),
     "samples-float": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1"),
                       '{"samples": 2.5}', "'samples'"),
     "times-entry": (("evolve", "--eta1", "0", "--eta2", "0"), '{"times": [0, "1"]}', "'times'"),
