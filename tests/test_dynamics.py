@@ -374,3 +374,30 @@ def test_matrix_exponential_matches_scipy():
     m = drift_matrix(pref(0.25, 0.25), 1.0)
     for t in (0.0, 0.3, 7.0, 150.0):
         assert_allclose(_expm(-m * t), expm(-m * t), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
+def test_vacuum_trajectories_keep_the_dark_mode_empty(backend):
+    # b_perp ~ sqrt(gain3) a2 - sqrt(gain2) a3 never leaves vacuum, so the
+    # a2, a3 block is rank one, c32**2 = n2 * n3, and a1 pairs with a2 and
+    # a3 in the ratio of their gains: sqrt(gain2) c31 = sqrt(gain3) c21
+    rng = np.random.default_rng(2718)
+    worst, checked = 0.0, 0
+    while checked < 200:
+        e1, e2 = rng.uniform(-1, 1, size=2)
+        if not validate_physical(e1, e2).valid:
+            continue
+        p = prefactors_from_inversions(float(e1), float(e2), float(rng.uniform(0.05, 2.0)))
+        times = np.sort(rng.uniform(0.1, 8.0, size=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeOccupationWarning)
+            traj = second_moment_trajectory(p, 1.0, times, backend=backend)
+        for m in traj:
+            scale = max(1.0, m.n2, m.n3, abs(m.c31), abs(m.c21))
+            worst = max(
+                worst,
+                abs(m.c32**2 - m.n2 * m.n3) / scale**2,
+                abs(np.sqrt(p.gain2) * m.c31 - np.sqrt(p.gain3) * m.c21) / scale,
+            )
+        checked += 1
+    assert worst < 1e-12

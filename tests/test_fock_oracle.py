@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ycel
 from ycel import fock_oracle
@@ -109,6 +110,41 @@ def test_each_group_is_traceless():
                 part = part @ right
             acc += coef * part
         assert abs(np.trace(acc)) < 1e-12, name
+
+
+def superoperator(terms, dim):
+    """Sum of coefficient * (left (x) right^T): row-major vec(X rho Y) = (X (x) Y^T) vec(rho)."""
+    eye = sp.identity(dim, format="csr")
+    out = sp.csr_matrix((dim * dim, dim * dim))
+    for coef, left, right in terms:
+        left = eye if left is None else left
+        right = eye if right is None else right
+        out = out + coef * sp.kron(left, right.T, format="csr")
+    return out
+
+
+@pytest.mark.parametrize("eta", [(0.0, 0.0), (0.25, 0.25), (0.0, 0.5), (0.5, 0.0),
+                                 (-0.5, -0.5), (1.0, 1.0), (0.3, -0.1), (-0.6, 0.2)])
+def test_generator_is_one_dissipator_plus_cavity_loss(eta):
+    # the product rules make every atomic term one dissipator s D[J] with
+    # J = sqrt(loss1) a1 - sqrt(gain2) a2^dag - sqrt(gain3) a3^dag, where
+    # D[L] rho = 2 L rho L^dag - L^dag L rho - rho L^dag L; cavity damping
+    # adds kappa/2 D[a_i] for each mode
+    n_max, kappa = 3, 1.3
+    p = pref(*eta, a=0.8)
+    a1, a2, a3 = mode_annihilators(n_max)
+    dim = a1.shape[0]
+    jump = (np.sqrt(p.loss1) * a1 - np.sqrt(p.gain2) * a2.T - np.sqrt(p.gain3) * a3.T).tocsr()
+    dissipators = [(p.gain_scale, jump)] + [(0.5 * kappa, a) for a in (a1, a2, a3)]
+    terms = []
+    for rate, op in dissipators:
+        number = (op.T @ op).tocsr()
+        terms += [(2.0 * rate, op, op.T.tocsr()), (-rate, number, None), (-rate, None, number)]
+    want = superoperator(terms, dim)
+    groups = master_equation_terms(p, kappa, n_max)
+    got = superoperator([t for terms in groups.values() for t in terms], dim)
+    assert want.nnz > 0
+    assert abs(got - want).max() < 1e-14
 
 
 def test_liouvillian_trace_and_vacuum():
