@@ -1,44 +1,60 @@
 """Brute-force reference integrator for the three-mode master equation.
 
 The moment engine in :mod:`ycel.dynamics` evolves six numbers under a
-closed linear system.  This module is its referee: it integrates the full
-density matrix on a truncated Fock space with no closure assumption and
-reads arbitrary first and second moments back out, so every claim the
-moment engine makes can be checked against an independent discretisation
-of the same generator.
+closed linear system.  This module is its referee: it integrates a density
+matrix on a truncated Fock space with no closure assumption and reads every
+first and second moment back out, so every claim the moment engine makes
+can be checked against an independent discretisation of the same generator.
 
-Basis layout.  Each mode keeps photon numbers 0..n_max; a basis ket is
-|n1 n2 n3> flattened row-major (mode 3 varies fastest), so a density matrix
-has dimension (n_max + 1)**3.  A ``DensityState`` holds only its nonzero
-elements; the dense complex array is built when ``rho`` is first read.
+Two-mode reduction.  The product rules cross32**2 = gain3*gain2 (and
+cyclic), which ``Prefactors`` enforces, make every atomic term of the
+generator one dissipator s D[J], with s = gain_scale,
+J = sqrt(loss1) a1 - sqrt(gain2) a2^dag - sqrt(gain3) a3^dag and
+D[L] rho = 2 L rho L^dag - L^dag L rho - rho L^dag L; cavity damping adds
+kappa/2 D[a] for each mode.  With b = (sqrt(gain2) a2 + sqrt(gain3) a3) /
+sqrt(gain2 + gain3), J = sqrt(loss1) a1 - sqrt(gain2 + gain3) b^dag, and the
+orthogonal mode b_perp ~ sqrt(gain3) a2 - sqrt(gain2) a3 only decays, so
+from vacuum it never leaves vacuum.  ``integrate`` therefore starts only
+from the vacuum and marches the two modes (a1, b) under
+s D[sqrt(loss1) a1 - sqrt(gain2 + gain3) b^dag] + kappa/2 (D[a1] + D[b]),
+which is exact, not an approximation.  a1 keeps 0..n_max photons and b
+keeps 0..n_max times the number of nonzero gains among gain2 and gain3, the
+most photons a2 and a3 together hold under a per-mode cutoff n_max; with
+both gains zero there is no b.  Moment tables map back exactly through
+a = U (a1, b), U = [[1, 0], [0, sqrt(f2)], [0, sqrt(f3)]] with
+fj = gainj / (gain2 + gain3).
+
+Three-mode reference.  ``mode_annihilators``, ``master_equation_terms``,
+``liouvillian_apply``, ``moments_from_state`` and ``DensityState`` keep the
+full three-mode generator for the tests to compare against.  Each mode
+keeps photon numbers 0..n_max; a basis ket is |n1 n2 n3> flattened
+row-major (mode 3 varies fastest), so a density matrix has dimension
+(n_max + 1)**3.  A ``DensityState`` holds only its nonzero elements; the
+dense complex array is built when ``rho`` is first read, and refused above
+(n_max + 1)**3 = 1000.
 
 Hermitian fold.  Every term of the generator is c * X rho Y with a real
 coefficient and real shift monomials X and Y, and the terms come in
-conjugate pairs, so the generator maps the real part of rho to a real
-symmetric matrix and the imaginary part to a real antisymmetric one.  The
-march therefore carries one real vector, Re rho[k, b] for k <= b followed
-by Im rho[k, b] for k < b, under one real sparse operator.  The state is
-hermitian by construction and the coupled coordinates are half the
-complex elements.
+conjugate pairs, so a real symmetric state stays real symmetric.  The
+vacuum start is one, so the march carries one real vector, rho[k, b] for
+k <= b on the (a1, b) space, under one real sparse operator.
 
 Reachable support.  ``integrate`` finds, by one breadth-first search over
 the generator's monomial maps, every folded coordinate that can become
-nonzero from the initial state's nonzero elements, and marches only those.
-Each RK4 step is a polynomial in the generator, so the march never leaves
-that set: this is an exact reindexing of the dense generator, not an
-approximation, and a unit test pins the march to a dense reference, step
-for step.  Every term shifts w = n1 - n2 - n3 equally on ket and bra, so
-the set lies inside the start's charge sectors q = w_ket - w_bra; vacuum and
-Fock starts stay in q = 0 and never populate the imaginary part, and a
-preparation that silences a mode keeps that mode in vacuum on both sides.
-Pass ``restrict=False`` to march every coordinate regardless.
+nonzero from the vacuum, and marches only those.  Each RK4 step is a
+polynomial in the generator, so the march never leaves that set: this is
+an exact reindexing of the dense generator, not an approximation, and a
+unit test pins the march to a dense reference, step for step.  Every term
+shifts w = n1 - nb equally on ket and bra, so the set lies inside the
+charge sector w_ket = w_bra, and a preparation with loss1 = 0 keeps a1 in
+vacuum on both sides.  Pass ``restrict=False`` to march every coordinate
+regardless.
 
-Positivity.  The gain and cross couplings here satisfy the product rules
-cross32**2 = gain3*gain2 (and cyclic), which makes the whole generator a
-dissipator in standard form; exact evolution preserves positivity.
-Integration and truncation error can still push eigenvalues slightly
-negative, so runs report the smallest final eigenvalue when asked
-(``track_spectrum=True``) and warn below -1e-8 rather than failing.
+Positivity.  The generator is a dissipator in standard form, so exact
+evolution preserves positivity.  Integration and truncation error can
+still push eigenvalues slightly negative, so runs report the smallest
+final eigenvalue when asked (``track_spectrum=True``) and warn below -1e-8
+rather than failing.
 """
 
 from __future__ import annotations
@@ -73,11 +89,13 @@ __all__ = [
 ]
 
 # Bounds the breadth-first search over the reachable support and the sparse
-# operator it assembles, which grow about as (n_max + 1)**5.  From vacuum at
-# (0, 0), A = 1, n_max = 16 folds 393,533 coordinates with 8.5M operator
-# entries and peaks near 1 GB.  The search spends that before the support
-# size is known, so the cutoff itself is the guard.
+# operator it assembles.  MEASURED_AT_16
 _N_MAX_LIMIT = 16
+
+# Largest three-mode dimension (n_max + 1)**3 whose dense complex matrix
+# DensityState.rho builds: 1000 (n_max = 9) takes 16 MB, while n_max = 16
+# would take 386 MB.
+_DENSE_DIM_LIMIT = 1000
 
 # Most fixed steps one march takes (t_final / dt); the dt/2 convergence
 # check marches twice as many.  The acceptance runs take at most 2,000.
@@ -86,17 +104,18 @@ _MAX_STEPS = 1_000_000
 _CLOSURE_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-6
-_DIVERGENCE_PEAK = 10.0
+_DIVERGENCE_PEAK = 1.0 + _TRACE_TOL
 
 
 @dataclass(frozen=True)
 class FockConfig:
     """Discretisation knobs for a brute-force run.
 
-    n_max is the per-mode photon cutoff, dt the fixed integrator step,
-    t_final the horizon, and edge_tol the largest population allowed in
-    any edge Fock layer (occupation == n_max in some mode) before the
-    run refuses to continue.
+    n_max is the photon cutoff of a1 (b holds up to n_max times the number
+    of modes with nonzero gain), dt the fixed integrator step, t_final the
+    horizon, and edge_tol the largest population allowed in any edge Fock
+    layer (occupation == cutoff in some mode) before the run refuses to
+    continue.
     """
 
     n_max: int = 5
@@ -111,8 +130,7 @@ class FockConfig:
             raise ConfigurationError("n_max must be at least 1")
         if self.n_max > _N_MAX_LIMIT:
             raise ConfigurationError(
-                f"n_max={self.n_max} exceeds the supported limit {_N_MAX_LIMIT} "
-                "(the reachable-support search and its operator need about 1 GB there)"
+                f"n_max={self.n_max} exceeds the supported limit {_N_MAX_LIMIT}"
             )
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise ConfigurationError("dt must be positive and finite")
@@ -130,9 +148,10 @@ class DensityState:
     """A validated density matrix on the truncated three-mode space.
 
     ``sparse`` holds its nonzero elements as a CSR matrix.  ``rho``, the
-    dense complex array, is built on first read; ``vacuum``, ``fock`` and
-    the final state ``integrate`` returns allocate nothing of size dim x dim
-    until then.  The constructor takes a dense matrix and checks it.
+    dense complex array, is built on first read, and refused with
+    ``ConfigurationError`` above dimension 1000 (n_max = 9); ``vacuum``
+    and ``fock`` allocate nothing of size dim x dim until then.  The
+    constructor takes a dense matrix and checks it.
     """
 
     __slots__ = ("n_max", "sparse", "_rho")
@@ -169,6 +188,12 @@ class DensityState:
     @property
     def rho(self) -> np.ndarray:
         if self._rho is None:
+            dim = self.sparse.shape[0]
+            if dim > _DENSE_DIM_LIMIT:
+                raise ConfigurationError(
+                    f"a dense {dim}x{dim} density matrix ({16 * dim * dim / 1e6:.0f} MB) "
+                    f"exceeds the limit of dimension {_DENSE_DIM_LIMIT} (n_max = 9)"
+                )
             self._rho = self.sparse.toarray()
         return self._rho
 
@@ -201,18 +226,27 @@ def _infer_n_max(dim: int) -> int:
     return side - 1
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
+def _ladders(cutoffs: tuple):
+    """Sparse annihilators of each mode on the product space of ``cutoffs``,
+    flattened row-major (the last mode varies fastest)."""
+    eyes = [sp.identity(n + 1, format="csr") for n in cutoffs]
+    out = []
+    for i, n in enumerate(cutoffs):
+        factors = list(eyes)
+        factors[i] = sp.diags(np.sqrt(np.arange(1.0, n + 1)), offsets=1, format="csr")
+        op = factors[0]
+        for factor in factors[1:]:
+            op = sp.kron(op, factor, format="csr")
+        out.append(op)
+    return tuple(out)
+
+
 def mode_annihilators(n_max: int):
     """Sparse annihilators (a1, a2, a3) on the flattened product space."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ConfigurationError("n_max must be an integer >= 1")
-    side = n_max + 1
-    single = sp.diags(np.sqrt(np.arange(1.0, side)), offsets=1, format="csr")
-    eye = sp.identity(side, format="csr")
-    a1 = sp.kron(sp.kron(single, eye), eye, format="csr")
-    a2 = sp.kron(sp.kron(eye, single), eye, format="csr")
-    a3 = sp.kron(sp.kron(eye, eye), single, format="csr")
-    return a1, a2, a3
+    return _ladders((n_max,) * 3)
 
 
 def master_equation_terms(pref: Prefactors, kappa: float, n_max: int):
@@ -329,43 +363,78 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray):
     return pos, ok
 
 
-class _Support:
-    """Folded coordinates of a hermitian density matrix on a set of pairs.
 
-    Coordinate i < n_re holds Re rho[ket, bra] for the i-th key of re_keys
-    (ket <= bra); coordinate n_re + j holds Im rho[ket, bra] for the j-th
-    key of im_keys (ket < bra).  Keys are ket * dim + bra, sorted, so
+
+def _dissipator(rate: float, op):
+    """rate * D[op] as (coefficient, left, right) triples, for a real op."""
+    number = (op.T @ op).tocsr()
+    return [(2.0 * rate, op, op.T.tocsr()), (-rate, number, None), (-rate, None, number)]
+
+
+@lru_cache(maxsize=8)
+def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
+    """The generator on (a1, b): cutoffs, the map U back to (a1, a2, a3), terms.
+
+    Terms are (coefficient, left, right) triples as in master_equation_terms,
+    with zero coefficients dropped.  A weight that roundoff leaves a hair
+    below zero at the edge of the preparation triangle counts as zero.
+    """
+    s, half_k = pref.gain_scale, 0.5 * kappa
+    loss = max(pref.loss1, 0.0)
+    gains = (max(pref.gain2, 0.0), max(pref.gain3, 0.0))
+    gain = gains[0] + gains[1]
+    if gain == 0.0:
+        (a1,) = _ladders((n_max,))
+        return (n_max,), np.array([[1.0], [0.0], [0.0]]), tuple(_dissipator(s * loss + half_k, a1))
+    cutoffs = (n_max, n_max * sum(g > 0.0 for g in gains))
+    a1, b = _ladders(cutoffs)
+    a1d, bd = a1.T.tocsr(), b.T.tocsr()
+    up, down = (a1d @ bd).tocsr(), (b @ a1).tocsr()
+    cross = s * math.sqrt(loss * gain)
+    terms = [
+        *_dissipator(s * loss + half_k, a1),
+        *_dissipator(half_k, b),
+        *_dissipator(s * gain, bd),
+        (-2.0 * cross, a1, b),
+        (-2.0 * cross, bd, a1d),
+        (cross, up, None),
+        (cross, None, up),
+        (cross, down, None),
+        (cross, None, down),
+    ]
+    unmix = np.array([[1.0, 0.0], [0.0, math.sqrt(gains[0] / gain)], [0.0, math.sqrt(gains[1] / gain)]])
+    return cutoffs, unmix, tuple(t for t in terms if t[0] != 0.0)
+
+
+class _Support:
+    """Folded coordinates of a real symmetric density matrix on a set of pairs.
+
+    Coordinate i holds rho[ket, bra] = rho[bra, ket] for the i-th key
+    (ket <= bra) of ``keys``.  Keys are ket * dim + bra, sorted, so
     positions resolve by binary search.  Also holds the diagonal positions
     and the diagonal positions sitting in each mode's edge layer.
     """
 
-    __slots__ = ("n_max", "dim", "re_keys", "im_keys", "n_re", "size", "diag", "edge")
+    __slots__ = ("cutoffs", "dim", "keys", "size", "diag", "edge")
 
-    def __init__(self, n_max: int, re_keys: np.ndarray, im_keys: np.ndarray):
-        side = n_max + 1
-        self.n_max = n_max
-        self.dim = side**3
-        self.re_keys = re_keys
-        self.im_keys = im_keys
-        self.n_re = re_keys.size
-        self.size = re_keys.size + im_keys.size
-        ket, bra = np.divmod(re_keys, self.dim)
+    def __init__(self, cutoffs: tuple, keys: np.ndarray):
+        sides = tuple(n + 1 for n in cutoffs)
+        self.cutoffs = cutoffs
+        self.dim = math.prod(sides)
+        self.keys = keys
+        self.size = keys.size
+        ket, bra = np.divmod(keys, self.dim)
         self.diag = np.flatnonzero(ket == bra)
-        occupations = np.unravel_index(ket[self.diag], (side, side, side))
-        self.edge = tuple(self.diag[occ == n_max] for occ in occupations)
+        occupations = np.unravel_index(ket[self.diag], sides)
+        self.edge = tuple(self.diag[occ == n] for occ, n in zip(occupations, cutoffs))
 
-    def state(self, vec: np.ndarray) -> DensityState:
-        """The density matrix a folded vector stands for, as a sparse state."""
-        dim = self.dim
-        re, im = vec[: self.n_re], vec[self.n_re :]
-        rk, rb = np.divmod(self.re_keys, dim)
-        ik, ib = np.divmod(self.im_keys, dim)
-        off = rk != rb
-        rows = np.concatenate((rk, rb[off], ik, ib))
-        cols = np.concatenate((rb, rk[off], ib, ik))
-        vals = np.concatenate((re, re[off], 1j * im, -1j * im))
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return DensityState._from_sparse(self.n_max, mat)
+    def dense(self, vec: np.ndarray) -> np.ndarray:
+        """The density matrix a folded vector stands for."""
+        ket, bra = np.divmod(self.keys, self.dim)
+        mat = np.zeros((self.dim, self.dim))
+        mat[ket, bra] = vec
+        mat[bra, ket] = vec
+        return mat
 
 
 def _monomial_rowmap(op, dim):
@@ -382,13 +451,12 @@ def _monomial_rowmap(op, dim):
     return cols, vals
 
 
-def _term_maps(pref: Prefactors, kappa: float, n_max: int):
+def _term_maps(terms, dim: int):
     """Each term c * X rho Y as (c, ket map, ket weight, bra map, bra weight).
 
     The term sends element (k, b) to (kmap[k], bmap[b]) with weight
     c * kw[k] * bw[b]; a map entry of -1 marks an element it annihilates.
     """
-    dim = (n_max + 1) ** 3
     ident = (np.arange(dim, dtype=np.int64), np.ones(dim))
     return tuple(
         (
@@ -396,20 +464,19 @@ def _term_maps(pref: Prefactors, kappa: float, n_max: int):
             *(ident if left is None else _monomial_rowmap(left.T, dim)),
             *(ident if right is None else _monomial_rowmap(right, dim)),
         )
-        for coef, left, right in _flat_terms(pref, kappa, n_max)
+        for coef, left, right in terms
     )
 
 
-def _explore(maps, dim: int, seeds: np.ndarray, strict: bool):
-    """Pairs reachable from ``seeds``, and the generator's real block on them.
+def _explore(maps, dim: int, seeds: np.ndarray):
+    """Pairs reachable from ``seeds``, and the generator on them.
 
-    Pairs are (k, b) with k <= b, or k < b when ``strict`` (the imaginary
-    part, which vanishes on the diagonal); returns their sorted keys and
-    the sparse matrix acting on one real number per pair.  A hermitian
-    state holds (k, b) and (b, k) together (Im rho[b, k] = -Im rho[k, b]),
-    so every pair feeds the terms in both orientations, and only targets
-    on or above the diagonal are kept: the conjugate term of each term
-    sends the mirrored source to the mirror of every target.
+    Pairs are (k, b) with k <= b; returns their sorted keys and the sparse
+    matrix acting on one real number per pair.  A symmetric state holds
+    (k, b) and (b, k) together, so every pair feeds the terms in both
+    orientations, and only targets on or above the diagonal are kept: the
+    conjugate term of each term sends the mirrored source to the mirror of
+    every target.
     """
     keys = frontier = _sorted_unique(seeds.astype(np.int64))
     targets, sources, weights = [keys[:0]], [keys[:0]], [np.zeros(0)]
@@ -418,16 +485,13 @@ def _explore(maps, dim: int, seeds: np.ndarray, strict: bool):
         off = ket != bra
         ket, bra = np.concatenate((ket, bra[off])), np.concatenate((bra, ket[off]))
         src = np.concatenate((frontier, frontier[off]))
-        sign = np.ones(src.size)
-        if strict:
-            sign[frontier.size :] = -1.0
         found = []
         for coef, kmap, kw, bmap, bw in maps:
             tk, tb = kmap[ket], bmap[bra]
-            keep = (tk >= 0) & (tb >= 0) & ((tk < tb) if strict else (tk <= tb))
+            keep = (tk >= 0) & (tb >= 0) & (tk <= tb)
             found.append(tk[keep] * dim + tb[keep])
             sources.append(src[keep])
-            weights.append(coef * sign[keep] * kw[ket[keep]] * bw[bra[keep]])
+            weights.append(coef * kw[ket[keep]] * bw[bra[keep]])
         targets.extend(found)
         found = _sorted_unique(np.concatenate(found))
         frontier = found[~_lookup(keys, found)[1]]
@@ -446,37 +510,35 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _moment_operators(n_max: int):
+def _moment_operators(ladders):
     """All ops whose traces feed a MomentTable: a_i, a_i^dag a_j, a_i a_j."""
-    a = mode_annihilators(n_max)
-    first = [a[i] for i in range(3)]
-    cross = [[(a[i].T @ a[j]).tocsr() for j in range(3)] for i in range(3)]
-    pair = [[(a[i] @ a[j]).tocsr() for j in range(3)] for i in range(3)]
+    first = list(ladders)
+    cross = [[(ai.T @ aj).tocsr() for aj in ladders] for ai in ladders]
+    pair = [[(ai @ aj).tocsr() for aj in ladders] for ai in ladders]
     return first, cross, pair
 
 
-def _folded_moment_maps(support: _Support):
-    """Per operator (re positions, weights, im positions, weights).
+def _folded_moment_maps(support: _Support, unmix: np.ndarray):
+    """Per moment operator of (a1, b), the positions and weights it reads,
+    followed by the map U back to (a1, a2, a3).
 
-    Tr(O rho) = sum O[r, c] rho[c, r], where rho[c, r] is Re + i s Im of
-    the pair (min, max) with s = +1 above the diagonal and -1 below.
+    Tr(O rho) = sum O[r, c] rho[c, r], and rho[c, r] is the coordinate of
+    the pair (min, max).
     """
     dim = support.dim
 
     def mapping(op):
         coo = op.tocoo()
         col, row = coo.col.astype(np.int64), coo.row.astype(np.int64)
-        keys = np.minimum(col, row) * dim + np.maximum(col, row)
-        pr, okr = _lookup(support.re_keys, keys)
-        pi, oki = _lookup(support.im_keys, keys)
-        signed = np.sign(row - col) * coo.data
-        return pr[okr], coo.data[okr], pi[oki] + support.n_re, signed[oki]
+        pos, ok = _lookup(support.keys, np.minimum(col, row) * dim + np.maximum(col, row))
+        return pos[ok], coo.data[ok]
 
-    first, cross, pair = _moment_operators(support.n_max)
+    first, cross, pair = _moment_operators(_ladders(support.cutoffs))
     return (
         [mapping(op) for op in first],
         [[mapping(op) for op in row] for row in cross],
         [[mapping(op) for op in row] for row in pair],
+        unmix,
     )
 
 
@@ -532,7 +594,7 @@ def moments_from_state(state) -> MomentTable:
         coo = op.tocoo()
         return complex(np.sum(coo.data * mat[coo.col, coo.row]))
 
-    first_ops, cross_ops, pair_ops = _moment_operators(n_max)
+    first_ops, cross_ops, pair_ops = _moment_operators(mode_annihilators(n_max))
     first = np.array([trace_with(op) for op in first_ops])
     cross = np.array([[trace_with(op) for op in row] for row in cross_ops])
     pair = np.array([[trace_with(op) for op in row] for row in pair_ops])
@@ -544,26 +606,23 @@ class OracleRun:
     """Record of one brute-force run.
 
     times are the sample instants; tables/moments the extracted values at
-    each (moments is None when some sampled state sits outside the
-    real-closure regime, which only complex-valued starts can reach);
-    trace_residues and edge_populations the per-sample audit trail.
-    convergence_delta is the largest change any tracked moment suffered
-    when the step was halved (None when the check was skipped).
-    support_size is the number of real coordinates marched (the reachable
-    folded support, or every coordinate with restrict=False).
-    min_eigenvalue is the smallest eigenvalue of the final state when
-    spectrum tracking was requested, final_state the final density matrix,
-    whose dense ``rho`` is built on first read.
+    each, on the three modes; trace_residues and edge_populations the
+    per-sample audit trail.  convergence_delta is the largest change any
+    tracked moment suffered when the step was halved (None when the check
+    was skipped).  support_size is the number of real coordinates marched
+    (the reachable folded support of the (a1, b) space, or every coordinate
+    with restrict=False).  min_eigenvalue is the smallest eigenvalue of the
+    final (a1, b) state when spectrum tracking was requested; its nonzero
+    spectrum is the three-mode one.
     """
 
     times: tuple
     tables: tuple
-    moments: tuple | None
+    moments: tuple
     trace_residues: tuple
     edge_populations: tuple
     convergence_delta: float | None
     support_size: int
-    final_state: DensityState
     min_eigenvalue: float | None = None
 
     def closure_leakage(self) -> float:
@@ -594,21 +653,20 @@ def _audit(support, vec, edge_tol, t):
     if edge > edge_tol:
         raise TruncationError(
             f"edge-layer population {edge:.3e} exceeds edge_tol {edge_tol:.1e} "
-            f"near t={t:.6g}; increase n_max beyond {support.n_max}"
+            f"near t={t:.6g}; increase n_max beyond {support.cutoffs[0]}"
         )
     return residue, edge
 
 
 def _table_at(maps, vec):
-    def value(entry):
-        pr, wr, pi, wi = entry
-        return complex(wr @ vec[pr], wi @ vec[pi])
-
-    first_maps, cross_maps, pair_maps = maps
-    first = np.array([value(m) for m in first_maps])
-    cross = np.array([[value(m) for m in row] for row in cross_maps])
-    pair = np.array([[value(m) for m in row] for row in pair_maps])
-    return MomentTable(first=first, cross=cross, pair=pair)
+    """The three-mode MomentTable of a folded (a1, b) vector: a = U (a1, b)."""
+    first_maps, cross_maps, pair_maps, unmix = maps
+    first = np.array([w @ vec[p] for p, w in first_maps])
+    cross = np.array([[w @ vec[p] for p, w in row] for row in cross_maps])
+    pair = np.array([[w @ vec[p] for p, w in row] for row in pair_maps])
+    return MomentTable(
+        first=unmix @ first, cross=unmix @ cross @ unmix.T, pair=unmix @ pair @ unmix.T
+    )
 
 
 def _march(lop, support, maps, vec, samples, dt, edge_tol):
@@ -649,29 +707,6 @@ def _sample_grid(cfg: FockConfig, sample_times):
     return samples
 
 
-def _folded_start(rho0: DensityState, maps, restrict: bool):
-    """Support, generator and start vector for the hermitian part of rho0."""
-    dim = (rho0.n_max + 1) ** 3
-    mat = rho0.sparse
-    herm = (0.5 * (mat + mat.conj().T)).tocoo()
-    row, col = herm.row.astype(np.int64), herm.col.astype(np.int64)
-    keys = row * dim + col
-    re_held = (row <= col) & (herm.data.real != 0.0)
-    im_held = (row < col) & (herm.data.imag != 0.0)
-    if restrict:
-        re_seeds, im_seeds = keys[re_held], keys[im_held]
-    else:
-        re_seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
-        im_seeds = np.ravel_multi_index(np.triu_indices(dim, 1), (dim, dim))
-    re_keys, re_op = _explore(maps, dim, re_seeds, strict=False)
-    im_keys, im_op = _explore(maps, dim, im_seeds, strict=True)
-    support = _Support(rho0.n_max, re_keys, im_keys)
-    vec = np.zeros(support.size)
-    vec[_lookup(re_keys, keys[re_held])[0]] = herm.data.real[re_held]
-    vec[_lookup(im_keys, keys[im_held])[0] + support.n_re] = herm.data.imag[im_held]
-    return support, sp.block_diag((re_op, im_op), format="csr"), vec
-
-
 def integrate(
     rho0: DensityState,
     cfg: FockConfig,
@@ -683,15 +718,17 @@ def integrate(
     restrict: bool = True,
     track_spectrum: bool = False,
 ) -> OracleRun:
-    """March the density matrix and sample moments along the way.
+    """March the vacuum and sample moments along the way.
 
-    Fixed-step fourth-order integration of the folded real coordinates,
-    so the state is hermitian by construction.  The run refuses to
-    continue when any edge layer holds more than cfg.edge_tol population
-    (the cutoff is too small for the physics) or when the trace drifts or
-    the state diverges (the step is too large).  With check_convergence
-    the whole march is repeated at dt/2 and the tracked moments must agree
-    within 1e-6.
+    rho0 must be the three-mode vacuum at cutoff cfg.n_max: the march runs
+    in the exact two-mode reduction (a1, b) of the module docstring, which
+    holds only while b_perp is empty.  Fixed-step fourth-order integration
+    of the folded real coordinates, so the state is hermitian by
+    construction.  The run refuses to continue when any edge layer holds
+    more than cfg.edge_tol population (the cutoff is too small for the
+    physics) or when the trace drifts or the state diverges (the step is
+    too large).  With check_convergence the whole march is repeated at
+    dt/2 and the tracked moments must agree within 1e-6.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  Integration stops at
@@ -705,6 +742,10 @@ def integrate(
         raise ConfigurationError(
             f"state truncation n_max={rho0.n_max} does not match config n_max={cfg.n_max}"
         )
+    if rho0.sparse.count_nonzero() != 1 or rho0.sparse[0, 0] != 1.0:
+        raise ConfigurationError(
+            "integrate starts only from the vacuum, where its two-mode reduction is exact"
+        )
     if not isinstance(pref, Prefactors):
         raise TypeError("pref must be a Prefactors value")
     kappa = float(kappa)
@@ -712,19 +753,21 @@ def integrate(
         raise ConfigurationError("kappa must be positive and finite")
 
     samples = _sample_grid(cfg, sample_times)
-    term_maps = _term_maps(pref, kappa, cfg.n_max)
-    support, lop, vec0 = _folded_start(rho0, term_maps, restrict)
-    maps = _folded_moment_maps(support)
+    cutoffs, unmix, terms = _reduced_model(pref, kappa, cfg.n_max)
+    dim = math.prod(n + 1 for n in cutoffs)
+    seeds = np.zeros(1, dtype=np.int64)
+    if not restrict:
+        seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
+    keys, lop = _explore(_term_maps(terms, dim), dim, seeds)
+    support = _Support(cutoffs, keys)
+    maps = _folded_moment_maps(support, unmix)
+    vec0 = np.zeros(support.size)
+    vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
     tables, residues, edges, vec = _march(
         lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
     )
-    try:
-        moments = tuple(t.closure() for t in tables)
-    except ConsistencyError:
-        # a genuinely complex-valued start sits outside the real-closure
-        # regime; the full tables still carry everything
-        moments = None
+    moments = tuple(t.closure() for t in tables)
 
     delta = None
     if check_convergence:
@@ -748,10 +791,9 @@ def integrate(
                 f"(tolerance {_CONVERGENCE_TOL:.1e}); reduce dt"
             )
 
-    final_state = support.state(vec)
     min_eig = None
     if track_spectrum:
-        min_eig = float(np.linalg.eigvalsh(final_state.rho).min())
+        min_eig = float(np.linalg.eigvalsh(support.dense(vec)).min())
         if min_eig < -1e-8:
             warnings.warn(
                 f"final state developed eigenvalue {min_eig:.3e}; "
@@ -767,6 +809,5 @@ def integrate(
         edge_populations=tuple(edges),
         convergence_delta=delta,
         support_size=support.size,
-        final_state=final_state,
         min_eigenvalue=min_eig,
     )

@@ -12,8 +12,16 @@ from ycel.entanglement import (
     vlf_evaluate,
 )
 from ycel.errors import ConfigurationError, DegenerateWitnessError
-from ycel.fock_oracle import DensityState, FockConfig, integrate, mode_annihilators
+from ycel.fock_oracle import (
+    DensityState,
+    FockConfig,
+    integrate,
+    mode_annihilators,
+    moments_from_state,
+)
 from ycel.model import prefactors_from_inversions
+
+from reduced_reference import reduced_march
 
 
 def pref(eta1, eta2, a=0.5):
@@ -95,7 +103,14 @@ def test_witness_lhs_matches_fock_space_quadratures():
     cfg = FockConfig(n_max=8, dt=0.02, t_final=2.0, edge_tol=1e-4)
     run = integrate(DensityState.vacuum(8), cfg, p, 1.0, sample_times=[2.0],
                     check_convergence=False)
-    rho = run.final_state.rho
+    # the oracle's state: at (0, 0.5) b is a3 itself, so the dense (a1, b)
+    # march, placed on the a2 vacuum, is the three-mode state it sampled
+    reduced = reduced_march(p, 1.0, 8, 0.02, 100)[-1]
+    on_vacuum = (np.arange(81) // 9) * 81 + np.arange(81) % 9  # |n1 0 n3>
+    rho = np.zeros((729, 729))
+    rho[np.ix_(on_vacuum, on_vacuum)] = reduced
+    state = moments_from_state(rho).closure()
+    assert max(abs(a - b) for a, b in zip(state.as_tuple(), run.moments[-1].as_tuple())) < 1e-12
     ops = mode_annihilators(8)
     xs = [(a + a.T).toarray() for a in ops]
     ps = [(-1j * (a - a.T)).toarray() for a in ops]

@@ -19,6 +19,8 @@ from ycel.fock_oracle import (
 )
 from ycel.model import prefactors_from_inversions
 
+from reduced_reference import reduced_march, three_mode_table
+
 
 def pref(eta1, eta2, a=0.5):
     return prefactors_from_inversions(eta1, eta2, gain_scale=a)
@@ -174,82 +176,89 @@ def test_vacuum_gain_rates():
 
 
 def test_sector_march_matches_dense_reference():
-    p = pref(0.3, 0.1, a=0.7)
-    kappa = 1.0
-    dt, steps = 0.02, 20
-    rho0 = pure_state(2, {(0, 0, 0): 1.0, (1, 0, 1): 0.8j, (0, 1, 1): 0.5})
-    reference = dense_march(rho0.copy(), p, kappa, dt, steps)
-
-    cfg = FockConfig(n_max=2, dt=dt, t_final=dt * steps, edge_tol=0.5)
-    state = DensityState(rho0)
-    for restrict in (True, False):
-        run = integrate(
-            state,
-            cfg,
-            p,
-            kappa,
-            sample_times=[dt * steps],
-            check_convergence=False,
-            restrict=restrict,
+    # at fully coupled preparations the restricted march and restrict=False
+    # both follow a dense RK4 march of the (a1, b) generator, step for step
+    n_max, kappa, dt, steps = 3, 1.3, 0.05, 20
+    times = [dt * k for k in range(1, steps + 1)]
+    cfg = FockConfig(n_max=n_max, dt=dt, t_final=times[-1], edge_tol=0.5)
+    for eta in ((0.0, 0.0), (0.25, 0.25), (0.3, -0.1)):
+        p = pref(*eta, a=0.7)
+        states = reduced_march(p, kappa, n_max, dt, steps)
+        narrow, full = (
+            integrate(DensityState.vacuum(n_max), cfg, p, kappa, sample_times=times,
+                      check_convergence=False, restrict=restrict)
+            for restrict in (True, False)
         )
-        final = run.final_state.rho
-        assert np.max(np.abs(final - reference)) < 1e-12
-        want = moments_from_state(reference)
-        got = run.tables[-1]
-        assert np.allclose(got.first, want.first, atol=1e-12)
-        assert np.allclose(got.cross, want.cross, atol=1e-12)
-        assert np.allclose(got.pair, want.pair, atol=1e-12)
-        # a genuinely complex start sits outside the real-closure regime
-        assert run.moments is None
+        assert full.support_size == (28 * 29) // 2  # a1 <= 3, b <= 6
+        assert narrow.support_size < full.support_size
+        for run in (narrow, full):
+            for table, rho in zip(run.tables, states, strict=True):
+                first, cross, pair = three_mode_table(p, n_max, rho)
+                assert np.max(np.abs(table.first - first)) < 1e-12
+                assert np.max(np.abs(table.cross - cross)) < 1e-12
+                assert np.max(np.abs(table.pair - pair)) < 1e-12
 
 
 def test_real_start_restricted_march_matches_full_march():
-    # a real start spread over several charges: the restricted march carries
-    # no imaginary coordinate at all, the full march carries every one
-    p = pref(0.3, 0.1, a=0.7)
-    rho0 = pure_state(3, {(0, 0, 0): 1.0, (1, 0, 1): 0.8, (0, 1, 1): -0.5, (2, 1, 0): 0.3})
-    cfg = FockConfig(n_max=3, dt=0.02, t_final=0.6, edge_tol=0.5)
-    runs = [
-        integrate(DensityState(rho0), cfg, p, 1.0, sample_times=[0.2, 0.6],
-                  check_convergence=False, restrict=restrict)
-        for restrict in (True, False)
-    ]
-    narrow, full = runs
-    assert full.support_size == 64**2
-    assert narrow.support_size < (64 * 65) // 2
-    for a, b in zip(narrow.tables, full.tables, strict=True):
-        assert np.max(np.abs(a.first - b.first)) < 1e-12
-        assert np.max(np.abs(a.cross - b.cross)) < 1e-12
-        assert np.max(np.abs(a.pair - b.pair)) < 1e-12
-    assert np.max(np.abs(narrow.final_state.rho - full.final_state.rho)) < 1e-12
-    assert narrow.moments is not None
+    # at a one-sided preparation b is a2 or a3 itself, so the (a1, b) march
+    # is the three-mode problem: it follows the dense three-mode march of
+    # liouvillian_apply step for step, restricted or not
+    n_max, dt, steps = 3, 0.05, 8
+    times = [dt * k for k in range(1, steps + 1)]
+    cfg = FockConfig(n_max=n_max, dt=dt, t_final=times[-1], edge_tol=0.5)
+    for eta in ((0.0, 0.5), (0.5, 0.0)):
+        p = pref(*eta, a=0.7)
+        runs = [
+            integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=times,
+                      check_convergence=False, restrict=restrict)
+            for restrict in (True, False)
+        ]
+        rho = DensityState.vacuum(n_max).rho
+        for k in range(steps):
+            rho = dense_march(rho, p, 1.0, dt, 1)
+            want = moments_from_state(rho)
+            for run in runs:
+                got = run.tables[k]
+                assert np.max(np.abs(got.first - want.first)) < 1e-12
+                assert np.max(np.abs(got.cross - want.cross)) < 1e-12
+                assert np.max(np.abs(got.pair - want.pair)) < 1e-12
+
+    # the reduction is exact only while b_perp is empty, so any other start,
+    # real or not, is refused
+    real = pure_state(n_max, {(0, 0, 0): 1.0, (1, 0, 1): 0.8, (0, 1, 1): -0.5, (2, 1, 0): 0.3})
+    for start in (DensityState(real), DensityState.fock(n_max, (0, 0, 1))):
+        with pytest.raises(ConfigurationError, match="vacuum"):
+            integrate(start, cfg, pref(0.0, 0.0), 1.0, check_convergence=False)
 
 
-def charge_sector_size(n_max):
-    """Elements (ket, bra) with equal w = n1 - n2 - n3 on both sides."""
-    side = n_max + 1
-    n1, n2, n3 = np.unravel_index(np.arange(side**3), (side, side, side))
-    _, counts = np.unique(n1 - n2 - n3, return_counts=True)
+def charge_sector_size(n1_max, nb_max):
+    """Elements (ket, bra) of the (a1, b) space with equal w = n1 - nb on both sides."""
+    n1, nb = np.unravel_index(np.arange((n1_max + 1) * (nb_max + 1)), (n1_max + 1, nb_max + 1))
+    _, counts = np.unique(n1 - nb, return_counts=True)
     return int(np.sum(counts**2))
 
 
 def test_support_is_the_reachable_folded_set():
-    # the vacuum's q = 0 charge sector, folded to Re rho[k, b] for k <= b,
-    # holds (sector + dim) / 2 real coordinates
-    sector, dim = charge_sector_size(8), 9**3
-    cfg = FockConfig(n_max=8, dt=0.02, t_final=0.1, edge_tol=1e-3)
-    run = integrate(DensityState.vacuum(8), cfg, pref(0.0, 0.0), 1.0,
+    # from vacuum the march fills the (a1, b) space's w = 0 charge sector,
+    # folded to rho[k, b] for k <= b: (sector + dim) / 2 real coordinates
+    cases = {
+        # a1 <= 8 and b <= 16; the three-mode march folded 16,695 here
+        ((0.0, 0.0), 8): (8, 16, 645),
+        # b is a3, so the problem is the three-mode one, whose w = 0 sector
+        # holds 55,252 elements, of which only 670 reachable
+        ((0.0, 0.5), 9): (9, 9, 385),
+    }
+    for (eta, n_max), (n1_max, nb_max, support) in cases.items():
+        sector, dim = charge_sector_size(n1_max, nb_max), (n1_max + 1) * (nb_max + 1)
+        cfg = FockConfig(n_max=n_max, dt=0.02, t_final=0.1, edge_tol=1e-3)
+        run = integrate(DensityState.vacuum(n_max), cfg, pref(*eta), 1.0,
+                        sample_times=[0.1], check_convergence=False)
+        assert run.support_size == (sector + dim) // 2 == support
+    # with loss1 = 0, a1 stays in vacuum on both sides and b keeps no coherence
+    cfg = FockConfig(n_max=6, dt=0.02, t_final=0.1, edge_tol=1e-3)
+    run = integrate(DensityState.vacuum(6), cfg, pref(-0.5, -0.5), 1.0,
                     sample_times=[0.1], check_convergence=False)
-    assert (sector, run.support_size) == (32661, (sector + dim) // 2)
-
-    # with mode 2 silenced only pairs holding it in vacuum on both sides are
-    # reachable, a small part of the same q = 0 sector
-    sector = charge_sector_size(9)
-    cfg = FockConfig(n_max=9, dt=0.02, t_final=0.1, edge_tol=1e-3)
-    run = integrate(DensityState.vacuum(9), cfg, pref(0.0, 0.5), 1.0,
-                    sample_times=[0.1], check_convergence=False)
-    assert sector == 55252
-    assert run.support_size < sector / 50
+    assert run.support_size == 2 * 6 + 1
 
 
 def test_default_path_allocates_no_dense_matrix():
@@ -263,9 +272,11 @@ def test_default_path_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+    assert run.moments[-1].n3 > 0.0
     # the dense matrix is still there for a caller that reads it
-    assert run.final_state.rho.shape == (1000, 1000)
-    assert abs(np.trace(run.final_state.rho) - 1.0) < 1e-9
+    vacuum = DensityState.vacuum(9)
+    assert vacuum.rho.shape == (1000, 1000)
+    assert abs(np.trace(vacuum.rho) - 1.0) < 1e-15
 
 
 def test_moment_table_fixtures():
@@ -316,7 +327,9 @@ def test_divergent_step_detected():
 
 
 def test_convergence_check_fires_on_coarse_step():
-    cfg = FockConfig(n_max=2, dt=0.25, t_final=1.0, edge_tol=0.5)
+    # the (a1, b) march at dt = 0.25 moves by 8.6e-7 on halving, inside the
+    # tolerance, so the coarse step here is 0.5
+    cfg = FockConfig(n_max=2, dt=0.5, t_final=1.0, edge_tol=0.5)
     with pytest.raises(IntegrationError, match="halving"):
         integrate(DensityState.vacuum(2), cfg, pref(0.0, 0.0, a=0.5), 1.0,
                   sample_times=[1.0])
@@ -352,8 +365,8 @@ def test_vacuum_preserved_under_pure_loss():
     assert max(run.trace_residues) < 1e-12
     assert run.convergence_delta < 1e-12
     assert run.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-    assert run.final_state is not None
-    assert run.final_state.rho[0, 0] == pytest.approx(1.0, abs=1e-12)
+    # with no gain there is no b, and the vacuum pair is all that is reachable
+    assert run.support_size == 1
 
 
 def test_positivity_of_transient_states():
@@ -379,10 +392,15 @@ def test_sampling_and_shape_validation():
         integrate(vac, cfg, p, 0.0)
 
 
-# Moment tables of the march before the hermitian fold and the reachable
-# support replaced the charge-sector march: vacuum start, A = 0.5, kappa = 1,
-# dt = 0.02, no dt/2 check, at t = 1, 2.5 and 5.  Each row is first, cross and
-# pair flattened row-major; every imaginary part was exactly zero.
+# Pinned moment tables: vacuum start, A = 0.5, kappa = 1, dt = 0.02, no dt/2
+# check, at t = 1, 2.5 and 5.  Each row is first, cross and pair flattened
+# row-major.  The (0, 0.5) rows come from the three-mode march before the
+# hermitian fold and the reachable support replaced the charge-sector march;
+# there b is a3 itself, so the (a1, b) march solves that same problem.  The
+# (0, 0) rows come from the (a1, b) march, with a1 <= 5 and b <= 10; the
+# three-mode march at cutoff 5 it replaced read up to 9.3e-4 away (at t = 5,
+# n2 = 0.21361 against c32 = 0.21291, where the dark mode makes them equal),
+# with edge populations up to 4e-6 on the (a1, b) march.
 PARENT_TIMES = (1.0, 2.5, 5.0)
 PARENT_TABLES = {
     (0.0, 0.5, 6): (
@@ -394,18 +412,18 @@ PARENT_TABLES = {
          0, 0, 0.15390625861470553, 0, 0, 0, 0.15390625861470553, 0, 0),
     ),
     (0.0, 0.0, 5): (
-        (0, 0, 0, 0.007923981679862616, 0, 0, 0, 0.11703968606995153,
-         0.11702545557658398, 0, 0.11702545557658398, 0.11703968606995153, 0,
-         0.06247866529047275, 0.062478665290472746, 0.06247866529047275, 0, 0,
-         0.062478665290472746, 0, 0),
-        (0, 0, 0, 0.023307415246375047, 0, 0, 0, 0.1866926080118684,
-         0.18643299693730783, 0, 0.18643299693730783, 0.18669260801186843, 0,
-         0.10493889488503465, 0.10493889488503466, 0.10493889488503465, 0, 0,
-         0.10493889488503466, 0, 0),
-        (0, 0, 0, 0.033805573869482644, 0, 0, 0, 0.2136093378579295,
-         0.212906645641562, 0, 0.212906645641562, 0.2136093378579295, 0,
-         0.12353561936105321, 0.12353561936105324, 0.12353561936105321, 0, 0,
-         0.12353561936105324, 0, 0),
+        (0, 0, 0, 0.007924225919150403, 0, 0, 0, 0.11704245899391631,
+         0.11704245899391631, 0, 0.11704245899391631, 0.11704245899391631, 0,
+         0.0624833127479781, 0.0624833127479781, 0.0624833127479781, 0, 0,
+         0.0624833127479781, 0, 0),
+        (0, 0, 0, 0.02332028327854115, 0, 0, 0, 0.18675619108872418,
+         0.18675619108872418, 0, 0.18675619108872418, 0.18675619108872418, 0,
+         0.10503538945065138, 0.10503538945065138, 0.10503538945065138, 0, 0,
+         0.10503538945065138, 0, 0),
+        (0, 0, 0, 0.03387489023927291, 0, 0, 0, 0.2138330927041639,
+         0.2138330927041639, 0, 0.2138330927041639, 0.2138330927041639, 0,
+         0.12384079312679769, 0.12384079312679769, 0.12384079312679769, 0, 0,
+         0.12384079312679769, 0, 0),
     ),
 }
 
