@@ -106,7 +106,10 @@ PARAMETERS = {
         "type": _float_list, "help": "comma-separated sample times"}),
     "t": (None, _NUMBER, (), {"type": float, "help": "final time"}),
     "samples": (11, _INTEGER, (), {"type": int, "help": "row count for --t (default 11)"}),
-    "nmax": (6, _INTEGER, (), {"type": int, "help": "per-mode photon cutoff (default 6)"}),
+    "nmax": (6, _INTEGER, (), {
+        "type": int,
+        "help": "photon cutoff of a1; b holds up to the summed cutoffs of the modes "
+                "with nonzero gain (default 6)"}),
     "dt": (0.01, _NUMBER, (), {"type": float, "help": "integrator step (default 0.01)"}),
     "edge_tol": (1e-3, _NUMBER, (), {
         "type": float,
@@ -199,10 +202,21 @@ def _time_scale(params: dict) -> float:
     return 1.0 / params["kappa"] if params["units"] == "kappa" else 1.0
 
 
+def _gain_rate(params: dict) -> float:
+    """The absolute linear gain rate --A gives."""
+    scale = _rate_scale(params)
+    gain = params["A"] * scale
+    if not 0.0 < gain < math.inf:
+        raise ConfigurationError(
+            f"--A {params['A']!r} times --kappa {scale!r} is out of floating-point range"
+        )
+    return gain
+
+
 def _build_prefactors(params: dict) -> Prefactors:
     scale = _rate_scale(params)
     if "A" in params:
-        return prefactors_from_inversions(params["eta1"], params["eta2"], params["A"] * scale)
+        return prefactors_from_inversions(params["eta1"], params["eta2"], _gain_rate(params))
     model = ModelParams(
         r_a=params["r_a"] * scale,
         g=params["g"] * scale,
@@ -366,7 +380,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     points = run_sweep(
         [float(v) for v in np.linspace(lo1, hi1, n1)],
         [float(v) for v in np.linspace(lo2, hi2, n2)],
-        gain_scale=params["A"] * _rate_scale(params),
+        gain_scale=_gain_rate(params),
         kappa=params["kappa"],
         backend=params["backend"],
         at_time=None if at_time is None else at_time * _time_scale(params),

@@ -6,38 +6,28 @@ matrix on a truncated Fock space with no closure assumption and reads every
 first and second moment back out, so every claim the moment engine makes
 can be checked against an independent discretisation of the same generator.
 
-Two-mode reduction.  The product rules cross32**2 = gain3*gain2 (and
-cyclic), which ``Prefactors`` enforces, make every atomic term of the
-generator one dissipator s D[J], with s = gain_scale,
+Two-mode reduction.  The product rules that ``Prefactors`` enforces make
+every atomic term one dissipator s D[J], s = gain_scale, with
 J = sqrt(loss1) a1 - sqrt(gain2) a2^dag - sqrt(gain3) a3^dag and
 D[L] rho = 2 L rho L^dag - L^dag L rho - rho L^dag L; cavity damping adds
-kappa/2 D[a] for each mode.  With b = (sqrt(gain2) a2 + sqrt(gain3) a3) /
+kappa/2 D[a] per mode.  With b = (sqrt(gain2) a2 + sqrt(gain3) a3) /
 sqrt(gain2 + gain3), J = sqrt(loss1) a1 - sqrt(gain2 + gain3) b^dag, and the
-orthogonal mode b_perp ~ sqrt(gain3) a2 - sqrt(gain2) a3 only decays, so
-from vacuum it never leaves vacuum.  ``integrate`` therefore starts only
-from the vacuum and marches the two modes (a1, b) under
-s D[sqrt(loss1) a1 - sqrt(gain2 + gain3) b^dag] + kappa/2 (D[a1] + D[b]),
-which is exact, not an approximation.  a1 keeps 0..n_max photons and b
-keeps 0..n_max times the number of nonzero gains among gain2 and gain3, the
-most photons a2 and a3 together hold under a per-mode cutoff n_max; with
-both gains zero there is no b.  Moment tables map back exactly through
-a = U (a1, b), U = [[1, 0], [0, sqrt(f2)], [0, sqrt(f3)]] with
-fj = gainj / (gain2 + gain3).
-
-Three-mode reference.  ``mode_annihilators``, ``master_equation_terms``,
-``liouvillian_apply``, ``moments_from_state`` and ``DensityState`` keep the
-full three-mode generator for the tests to compare against.  Each mode
-keeps photon numbers 0..n_max; a basis ket is |n1 n2 n3> flattened
-row-major (mode 3 varies fastest), so a density matrix has dimension
-(n_max + 1)**3.  A ``DensityState`` holds only its nonzero elements; the
-dense complex array is built when ``rho`` is first read, and refused above
-(n_max + 1)**3 = 1000.
+orthogonal mode b_perp ~ sqrt(gain3) a2 - sqrt(gain2) a3 only decays.  So
+``integrate`` starts only from the vacuum, where b_perp stays empty, and
+marches (a1, b) exactly.  a1 keeps 0..n_max photons and b 0..n_max times
+the number of nonzero gains among gain2 and gain3, the most a2 and a3 hold
+together under a per-mode cutoff n_max; with both gains zero there is no
+b.  Moment tables map back through a = U (a1, b), with
+U = [[1, 0], [0, sqrt(f2)], [0, sqrt(f3)]] and fj = gainj / (gain2 + gain3).
+``master_equation_terms``, ``liouvillian_apply``, ``moments_from_state`` and
+``DensityState`` keep the three-mode generator and states, on kets
+|n1 n2 n3> flattened row-major, as the reference the tests compare against.
 
 Hermitian fold.  Every term of the generator is c * X rho Y with a real
 coefficient and real shift monomials X and Y, and the terms come in
-conjugate pairs, so a real symmetric state stays real symmetric.  The
-vacuum start is one, so the march carries one real vector, rho[k, b] for
-k <= b on the (a1, b) space, under one real sparse operator.
+conjugate pairs, so the real vacuum stays real symmetric.  The march
+carries one real vector, rho[k, b] for k <= b, under one real sparse
+operator.
 
 Reachable support.  ``integrate`` finds, by one breadth-first search over
 the generator's monomial maps, every folded coordinate that can become
@@ -46,15 +36,13 @@ polynomial in the generator, so the march never leaves that set: this is
 an exact reindexing of the dense generator, not an approximation, and a
 unit test pins the march to a dense reference, step for step.  Every term
 shifts w = n1 - nb equally on ket and bra, so the set lies inside the
-charge sector w_ket = w_bra, and a preparation with loss1 = 0 keeps a1 in
-vacuum on both sides.  Pass ``restrict=False`` to march every coordinate
-regardless.
+charge sector w_ket = w_bra.  Pass ``restrict=False`` to march every
+coordinate regardless.
 
-Positivity.  The generator is a dissipator in standard form, so exact
-evolution preserves positivity.  Integration and truncation error can
-still push eigenvalues slightly negative, so runs report the smallest
-final eigenvalue when asked (``track_spectrum=True``) and warn below -1e-8
-rather than failing.
+Positivity.  Exact evolution under a dissipator preserves positivity.
+Integration and truncation error can still push eigenvalues slightly
+negative, so runs report the smallest final eigenvalue when asked
+(``track_spectrum=True``) and warn below -1e-8 rather than failing.
 """
 
 from __future__ import annotations
@@ -89,7 +77,10 @@ __all__ = [
 ]
 
 # Bounds the breadth-first search over the reachable support and the sparse
-# operator it assembles.  MEASURED_AT_16
+# operator it assembles, which grow about as n_max**3.  From vacuum at
+# (0, 0), A = 1, n_max = 16 (a1 <= 16, b <= 32) marches 4,233 coordinates
+# under 38,233 operator entries, and the process peaks at 57 MB RSS, 49 MB
+# of it imports (x86-64 Linux, Python 3.11).
 _N_MAX_LIMIT = 16
 
 # Largest three-mode dimension (n_max + 1)**3 whose dense complex matrix
@@ -104,6 +95,7 @@ _MAX_STEPS = 1_000_000
 _CLOSURE_TOL = 1e-10
 _TRACE_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-6
+# No element of a density matrix exceeds 1 in magnitude.
 _DIVERGENCE_PEAK = 1.0 + _TRACE_TOL
 
 
@@ -363,8 +355,6 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray):
     return pos, ok
 
 
-
-
 def _dissipator(rate: float, op):
     """rate * D[op] as (coefficient, left, right) triples, for a real op."""
     number = (op.T @ op).tocsr()
@@ -385,7 +375,8 @@ def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
     gain = gains[0] + gains[1]
     if gain == 0.0:
         (a1,) = _ladders((n_max,))
-        return (n_max,), np.array([[1.0], [0.0], [0.0]]), tuple(_dissipator(s * loss + half_k, a1))
+        unmix = np.array([[1.0], [0.0], [0.0]])
+        return (n_max,), unmix, tuple(_dissipator(s * loss + half_k, a1))
     cutoffs = (n_max, n_max * sum(g > 0.0 for g in gains))
     a1, b = _ladders(cutoffs)
     a1d, bd = a1.T.tocsr(), b.T.tocsr()
@@ -402,7 +393,8 @@ def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
         (cross, down, None),
         (cross, None, down),
     ]
-    unmix = np.array([[1.0, 0.0], [0.0, math.sqrt(gains[0] / gain)], [0.0, math.sqrt(gains[1] / gain)]])
+    u2, u3 = (math.sqrt(g / gain) for g in gains)
+    unmix = np.array([[1.0, 0.0], [0.0, u2], [0.0, u3]])
     return cutoffs, unmix, tuple(t for t in terms if t[0] != 0.0)
 
 

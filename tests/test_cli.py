@@ -587,6 +587,16 @@ def test_gain_rate_out_of_float_range_exits_2(command, rates, capsys):
                           f"r_a={float(r_a)!r}, g={float(g)!r}, gamma={float(gamma)!r}")
 
 
+@pytest.mark.parametrize("command", [c for c, (_, _, names) in COMMANDS.items() if "A" in names])
+@pytest.mark.parametrize("rate", ["1e300", "1e-300"], ids=["overflow", "underflow"])
+def test_gain_times_kappa_out_of_float_range_exits_2(command, rate, capsys):
+    point = () if command == "sweep" else ("--eta1", "0", "--eta2", "0")
+    times = ("--t", "1") if command == "evolve" else ()
+    code, out, err = run_cli(capsys, command, *point, *times, "--A", rate, "--kappa", rate)
+    assert_one_error_line(code, out, err, "out of floating-point range",
+                          f"--A {float(rate)!r} times --kappa {float(rate)!r}")
+
+
 # Integer --config values, and the flags that give the same run.
 INTEGER_CONFIGS = {
     "steady": ({"eta1": 0, "eta2": 0, "kappa": 1}, STEADY_ARGS + ("--kappa", "1")),

@@ -78,6 +78,25 @@ def test_state_validation():
         DensityState(np.eye(7) / 7.0)  # not a three-mode cube
 
 
+def test_dense_matrix_refused_beyond_dimension_1000():
+    # n_max = 16 would take 386 MB; the refusal comes before any of it
+    tracemalloc.start()
+    try:
+        state = DensityState.vacuum(16)
+        with pytest.raises(ConfigurationError, match="4913x4913 density matrix \\(386 MB\\)"):
+            state.rho
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # every reader of the dense matrix meets the same refusal
+    with pytest.raises(ConfigurationError, match="limit of dimension 1000"):
+        moments_from_state(DensityState.vacuum(10))
+    with pytest.raises(ConfigurationError, match="limit of dimension 1000"):
+        liouvillian_apply(DensityState.vacuum(10), pref(0.0, 0.0), 1.0)
+    assert DensityState.vacuum(9).rho.shape == (1000, 1000)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         FockConfig(n_max=0)
