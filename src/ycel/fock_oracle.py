@@ -363,8 +363,9 @@ def _dissipator(rate: float, op):
 
 @lru_cache(maxsize=8)
 def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
-    """The generator on (a1, b): cutoffs, the map U back to (a1, a2, a3), terms.
+    """The generator on (a1, b): cutoffs, modes and terms.
 
+    modes are (a1, a2, a3) = U (a1, b) as operators on the (a1, b) space.
     Terms are (coefficient, left, right) triples as in master_equation_terms,
     with zero coefficients dropped.  A weight that roundoff leaves a hair
     below zero at the edge of the preparation triangle counts as zero.
@@ -375,8 +376,7 @@ def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
     gain = gains[0] + gains[1]
     if gain == 0.0:
         (a1,) = _ladders((n_max,))
-        unmix = np.array([[1.0], [0.0], [0.0]])
-        return (n_max,), unmix, tuple(_dissipator(s * loss + half_k, a1))
+        return (n_max,), (a1, 0.0 * a1, 0.0 * a1), tuple(_dissipator(s * loss + half_k, a1))
     cutoffs = (n_max, n_max * sum(g > 0.0 for g in gains))
     a1, b = _ladders(cutoffs)
     a1d, bd = a1.T.tocsr(), b.T.tocsr()
@@ -394,8 +394,7 @@ def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
         (cross, None, down),
     ]
     u2, u3 = (math.sqrt(g / gain) for g in gains)
-    unmix = np.array([[1.0, 0.0], [0.0, u2], [0.0, u3]])
-    return cutoffs, unmix, tuple(t for t in terms if t[0] != 0.0)
+    return cutoffs, (a1, u2 * b, u3 * b), tuple(t for t in terms if t[0] != 0.0)
 
 
 class _Support:
@@ -510,9 +509,8 @@ def _moment_operators(ladders):
     return first, cross, pair
 
 
-def _folded_moment_maps(support: _Support, unmix: np.ndarray):
-    """Per moment operator of (a1, b), the positions and weights it reads,
-    followed by the map U back to (a1, a2, a3).
+def _folded_moment_maps(support: _Support, modes):
+    """Per moment operator of ``modes``, the positions and weights it reads.
 
     Tr(O rho) = sum O[r, c] rho[c, r], and rho[c, r] is the coordinate of
     the pair (min, max).
@@ -525,12 +523,11 @@ def _folded_moment_maps(support: _Support, unmix: np.ndarray):
         pos, ok = _lookup(support.keys, np.minimum(col, row) * dim + np.maximum(col, row))
         return pos[ok], coo.data[ok]
 
-    first, cross, pair = _moment_operators(_ladders(support.cutoffs))
+    first, cross, pair = _moment_operators(modes)
     return (
         [mapping(op) for op in first],
         [[mapping(op) for op in row] for row in cross],
         [[mapping(op) for op in row] for row in pair],
-        unmix,
     )
 
 
@@ -651,14 +648,11 @@ def _audit(support, vec, edge_tol, t):
 
 
 def _table_at(maps, vec):
-    """The three-mode MomentTable of a folded (a1, b) vector: a = U (a1, b)."""
-    first_maps, cross_maps, pair_maps, unmix = maps
+    first_maps, cross_maps, pair_maps = maps
     first = np.array([w @ vec[p] for p, w in first_maps])
     cross = np.array([[w @ vec[p] for p, w in row] for row in cross_maps])
     pair = np.array([[w @ vec[p] for p, w in row] for row in pair_maps])
-    return MomentTable(
-        first=unmix @ first, cross=unmix @ cross @ unmix.T, pair=unmix @ pair @ unmix.T
-    )
+    return MomentTable(first=first, cross=cross, pair=pair)
 
 
 def _march(lop, support, maps, vec, samples, dt, edge_tol):
@@ -745,14 +739,14 @@ def integrate(
         raise ConfigurationError("kappa must be positive and finite")
 
     samples = _sample_grid(cfg, sample_times)
-    cutoffs, unmix, terms = _reduced_model(pref, kappa, cfg.n_max)
+    cutoffs, modes, terms = _reduced_model(pref, kappa, cfg.n_max)
     dim = math.prod(n + 1 for n in cutoffs)
     seeds = np.zeros(1, dtype=np.int64)
     if not restrict:
         seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
     keys, lop = _explore(_term_maps(terms, dim), dim, seeds)
     support = _Support(cutoffs, keys)
-    maps = _folded_moment_maps(support, unmix)
+    maps = _folded_moment_maps(support, modes)
     vec0 = np.zeros(support.size)
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
