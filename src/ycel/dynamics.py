@@ -407,6 +407,105 @@ def evolve_second_moments(
     )[0]
 
 
+_SIGNS = np.array([1.0, -1.0, -1.0])
+
+
+def _rank_one(a: np.ndarray, k: np.ndarray, kappa: float):
+    """v = (sqrt loss1, sqrt gain2, sqrt gain3), mu = a lambda and the exact
+    margin kappa/2 + min(0, mu) of each drift M = kappa/2 I + a v w^T in a
+    stack, where w = diag(1, -1, -1) v and lambda = w.v = loss1 - (gain2 + gain3)."""
+    d = k.diagonal(axis1=-2, axis2=-1)
+    mu = a[:, 0, 0] * (d[:, 0] - (d[:, 1] + d[:, 2]))
+    return np.sqrt(np.maximum(d, 0.0)), mu, kappa / 2.0 + np.minimum(0.0, mu)
+
+
+def _psi(z: np.ndarray) -> np.ndarray:
+    """(1 - e^-z) / z, and its limit 1 at z = 0."""
+    nonzero = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, -np.expm1(-nonzero) / nonzero)
+
+
+def _g(x, t):
+    """g(x) = (1 - e^-xt) / x, or 1 / x in the steady state (t None)."""
+    return 1.0 / x if t is None else t * _psi(x * t)
+
+
+def _g_pair(x, mu, t):
+    """The divided difference g[x, x + mu], mu = 0 included.
+
+    Leibniz's rule on x g(x) = F(x) = 1 - e^-xt gives p g[x, x + mu] =
+    F[x, x + mu] - g(q), with p the node of larger magnitude and q the
+    other; F[lo, lo + h] = t e^-lo t psi(h t) for h >= 0, and 0 steady.
+    """
+    y = x + mu
+    far = np.abs(y) > np.abs(x)
+    p, q = np.where(far, y, x), np.where(far, x, y)
+    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * _psi(np.abs(mu) * t)
+    return (slope - _g(q, t)) / p
+
+
+def _integrals(kappa: float, mu: np.ndarray, t):
+    """g[kappa], g[kappa, kappa + mu] and g[kappa, kappa + mu, kappa + 2 mu].
+
+    These are I0, I1 / a and I2 / (2 a^2), the integrals of e^-kappa s
+    times 1, phi(s) and phi(s)^2 over [0, t].  As in _g_pair, the node p
+    of largest magnitude, an end node and never below kappa, is peeled off:
+    p g[all] = F[all] - g[the other two], where F[lo, lo + h, lo + 2h] =
+    -(t^2 / 2) e^-lo t psi(h t)^2.  No step divides by mu, so the
+    defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
+    Math. Comp. 43, 501 (1984)).
+    """
+    end = kappa + 2.0 * mu
+    i1 = _g_pair(kappa, mu, t)
+    far = np.abs(end) > kappa
+    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t))
+    curve = 0.0 if t is None else (
+        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * _psi(np.abs(mu) * t) ** 2)
+    return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
+
+
+def _moment_matrices(a, v, mu, q, kappa: float, t) -> np.ndarray:
+    """S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T from vacuum, r = Q w, c = w.r.
+
+    a, v, mu and q describe N preparations; t is a (T, 1) array of times,
+    giving a (T, N, 3, 3) stack, or None for the steady states, giving
+    (N, 3, 3).  Each term is symmetric in floating point, so S is too.
+    """
+    w = v * _SIGNS
+    r = (q @ w[..., None])[..., 0]
+    c = (w * r).sum(axis=-1)
+    vr = v[:, :, None] * r[:, None, :]
+    i0, i1, i2 = _integrals(kappa, mu, t)
+    return (i0[..., None, None] * q
+            + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
+            + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
+
+
+def _closed_form_rows(prefs, kappa: float, backend: str, at_time: float | None):
+    """_second_moment_rows on the rank-one closed form, with the exact margins."""
+    a, k = _couplings(prefs)
+    q = _diffusion(a, k, backend)
+    v, mu, margin = _rank_one(a, k, kappa)
+    spectra = [_spectrum(kappa, m) for m in mu.tolist()]
+    if at_time is None:
+        errors = [None if m > 0.0 else UnstableDriftError(
+            f"no steady state: drift margin {m:.6g} <= 0 (eigenvalues {_eigen_text(z)})")
+            for m, z in zip(margin.tolist(), spectra)]
+    else:
+        errors = _horizon_errors(margin, np.array(spectra), at_time)
+    ok = np.flatnonzero([e is None for e in errors])
+    t = None if at_time is None else np.array([[at_time]])
+    s = _moment_matrices(a[ok, 0, 0], v[ok], mu[ok], q[ok], kappa, t)
+    rows = np.full((len(prefs), 6), np.nan)
+    rows[ok] = s.reshape(-1, 9)[:, _MOMENT_ENTRIES]
+    return margin, rows, errors
+
+
+def _spectrum(kappa: float, mu: float) -> tuple[complex, ...]:
+    """The eigenvalues kappa/2, kappa/2 and kappa/2 + mu of the drift, sorted."""
+    return tuple(complex(z) for z in sorted((kappa / 2.0, kappa / 2.0, kappa / 2.0 + mu)))
+
+
 def _refuse(errors: list, mask: np.ndarray, error) -> None:
     """Refuse each preparation i in mask with error(i), unless already refused."""
     for i in np.asarray(mask).nonzero()[0].tolist():
