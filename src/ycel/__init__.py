@@ -9,7 +9,6 @@ four-level medium.
 from .errors import (
     ConfigurationError,
     ConsistencyError,
-    DegenerateSteadyStateError,
     DegenerateWitnessError,
     HorizonError,
     IntegrationError,
@@ -39,6 +38,7 @@ from .dynamics import (
     evolve_second_moments,
     is_stable,
     second_moment_trajectory,
+    stability,
     steady_state_moments,
 )
 from .entanglement import (

@@ -20,15 +20,26 @@ directly from the master equation, giving a zero entry there; the Fock-space
 oracle confirms this form (a purely absorbing mode must keep its vacuum).
 The two backends differ in nothing else.
 
-Evolution comes in two interchangeable routes: an exact matrix exponential
-of the affine (Van Loan) generator of the vectorised equation, valid for
-every drift whether diagonalisable or defective, and direct integration of
-the six-dimensional linear system.  Only the integration route imports
-scipy.integrate.
+The drift is a scalar plus rank one: each atom starts in a pure
+superposition, so the coupling matrix is v v^T with v = (sqrt loss1,
+sqrt gain2, sqrt gain3).  With a = gain_scale and w = diag(1, -1, -1) v,
 
-The closed-form kernels work on stacks of preparations, along a leading
-batch axis: the public single-preparation calls are stacks of one, and
-entanglement.sweep passes its grid through the same kernels in chunks.
+    M = kappa/2 I + a v w^T,   exp(-M s) = e^(-kappa s/2) (I + phi(s) v w^T),
+
+phi(s) = -a s psi(mu s), psi(z) = (1 - e^-z) / z, mu = a lambda and
+lambda = w.v = loss1 - (gain2 + gain3).  The eigenvalues are kappa/2
+(twice) and kappa/2 + mu, so the margin kappa/2 + min(0, mu) is exact; on
+the defective line eta1 + eta2 = 1/2, lambda = 0 and nothing branches.
+From vacuum S(t) = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T, r = Q w and
+c = w.r, where I0, I1 and I2 integrate e^(-kappa s) times 1, phi and
+phi^2 over [0, t]; they are divided differences of g(x) = (1 - e^-xt) / x
+(1 / x in the steady state) at kappa, kappa + mu and kappa + 2 mu.
+
+The closed-form route evaluates these on stacks of preparations: the
+public single-preparation calls are stacks of one, and entanglement.sweep
+passes its grid through in chunks.  The ode route integrates the six
+equations numerically as an independent check; only it imports
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -38,12 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DegenerateSteadyStateError,
-    HorizonError,
-    UnstableDriftError,
-)
+from .errors import ConsistencyError, HorizonError, UnstableDriftError
 from .model import Prefactors
 
 __all__ = [
@@ -58,6 +64,7 @@ __all__ = [
     "evolve_second_moments",
     "is_stable",
     "second_moment_trajectory",
+    "stability",
     "steady_state_moments",
 ]
 
@@ -68,11 +75,8 @@ ROUTES = ("closed-form", "ode")
 # horizon guard for unstable drifts.
 _MAX_GROWTH_EXPONENT = 600.0
 
-# Degree-9 Pade coefficients of exp; below a 1-norm of 2.098 their backward
-# error is under the double-precision unit roundoff (Higham, SIAM J. Matrix
-# Anal. Appl. 26, 1179, 2005).
-_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-          2162160.0, 110880.0, 3960.0, 90.0, 1.0)
+# w = _SIGNS * v
+_SIGNS = np.array([1.0, -1.0, -1.0])
 
 
 class NegativeOccupationWarning(UserWarning):
@@ -96,13 +100,6 @@ def _couplings(prefs) -> tuple[np.ndarray, np.ndarray]:
     return a, k
 
 
-def _drift(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
-    """(N, 3, 3) drift matrices M = kappa/2 I + a K diag(1, -1, -1)."""
-    m = a * (k * np.array([1.0, -1.0, -1.0]))
-    m.reshape(-1, 9)[:, ::4] += kappa / 2.0
-    return m
-
-
 def _diffusion(a: np.ndarray, k: np.ndarray, backend: str) -> np.ndarray:
     """(N, 3, 3) noise matrices: a K with the mode-2,3 block doubled, and
     the mode-1 entry -2 a loss1 (paper-literal) or 0 (ehrenfest)."""
@@ -113,9 +110,30 @@ def _diffusion(a: np.ndarray, k: np.ndarray, backend: str) -> np.ndarray:
     return q
 
 
+def _rank_one(a: np.ndarray, k: np.ndarray, kappa: float):
+    """v, mu = a lambda and the exact margin kappa/2 + min(0, mu) of each
+    drift M = kappa/2 I + a v w^T in a stack."""
+    d = k.diagonal(axis1=-2, axis2=-1)
+    # a commutative sum: mirror preparations eta1 <-> eta2 get the same mu
+    mu = a[:, 0, 0] * (d[:, 0] - (d[:, 1] + d[:, 2]))
+    return np.sqrt(np.maximum(d, 0.0)), mu, kappa / 2.0 + np.minimum(0.0, mu)
+
+
+def _linear_system(prefs, kappa: float, backend: str):
+    """gain_scale a, v, mu, the exact margins and the noise matrices Q of a
+    stack of preparations."""
+    a, k = _couplings(prefs)
+    q = _diffusion(a, k, backend)
+    return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
+
+
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
-    """3x3 drift matrix M of dR/dt = -M R over R = (a1*, a2, a3)."""
-    return _drift(*_couplings([pref]), kappa)[0]
+    """3x3 drift matrix M = kappa/2 I + a K diag(1, -1, -1) of dR/dt = -M R
+    over R = (a1*, a2, a3)."""
+    a, k = _couplings([pref])
+    m = a[0] * (k[0] * _SIGNS)
+    m[np.diag_indices(3)] += kappa / 2.0
+    return m
 
 
 def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray:
@@ -132,86 +150,54 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...]
 
 
-def _spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stability margin and (real, imag)-sorted eigenvalues of each drift in a stack."""
-    eigvals = np.linalg.eigvals(m)
-    order = np.lexsort((eigvals.imag, eigvals.real), axis=-1)
-    eigvals = eigvals[np.arange(len(eigvals))[:, None], order]
-    return eigvals.real.min(axis=-1), eigvals
+def _spectrum(kappa: float, mu: float) -> tuple[complex, ...]:
+    """The drift's eigenvalues kappa/2, kappa/2 and kappa/2 + mu, sorted."""
+    return tuple(complex(z) for z in sorted((kappa / 2.0, kappa / 2.0, kappa / 2.0 + mu)))
 
 
-def _eigen_text(eigvals) -> str:
-    return ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in eigvals)
+def _eigen_text(values) -> str:
+    return ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in values)
 
 
 def is_stable(m: np.ndarray) -> StabilityReport:
-    margin, eigvals = _spectra(np.asarray(m)[None])
+    """Stability of any drift matrix from its numerically computed spectrum.
+
+    An independent check of stability(): near the defective line the
+    eigensolver's margin is off by up to about 1e-8.
+    """
+    eigvals = np.linalg.eigvals(np.asarray(m))
+    eigvals = eigvals[np.lexsort((eigvals.imag, eigvals.real))]
+    margin = float(eigvals.real.min())
+    return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals))
+
+
+def stability(pref: Prefactors, kappa: float) -> StabilityReport:
+    """Exact stability of drift_matrix(pref, kappa): the eigenvalues kappa/2
+    (twice) and kappa/2 + mu, and the margin kappa/2 + min(0, mu)."""
+    _, mu, margin = _rank_one(*_couplings([pref]), kappa)
     margin = float(margin[0])
-    return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals[0]))
+    return StabilityReport(margin > 0.0, margin, _spectrum(kappa, float(mu[0])))
 
 
-def _linear_system(prefs, kappa: float, backend: str):
-    """Drift, noise, stability margin and sorted drift spectrum of each preparation."""
-    a, k = _couplings(prefs)
-    m = _drift(a, k, kappa)
-    return (m, _diffusion(a, k, backend), *_spectra(m))
+def _psi(z):
+    """(1 - e^-z) / z, and its limit 1 at z = 0."""
+    nonzero = np.where(z == 0.0, 1.0, z)
+    return np.where(z == 0.0, 1.0, -np.expm1(-nonzero) / nonzero)
 
 
-def _stacked(fn, a: np.ndarray, *rest: np.ndarray):
-    """fn over a stack of matrices, refusing only the members LAPACK refuses.
-
-    numpy.linalg raises for a whole stack when one member fails.  The
-    members are then tried one at a time; each one that fails is replaced
-    by the identity and its LinAlgError is returned under its index.
-    """
-    try:
-        return fn(a, *rest), {}
-    except np.linalg.LinAlgError:
-        pass
-    failed = {}
-    for i in range(len(a)):
-        try:
-            fn(a[i : i + 1], *(r[i : i + 1] for r in rest))
-        except np.linalg.LinAlgError as exc:
-            failed[i] = exc
-    a = a.copy()
-    a[list(failed)] = np.eye(a.shape[-1])
-    return fn(a, *rest), failed
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix in a stack: scale to 1-norm <= 2, Pade 9, square.
-
-    Scaling every matrix this far keeps a slowly decaying generator
-    accurate at long times (scipy's expm squares fewer times there and
-    loses 7e-10 relative at margin 0.002, t = 200/margin), and numpy's
-    solve stays fast on a loaded machine where scipy's LAPACK does not.
-    """
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norms / 2.0, 1.0))).astype(int)
-    a = a / 2.0 ** squarings[..., None, None]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    a8 = a6 @ a2
-    b, eye = _PADE9, np.eye(a.shape[-1])
-    u = a @ (b[9] * a8 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = b[8] * a8 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    e = np.linalg.solve(v - u, v + u)
-    for k in range(squarings.max(initial=0)):
-        due = squarings > k
-        e[due] = e[due] @ e[due]
-    return e
-
-
-def evolve_first_moments(m: np.ndarray, r0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate mean amplitudes: R(t) = exp(-M t) R0, for any drift M."""
+def evolve_first_moments(pref: Prefactors, kappa: float, r0, t: float) -> np.ndarray:
+    """Propagate mean amplitudes: R(t) = exp(-M t) R0 with the engine's
+    propagator e^(-kappa t/2) (I + phi(t) v w^T), exact for every drift."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     r0 = np.asarray(r0, dtype=complex)
     if r0.shape != (3,):
         raise ValueError("r0 must be a 3-vector")
-    return _expm(-m * t) @ r0
+    v, mu, margin = (x[0] for x in _rank_one(*_couplings([pref]), kappa))
+    # e^(-kappa t/2) phi(t) = -a t e^(-margin t) psi(|mu| t), which overflows
+    # only where the growth itself does
+    coupled = -pref.gain_scale * t * np.exp(-margin * t) * _psi(np.abs(mu) * t)
+    return np.exp(-kappa * t / 2.0) * r0 + coupled * v * ((v * _SIGNS) @ r0)
 
 
 @dataclass(frozen=True)
@@ -245,10 +231,9 @@ class SecondMoments:
         s = np.asarray(s, dtype=float)
         if s.shape != (3, 3):
             raise ValueError("second-moment matrix must be 3x3")
-        rows, asymmetric = _moment_rows(s[None], tol)
-        if asymmetric[0]:
+        if np.abs(s - s.T).max() > tol * max(1.0, np.abs(s).max()):
             raise ConsistencyError("second-moment matrix is not symmetric")
-        return cls(*rows[0].tolist())
+        return cls(*((s + s.T) / 2.0).ravel()[_MOMENT_ENTRIES].tolist())
 
     @classmethod
     def vacuum(cls) -> "SecondMoments":
@@ -262,49 +247,73 @@ class SecondMoments:
 _MOMENT_ENTRIES = np.array([0, 4, 8, 7, 6, 3])
 
 
-def _moment_rows(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2, n3, c32, c31, c21) of each symmetrised matrix in an
-    (N, 3, 3) stack, and which were asymmetric beyond tol relative to their size."""
-    st = np.swapaxes(s, -1, -2)
-    size = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)))
-    asymmetric = np.abs(s - st).max(axis=(-2, -1)) > tol * size
-    return ((s + st) / 2.0).reshape(-1, 9)[:, _MOMENT_ENTRIES], asymmetric
-
-
-def _horizon_errors(margin: np.ndarray, eigvals: np.ndarray, t: float) -> list:
+def _horizon_errors(margin: np.ndarray, mu: np.ndarray, kappa: float, t: float) -> list:
     """HorizonError for each drift whose growth over t overflows, else None."""
     errors = [None] * len(margin)
     for i in np.flatnonzero(2.0 * np.maximum(0.0, -margin) * t > _MAX_GROWTH_EXPONENT):
         errors[i] = HorizonError(
-            f"unstable drift (margin {margin[i]:.3g}, eigenvalues {_eigen_text(eigvals[i])}) "
-            f"over t={t:.3g} overflows; no steady state exists in this regime, reduce t"
+            f"unstable drift (margin {margin[i]:.3g}, eigenvalues "
+            f"{_eigen_text(_spectrum(kappa, mu[i]))}) over t={t:.3g} overflows; "
+            "no steady state exists in this regime, reduce t"
         )
     return errors
 
 
-def _lyapunov_operator(m: np.ndarray) -> np.ndarray:
-    """9x9 matrices L with vec(M S + S M^T) = L vec(S) (row-major vec), one
-    per drift of an (N, 3, 3) stack: the Kronecker sum M (x) I + I (x) M."""
-    eye = np.eye(3)
-    kron_m_eye = m[:, :, None, :, None] * eye[:, None, :]
-    kron_eye_m = eye[:, None, :, None] * m[:, None, :, None, :]
-    return (kron_m_eye + kron_eye_m).reshape(-1, 9, 9)
+def _g(x, t):
+    """g(x) = (1 - e^-xt) / x, or 1 / x in the steady state (t None)."""
+    return 1.0 / x if t is None else t * _psi(x * t)
 
 
-def _closed_form_second_moments(m, q, times) -> np.ndarray:
-    """S(t) from vacuum via the affine generator B = [[-L, vec Q], [0, 0]] (Van Loan).
+def _g_pair(x, mu, t):
+    """The divided difference g[x, x + mu], mu = 0 included.
 
-    m and q are (N, 3, 3) stacks; the result is (N, len(times), 3, 3).
-    exp(B t) maps (vec S0, 1) to (vec S(t), 1) exactly, whatever the
-    Jordan structure of M, and every entry of it stays bounded for a
-    stable drift however long t is.
+    Leibniz's rule on x g(x) = F(x) = 1 - e^-xt gives p g[x, x + mu] =
+    F[x, x + mu] - g(q), with p the node of larger magnitude and q the
+    other; F[lo, lo + h] = t e^-lo t psi(h t) for h >= 0, and 0 steady.
     """
-    gen = np.zeros((len(m), 10, 10))
-    gen[:, :9, :9] = -_lyapunov_operator(m)
-    gen[:, :9, 9] = q.reshape(-1, 9)
-    start = np.append(np.zeros(9), 1.0)
-    props = _expm(gen[:, None] * np.asarray(times)[:, None, None])
-    return (props @ start)[..., :9].reshape(len(m), len(times), 3, 3)
+    y = x + mu
+    far = np.abs(y) > np.abs(x)
+    p, q = np.where(far, y, x), np.where(far, x, y)
+    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * _psi(np.abs(mu) * t)
+    return (slope - _g(q, t)) / p
+
+
+def _integrals(kappa: float, mu: np.ndarray, t):
+    """g[kappa], g[kappa, kappa + mu] and g[kappa, kappa + mu, kappa + 2 mu].
+
+    These are I0, I1 / a and I2 / (2 a^2).  As in _g_pair, the node p of
+    largest magnitude, an end node and never below kappa, is peeled off:
+    p g[all] = F[all] - g[the other two], where F[lo, lo + h, lo + 2h] =
+    -(t^2 / 2) e^-lo t psi(h t)^2.  No step divides by mu, so the
+    defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
+    Math. Comp. 43, 501 (1984)).
+    """
+    end = kappa + 2.0 * mu
+    i1 = _g_pair(kappa, mu, t)
+    far = np.abs(end) > kappa
+    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t))
+    curve = 0.0 if t is None else (
+        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * _psi(np.abs(mu) * t) ** 2)
+    return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
+
+
+def _moment_rows_at(a, v, mu, q, kappa: float, t) -> np.ndarray:
+    """(n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T.
+
+    a, v, mu and q describe N preparations; t is a (T, 1) array of times,
+    giving (T, N, 6) rows, or None for the steady states, giving (N, 6).
+    Each term of S is symmetric in floating point, so S is too.
+    """
+    w = v * _SIGNS
+    r = (q @ w[..., None])[..., 0]
+    c = (w * r).sum(axis=-1)
+    vr = v[:, :, None] * r[:, None, :]
+    i0, i1, i2 = _integrals(kappa, mu, t)
+    s = (i0[..., None, None] * q
+         + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
+         + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
+    # + 0.0 turns the -0.0 that t = 0 leaves under negative entries into 0.0
+    return s.reshape(*s.shape[:-2], 9)[..., _MOMENT_ENTRIES] + 0.0
 
 
 def _check_occupations(m: SecondMoments, backend: str, stacklevel: int = 3) -> SecondMoments:
@@ -330,9 +339,9 @@ def second_moment_trajectory(
 ) -> list[SecondMoments]:
     """Second moments from vacuum at each requested time (nondecreasing, >= 0).
 
-    The closed-form route takes one exact matrix exponential per sample and
-    handles defective drifts like any other; the ode route integrates the
-    same equation numerically.
+    The closed-form route evaluates the rank-one formula at every sample,
+    defective drifts included; the ode route integrates the same equation
+    numerically.
     """
     times = [float(t) for t in times]
     if not times or any(t < 0.0 for t in times):
@@ -341,19 +350,14 @@ def second_moment_trajectory(
         raise ValueError("times must be nondecreasing")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    m, q, margin, eigvals = _linear_system([pref], kappa, backend)
-    overflow = _horizon_errors(margin, eigvals, times[-1])[0]
+    a, v, mu, margin, q = _linear_system([pref], kappa, backend)
+    overflow = _horizon_errors(margin, mu, kappa, times[-1])[0]
     if overflow is not None:
         raise overflow
     if route == "ode":
-        return _integrate_second_moments(m[0], q[0], times, backend)
-    rows, asymmetric = _moment_rows(_closed_form_second_moments(m, q, times)[0], 1e-8)
-    out = []
-    for row, asym in zip(rows.tolist(), asymmetric):
-        if asym:
-            raise ConsistencyError("second-moment matrix is not symmetric")
-        out.append(_check_occupations(SecondMoments(*row), backend))
-    return out
+        return _integrate_second_moments(drift_matrix(pref, kappa), q[0], times, backend)
+    rows = _moment_rows_at(a, v, mu, q, kappa, np.array(times)[:, None])[:, 0]
+    return [_check_occupations(SecondMoments(*row), backend) for row in rows.tolist()]
 
 
 def _integrate_second_moments(m, q, times, backend):
@@ -407,169 +411,44 @@ def evolve_second_moments(
     )[0]
 
 
-_SIGNS = np.array([1.0, -1.0, -1.0])
-
-
-def _rank_one(a: np.ndarray, k: np.ndarray, kappa: float):
-    """v = (sqrt loss1, sqrt gain2, sqrt gain3), mu = a lambda and the exact
-    margin kappa/2 + min(0, mu) of each drift M = kappa/2 I + a v w^T in a
-    stack, where w = diag(1, -1, -1) v and lambda = w.v = loss1 - (gain2 + gain3)."""
-    d = k.diagonal(axis1=-2, axis2=-1)
-    mu = a[:, 0, 0] * (d[:, 0] - (d[:, 1] + d[:, 2]))
-    return np.sqrt(np.maximum(d, 0.0)), mu, kappa / 2.0 + np.minimum(0.0, mu)
-
-
-def _psi(z: np.ndarray) -> np.ndarray:
-    """(1 - e^-z) / z, and its limit 1 at z = 0."""
-    nonzero = np.where(z == 0.0, 1.0, z)
-    return np.where(z == 0.0, 1.0, -np.expm1(-nonzero) / nonzero)
-
-
-def _g(x, t):
-    """g(x) = (1 - e^-xt) / x, or 1 / x in the steady state (t None)."""
-    return 1.0 / x if t is None else t * _psi(x * t)
-
-
-def _g_pair(x, mu, t):
-    """The divided difference g[x, x + mu], mu = 0 included.
-
-    Leibniz's rule on x g(x) = F(x) = 1 - e^-xt gives p g[x, x + mu] =
-    F[x, x + mu] - g(q), with p the node of larger magnitude and q the
-    other; F[lo, lo + h] = t e^-lo t psi(h t) for h >= 0, and 0 steady.
-    """
-    y = x + mu
-    far = np.abs(y) > np.abs(x)
-    p, q = np.where(far, y, x), np.where(far, x, y)
-    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * _psi(np.abs(mu) * t)
-    return (slope - _g(q, t)) / p
-
-
-def _integrals(kappa: float, mu: np.ndarray, t):
-    """g[kappa], g[kappa, kappa + mu] and g[kappa, kappa + mu, kappa + 2 mu].
-
-    These are I0, I1 / a and I2 / (2 a^2), the integrals of e^-kappa s
-    times 1, phi(s) and phi(s)^2 over [0, t].  As in _g_pair, the node p
-    of largest magnitude, an end node and never below kappa, is peeled off:
-    p g[all] = F[all] - g[the other two], where F[lo, lo + h, lo + 2h] =
-    -(t^2 / 2) e^-lo t psi(h t)^2.  No step divides by mu, so the
-    defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
-    Math. Comp. 43, 501 (1984)).
-    """
-    end = kappa + 2.0 * mu
-    i1 = _g_pair(kappa, mu, t)
-    far = np.abs(end) > kappa
-    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t))
-    curve = 0.0 if t is None else (
-        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * _psi(np.abs(mu) * t) ** 2)
-    return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
-
-
-def _moment_matrices(a, v, mu, q, kappa: float, t) -> np.ndarray:
-    """S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T from vacuum, r = Q w, c = w.r.
-
-    a, v, mu and q describe N preparations; t is a (T, 1) array of times,
-    giving a (T, N, 3, 3) stack, or None for the steady states, giving
-    (N, 3, 3).  Each term is symmetric in floating point, so S is too.
-    """
-    w = v * _SIGNS
-    r = (q @ w[..., None])[..., 0]
-    c = (w * r).sum(axis=-1)
-    vr = v[:, :, None] * r[:, None, :]
-    i0, i1, i2 = _integrals(kappa, mu, t)
-    return (i0[..., None, None] * q
-            + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
-            + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
-
-
-def _closed_form_rows(prefs, kappa: float, backend: str, at_time: float | None):
-    """_second_moment_rows on the rank-one closed form, with the exact margins."""
-    a, k = _couplings(prefs)
-    q = _diffusion(a, k, backend)
-    v, mu, margin = _rank_one(a, k, kappa)
-    spectra = [_spectrum(kappa, m) for m in mu.tolist()]
-    if at_time is None:
-        errors = [None if m > 0.0 else UnstableDriftError(
-            f"no steady state: drift margin {m:.6g} <= 0 (eigenvalues {_eigen_text(z)})")
-            for m, z in zip(margin.tolist(), spectra)]
-    else:
-        errors = _horizon_errors(margin, np.array(spectra), at_time)
-    ok = np.flatnonzero([e is None for e in errors])
-    t = None if at_time is None else np.array([[at_time]])
-    s = _moment_matrices(a[ok, 0, 0], v[ok], mu[ok], q[ok], kappa, t)
-    rows = np.full((len(prefs), 6), np.nan)
-    rows[ok] = s.reshape(-1, 9)[:, _MOMENT_ENTRIES]
-    return margin, rows, errors
-
-
-def _spectrum(kappa: float, mu: float) -> tuple[complex, ...]:
-    """The eigenvalues kappa/2, kappa/2 and kappa/2 + mu of the drift, sorted."""
-    return tuple(complex(z) for z in sorted((kappa / 2.0, kappa / 2.0, kappa / 2.0 + mu)))
-
-
-def _refuse(errors: list, mask: np.ndarray, error) -> None:
-    """Refuse each preparation i in mask with error(i), unless already refused."""
-    for i in np.asarray(mask).nonzero()[0].tolist():
-        if errors[i] is None:
-            errors[i] = error(i)
-
-
 def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None):
     """Moments of a batch of preparations, in one stacked pass.
 
-    at_time None solves M S + S M^T = Q for the steady states; a time
-    evaluates the state from vacuum there on the closed-form route.
-    Returns the stability margins, the (N, 6) moment rows (n1, n2, n3,
-    c32, c31, c21), NaN where refused, and for each preparation None or
-    the first error refusing it, in the order the single-preparation
-    calls check: an unstable drift, then a singular or inaccurate steady
-    solve, or a horizon the growth overflows; last an asymmetric result.
+    at_time None gives the steady states; a time gives the state from
+    vacuum there.  Returns the exact stability margins, the (N, 6) moment
+    rows (n1, n2, n3, c32, c31, c21), NaN where refused, and for each
+    preparation None or the error refusing it: an unstable drift in the
+    steady state, a horizon its growth overflows at a time.
     """
-    m, q, margin, eigvals = _linear_system(prefs, kappa, backend)
-    s = np.full(m.shape, np.nan)
+    a, v, mu, margin, q = _linear_system(prefs, kappa, backend)
     if at_time is None:
-        errors = [None] * len(margin)
-        _refuse(errors, ~(margin > 0.0), lambda i: UnstableDriftError(
-            f"no steady state: drift margin {margin[i]:.6g} <= 0 "
-            f"(eigenvalues {_eigen_text(eigvals[i])})"))
-        ok = np.flatnonzero(margin > 0.0)
-        lyapunov = _lyapunov_operator(m[ok])
-        vec, singular = _stacked(np.linalg.solve, lyapunov, q[ok].reshape(-1, 9, 1))
-        singular = {ok[j]: exc for j, exc in singular.items()}
-        s[ok] = vec.reshape(-1, 3, 3)
-        residual = np.abs(m @ s + s @ np.swapaxes(m, -1, -2) - q).max(axis=(-2, -1))
-        inaccurate = residual > 1e-9 * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
-        rows, asymmetric = _moment_rows(s, 1e-10)
-        failed = [i in singular for i in range(len(m))]
-        _refuse(errors, failed, lambda i: DegenerateSteadyStateError(
-            f"steady-state system singular: {singular[i]}"))
-        _refuse(errors, inaccurate, lambda i: DegenerateSteadyStateError(
-            f"steady-state residual {residual[i]:.3g} too large (near-marginal drift?)"))
-        _refuse(errors, asymmetric, lambda i: DegenerateSteadyStateError(
-            "steady-state solution lost symmetry"))
+        errors = [None] * len(prefs)
+        for i in np.flatnonzero(~(margin > 0.0)):
+            errors[i] = UnstableDriftError(
+                f"no steady state: drift margin {margin[i]:.6g} <= 0 "
+                f"(eigenvalues {_eigen_text(_spectrum(kappa, mu[i]))})")
     else:
-        errors = _horizon_errors(margin, eigvals, at_time)
-        ok = np.flatnonzero([e is None for e in errors])
-        s[ok] = _closed_form_second_moments(m[ok], q[ok], [at_time])[:, 0]
-        rows, asymmetric = _moment_rows(s, 1e-8)
-        _refuse(errors, asymmetric,
-                lambda i: ConsistencyError("second-moment matrix is not symmetric"))
-    rows[[e is not None for e in errors]] = np.nan
+        errors = _horizon_errors(margin, mu, kappa, at_time)
+    ok = np.flatnonzero([e is None for e in errors])
+    t = None if at_time is None else np.array([[at_time]])
+    rows = np.full((len(prefs), 6), np.nan)
+    rows[ok] = _moment_rows_at(a[ok], v[ok], mu[ok], q[ok], kappa, t).reshape(-1, 6)
     return margin, rows, errors
 
 
 def steady_state_moments(
     pref: Prefactors, kappa: float, *, backend: str = "ehrenfest"
 ) -> SecondMoments:
-    """Solve M S + S M^T = Q for the steady second moments.
+    """The steady second moments, which solve M S + S M^T = Q.
 
-    Requires a strictly stable drift; the 9x9 vectorised system is solved
-    directly and the result symmetrised.
+    Requires a strictly stable drift (UnstableDriftError otherwise); the
+    rank-one closed form needs no linear solve.
     """
     return _steady_state(pref, kappa, backend)[1]
 
 
 def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, SecondMoments]:
-    """Stability margin and steady moments, from one drift and one spectrum."""
+    """Exact stability margin and steady moments of one preparation."""
     margin, rows, errors = _second_moment_rows([pref], kappa, backend, None)
     if errors[0] is not None:
         raise errors[0]

@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import SecondMoments, _check_occupations, _second_moment_rows, _stacked
+from .dynamics import SecondMoments, _check_occupations, _second_moment_rows
 from .errors import ConfigurationError, DegenerateWitnessError, YcelError
 from .model import Prefactors, prefactors_from_inversions, validate_physical
 
@@ -53,11 +53,9 @@ _VIOLATION_MARGIN = 1e-12
 _X_SLOTS = (0, 2, 4)
 _P_SLOTS = (1, 3, 5)
 
-# Physical grid points per stacked pass of sweep.  A full chunk holds
-# about 2 MB of stacks on the fixed-time route (its 10x10 exponentials),
-# besides the 2.3 kB per point it returns; at 1,024 points the stacks
-# raised the peak RSS of a 41x41 fixed-time map by 4 MB, at 256 by 0.4 MB,
-# for the same speed.
+# Physical grid points per stacked pass of sweep.  The stacks of a full
+# chunk peak near 0.6 MB, most of it the witness optimum's, besides the
+# 2 kB per point it returns.
 _SWEEP_CHUNK = 256
 
 # Largest n1 x n2 grid a sweep takes.  About 37.5% of a grid over
@@ -257,6 +255,28 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     pairs = [gains.get(bip.name, (bip.default_h, bip.default_g)) for bip in BIPARTITIONS]
     h, g = ([np.asarray(pair[k], dtype=float) for pair in pairs] for k in (0, 1))
     return _single(_reports(cov.x_block[None], cov.p_block[None], h, g))
+
+
+def _stacked(fn, a: np.ndarray):
+    """fn over a stack of matrices, refusing only the members LAPACK refuses.
+
+    numpy.linalg raises for a whole stack when one member fails.  The
+    members are then tried one at a time; each one that fails is replaced
+    by the identity and its LinAlgError is returned under its index.
+    """
+    try:
+        return fn(a), {}
+    except np.linalg.LinAlgError:
+        pass
+    failed = {}
+    for i in range(len(a)):
+        try:
+            fn(a[i : i + 1])
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+    a = a.copy()
+    a[list(failed)] = np.eye(a.shape[-1])
+    return fn(a), failed
 
 
 def _cholesky(blocks, label) -> tuple[np.ndarray, dict]:

@@ -21,10 +21,6 @@ class HorizonError(YcelError):
     """Requested time would overflow the growing solution of an unstable drift."""
 
 
-class DegenerateSteadyStateError(YcelError):
-    """The steady-state linear system is singular."""
-
-
 class ConfigurationError(YcelError, ValueError):
     """Simulation configuration is inconsistent (dimensions, steps, ranges)."""
 

@@ -111,9 +111,9 @@ def test_criterion_02_prefactor_identities():
     print(f"criterion 2: PASS identities on {checked} triangle points, max residue {worst:.3g}")
 
 
-def propagator_of(m, t):
+def propagator_of(p, t):
     """P(t) = exp(-M t), column by column through the live mean-amplitude map."""
-    return np.column_stack([evolve_first_moments(m, e, t) for e in np.eye(3)])
+    return np.column_stack([evolve_first_moments(p, KAPPA, e, t) for e in np.eye(3)])
 
 
 def test_criterion_03_drift_and_propagator():
@@ -130,28 +130,29 @@ def test_criterion_03_drift_and_propagator():
     expm_tol, h, t_d = 1e-13, 2e-3, 1.0
     worst_id = worst_semi = worst_expm = worst_deriv = 0.0
     for eta1, eta2, a in points:
-        m = drift_matrix(pref(eta1, eta2, a), KAPPA)
-        worst_id = max(worst_id, float(np.abs(propagator_of(m, 0.0) - np.eye(3)).max()))
+        p = pref(eta1, eta2, a)
+        m = drift_matrix(p, KAPPA)
+        worst_id = max(worst_id, float(np.abs(propagator_of(p, 0.0) - np.eye(3)).max()))
         for s, t in ((0.7, 4.0), (2.5, 2.5), (0.3, 13.0)):
-            whole = propagator_of(m, s + t)
-            split = propagator_of(m, s) @ propagator_of(m, t)
+            whole = propagator_of(p, s + t)
+            split = propagator_of(p, s) @ propagator_of(p, t)
             scale = max(1.0, float(np.abs(whole).max()))
             worst_semi = max(worst_semi, float(np.abs(whole - split).max()) / scale)
         for t in (0.7, 4.0, 20.0):
             ref = expm(-m * t)
             scale = max(1.0, float(np.abs(ref).max()))
-            worst_expm = max(worst_expm, float(np.abs(propagator_of(m, t) - ref).max()) / scale)
-        samples = {k: propagator_of(m, t_d + k * h) for k in (-2, -1, 0, 1, 2)}
+            worst_expm = max(worst_expm, float(np.abs(propagator_of(p, t) - ref).max()) / scale)
+        samples = {k: propagator_of(p, t_d + k * h) for k in (-2, -1, 0, 1, 2)}
         deriv = (samples[-2] - 8 * samples[-1] + 8 * samples[1] - samples[2]) / (12 * h)
         norm_m = float(np.abs(m).sum(axis=1).max())
         # |P(xi)| <= |P(t_k)| exp(|M| 2h) anywhere on the stencil
-        sup_p = max(float(np.abs(p).sum(axis=1).max()) for p in samples.values())
+        sup_p = max(float(np.abs(x).sum(axis=1).max()) for x in samples.values())
         sup_p *= math.exp(2 * h * norm_m)
         bound = h**4 / 30 * norm_m**5 * sup_p + 18 * expm_tol * max(1.0, sup_p) / (12 * h)
         assert bound <= 1e-10
         worst_deriv = max(worst_deriv, float(np.abs(deriv + m @ samples[0]).max()) / bound)
         for t in (0.0, 0.7, 4.0):
-            r = evolve_first_moments(m, np.zeros(3), t)
+            r = evolve_first_moments(p, KAPPA, np.zeros(3), t)
             assert np.array_equal(r, np.zeros(3))
     assert worst_id < 1e-12
     assert worst_semi < 1e-12
@@ -222,7 +223,7 @@ def test_criterion_06_oracle_equivalence(oracle_runs):
             )
         for em, om in zip(engine, run.moments):
             worst = max(worst, max_rel(em, om))
-    assert worst < 1e-3
+    assert worst < 1e-4
     print(f"criterion 6: PASS ehrenfest vs Fock oracle at 4 preparations x 3 times, max rel {worst:.3g}")
 
 

@@ -15,8 +15,8 @@ from ycel.dynamics import (
     evolve_second_moments,
     is_stable,
     second_moment_trajectory,
+    stability,
     steady_state_moments,
-    _expm,
 )
 from ycel.errors import HorizonError, UnstableDriftError
 from ycel.model import prefactors_from_inversions, validate_physical
@@ -113,22 +113,41 @@ def test_stability_margins():
     assert not is_stable(drift_matrix(pref(0.0, 0.0, a=3.1), 1.0)).stable
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_exact_stability_matches_eigensolver(a):
+    # near the defective line the eigensolver's margin is off by up to 5e-9
+    values = [float(v) for v in np.linspace(-1.0, 1.0, 41)]
+    worst, spectra = 0.0, 0.0
+    for e1 in values:
+        for e2 in values:
+            if not validate_physical(e1, e2).valid:
+                continue
+            p = pref(e1, e2, a)
+            exact, numeric = stability(p, 1.0), is_stable(drift_matrix(p, 1.0))
+            worst = max(worst, abs(exact.margin - numeric.margin))
+            spectra = max(spectra, np.abs(np.subtract(exact.eigenvalues,
+                                                      numeric.eigenvalues)).max())
+            if abs(exact.margin) > 1e-8:
+                assert exact.stable == numeric.stable, (e1, e2)
+    assert worst < 1e-8
+    assert spectra < 2e-8
+
+
 def test_propagator_identity_and_decay():
-    m = drift_matrix(pref(0.1, 0.2), 1.0)
+    p = pref(0.1, 0.2)
     for r0 in np.eye(3):
-        assert_allclose(evolve_first_moments(m, r0, 0.0), r0, rtol=0.0, atol=1e-12)
-    margin = is_stable(m).margin
+        assert_allclose(evolve_first_moments(p, 1.0, r0, 0.0), r0, rtol=0.0, atol=1e-12)
+    margin = stability(p, 1.0).margin
     r0 = np.array([0.3 - 0.1j, 0.2, -0.4j])
-    assert np.abs(evolve_first_moments(m, r0, 50.0 / margin)).max() < 1e-10
+    assert np.abs(evolve_first_moments(p, 1.0, r0, 50.0 / margin)).max() < 1e-10
 
 
 def test_first_moments_zero_stays_zero():
     # a defective-drift point on purpose: the exponential must keep an
     # exactly zero mean exactly zero there too, without any warning
-    m = drift_matrix(pref(0.25, 0.25), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = evolve_first_moments(m, np.zeros(3), 7.3)
+        out = evolve_first_moments(pref(0.25, 0.25), 1.0, np.zeros(3), 7.3)
     assert np.all(out == 0.0)
 
 
@@ -358,22 +377,29 @@ def test_closed_form_matches_eigenbasis_table(point):
 
 
 def test_matrix_exponential_matches_scipy():
-    # the numpy kernel behind both routes' exponentials, against scipy's
-    # expm on decaying stacks from well inside to far past one squaring
+    # the engine's propagator e^(-kappa t/2) (I + phi(t) v w^T) against
+    # scipy's expm of -M t, from well inside one e-fold to far past it, on
+    # decaying and growing drifts and the defective one at (0.25, 0.25)
     from scipy.linalg import expm
 
     rng = np.random.default_rng(5)
-    for n in (3, 10):
-        for scale in (1e-8, 0.1, 1.0, 30.0):
-            a = rng.standard_normal((20, n, n)) * scale / np.sqrt(n) - scale * np.eye(n)
-            ref = np.stack([expm(x) for x in a])
-            got = _expm(a)
-            err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
-            assert err.max() < 1e-11, (n, scale)
-    # defective drift: exp(-M t) for the Jordan block at (0.25, 0.25)
-    m = drift_matrix(pref(0.25, 0.25), 1.0)
-    for t in (0.0, 0.3, 7.0, 150.0):
-        assert_allclose(_expm(-m * t), expm(-m * t), rtol=0.0, atol=1e-14)
+    draws = [(0.25, 0.25, 0.5), (0.0, 0.0, 3.5), (-0.5, -0.5, 1.0)]
+    while len(draws) < 40:
+        e1, e2 = rng.uniform(-1, 1, size=2)
+        if validate_physical(e1, e2).valid:
+            draws.append((float(e1), float(e2), float(rng.uniform(0.05, 3.0))))
+    worst = 0.0
+    for e1, e2, a in draws:
+        p = pref(e1, e2, a)
+        m = drift_matrix(p, 1.0)
+        for t in (0.0, 1e-8, 0.3, 7.0, 40.0):
+            # squared down from a 1-norm of 1: scipy's own scaling loses
+            # 5e-13 on the growing drifts at t = 40
+            k = max(0, int(np.ceil(np.log2(max(np.abs(m).sum(axis=0).max() * t, 1.0)))))
+            ref = np.linalg.matrix_power(expm(-m * (t / 2.0**k)), 2**k)
+            got = np.column_stack([evolve_first_moments(p, 1.0, e, t) for e in np.eye(3)])
+            worst = max(worst, np.abs(got - ref).max() / max(1.0, np.abs(ref).max()))
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])

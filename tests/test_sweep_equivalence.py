@@ -2,10 +2,10 @@
 
 Every float is compared bit for bit (through float.hex, which tells -0.0
 from 0.0), every failure string and every warning exactly and in order.
-The grids hold unstable drifts, near-marginal drifts whose steady solve is
-singular or inaccurate, the defective line eta1 + eta2 = 0.5, horizon
-overflows and the paper-literal covariances whose x block is not positive
-definite, and they span several chunks of the batched pass.
+The grids hold unstable drifts, exactly marginal drifts (margin 0), the
+defective line eta1 + eta2 = 0.5, horizon overflows and the paper-literal
+covariances whose x block is not positive definite, and they span several
+chunks of the batched pass.
 """
 
 import dataclasses
@@ -18,11 +18,10 @@ from ycel import (
     SweepPoint,
     YcelError,
     covariance_from_moments,
-    drift_matrix,
     evolve_second_moments,
-    is_stable,
     optimize_gains,
     prefactors_from_inversions,
+    stability,
     steady_state_moments,
     sweep,
     validate_physical,
@@ -46,7 +45,7 @@ def scalar_sweep(eta1_values, eta2_values, *, gain_scale, backend, at_time, opti
             if not validate_physical(e1, e2).valid:
                 continue
             pref = prefactors_from_inversions(e1, e2, gain_scale)
-            report = is_stable(drift_matrix(pref, 1.0))
+            report = stability(pref, 1.0)
             try:
                 if at_time is None:
                     moments = steady_state_moments(pref, 1.0, backend=backend)
@@ -92,8 +91,8 @@ def assert_equivalent(values, **kwargs):
     return batched
 
 
-# (gain_scale, at_time): steady states at A = 2 hold unstable and
-# near-marginal points; at A = 3.5 and t = 400 some unstable drifts
+# (gain_scale, at_time): steady states at A = 2 hold unstable points and
+# exactly marginal ones; at A = 3.5 and t = 400 some unstable drifts
 # overflow the horizon and others grow a covariance that is not positive
 # definite on both backends.
 MODES = {"steady": (2.0, None), "at-time": (3.5, 400.0)}
@@ -111,8 +110,14 @@ def test_batched_sweep_matches_scalar_calls(mode, backend, optimize, monkeypatch
     failures = " ".join(p[-1] or "" for p in points)
     assert len(points) == 149
     if mode == "steady":
-        for needle in ("no steady state", "singular", "residual"):
-            assert needle in failures
+        assert "no steady state" in failures
+        # rho00 = 1/4 on eta1 + eta2 = -0.25, so at A = 2 the margin
+        # kappa/2 + A (rho00 - 1/2) is exactly 0
+        marginal = [p for p in points
+                    if float.fromhex(p[1]) + float.fromhex(p[2]) == -0.25]
+        assert len(marginal) >= 5
+        for p in marginal:
+            assert p[-1].startswith("no steady state: drift margin 0 <= 0"), p[-1]
     else:
         assert "overflows" in failures
     if optimize and (backend == "paper-literal" or mode == "at-time"):
