@@ -135,6 +135,51 @@ def test_steady_unstable_exit_code(capsys):
     assert "margin" in err
 
 
+# Exactly marginal mirror pairs: rho00 = 1/4 at A = 2 and rho00 = 1/3 at
+# A = 1.5, so the margin kappa/2 + A (rho00 - 1/2) is 0.
+MARGINAL_MIRRORS = [
+    (("-0.375", "0.125"), ("0.125", "-0.375"), "2"),
+    (("-0.5", "0"), ("0", "-0.5"), "1.5"),
+]
+
+
+@pytest.mark.parametrize("left, right, gain", MARGINAL_MIRRORS)
+def test_marginal_mirror_points_refused_alike(left, right, gain, capsys):
+    reasons = []
+    for eta1, eta2 in (left, right):
+        code, out, err = run_cli(capsys, "steady", "--eta1", eta1, "--eta2", eta2, "--A", gain)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: no steady state: drift margin 0 <= 0 ")
+        reasons.append(err)
+    assert reasons[0] == reasons[1]
+
+
+@pytest.mark.parametrize("left, right, gain", MARGINAL_MIRRORS)
+def test_marginal_mirror_points_in_sweep(left, right, gain, capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--eta-grid", "9x9", "--eta1-range", "-0.5:0.5",
+                           "--eta2-range", "-0.5:0.5", "--A", gain, "--no-optimize")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    by_point = {(r[0], r[1]): dict(zip(header, r)) for r in rows}
+    pair = [by_point[left], by_point[right]]
+    for row in pair:
+        assert (row["status"], row["margin"]) == ("invalid", "0")
+        assert row["failure"].startswith("no steady state: drift margin 0 <= 0 ")
+    assert pair[0]["failure"] == pair[1]["failure"]
+
+
+def test_oracle_repeated_time_repeats_its_row(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0.5", "--A", "0.5",
+                           "--nmax", "6", "--dt", "0.05", "--times", "1,1,2")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert column(header, rows, "time") == ["1", "1", "2"]
+    assert rows[0] == rows[1] != rows[2]
+    code, out, _ = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0.5", "--A", "0.5",
+                           "--nmax", "6", "--dt", "0.05", "--times", "2")
+    assert rows[2] == parse_csv(out)[2][0]
+
+
 def test_absolute_units_equivalence(capsys):
     _, out_kappa, _ = run_cli(
         capsys, "evolve", "--eta1", "0", "--eta2", "0", "--A", "1",
