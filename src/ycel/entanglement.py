@@ -257,40 +257,31 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     return _single(_reports(cov.x_block[None], cov.p_block[None], h, g))
 
 
-def _stacked(fn, a: np.ndarray):
-    """fn over a stack of matrices, refusing only the members LAPACK refuses.
-
-    numpy.linalg raises for a whole stack when one member fails.  The
-    members are then tried one at a time; each one that fails is replaced
-    by the identity and its LinAlgError is returned under its index.
-    """
-    try:
-        return fn(a), {}
-    except np.linalg.LinAlgError:
-        pass
-    failed = {}
-    for i in range(len(a)):
-        try:
-            fn(a[i : i + 1])
-        except np.linalg.LinAlgError as exc:
-            failed[i] = exc
-    a = a.copy()
-    a[list(failed)] = np.eye(a.shape[-1])
-    return fn(a), failed
-
-
 def _cholesky(blocks, label) -> tuple[np.ndarray, dict]:
     """Cholesky factors of a stack of blocks, and the refusal of each
-    block that is not positive definite, by index."""
-    factors, failed = _stacked(np.linalg.cholesky, blocks)
-    return factors, {
-        i: DegenerateWitnessError(
-            f"{label} block is not positive definite (lowest eigenvalue "
-            f"{float(np.linalg.eigvalsh(blocks[i])[0]):.6g}); "
-            "no physical state has this covariance"
-        )
-        for i in failed
-    }
+    block that is not positive definite, by index.
+
+    numpy.linalg raises for a whole stack when one member fails.  The
+    members are then factored one at a time, and each one that fails is
+    replaced by the identity.
+    """
+    try:
+        return np.linalg.cholesky(blocks), {}
+    except np.linalg.LinAlgError:
+        pass
+    refused = {}
+    for i, block in enumerate(blocks):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            refused[i] = DegenerateWitnessError(
+                f"{label} block is not positive definite (lowest eigenvalue "
+                f"{float(np.linalg.eigvalsh(block)[0]):.6g}); "
+                "no physical state has this covariance"
+            )
+    blocks = blocks.copy()
+    blocks[list(refused)] = np.eye(blocks.shape[-1])
+    return np.linalg.cholesky(blocks), refused
 
 
 def _optimal_reports(xb, pb) -> list:

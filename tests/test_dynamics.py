@@ -400,6 +400,12 @@ def test_matrix_exponential_matches_scipy():
             got = np.column_stack([evolve_first_moments(p, 1.0, e, t) for e in np.eye(3)])
             worst = max(worst, np.abs(got - ref).max() / max(1.0, np.abs(ref).max()))
     assert worst < 1e-13
+    # defective drift: exp(-M t) for the Jordan block at (0.25, 0.25)
+    p = pref(0.25, 0.25)
+    m = drift_matrix(p, 1.0)
+    for t in (0.0, 0.3, 7.0, 150.0):
+        got = np.column_stack([evolve_first_moments(p, 1.0, e, t) for e in np.eye(3)])
+        assert_allclose(got, expm(-m * t), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
