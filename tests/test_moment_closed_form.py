@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from ycel.dynamics import _MOMENT_ENTRIES, _second_moment_rows
-from ycel.dynamics import diffusion_matrix, drift_matrix
+from ycel.dynamics import _MOMENT_ENTRIES, _second_moment_rows, diffusion_matrix, drift_matrix
 from ycel.model import prefactors_from_inversions, validate_physical
 
 TOL = 1e-12
