@@ -594,11 +594,12 @@ def moments_from_state(state) -> MomentTable:
 class OracleRun:
     """Record of one brute-force run.
 
-    times are the sample instants; tables/moments the extracted values at
-    each, on the three modes; trace_residues and edge_populations the
-    per-sample audit trail.  convergence_delta is the largest change any
-    tracked moment suffered when the step was halved (None when the check
-    was skipped).  support_size is the number of real coordinates marched
+    times are the requested sample instants, a repeated one repeated;
+    tables/moments the extracted values at each, on the three modes;
+    trace_residues and edge_populations the per-sample audit trail.
+    convergence_delta is the largest change any tracked moment suffered
+    when the step was halved (None when the check was skipped).
+    support_size is the number of real coordinates marched
     (the reachable folded support of the (a1, b) space, or every coordinate
     with restrict=False).  min_eigenvalue is the smallest eigenvalue of the
     final (a1, b) state when spectrum tracking was requested; its nonzero
@@ -679,9 +680,12 @@ def _march(lop, support, maps, vec, samples, dt, edge_tol):
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
+    """The distinct sample instants in order, and the index among them of
+    each requested time."""
     if sample_times is None:
-        return np.linspace(0.0, cfg.t_final, 21) if cfg.t_final > 0 else np.array([0.0])
-    samples = np.unique(np.asarray(sample_times, dtype=float))
+        samples = np.linspace(0.0, cfg.t_final, 21) if cfg.t_final > 0 else np.array([0.0])
+        return samples, range(len(samples))
+    samples, index = np.unique(np.asarray(sample_times, dtype=float), return_inverse=True)
     if samples.size == 0:
         raise ConfigurationError("sample_times is empty")
     if not np.isfinite(samples).all() or samples[0] < 0.0:
@@ -690,7 +694,7 @@ def _sample_grid(cfg: FockConfig, sample_times):
         raise ConfigurationError(
             f"sample time {samples[-1]:.6g} lies beyond t_final={cfg.t_final:.6g}"
         )
-    return samples
+    return samples, index.ravel().tolist()
 
 
 def integrate(
@@ -717,8 +721,9 @@ def integrate(
     dt/2 and the tracked moments must agree within 1e-6.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
-    explicit times must lie inside [0, t_final].  Integration stops at
-    the last sample.
+    explicit times must lie inside [0, t_final].  The run holds one record
+    per requested time, in the order requested; each distinct time is
+    marched to once, and integration stops at the last.
     """
     if not isinstance(rho0, DensityState):
         raise ConfigurationError("rho0 must be a DensityState")
@@ -738,7 +743,7 @@ def integrate(
     if not (kappa > 0.0) or not math.isfinite(kappa):
         raise ConfigurationError("kappa must be positive and finite")
 
-    samples = _sample_grid(cfg, sample_times)
+    samples, index = _sample_grid(cfg, sample_times)
     cutoffs, modes, terms = _reduced_model(pref, kappa, cfg.n_max)
     dim = math.prod(n + 1 for n in cutoffs)
     seeds = np.zeros(1, dtype=np.int64)
@@ -787,12 +792,15 @@ def integrate(
                 stacklevel=2,
             )
 
+    def requested(per_sample):
+        return tuple(per_sample[i] for i in index)
+
     return OracleRun(
-        times=tuple(float(t) for t in samples),
-        tables=tuple(tables),
-        moments=moments,
-        trace_residues=tuple(residues),
-        edge_populations=tuple(edges),
+        times=requested(samples.tolist()),
+        tables=requested(tables),
+        moments=requested(moments),
+        trace_residues=requested(residues),
+        edge_populations=requested(edges),
         convergence_delta=delta,
         support_size=support.size,
         min_eigenvalue=min_eig,

@@ -375,6 +375,21 @@ def test_closure_leakage_stays_at_roundoff():
     assert run.moments[-1].n3 > 0.01
 
 
+def test_run_holds_one_record_per_requested_time():
+    p = pref(0.0, 0.5, a=0.5)
+    cfg = FockConfig(n_max=4, dt=0.05, t_final=2.0, edge_tol=1e-2)
+    run = integrate(DensityState.vacuum(4), cfg, p, 1.0, sample_times=[2.0, 0.5, 2.0],
+                    check_convergence=False)
+    distinct = integrate(DensityState.vacuum(4), cfg, p, 1.0, sample_times=[0.5, 2.0],
+                         check_convergence=False)
+    assert run.times == (2.0, 0.5, 2.0)
+    for records in (run.moments, run.tables, run.trace_residues, run.edge_populations):
+        assert len(records) == 3 and records[0] is records[2]
+    for got, want in ((0, 1), (1, 0)):
+        assert run.moments[got] == distinct.moments[want]
+        assert run.edge_populations[got] == distinct.edge_populations[want]
+
+
 def test_vacuum_preserved_under_pure_loss():
     cfg = FockConfig(n_max=2, dt=0.05, t_final=10.0, edge_tol=1e-6)
     run = integrate(DensityState.vacuum(2), cfg, pref(1.0, 1.0, a=0.5), 1.0,
