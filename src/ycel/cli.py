@@ -17,10 +17,9 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
-import numpy as np
-
-from .dynamics import BACKENDS, ROUTES, _steady_state, second_moment_trajectory
+from .dynamics import BACKENDS, ROUTES, _eigen_margins, _steady_state, second_moment_trajectory
 from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
 from .errors import ConfigurationError, PreparationError, YcelError
 from .model import ModelParams, Prefactors, populations_from_inversions, prefactors, prefactors_from_inversions
@@ -52,6 +51,15 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     if not -math.inf < lo <= hi < math.inf:
         raise ConfigurationError(f"{flag} {text!r} must be finite and nondecreasing")
     return lo, hi
+
+
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced values from lo to hi, each the float nearest its exact
+    value, so a printed grid coordinate reads back as the one that ran."""
+    if n == 1:
+        return [lo]
+    step = (Fraction(hi) - Fraction(lo)) / (n - 1)
+    return [float(Fraction(lo) + i * step) for i in range(n)]
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -360,13 +368,12 @@ def cmd_oracle(args: argparse.Namespace) -> str:
         notes.append(f"convergence delta = {format_value(run.convergence_delta)}")
     notes.append(f"closure leakage = {format_value(run.closure_leakage())}")
     columns = ("time", *MOMENT_COLUMNS, "trace_residue", "edge_population")
-    # the run samples each distinct time once; a repeated time repeats its row
-    sample = {t: i for i, t in enumerate(run.times)}
-    rows = []
-    for t in times:
-        i = sample[t * tscale]
-        rows.append([t, *run.moments[i].as_tuple(), run.trace_residues[i],
-                     run.edge_populations[i]])
+    rows = [
+        [t, *m.as_tuple(), residue, edge]
+        for t, m, residue, edge in zip(
+            times, run.moments, run.trace_residues, run.edge_populations
+        )
+    ]
     return _table(args, params, columns, rows, notes)
 
 
@@ -379,8 +386,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
     points = run_sweep(
-        [float(v) for v in np.linspace(lo1, hi1, n1)],
-        [float(v) for v in np.linspace(lo2, hi2, n2)],
+        _axis(lo1, hi1, n1),
+        _axis(lo2, hi2, n2),
         gain_scale=_gain_rate(params),
         kappa=params["kappa"],
         backend=params["backend"],
@@ -391,10 +398,13 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     for bip in BIPARTITIONS:
         columns += [f"ratio_{bip.name}", f"violated_{bip.name}"]
     columns += ["fully_inseparable", "failure"]
+    # the margin column is the eigensolver's, as is_stable reports it; the
+    # verdict and the refusal reason come from the exact margin
+    margins = _eigen_margins([pt.prefactors for pt in points], params["kappa"]).tolist()
     nan = float("nan")
     rows = []
-    for pt in points:
-        row: list = [pt.eta1, pt.eta2, "valid" if pt.failure is None else "invalid", pt.margin]
+    for pt, margin in zip(points, margins):
+        row: list = [pt.eta1, pt.eta2, "valid" if pt.failure is None else "invalid", margin]
         if pt.moments is None:
             row += [nan] * 6
         else:

@@ -96,7 +96,7 @@ def _couplings(prefs) -> tuple[np.ndarray, np.ndarray]:
             ]
             for p in prefs
         ]
-    )
+    ).reshape(len(prefs), 3, 3)
     return a, k
 
 
@@ -127,13 +127,17 @@ def _linear_system(prefs, kappa: float, backend: str):
     return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
 
 
+def _drifts(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
+    """(N, 3, 3) drift matrices M = kappa/2 I + a K diag(1, -1, -1)."""
+    m = a * (k * _SIGNS)
+    m[:, range(3), range(3)] += kappa / 2.0
+    return m
+
+
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
     """3x3 drift matrix M = kappa/2 I + a K diag(1, -1, -1) of dR/dt = -M R
     over R = (a1*, a2, a3)."""
-    a, k = _couplings([pref])
-    m = a[0] * (k[0] * _SIGNS)
-    m[np.diag_indices(3)] += kappa / 2.0
-    return m
+    return _drifts(*_couplings([pref]), kappa)[0]
 
 
 def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray:
@@ -169,6 +173,12 @@ def is_stable(m: np.ndarray) -> StabilityReport:
     eigvals = eigvals[np.lexsort((eigvals.imag, eigvals.real))]
     margin = float(eigvals.real.min())
     return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals))
+
+
+def _eigen_margins(prefs, kappa: float) -> np.ndarray:
+    """is_stable(drift_matrix(p, kappa)).margin of each preparation, from
+    one stacked eigensolver call."""
+    return np.linalg.eigvals(_drifts(*_couplings(prefs), kappa)).real.min(axis=-1)
 
 
 def stability(pref: Prefactors, kappa: float) -> StabilityReport:

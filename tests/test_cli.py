@@ -162,10 +162,39 @@ def test_marginal_mirror_points_in_sweep(left, right, gain, capsys):
     _, header, rows = parse_csv(out)
     by_point = {(r[0], r[1]): dict(zip(header, r)) for r in rows}
     pair = [by_point[left], by_point[right]]
-    for row in pair:
-        assert (row["status"], row["margin"]) == ("invalid", "0")
+    for (eta1, eta2), row in zip((left, right), pair):
+        assert row["status"] == "invalid"
         assert row["failure"].startswith("no steady state: drift margin 0 <= 0 ")
+        # the margin column is the eigensolver's, a few ulps off the exact 0
+        pref = ycel.prefactors_from_inversions(float(eta1), float(eta2), float(gain))
+        assert row["margin"] == format_value(ycel.is_stable(ycel.drift_matrix(pref, 1.0)).margin)
     assert pair[0]["failure"] == pair[1]["failure"]
+
+
+def test_default_sweep_rows_reproduce_steady_at_their_printed_points(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--no-optimize", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    rows = [dict(zip(doc["columns"], r)) for r in doc["rows"]]
+    assert len(rows) == 166
+    for row in rows:
+        eta1, eta2 = row["eta1"], row["eta2"]
+        # the coordinate that ran is the one a CSV cell prints
+        assert (float(format_value(eta1)), float(format_value(eta2))) == (eta1, eta2)
+        code, out, err = run_cli(capsys, "steady", f"--eta1={eta1!r}", f"--eta2={eta2!r}",
+                                 "--format", "json")
+        if row["status"] == "valid":
+            assert code == 0
+            assert json.loads(out)["rows"][0] == [row[c] for c in doc["columns"][4:10]]
+        else:
+            assert (code, err) == (3, f"error: {row['failure']}\n")
+        pref = ycel.prefactors_from_inversions(eta1, eta2, 1.0)
+        assert row["margin"] == ycel.is_stable(ycel.drift_matrix(pref, 1.0)).margin
+    # rho00 = 0 and A = 1 make the margin 0; linspace put eta2 one ulp off -0.4
+    for point in ((-0.6, -0.4), (-0.4, -0.6)):
+        row = next(r for r in rows if (r["eta1"], r["eta2"]) == point)
+        assert row["status"] == "invalid"
+        assert row["failure"].startswith("no steady state: drift margin 0 <= 0 ")
 
 
 def test_oracle_repeated_time_repeats_its_row(capsys):
