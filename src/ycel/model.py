@@ -169,10 +169,14 @@ def populations_from_inversions(eta1: float, eta2: float) -> AtomPreparation:
         raise PreparationError(
             f"unphysical preparation eta1={eta1!r}, eta2={eta2!r}: {detail}"
         )
+    rho33, rho22, rho00 = verdict.rho33, verdict.rho22, verdict.rho00
+    if rho00 == 0.0:
+        # eta1 = rho00 - rho33 and eta2 = rho00 - rho22 give the other two
+        # exactly, with rho22 + rho33 = 1, so the drift on this edge is
+        # exactly marginal at A = 1 (the formulas above miss by an ulp)
+        rho33, rho22 = -eta1, -eta2
     # Boundary roundoff clamps into [0, 1] so the radicals below stay real.
-    rho33, rho22, rho00 = (
-        min(max(v, 0.0), 1.0) for v in (verdict.rho33, verdict.rho22, verdict.rho00)
-    )
+    rho33, rho22, rho00 = (min(max(v, 0.0), 1.0) for v in (rho33, rho22, rho00))
     return AtomPreparation(
         rho33=rho33,
         rho22=rho22,

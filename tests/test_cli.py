@@ -190,9 +190,10 @@ def test_default_sweep_rows_reproduce_steady_at_their_printed_points(capsys):
             assert (code, err) == (3, f"error: {row['failure']}\n")
         pref = ycel.prefactors_from_inversions(eta1, eta2, 1.0)
         assert row["margin"] == ycel.is_stable(ycel.drift_matrix(pref, 1.0)).margin
-    # rho00 = 0 and A = 1 make the margin 0; linspace put eta2 one ulp off -0.4
-    for point in ((-0.6, -0.4), (-0.4, -0.6)):
-        row = next(r for r in rows if (r["eta1"], r["eta2"]) == point)
+    # rho00 = 0 and A = 1 make the margin exactly 0
+    edge = [r for r in rows if r["eta1"] + r["eta2"] == -1.0]
+    assert len(edge) == 11
+    for row in edge:
         assert row["status"] == "invalid"
         assert row["failure"].startswith("no steady state: drift margin 0 <= 0 ")
 

@@ -135,6 +135,20 @@ def test_swap_symmetry_is_exact():
         assert q.cross32 == p.cross32
 
 
+def test_empty_ground_level_sums_the_other_populations_to_one():
+    # on rho00 = 0 the gains sum to exactly 1/2 and the absorption is 0, so
+    # the drift margin kappa/2 + A (loss1 - gain2 - gain3) is exactly 0 at A = 1
+    edge = 0
+    for e1 in np.linspace(-1.0, 0.0, 1001).tolist():
+        e2 = -1.0 - e1
+        if e1 + e2 != -1.0:
+            continue
+        edge += 1
+        p = prefactors_from_inversions(e1, e2, gain_scale=1.0)
+        assert (p.loss1, p.gain2 + p.gain3) == (0.0, 0.5), (e1, e2)
+    assert edge == 1001
+
+
 def test_gain_scale_formula():
     params = ModelParams(r_a=3.0, g=0.5, gamma=25.0, kappa=1.0, eta1=0.0, eta2=0.0)
     pref = prefactors(params)
