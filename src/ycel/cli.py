@@ -56,9 +56,7 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 def _axis(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced values from lo to hi, each the float nearest its exact
     value, so a printed grid coordinate reads back as the one that ran."""
-    if n == 1:
-        return [lo]
-    step = (Fraction(hi) - Fraction(lo)) / (n - 1)
+    step = (Fraction(hi) - Fraction(lo)) / max(n - 1, 1)
     return [float(Fraction(lo) + i * step) for i in range(n)]
 
 

@@ -377,10 +377,7 @@ def _integrate_second_moments(m, q, times, backend):
 
     def rhs(_, y):
         s = SecondMoments(*y).as_matrix()
-        ds = -m @ s - s @ m.T + q
-        return np.array(
-            [ds[0, 0], ds[1, 1], ds[2, 2], ds[2, 1], ds[2, 0], ds[1, 0]]
-        )
+        return (-m @ s - s @ m.T + q).ravel()[_MOMENT_ENTRIES]
 
     # t_eval must be strictly inside the span; handle t=0 and duplicates by lookup
     t_end = times[-1]
@@ -395,7 +392,6 @@ def _integrate_second_moments(m, q, times, backend):
         rtol=1e-12,
         atol=1e-14,
         t_eval=unique,
-        dense_output=False,
     )
     if not sol.success:
         raise ConsistencyError(f"moment integration failed: {sol.message}")

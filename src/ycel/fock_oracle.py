@@ -599,11 +599,11 @@ class OracleRun:
     trace_residues and edge_populations the per-sample audit trail.
     convergence_delta is the largest change any tracked moment suffered
     when the step was halved (None when the check was skipped).
-    support_size is the number of real coordinates marched
-    (the reachable folded support of the (a1, b) space, or every coordinate
-    with restrict=False).  min_eigenvalue is the smallest eigenvalue of the
-    final (a1, b) state when spectrum tracking was requested; its nonzero
-    spectrum is the three-mode one.
+    support_size is the number of real coordinates marched (the reachable
+    folded support of the (a1, b) space, or every coordinate with
+    restrict=False).  min_eigenvalue is the smallest eigenvalue of the final
+    (a1, b) state when spectrum tracking was requested; its nonzero spectrum
+    is the three-mode one.
     """
 
     times: tuple
@@ -683,8 +683,7 @@ def _sample_grid(cfg: FockConfig, sample_times):
     """The distinct sample instants in order, and the index among them of
     each requested time."""
     if sample_times is None:
-        samples = np.linspace(0.0, cfg.t_final, 21) if cfg.t_final > 0 else np.array([0.0])
-        return samples, range(len(samples))
+        sample_times = np.linspace(0.0, cfg.t_final, 21) if cfg.t_final > 0 else [0.0]
     samples, index = np.unique(np.asarray(sample_times, dtype=float), return_inverse=True)
     if samples.size == 0:
         raise ConfigurationError("sample_times is empty")
@@ -694,7 +693,7 @@ def _sample_grid(cfg: FockConfig, sample_times):
         raise ConfigurationError(
             f"sample time {samples[-1]:.6g} lies beyond t_final={cfg.t_final:.6g}"
         )
-    return samples, index.ravel().tolist()
+    return samples, index.ravel()
 
 
 def integrate(
@@ -758,7 +757,6 @@ def integrate(
     tables, residues, edges, vec = _march(
         lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
     )
-    moments = tuple(t.closure() for t in tables)
 
     delta = None
     if check_convergence:
@@ -766,14 +764,8 @@ def integrate(
             lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
         )[0]
         delta = max(
-            (
-                float(np.max(np.abs(np.concatenate((
-                    a.first - b.first,
-                    (a.cross - b.cross).ravel(),
-                    (a.pair - b.pair).ravel(),
-                )))))
-                for a, b in zip(tables, halved)
-            ),
+            (float(np.abs(x - y).max()) for a, b in zip(tables, halved)
+             for x, y in ((a.first, b.first), (a.cross, b.cross), (a.pair, b.pair))),
             default=0.0,
         )
         if delta >= _CONVERGENCE_TOL:
@@ -792,15 +784,13 @@ def integrate(
                 stacklevel=2,
             )
 
-    def requested(per_sample):
-        return tuple(per_sample[i] for i in index)
-
+    tables = tuple(tables[i] for i in index)
     return OracleRun(
-        times=requested(samples.tolist()),
-        tables=requested(tables),
-        moments=requested(moments),
-        trace_residues=requested(residues),
-        edge_populations=requested(edges),
+        times=tuple(samples[index].tolist()),
+        tables=tables,
+        moments=tuple(t.closure() for t in tables),
+        trace_residues=tuple(residues[i] for i in index),
+        edge_populations=tuple(edges[i] for i in index),
         convergence_delta=delta,
         support_size=support.size,
         min_eigenvalue=min_eig,

@@ -198,6 +198,13 @@ def test_default_sweep_rows_reproduce_steady_at_their_printed_points(capsys):
         assert row["failure"].startswith("no steady state: drift margin 0 <= 0 ")
 
 
+def test_sweep_without_a_physical_point_prints_no_rows(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--eta-grid", "2x2", "--eta1-range=1:1",
+                           "--eta2-range=-1:-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == []
+
+
 def test_oracle_repeated_time_repeats_its_row(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0.5", "--A", "0.5",
                            "--nmax", "6", "--dt", "0.05", "--times", "1,1,2")

@@ -384,7 +384,7 @@ def test_run_holds_one_record_per_requested_time():
                          check_convergence=False)
     assert run.times == (2.0, 0.5, 2.0)
     for records in (run.moments, run.tables, run.trace_residues, run.edge_populations):
-        assert len(records) == 3 and records[0] is records[2]
+        assert len(records) == 3 and records[0] == records[2]
     for got, want in ((0, 1), (1, 0)):
         assert run.moments[got] == distinct.moments[want]
         assert run.edge_populations[got] == distinct.edge_populations[want]
