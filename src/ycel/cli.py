@@ -17,7 +17,6 @@ import math
 import re
 import sys
 import warnings
-from fractions import Fraction
 
 from .dynamics import BACKENDS, ROUTES, _eigen_margins, _steady_state, second_moment_trajectory
 from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
@@ -56,6 +55,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 def _axis(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced values from lo to hi, each the float nearest its exact
     value, so a printed grid coordinate reads back as the one that ran."""
+    from fractions import Fraction  # its import costs a few ms; only sweep needs it
+
     step = (Fraction(hi) - Fraction(lo)) / max(n - 1, 1)
     return [float(Fraction(lo) + i * step) for i in range(n)]
 
