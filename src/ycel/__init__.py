@@ -10,6 +10,7 @@ from .errors import (
     ConfigurationError,
     ConsistencyError,
     DegenerateWitnessError,
+    FloatRangeError,
     HorizonError,
     IntegrationError,
     PreparationError,
@@ -45,7 +46,7 @@ from .entanglement import (
     BIPARTITIONS,
     CovarianceMatrix,
     SubVacuumWarning,
-    SweepPoint,
+    SweepTable,
     VlfReport,
     WitnessRecord,
     covariance_from_moments,

@@ -384,7 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     at_time = params["at_time"]
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
-    points = run_sweep(
+    table = run_sweep(
         _axis(lo1, hi1, n1),
         _axis(lo2, hi2, n2),
         gain_scale=_gain_rate(params),
@@ -399,25 +399,19 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     columns += ["fully_inseparable", "failure"]
     # the margin column is the eigensolver's, as is_stable reports it; the
     # verdict and the refusal reason come from the exact margin
-    margins = _eigen_margins([pt.prefactors for pt in points], params["kappa"]).tolist()
-    nan = float("nan")
-    rows = []
-    for pt, margin in zip(points, margins):
-        row: list = [pt.eta1, pt.eta2, "valid" if pt.failure is None else "invalid", margin]
-        if pt.moments is None:
-            row += [nan] * 6
-        else:
-            row += pt.moments.as_tuple()
-        if pt.report is None:
-            row += [nan, ""] * len(BIPARTITIONS) + [""]
-        else:
-            for bip in BIPARTITIONS:
-                rec = pt.report.record(bip.name)
-                row += [rec.ratio, rec.violated]
-            row.append(pt.report.fully_inseparable)
-        row.append(pt.failure if pt.failure is not None else "")
-        rows.append(row)
-    return _table(args, params, columns, rows)
+    margins = _eigen_margins(table.prefactors, params["kappa"])
+    # a failed point prints NaN ratios and empty verdicts
+    solved = [not f for f in table.failure]
+    verdicts = [[v if ok else "" for v, ok in zip(flags, solved)]
+                for flags in (*table.violated.T.tolist(), table.fully_inseparable.tolist())]
+    ratios = table.ratio.T.tolist()
+    cells = [table.eta1.tolist(), table.eta2.tolist(),
+             ["valid" if ok else "invalid" for ok in solved], margins.tolist(),
+             *table.moments.T.tolist()]
+    for ratio, violated in zip(ratios, verdicts):
+        cells += [ratio, violated]
+    cells += [verdicts[-1], table.failure]
+    return _table(args, params, columns, list(map(list, zip(*cells))))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, HorizonError, UnstableDriftError
+from .errors import ConsistencyError, FloatRangeError, HorizonError, UnstableDriftError
 from .model import Prefactors
 
 __all__ = [
@@ -83,21 +83,22 @@ class NegativeOccupationWarning(UserWarning):
     """A mean photon number came out negative (paper-literal artifact)."""
 
 
-def _couplings(prefs) -> tuple[np.ndarray, np.ndarray]:
+# Row-major positions of the entries of K among the Prefactors columns
+# (gain_scale, gain3, gain2, loss1, cross32, cross31, cross21).
+_K_ENTRIES = np.array([3, 6, 5, 6, 2, 4, 5, 4, 1])
+
+
+def _columns(pref: Prefactors) -> np.ndarray:
+    """The (1, 7) stack of Prefactors columns of one preparation."""
+    return np.array([[pref.gain_scale, pref.gain3, pref.gain2, pref.loss1,
+                      pref.cross32, pref.cross31, pref.cross21]])
+
+
+def _couplings(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """gain_scale a, shaped (N, 1, 1), and the symmetric coupling matrices
-    K (N, 3, 3) of N preparations, over R = (a1*, a2, a3)."""
-    a = np.array([p.gain_scale for p in prefs])[:, None, None]
-    k = np.array(
-        [
-            [
-                [p.loss1, p.cross21, p.cross31],
-                [p.cross21, p.gain2, p.cross32],
-                [p.cross31, p.cross32, p.gain3],
-            ]
-            for p in prefs
-        ]
-    ).reshape(len(prefs), 3, 3)
-    return a, k
+    K (N, 3, 3), over R = (a1*, a2, a3), of N preparations given as (N, 7)
+    Prefactors columns."""
+    return cols[:, 0, None, None], cols.take(_K_ENTRIES, axis=1).reshape(-1, 3, 3)
 
 
 def _diffusion(a: np.ndarray, k: np.ndarray, backend: str) -> np.ndarray:
@@ -119,10 +120,10 @@ def _rank_one(a: np.ndarray, k: np.ndarray, kappa: float):
     return np.sqrt(np.maximum(d, 0.0)), mu, kappa / 2.0 + np.minimum(0.0, mu)
 
 
-def _linear_system(prefs, kappa: float, backend: str):
+def _linear_system(cols: np.ndarray, kappa: float, backend: str):
     """gain_scale a, v, mu, the exact margins and the noise matrices Q of a
     stack of preparations."""
-    a, k = _couplings(prefs)
+    a, k = _couplings(cols)
     q = _diffusion(a, k, backend)
     return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
 
@@ -137,12 +138,12 @@ def _drifts(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
     """3x3 drift matrix M = kappa/2 I + a K diag(1, -1, -1) of dR/dt = -M R
     over R = (a1*, a2, a3)."""
-    return _drifts(*_couplings([pref]), kappa)[0]
+    return _drifts(*_couplings(_columns(pref)), kappa)[0]
 
 
 def diffusion_matrix(pref: Prefactors, backend: str = "ehrenfest") -> np.ndarray:
     """Noise matrix Q of the second-moment equation, for either backend."""
-    return _diffusion(*_couplings([pref]), backend)[0]
+    return _diffusion(*_couplings(_columns(pref)), backend)[0]
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,16 @@ def is_stable(m: np.ndarray) -> StabilityReport:
     return StabilityReport(margin > 0.0, margin, tuple(complex(z) for z in eigvals))
 
 
-def _eigen_margins(prefs, kappa: float) -> np.ndarray:
-    """is_stable(drift_matrix(p, kappa)).margin of each preparation, from
-    one stacked eigensolver call."""
-    return np.linalg.eigvals(_drifts(*_couplings(prefs), kappa)).real.min(axis=-1)
+def _eigen_margins(cols: np.ndarray, kappa: float) -> np.ndarray:
+    """is_stable(drift_matrix(p, kappa)).margin of each preparation of an
+    (N, 7) stack of Prefactors columns, from one stacked eigensolver call."""
+    return np.linalg.eigvals(_drifts(*_couplings(cols), kappa)).real.min(axis=-1)
 
 
 def stability(pref: Prefactors, kappa: float) -> StabilityReport:
     """Exact stability of drift_matrix(pref, kappa): the eigenvalues kappa/2
     (twice) and kappa/2 + mu, and the margin kappa/2 + min(0, mu)."""
-    _, mu, margin = _rank_one(*_couplings([pref]), kappa)
+    _, mu, margin = _rank_one(*_couplings(_columns(pref)), kappa)
     margin = float(margin[0])
     return StabilityReport(margin > 0.0, margin, _spectrum(kappa, float(mu[0])))
 
@@ -203,7 +204,7 @@ def evolve_first_moments(pref: Prefactors, kappa: float, r0, t: float) -> np.nda
     r0 = np.asarray(r0, dtype=complex)
     if r0.shape != (3,):
         raise ValueError("r0 must be a 3-vector")
-    v, mu, margin = (x[0] for x in _rank_one(*_couplings([pref]), kappa))
+    v, mu, margin = (x[0] for x in _rank_one(*_couplings(_columns(pref)), kappa))
     # e^(-kappa t/2) phi(t) = -a t e^(-margin t) psi(|mu| t), which overflows
     # only where the growth itself does
     coupled = -pref.gain_scale * t * np.exp(-margin * t) * _psi(np.abs(mu) * t)
@@ -260,7 +261,9 @@ _MOMENT_ENTRIES = np.array([0, 4, 8, 7, 6, 3])
 def _horizon_errors(margin: np.ndarray, mu: np.ndarray, kappa: float, t: float) -> list:
     """HorizonError for each drift whose growth over t overflows, else None."""
     errors = [None] * len(margin)
-    for i in np.flatnonzero(2.0 * np.maximum(0.0, -margin) * t > _MAX_GROWTH_EXPONENT):
+    with np.errstate(over="ignore"):
+        growth = 2.0 * np.maximum(0.0, -margin) * t
+    for i in np.flatnonzero(growth > _MAX_GROWTH_EXPONENT):
         errors[i] = HorizonError(
             f"unstable drift (margin {margin[i]:.3g}, eigenvalues "
             f"{_eigen_text(_spectrum(kappa, mu[i]))}) over t={t:.3g} overflows; "
@@ -307,35 +310,51 @@ def _integrals(kappa: float, mu: np.ndarray, t):
     return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
 
 
-def _moment_rows_at(a, v, mu, q, kappa: float, t) -> np.ndarray:
-    """(n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T.
+def _moment_rows_at(a, v, mu, q, kappa: float, t):
+    """(n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T,
+    and for each preparation None or the FloatRangeError refusing it.
 
     a, v, mu and q describe N preparations; t is a (T, 1) array of times,
     giving (T, N, 6) rows, or None for the steady states, giving (N, 6).
-    Each term of S is symmetric in floating point, so S is too.
+    Each term of S is symmetric in floating point, so S is too.  Past a
+    gain rate or a time near 1e154 a product overflows, and inf * 0 gives
+    NaN: a preparation with a non-finite row at any time is refused.
     """
-    w = v * _SIGNS
-    r = (q @ w[..., None])[..., 0]
-    c = (w * r).sum(axis=-1)
-    vr = v[:, :, None] * r[:, None, :]
-    i0, i1, i2 = _integrals(kappa, mu, t)
-    s = (i0[..., None, None] * q
-         + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
-         + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = v * _SIGNS
+        r = (q @ w[..., None])[..., 0]
+        c = (w * r).sum(axis=-1)
+        vr = v[:, :, None] * r[:, None, :]
+        i0, i1, i2 = _integrals(kappa, mu, t)
+        s = (i0[..., None, None] * q
+             + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
+             + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
     # + 0.0 turns the -0.0 that t = 0 leaves under negative entries into 0.0
-    return s.reshape(*s.shape[:-2], 9)[..., _MOMENT_ENTRIES] + 0.0
+    rows = s.reshape(*s.shape[:-2], 9)[..., _MOMENT_ENTRIES] + 0.0
+    finite = np.isfinite(rows).all(axis=-1)
+    errors = [None] * len(a)
+    for i in np.flatnonzero(~finite if t is None else ~finite.all(axis=0)):
+        when = "in the steady state" if t is None else (
+            f"at t={t[np.argmin(finite[:, i]), 0]:.6g}")
+        errors[i] = FloatRangeError(
+            f"second moments at gain rate {a[i]:.6g} {when} leave the floating-point range")
+    return rows, errors
 
 
-def _check_occupations(m: SecondMoments, backend: str, stacklevel: int = 3) -> SecondMoments:
-    low = min(m.n1, m.n2, m.n3)
+def _warn_occupation(low: float, backend: str, stacklevel: int) -> None:
+    """NegativeOccupationWarning when the lowest mean photon number is negative."""
     if low < -1e-9:
         warnings.warn(
             f"negative mean photon number {low:.6g} from backend {backend!r}; "
             "the as-printed mode-1 noise term drives this, and the ehrenfest "
             "backend (confirmed by the Fock oracle) does not",
             NegativeOccupationWarning,
-            stacklevel=stacklevel,
+            stacklevel=stacklevel + 1,
         )
+
+
+def _check_occupations(m: SecondMoments, backend: str, stacklevel: int = 3) -> SecondMoments:
+    _warn_occupation(min(m.n1, m.n2, m.n3), backend, stacklevel)
     return m
 
 
@@ -360,14 +379,16 @@ def second_moment_trajectory(
         raise ValueError("times must be nondecreasing")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    a, v, mu, margin, q = _linear_system([pref], kappa, backend)
+    a, v, mu, margin, q = _linear_system(_columns(pref), kappa, backend)
     overflow = _horizon_errors(margin, mu, kappa, times[-1])[0]
     if overflow is not None:
         raise overflow
     if route == "ode":
         return _integrate_second_moments(drift_matrix(pref, kappa), q[0], times, backend)
-    rows = _moment_rows_at(a, v, mu, q, kappa, np.array(times)[:, None])[:, 0]
-    return [_check_occupations(SecondMoments(*row), backend) for row in rows.tolist()]
+    rows, errors = _moment_rows_at(a, v, mu, q, kappa, np.array(times)[:, None])
+    if errors[0] is not None:
+        raise errors[0]
+    return [_check_occupations(SecondMoments(*row), backend) for row in rows[:, 0].tolist()]
 
 
 def _integrate_second_moments(m, q, times, backend):
@@ -417,18 +438,19 @@ def evolve_second_moments(
     )[0]
 
 
-def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None):
-    """Moments of a batch of preparations, in one stacked pass.
+def _second_moment_rows(cols: np.ndarray, kappa: float, backend: str, at_time: float | None):
+    """Moments of an (N, 7) stack of Prefactors columns, in one pass.
 
     at_time None gives the steady states; a time gives the state from
     vacuum there.  Returns the exact stability margins, the (N, 6) moment
     rows (n1, n2, n3, c32, c31, c21), NaN where refused, and for each
     preparation None or the error refusing it: an unstable drift in the
-    steady state, a horizon its growth overflows at a time.
+    steady state, a horizon its growth overflows at a time, or moments
+    beyond the floating-point range.
     """
-    a, v, mu, margin, q = _linear_system(prefs, kappa, backend)
+    a, v, mu, margin, q = _linear_system(cols, kappa, backend)
     if at_time is None:
-        errors = [None] * len(prefs)
+        errors = [None] * len(cols)
         for i in np.flatnonzero(~(margin > 0.0)):
             errors[i] = UnstableDriftError(
                 f"no steady state: drift margin {margin[i]:.6g} <= 0 "
@@ -437,8 +459,12 @@ def _second_moment_rows(prefs, kappa: float, backend: str, at_time: float | None
         errors = _horizon_errors(margin, mu, kappa, at_time)
     ok = np.flatnonzero([e is None for e in errors])
     t = None if at_time is None else np.array([[at_time]])
-    rows = np.full((len(prefs), 6), np.nan)
-    rows[ok] = _moment_rows_at(a[ok], v[ok], mu[ok], q[ok], kappa, t).reshape(-1, 6)
+    solved, range_errors = _moment_rows_at(a[ok], v[ok], mu[ok], q[ok], kappa, t)
+    rows = np.full((len(cols), 6), np.nan)
+    rows[ok] = solved.reshape(-1, 6)
+    for i, error in zip(ok.tolist(), range_errors):
+        if error is not None:
+            errors[i], rows[i] = error, np.nan
     return margin, rows, errors
 
 
@@ -455,7 +481,7 @@ def steady_state_moments(
 
 def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, SecondMoments]:
     """Exact stability margin and steady moments of one preparation."""
-    margin, rows, errors = _second_moment_rows([pref], kappa, backend, None)
+    margin, rows, errors = _second_moment_rows(_columns(pref), kappa, backend, None)
     if errors[0] is not None:
         raise errors[0]
     return float(margin[0]), _check_occupations(

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .dynamics import SecondMoments, _check_occupations, _second_moment_rows
-from .errors import ConfigurationError, DegenerateWitnessError, YcelError
-from .model import Prefactors, prefactors_from_inversions, validate_physical
+from .dynamics import SecondMoments, _second_moment_rows, _warn_occupation
+from .errors import ConfigurationError, DegenerateWitnessError
+from .model import _prefactor_columns
 
 __all__ = [
     "SubVacuumWarning",
@@ -45,7 +44,7 @@ __all__ = [
     "covariance_from_moments",
     "vlf_evaluate",
     "optimize_gains",
-    "SweepPoint",
+    "SweepTable",
     "sweep",
 ]
 
@@ -53,10 +52,10 @@ _VIOLATION_MARGIN = 1e-12
 _X_SLOTS = (0, 2, 4)
 _P_SLOTS = (1, 3, 5)
 
-# Physical grid points per stacked pass of sweep.  The stacks of a full
-# chunk peak near 0.6 MB, most of it the witness optimum's, besides the
-# 2 kB per point it returns.
-_SWEEP_CHUNK = 256
+# Grid points per stacked pass of sweep.  The stacks of a chunk whose
+# points are all physical peak near 2.5 MB, most of it the witness
+# optimum's, besides the 0.16 kB per point the table returns.
+_SWEEP_CHUNK = 1024
 
 # Largest n1 x n2 grid a sweep takes.  About 37.5% of a grid over
 # [-1, 1]^2 is physical, so the largest map returns about 375,000 points.
@@ -196,12 +195,13 @@ _D = np.ones((len(BIPARTITIONS), 2, 1, 3))
 _D[_ROWS, 1, 0, _LONE] = -1.0
 
 
-def _reports(xb, pb, h, g, refused=None) -> list:
-    """Witness reports for (N, 3, 3) stacks of x and p blocks.
+def _witnesses(xb, pb, h, g, refused=None) -> tuple:
+    """The three witnesses of each member of (N, 3, 3) stacks of x and p blocks.
 
     h and g hold the gains as [member, bipartition, slot], or without the
-    member axis when the whole stack shares them.  Returns, for each
-    member, its VlfReport or the first DegenerateWitnessError refusing it;
+    member axis when the whole stack shares them.  Returns the gains, then
+    lhs, bound, ratio and violated as [member, bipartition] arrays, then a
+    dict mapping each refused member to its first DegenerateWitnessError;
     refused maps members already refused to their error, which comes first.
     """
     n = len(xb)
@@ -223,21 +223,17 @@ def _reports(xb, pb, h, g, refused=None) -> list:
         refused.setdefault(i, error)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = lhs / bound
-    violated = lhs < bound - _VIOLATION_MARGIN
-    columns = [a.tolist() for a in (h, g, lhs, bound, ratio, violated)]
-    return [
-        refused[i] if i in refused else VlfReport(tuple(
-            WitnessRecord(bip.name, tuple(hs), tuple(gs), *values)
-            for bip, hs, gs, *values in zip(BIPARTITIONS, *(c[i] for c in columns))))
-        for i in range(n)
-    ]
+    return h, g, lhs, bound, ratio, lhs < bound - _VIOLATION_MARGIN, refused
 
 
-def _single(results):
-    """The one report of a batch of one, or raise its refusal."""
-    if isinstance(results[0], YcelError):
-        raise results[0]
-    return results[0]
+def _single(witnesses) -> VlfReport:
+    """The report of a stack of one, or raise its refusal."""
+    *columns, refused = witnesses
+    if refused:
+        raise refused[0]
+    return VlfReport(tuple(
+        WitnessRecord(bip.name, tuple(hs), tuple(gs), *values)
+        for bip, hs, gs, *values in zip(BIPARTITIONS, *(c[0].tolist() for c in columns))))
 
 
 def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
@@ -254,7 +250,7 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
         raise DegenerateWitnessError(f"unknown bipartition names: {sorted(unknown)}")
     pairs = [gains.get(bip.name, (bip.default_h, bip.default_g)) for bip in BIPARTITIONS]
     h, g = ([np.asarray(pair[k], dtype=float) for pair in pairs] for k in (0, 1))
-    return _single(_reports(cov.x_block[None], cov.p_block[None], h, g))
+    return _single(_witnesses(cov.x_block[None], cov.p_block[None], h, g))
 
 
 def _cholesky(blocks, label) -> tuple[np.ndarray, dict]:
@@ -284,9 +280,9 @@ def _cholesky(blocks, label) -> tuple[np.ndarray, dict]:
     return np.linalg.cholesky(blocks), refused
 
 
-def _optimal_reports(xb, pb) -> list:
-    """optimize_gains for (N, 3, 3) stacks of x and p blocks: a VlfReport
-    or the DegenerateWitnessError refusing it, for each member."""
+def _optimal_witnesses(xb, pb) -> tuple:
+    """_witnesses at the gains optimize_gains picks for each member of
+    (N, 3, 3) stacks of x and p blocks."""
     lx, refused_x = _cholesky(xb, "x")
     lp, refused_p = _cholesky(pb, "p")
     # [member, bipartition, sign] stacks of Lx^-1 D_s Lp^-T
@@ -300,7 +296,7 @@ def _optimal_reports(xb, pb) -> list:
     h = (lx_inv.swapaxes(-1, -2) @ u[..., :, 0, None])[..., 0]
     g = (lp_inv.swapaxes(-1, -2) @ vt[..., 0, :, None])[..., 0]
     pivot = np.take_along_axis(h, np.abs(h).argmax(axis=-1)[..., None], axis=-1)
-    return _reports(xb, pb, h / pivot, g / pivot, {**refused_p, **refused_x})
+    return _witnesses(xb, pb, h / pivot, g / pivot, {**refused_p, **refused_x})
 
 
 def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
@@ -319,56 +315,66 @@ def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
     """
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError("cov must be a CovarianceMatrix")
-    return _single(_optimal_reports(cov.x_block[None], cov.p_block[None]))
+    return _single(_optimal_witnesses(cov.x_block[None], cov.p_block[None]))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of an inversion sweep.
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """The physical points of a sweep grid, in grid order (eta1 outer, eta2
+    inner), as columns.
 
-    moments and report are None when the point failed (failure holds the
-    reason); an unstable point in steady mode is recorded, not raised.
+    prefactors holds the seven Prefactors fields in their declaration
+    order (gain_scale, gain3, gain2, loss1, cross32, cross31, cross21) and
+    margin the exact stability margin.  moments (n1, n2, n3, c32, c31,
+    c21), ratio and violated (one column per bipartition, in BIPARTITIONS
+    order) hold NaN and False where the point failed, and failure holds
+    the reason there, "" elsewhere.
     """
 
-    eta1: float
-    eta2: float
-    prefactors: Prefactors | None
-    stable: bool
-    margin: float
-    moments: SecondMoments | None
-    report: VlfReport | None
-    failure: str | None = None
+    eta1: np.ndarray
+    eta2: np.ndarray
+    prefactors: np.ndarray
+    margin: np.ndarray
+    moments: np.ndarray
+    ratio: np.ndarray
+    violated: np.ndarray
+    failure: tuple
+
+    def __len__(self) -> int:
+        return len(self.eta1)
+
+    @property
+    def fully_inseparable(self) -> np.ndarray:
+        return self.violated.all(axis=1)
 
 
-def _sweep_chunk(chunk, gain_scale, kappa, backend, at_time, optimize) -> list:
-    """SweepPoints of up to _SWEEP_CHUNK physical grid points, in one stacked pass."""
-    prefs = [prefactors_from_inversions(e1, e2, gain_scale=gain_scale) for e1, e2 in chunk]
-    margins, rows, failures = _second_moment_rows(prefs, kappa, backend, at_time)
-    solved = np.array([f is None for f in failures])
+def _sweep_chunk(eta1, eta2, gain_scale, kappa, backend, at_time, optimize) -> tuple:
+    """The SweepTable columns of the physical points among grid points
+    (eta1, eta2), in one stacked pass."""
+    physical, cols = _prefactor_columns(eta1, eta2, gain_scale)
+    margin, rows, errors = _second_moment_rows(cols, kappa, backend, at_time)
+    solved = np.flatnonzero([e is None for e in errors])
     sigma = _covariances(rows[solved])
-    if not np.isfinite(sigma).all():
-        raise ValueError("covariance entries must be finite")
     xb = np.ascontiguousarray(sigma[:, 0::2, 0::2])
     pb = np.ascontiguousarray(sigma[:, 1::2, 1::2])
-    lows = iter(np.diagonal(sigma, axis1=1, axis2=2).min(axis=1).tolist())
-    reports = iter(
-        _optimal_reports(xb, pb) if optimize else _reports(xb, pb, _DEFAULT_H, _DEFAULT_G)
-    )
-    points = []
-    for (e1, e2), pref, margin, row, failure in zip(
-        chunk, prefs, margins.tolist(), rows.tolist(), failures
-    ):
-        moments = report = None
-        if failure is None:
-            # the warnings of one point, in the order its scalar calls raise them
-            moments = _check_occupations(SecondMoments(*row), backend)
-            _check_vacuum_floor(next(lows), stacklevel=3)
-            report = next(reports)
-            if isinstance(report, YcelError):
-                moments, report, failure = None, None, report
-        failure = None if failure is None else str(failure)
-        points.append(SweepPoint(e1, e2, pref, margin > 0.0, margin, moments, report, failure))
-    return points
+    *_, ratio, violated, refused = (
+        _optimal_witnesses(xb, pb) if optimize else _witnesses(xb, pb, _DEFAULT_H, _DEFAULT_G))
+    # the warnings of each point, in the order its scalar calls raise them
+    occupation = rows[solved, :3].min(axis=1)
+    vacuum = np.diagonal(sigma, axis1=1, axis2=2).min(axis=1)
+    for k in np.flatnonzero((occupation < -1e-9) | (vacuum < 1.0 - 1e-9)).tolist():
+        _warn_occupation(float(occupation[k]), backend, stacklevel=3)
+        _check_vacuum_floor(float(vacuum[k]), stacklevel=4)
+    for k, error in refused.items():
+        errors[solved[k]] = error
+    failed = np.flatnonzero([e is not None for e in errors])
+    rows[failed] = np.nan
+    ratios = np.full((len(cols), len(BIPARTITIONS)), np.nan)
+    flags = np.zeros((len(cols), len(BIPARTITIONS)), dtype=bool)
+    ratios[solved], flags[solved] = ratio, violated
+    ratios[failed], flags[failed] = np.nan, False
+    failure = ["" if e is None else str(e) for e in errors]
+    return eta1[physical], eta2[physical], cols, margin, rows, ratios, flags, failure
 
 
 def sweep(
@@ -380,31 +386,33 @@ def sweep(
     backend: str = "ehrenfest",
     at_time: float | None = None,
     optimize: bool = True,
-):
+) -> SweepTable:
     """Witness evaluation over a grid of preparations.
 
     The grid is the cartesian product of the two coordinate lists,
     restricted to the physical triangle; points outside it are skipped
     entirely.  at_time=None evaluates steady states, a finite at_time
     evaluates the transient state there.  A point whose moments or
-    witnesses cannot be computed (an unstable drift, a covariance block
-    that is not positive definite) is recorded with a failure note.
-    Points are returned in grid order (eta1 outer, eta2 inner).
+    witnesses cannot be computed (an unstable drift, moments beyond the
+    floating-point range, a covariance block that is not positive
+    definite) is recorded with a failure note.  Returns one SweepTable.
 
-    The physical points go through drift, moments, covariance and
-    witnesses as stacks of _SWEEP_CHUNK, so the working memory does not
-    grow with the grid.  A grid of more than MAX_SWEEP_POINTS points is
-    refused with ConfigurationError.
+    The grid goes through prefactors, drift, moments, covariance and
+    witnesses in stacks of _SWEEP_CHUNK grid points, so the working memory
+    does not grow with the grid.  A grid of more than MAX_SWEEP_POINTS
+    points is refused with ConfigurationError.
     """
-    eta1_values = [float(e) for e in eta1_values]
-    eta2_values = [float(e) for e in eta2_values]
-    if len(eta1_values) * len(eta2_values) > MAX_SWEEP_POINTS:
-        raise ConfigurationError(
-            f"a {len(eta1_values)}x{len(eta2_values)} grid exceeds the {MAX_SWEEP_POINTS} points"
-        )
-    grid = ((e1, e2) for e1 in eta1_values for e2 in eta2_values
-            if validate_physical(e1, e2).valid)
-    points = []
-    while chunk := list(islice(grid, _SWEEP_CHUNK)):
-        points += _sweep_chunk(chunk, gain_scale, kappa, backend, at_time, optimize)
-    return tuple(points)
+    eta1_values = np.array([float(e) for e in eta1_values])
+    eta2_values = np.array([float(e) for e in eta2_values])
+    n1, n2 = len(eta1_values), len(eta2_values)
+    if n1 * n2 > MAX_SWEEP_POINTS:
+        raise ConfigurationError(f"a {n1}x{n2} grid exceeds the {MAX_SWEEP_POINTS} points")
+    chunks = []
+    # an empty grid still makes one (empty) pass, which shapes the columns
+    for start in range(0, max(n1 * n2, 1), _SWEEP_CHUNK):
+        index = np.arange(start, min(start + _SWEEP_CHUNK, n1 * n2))
+        chunks.append(_sweep_chunk(eta1_values[index // n2], eta2_values[index % n2],
+                                   gain_scale, kappa, backend, at_time, optimize))
+    *arrays, failure = zip(*chunks)
+    return SweepTable(*(np.concatenate(a) for a in arrays),
+                      tuple(f for part in failure for f in part))

@@ -21,6 +21,10 @@ class HorizonError(YcelError):
     """Requested time would overflow the growing solution of an unstable drift."""
 
 
+class FloatRangeError(YcelError):
+    """A result leaves the floating-point range (a gain rate or time near 1e154 or beyond)."""
+
+
 class ConfigurationError(YcelError, ValueError):
     """Simulation configuration is inconsistent (dimensions, steps, ranges)."""
 

@@ -42,6 +42,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConsistencyError, PreparationError
 
 __all__ = [
@@ -56,7 +58,11 @@ __all__ = [
     "validate_physical",
 ]
 
-# Populations this far below zero are treated as boundary roundoff.
+# Populations this far below zero are treated as boundary roundoff.  The
+# tolerance applies to the populations as validate_physical computes them
+# in floating point, not to their exact values: at eta1 = eta2 =
+# 1.000000000003 the exact rho33 is -1.0000149e-12, beyond it, but the
+# computed one is -0.99994e-12, and that point is accepted.
 BOUNDARY_TOL = 1e-12
 
 # Least radicand accepted below.  Each radicand is 9 rho_a rho_b: one
@@ -84,6 +90,8 @@ class PreparationVerdict:
     Total function output: populations are reported raw (possibly negative
     or not finite) and ``violated`` names every population that came out
     below -1e-12 or not finite, so NaN or infinite inversions are refused.
+    The bound applies to the populations as computed here in floating
+    point, whose rounding can differ from the exact value by a few ulps.
     """
 
     valid: bool
@@ -311,6 +319,58 @@ def prefactors_from_inversions(
                 f"{name}: radical {radical!r} disagrees with product form {value!r}"
             )
     return pref
+
+
+def _clamp(v):
+    """min(max(v, 0.0), 1.0) elementwise, with Python's choice among equals
+    (a -0.0 stays -0.0)."""
+    return np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
+
+
+def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
+    """The physical mask of the points (eta1, eta2) and, for the physical
+    ones, the seven Prefactors fields as the columns of an (N, 7) array.
+
+    The array twin of validate_physical, populations_from_inversions and
+    prefactors_from_inversions: the same formulas in the same order, so each
+    column equals the scalar call bit for bit.  AtomPreparation's checks
+    hold after the clamp and the sum rule implies its own.  A physical point
+    that fails a check is re-run through prefactors_from_inversions, which
+    raises its error.
+    """
+    rho00 = (1.0 + (eta1 + eta2)) / 3.0
+    rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
+    rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
+    physical = ((-BOUNDARY_TOL <= rho33) & (rho33 < math.inf) & (-BOUNDARY_TOL <= rho22)
+                & (rho22 < math.inf) & (-BOUNDARY_TOL <= rho00) & (rho00 < math.inf))
+    eta1, eta2, rho33, rho22, rho00 = (x[physical] for x in (eta1, eta2, rho33, rho22, rho00))
+    edge = rho00 == 0.0
+    rho33, rho22 = np.where(edge, -eta1, rho33), np.where(edge, -eta2, rho22)
+    rho33, rho22, rho00 = _clamp(rho33), _clamp(rho22), _clamp(rho00)
+    cols = np.empty((len(rho00), 7))
+    cols[:, 0] = gain_scale
+    cols[:, 1], cols[:, 2], cols[:, 3] = rho33 / 2.0, rho22 / 2.0, rho00 / 2.0
+    cols[:, 4] = np.sqrt(rho33 * rho22) / 2.0
+    cols[:, 5] = np.sqrt(rho33 * rho00) / 2.0
+    cols[:, 6] = np.sqrt(rho22 * rho00) / 2.0
+    weights = cols[:, 1:]
+    gain3, gain2, loss1, cross32, cross31, cross21 = weights.T
+    ok = (0.0 < gain_scale < math.inf) & (
+        (-BOUNDARY_TOL <= weights) & (weights <= 0.5 + BOUNDARY_TOL)).all(axis=1)
+    ok &= np.abs(gain3 + gain2 + loss1 - 0.5) <= CROSS_CHECK_TOL
+    for value, a, b, radicand in zip((cross32, cross31, cross21),
+                                     (gain3, gain3, gain2), (gain2, loss1, loss1),
+                                     _radicands(eta1, eta2)):
+        ok &= np.abs(value - np.sqrt(a * b)) <= CROSS_CHECK_TOL
+        ok &= (radicand >= RADICAND_FLOOR) & (
+            np.abs(np.maximum(radicand, 0.0) - 36.0 * value * value) <= CROSS_CHECK_TOL)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
+        e1, e2 = float(eta1[i]), float(eta2[i])
+        prefactors_from_inversions(e1, e2, gain_scale)
+        raise ConsistencyError(
+            f"prefactor columns at eta1={e1!r}, eta2={e2!r} fail a check the scalar call passes")
+    return physical, cols
 
 
 def prefactors(params: ModelParams) -> Prefactors:

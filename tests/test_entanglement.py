@@ -295,7 +295,7 @@ def test_optimizer_ratio_is_inverse_top_singular_value():
 
 
 def test_sweep_grid_and_failures():
-    points = sweep(
+    table = sweep(
         [-0.5, 0.0, 0.25, 1.5],
         [-0.5, 0.0, 0.25],
         gain_scale=0.5,
@@ -304,16 +304,19 @@ def test_sweep_grid_and_failures():
     # eta1=1.5 is unphysical with every eta2 here; (0,-0.5) and (0.25,-0.5)
     # and (-0.5, 0.25) sit inside the triangle, (-0.5,-0.5) is a vertexish
     # interior point; grid order must be row-major over survivors
-    coords = [(p.eta1, p.eta2) for p in points]
+    coords = list(zip(table.eta1.tolist(), table.eta2.tolist()))
     assert coords == sorted(coords, key=lambda t: (t[0], t[1]))
     assert all(e1 != 1.5 for e1, _ in coords)
-    by_coord = {(p.eta1, p.eta2): p for p in points}
-    quiet = by_coord[(0.25, 0.25)]
-    assert quiet.stable and quiet.moments is not None
-    assert quiet.report.record("2|13").violated
-    vertexish = by_coord[(-0.5, -0.5)]
-    assert vertexish.report is not None
-    assert not vertexish.report.fully_inseparable
+    assert table.prefactors.shape == (len(table), 7)
+    assert table.moments.shape == (len(table), 6)
+    assert table.ratio.shape == table.violated.shape == (len(table), 3)
+    quiet = coords.index((0.25, 0.25))
+    assert table.margin[quiet] > 0.0 and table.failure[quiet] == ""
+    assert np.isfinite(table.moments[quiet]).all()
+    assert table.violated[quiet, [b.name for b in BIPARTITIONS].index("2|13")]
+    vertexish = coords.index((-0.5, -0.5))
+    assert table.failure[vertexish] == ""
+    assert not table.fully_inseparable[vertexish]
 
 
 def test_sweep_refuses_oversized_grid():
@@ -323,42 +326,39 @@ def test_sweep_refuses_oversized_grid():
 
 
 def test_sweep_unstable_point_recorded_inline():
-    points = sweep([0.0], [0.0], gain_scale=3.5, kappa=1.0)
-    assert len(points) == 1
-    pt = points[0]
-    assert not pt.stable
-    assert pt.margin < 0.0
-    assert pt.moments is None and pt.report is None
-    assert "steady" in pt.failure or "margin" in pt.failure
+    table = sweep([0.0], [0.0], gain_scale=3.5, kappa=1.0)
+    assert len(table) == 1
+    assert table.margin[0] < 0.0
+    assert np.isnan(table.moments[0]).all() and np.isnan(table.ratio[0]).all()
+    assert not table.violated[0].any()
+    assert "steady" in table.failure[0] or "margin" in table.failure[0]
 
 
 def test_sweep_keeps_a_point_within_the_boundary_tolerance():
     # rho22 = -9.7e-13 passes validate_physical, so the point gets its row
-    (pt,) = sweep([-2.9e-12], [0.5], gain_scale=1.0)
-    assert pt.failure is None
-    assert pt.prefactors.gain2 == 0.0
+    table = sweep([-2.9e-12], [0.5], gain_scale=1.0)
+    assert table.failure == ("",)
+    assert table.prefactors[0, 2] == 0.0  # gain2
 
 
 def test_sweep_refuses_unphysical_covariance_inline():
     # the literal-coefficient backend at A = 2 gives a stable drift whose
     # steady state has an indefinite x block; the point is recorded, not
     # reported as a violation or raised
-    points = sweep([-0.1], [0.3], gain_scale=2.0, backend="paper-literal")
-    assert len(points) == 1
-    pt = points[0]
-    assert pt.stable
-    assert pt.moments is None and pt.report is None
-    assert "x block is not positive definite" in pt.failure
+    table = sweep([-0.1], [0.3], gain_scale=2.0, backend="paper-literal")
+    assert len(table) == 1
+    assert table.margin[0] > 0.0
+    assert np.isnan(table.moments[0]).all() and not table.violated[0].any()
+    assert "x block is not positive definite" in table.failure[0]
 
 
 def test_sweep_fixed_time_mode():
-    points = sweep(
+    table = sweep(
         [0.0], [0.0], gain_scale=0.5, kappa=1.0, at_time=2.0, optimize=False
     )
-    assert len(points) == 1
-    assert points[0].moments is not None
-    assert points[0].moments.n3 > 0.0
-    assert points[0].report is not None
+    assert len(table) == 1
+    assert table.moments[0, 2] > 0.0  # n3
+    assert np.isfinite(table.ratio[0]).all()
 
 
 def test_oracle_and_engine_witnesses_agree():

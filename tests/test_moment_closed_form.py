@@ -9,6 +9,8 @@ the steady state and fixed times up to 200/margin, and at offsets 1e-2
 to 1e-12 from the defective line eta1 + eta2 = 0.5 as well as on it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -24,6 +26,12 @@ def grid_prefs(a, n=41):
     values = [float(v) for v in np.linspace(-1.0, 1.0, n)]
     return [prefactors_from_inversions(e1, e2, a) for e1 in values for e2 in values
             if validate_physical(e1, e2).valid]
+
+
+def rows_of(prefs, backend, at_time):
+    """The engine's margins, rows and refusals for a list of Prefactors."""
+    cols = np.array([dataclasses.astuple(p) for p in prefs]).reshape(-1, 7)
+    return _second_moment_rows(cols, 1.0, backend, at_time)
 
 
 def reference(prefs, backend, at_time):
@@ -49,7 +57,7 @@ def compare(prefs, backend, at_time):
     points; a point is refused exactly when it is unstable in the steady
     state.  Margins of a few ulps, where the reference is ill posed, are
     left to the marginal-point tests."""
-    margin, rows, errors = _second_moment_rows(prefs, 1.0, backend, at_time)
+    margin, rows, errors = rows_of(prefs, backend, at_time)
     for m, error in zip(margin.tolist(), errors):
         if abs(m) >= 1e-15:
             assert (error is None) == (at_time is not None or m > 0.0), str(error)
@@ -73,7 +81,7 @@ def test_grid_matches_reference(a, backend):
 def test_long_horizons_match_reference(a):
     # 2, 20 and 200 e-folds of the slowest mode, one point at a time
     prefs = grid_prefs(a, 21)
-    margin, _, _ = _second_moment_rows(prefs, 1.0, "ehrenfest", None)
+    margin, _, _ = rows_of(prefs, "ehrenfest", None)
     worst, checked = 0.0, 0
     for p, m in zip(prefs, margin.tolist()):
         if m < 1e-6:
