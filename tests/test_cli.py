@@ -435,19 +435,64 @@ def test_separate_negative_range_matches_attached_form(value, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, point, computed",
     [
-        pytest.param(("prefactors", "--eta1=-2.9e-12", "--eta2", "0.5"), id="rho22-below-0"),
+        pytest.param(("prefactors", "--eta1=-2.9e-12", "--eta2", "0.5"),
+                     (-2.9e-12, 0.5), {"rho22": -0.96667e-12}, id="rho22-below-0"),
+        # the exact rho33 = rho22 here is -1.0000149e-12, beyond BOUNDARY_TOL;
+        # the tolerance applies to the populations as validate_physical
+        # computes them, and its formula rounds them to -0.99994e-12
         pytest.param(("prefactors", "--eta1", "1.000000000003", "--eta2", "1.000000000003"),
-                     id="rho00-above-1"),
+                     (1.000000000003, 1.000000000003),
+                     {"rho33": -0.99994e-12, "rho22": -0.99994e-12}, id="rho00-above-1"),
         pytest.param(("sweep", "--eta-grid", "5x5", "--eta1-range=0:1.000000000003",
-                      "--eta2-range=0:1.000000000003"), id="sweep-edge"),
+                      "--eta2-range=0:1.000000000003"), (1.000000000003, 1.000000000003),
+                     {"rho33": -0.99994e-12, "rho22": -0.99994e-12}, id="sweep-edge"),
     ],
 )
-def test_points_within_the_boundary_tolerance_run(argv, capsys):
+def test_points_within_the_boundary_tolerance_run(argv, point, computed, capsys):
+    verdict = ycel.validate_physical(*point)
+    for name, value in computed.items():
+        assert -1e-12 <= getattr(verdict, name) == pytest.approx(value, rel=1e-4)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out
+
+
+# Past a gain rate or a time near 1.3e154 a product of the closed form
+# overflows, and inf * 0 gives NaN: such moments are refused, never printed.
+BEYOND_FLOAT_RANGE = {
+    "steady-inf": (("steady", "--eta1", "0.5", "--eta2", "0.5", "--A", "1e155"),
+                   "gain rate 1e+155 in the steady state"),
+    "steady-nan": (("steady", "--eta1", "1", "--eta2", "1", "--A", "1e300"),
+                   "gain rate 1e+300 in the steady state"),
+    "evolve": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1e308", "--samples", "2"),
+               "gain rate 1 at t=1e+308"),
+}
+
+
+@pytest.mark.parametrize("argv, named", BEYOND_FLOAT_RANGE.values(), ids=BEYOND_FLOAT_RANGE)
+def test_moments_beyond_the_float_range_exit_3(argv, named, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: second moments at {named} leave the floating-point range\n"
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--eta-grid", "3x3", "--A", "1e300"),
+                                  ("sweep", "--eta-grid", "2x2", "--at-time", "1e308")],
+                         ids=["gain", "time"])
+def test_sweep_records_moments_beyond_the_float_range(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    rows = [dict(zip(json.loads(out)["columns"], r)) for r in json.loads(out)["rows"]]
+    beyond = [r for r in rows if r["failure"].endswith("leave the floating-point range")]
+    assert beyond
+    for row in rows:
+        moments = [row[c] for c in ("n1", "n2", "n3", "c32", "c31", "c21")]
+        if row["status"] == "valid":
+            assert all(math.isfinite(m) for m in moments)
+        else:
+            assert all(math.isnan(m) for m in moments) and row["failure"]
 
 
 PREFACTOR_POINT = ("prefactors", "--eta1", "0", "--eta2", "0")

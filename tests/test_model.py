@@ -84,7 +84,8 @@ def test_triangle_vertices_and_boundary_roundoff():
 
 
 # Inside the 1e-12 tolerance of validate_physical: rho22 is -9.7e-13 at the
-# first, rho00 is 1 + 2e-12 at the second.
+# first; at the second rho00 is 1 + 2e-12 and rho33 = rho22 are computed as
+# -0.99994e-12, though exactly they are -1.0000149e-12.
 TOLERATED_POINTS = [(-2.9e-12, 0.5), (1.000000000003, 1.000000000003)]
 
 

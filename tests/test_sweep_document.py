@@ -139,3 +139,11 @@ def test_sweep_document_within_the_boundary_tolerance(case, edge, fmt, tmp_path)
     # the point just outside the exact triangle gets its own valid row
     _, rows = assert_documents_match(tmp_path, fmt, **case)
     assert [row[2] for row in rows if tuple(row[:2]) == edge] == ["valid"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", [{"grid": "3x3", "A": 1e300}, {"grid": "2x2", "at_time": 1e308}],
+                         ids=["gain", "time"])
+def test_sweep_document_beyond_the_float_range(case, fmt, tmp_path):
+    doc, _ = assert_documents_match(tmp_path, fmt, **case)
+    assert "leave the floating-point range" in doc
