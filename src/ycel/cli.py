@@ -402,16 +402,17 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     margins = _eigen_margins(table.prefactors, params["kappa"])
     # a failed point prints NaN ratios and empty verdicts
     solved = [not f for f in table.failure]
-    verdicts = [[v if ok else "" for v, ok in zip(flags, solved)]
-                for flags in (*table.violated.T.tolist(), table.fully_inseparable.tolist())]
-    ratios = table.ratio.T.tolist()
+
+    def verdicts(flags):
+        return [v if ok else "" for v, ok in zip(flags.tolist(), solved)]
+
     cells = [table.eta1.tolist(), table.eta2.tolist(),
              ["valid" if ok else "invalid" for ok in solved], margins.tolist(),
              *table.moments.T.tolist()]
-    for ratio, violated in zip(ratios, verdicts):
-        cells += [ratio, violated]
-    cells += [verdicts[-1], table.failure]
-    return _table(args, params, columns, list(map(list, zip(*cells))))
+    for ratio, flags in zip(table.ratio.T.tolist(), table.violated.T):
+        cells += [ratio, verdicts(flags)]
+    cells += [verdicts(table.fully_inseparable), table.failure]
+    return _table(args, params, columns, list(zip(*cells)))
 
 
 class _Parser(argparse.ArgumentParser):

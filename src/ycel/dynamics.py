@@ -331,13 +331,13 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t):
              + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
     # + 0.0 turns the -0.0 that t = 0 leaves under negative entries into 0.0
     rows = s.reshape(*s.shape[:-2], 9)[..., _MOMENT_ENTRIES] + 0.0
-    finite = np.isfinite(rows).all(axis=-1)
     errors = [None] * len(a)
-    for i in np.flatnonzero(~finite if t is None else ~finite.all(axis=0)):
-        when = "in the steady state" if t is None else (
-            f"at t={t[np.argmin(finite[:, i]), 0]:.6g}")
-        errors[i] = FloatRangeError(
-            f"second moments at gain rate {a[i]:.6g} {when} leave the floating-point range")
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=-1)
+        when = "in the steady state" if t is None else f"by t={t[-1, 0]:.6g}"
+        for i in np.flatnonzero(~finite if t is None else ~finite.all(axis=0)):
+            errors[i] = FloatRangeError(
+                f"second moments at gain rate {a[i]:.6g} {when} leave the floating-point range")
     return rows, errors
 
 

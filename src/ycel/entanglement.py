@@ -368,11 +368,10 @@ def _sweep_chunk(eta1, eta2, gain_scale, kappa, backend, at_time, optimize) -> t
     for k, error in refused.items():
         errors[solved[k]] = error
     failed = np.flatnonzero([e is not None for e in errors])
-    rows[failed] = np.nan
     ratios = np.full((len(cols), len(BIPARTITIONS)), np.nan)
     flags = np.zeros((len(cols), len(BIPARTITIONS)), dtype=bool)
     ratios[solved], flags[solved] = ratio, violated
-    ratios[failed], flags[failed] = np.nan, False
+    rows[failed], ratios[failed], flags[failed] = np.nan, np.nan, False
     failure = ["" if e is None else str(e) for e in errors]
     return eta1[physical], eta2[physical], cols, margin, rows, ratios, flags, failure
 

@@ -321,12 +321,6 @@ def prefactors_from_inversions(
     return pref
 
 
-def _clamp(v):
-    """min(max(v, 0.0), 1.0) elementwise, with Python's choice among equals
-    (a -0.0 stays -0.0)."""
-    return np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
-
-
 def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     """The physical mask of the points (eta1, eta2) and, for the physical
     ones, the seven Prefactors fields as the columns of an (N, 7) array.
@@ -341,12 +335,14 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     rho00 = (1.0 + (eta1 + eta2)) / 3.0
     rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
     rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
-    physical = ((-BOUNDARY_TOL <= rho33) & (rho33 < math.inf) & (-BOUNDARY_TOL <= rho22)
-                & (rho22 < math.inf) & (-BOUNDARY_TOL <= rho00) & (rho00 < math.inf))
+    physical = np.logical_and.reduce(
+        [(-BOUNDARY_TOL <= v) & (v < math.inf) for v in (rho33, rho22, rho00)])
     eta1, eta2, rho33, rho22, rho00 = (x[physical] for x in (eta1, eta2, rho33, rho22, rho00))
     edge = rho00 == 0.0
     rho33, rho22 = np.where(edge, -eta1, rho33), np.where(edge, -eta2, rho22)
-    rho33, rho22, rho00 = _clamp(rho33), _clamp(rho22), _clamp(rho00)
+    # min(max(v, 0.0), 1.0) with Python's choice among equals: -0.0 stays
+    rho33, rho22, rho00 = (np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
+                           for v in (rho33, rho22, rho00))
     cols = np.empty((len(rho00), 7))
     cols[:, 0] = gain_scale
     cols[:, 1], cols[:, 2], cols[:, 3] = rho33 / 2.0, rho22 / 2.0, rho00 / 2.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from typing import Any, Mapping, Sequence
 
 from .errors import ConfigurationError
@@ -21,14 +20,12 @@ __all__ = ["format_value", "csv_document", "json_document", "load_config"]
 
 def format_value(value: Any) -> str:
     """One CSV cell. Floats at 12 significant digits, bools lowercase."""
+    if isinstance(value, float):  # the common cell, so tested first
+        if value != value:
+            return "nan"
+        return "%.12g" % value if value else "0"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if value == 0.0:
-            return "0"
-        return "%.12g" % value
     if value is None:
         return ""
     return str(value)
@@ -60,8 +57,7 @@ def csv_document(
         buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(cell) for cell in row])
+    writer.writerows(map(format_value, row) for row in rows)
     return buf.getvalue()
 
 

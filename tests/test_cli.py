@@ -467,7 +467,7 @@ BEYOND_FLOAT_RANGE = {
     "steady-nan": (("steady", "--eta1", "1", "--eta2", "1", "--A", "1e300"),
                    "gain rate 1e+300 in the steady state"),
     "evolve": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1e308", "--samples", "2"),
-               "gain rate 1 at t=1e+308"),
+               "gain rate 1 by t=1e+308"),
 }
 
 

@@ -10,6 +10,7 @@ span several chunks of the batched pass.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from ycel import (
     validate_physical,
     vlf_evaluate,
 )
-from ycel import entanglement
+from ycel import entanglement, model
 
 # Exactly on the defective line: 0.1 + 0.4, 0.25 + 0.25 and 0 + 0.5 all
 # round to 0.5.
@@ -159,3 +160,25 @@ def test_sweep_of_only_overflowing_points():
                               at_time=1e4, optimize=True)
     assert len(table) == 1
     assert "overflows" in table.failure[0]
+
+
+@pytest.mark.parametrize("patch, gain_scale", [
+    ((), 0.0),
+    ((), math.nan),
+    (("CROSS_CHECK_TOL", -1.0), 2.0),
+    (("RADICAND_FLOOR", 0.2), 2.0),
+], ids=["zero-gain", "nan-gain", "sum-rule", "radicand"])
+def test_sweep_raises_the_scalar_error_of_the_first_failing_point(patch, gain_scale,
+                                                                  monkeypatch):
+    # a check that fails sends the first failing point, in grid order,
+    # through prefactors_from_inversions, which raises its own error
+    if patch:
+        monkeypatch.setattr(model, *patch)
+    values = grid(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(YcelError) as scalar:
+            scalar_sweep(values, values, gain_scale=gain_scale, backend="ehrenfest",
+                         at_time=None, optimize=True)
+        with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+            sweep(values, values, gain_scale=gain_scale)
