@@ -261,14 +261,14 @@ _MOMENT_ENTRIES = np.array([0, 4, 8, 7, 6, 3])
 def _horizon_errors(margin: np.ndarray, mu: np.ndarray, kappa: float, t: float) -> list:
     """HorizonError for each drift whose growth over t overflows, else None."""
     errors = [None] * len(margin)
-    with np.errstate(over="ignore"):
-        growth = 2.0 * np.maximum(0.0, -margin) * t
-    for i in np.flatnonzero(growth > _MAX_GROWTH_EXPONENT):
-        errors[i] = HorizonError(
-            f"unstable drift (margin {margin[i]:.3g}, eigenvalues "
-            f"{_eigen_text(_spectrum(kappa, mu[i]))}) over t={t:.3g} overflows; "
-            "no steady state exists in this regime, reduce t"
-        )
+    # Python floats, whose products overflow to inf without a warning
+    for i, m in enumerate(margin.tolist()):
+        if 2.0 * max(0.0, -m) * t > _MAX_GROWTH_EXPONENT:
+            errors[i] = HorizonError(
+                f"unstable drift (margin {m:.3g}, eigenvalues "
+                f"{_eigen_text(_spectrum(kappa, mu[i]))}) over t={t:.3g} overflows; "
+                "no steady state exists in this regime, reduce t"
+            )
     return errors
 
 
@@ -277,17 +277,18 @@ def _g(x, t):
     return 1.0 / x if t is None else t * _psi(x * t)
 
 
-def _g_pair(x, mu, t):
+def _g_pair(x, mu, t, psi_mu):
     """The divided difference g[x, x + mu], mu = 0 included.
 
     Leibniz's rule on x g(x) = F(x) = 1 - e^-xt gives p g[x, x + mu] =
     F[x, x + mu] - g(q), with p the node of larger magnitude and q the
     other; F[lo, lo + h] = t e^-lo t psi(h t) for h >= 0, and 0 steady.
+    psi_mu is psi(|mu| t), which every divided difference here shares.
     """
     y = x + mu
     far = np.abs(y) > np.abs(x)
     p, q = np.where(far, y, x), np.where(far, x, y)
-    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * _psi(np.abs(mu) * t)
+    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * psi_mu
     return (slope - _g(q, t)) / p
 
 
@@ -301,12 +302,13 @@ def _integrals(kappa: float, mu: np.ndarray, t):
     defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
     Math. Comp. 43, 501 (1984)).
     """
+    psi_mu = None if t is None else _psi(np.abs(mu) * t)
     end = kappa + 2.0 * mu
-    i1 = _g_pair(kappa, mu, t)
+    i1 = _g_pair(kappa, mu, t, psi_mu)
     far = np.abs(end) > kappa
-    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t))
+    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t, psi_mu))
     curve = 0.0 if t is None else (
-        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * _psi(np.abs(mu) * t) ** 2)
+        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * psi_mu ** 2)
     return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
 
 
@@ -318,9 +320,11 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t):
     giving (T, N, 6) rows, or None for the steady states, giving (N, 6).
     Each term of S is symmetric in floating point, so S is too.  Past a
     gain rate or a time near 1e154 a product overflows, and inf * 0 gives
-    NaN: a preparation with a non-finite row at any time is refused.
+    NaN: a preparation with a non-finite row at any time is refused.  The
+    rows of drifts that the caller refuses as unstable are evaluated too,
+    and may divide by zero; no floating-point warning is raised.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         w = v * _SIGNS
         r = (q @ w[..., None])[..., 0]
         c = (w * r).sum(axis=-1)
@@ -457,14 +461,12 @@ def _second_moment_rows(cols: np.ndarray, kappa: float, backend: str, at_time: f
                 f"(eigenvalues {_eigen_text(_spectrum(kappa, mu[i]))})")
     else:
         errors = _horizon_errors(margin, mu, kappa, at_time)
-    ok = np.flatnonzero([e is None for e in errors])
+    # every row is evaluated, and a refused one is then blanked
     t = None if at_time is None else np.array([[at_time]])
-    solved, range_errors = _moment_rows_at(a[ok], v[ok], mu[ok], q[ok], kappa, t)
-    rows = np.full((len(cols), 6), np.nan)
-    rows[ok] = solved.reshape(-1, 6)
-    for i, error in zip(ok.tolist(), range_errors):
-        if error is not None:
-            errors[i], rows[i] = error, np.nan
+    rows, range_errors = _moment_rows_at(a, v, mu, q, kappa, t)
+    errors = [r if e is None else e for e, r in zip(errors, range_errors)]
+    rows = rows.reshape(-1, 6)
+    rows[np.flatnonzero([e is not None for e in errors])] = np.nan
     return margin, rows, errors
 
 
