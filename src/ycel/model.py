@@ -332,9 +332,12 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     that fails a check is re-run through prefactors_from_inversions, which
     raises its error.
     """
-    rho00 = (1.0 + (eta1 + eta2)) / 3.0
-    rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
-    rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
+    # past about 1e308 these overflow to inf, or to NaN, as Python floats do
+    # without a warning; either makes the point unphysical
+    with np.errstate(all="ignore"):
+        rho00 = (1.0 + (eta1 + eta2)) / 3.0
+        rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
+        rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
     physical = np.logical_and.reduce(
         [(-BOUNDARY_TOL <= v) & (v < math.inf) for v in (rho33, rho22, rho00)])
     eta1, eta2, rho33, rho22, rho00 = (x[physical] for x in (eta1, eta2, rho33, rho22, rho00))
@@ -343,12 +346,9 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     # min(max(v, 0.0), 1.0) with Python's choice among equals: -0.0 stays
     rho33, rho22, rho00 = (np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
                            for v in (rho33, rho22, rho00))
-    cols = np.empty((len(rho00), 7))
-    cols[:, 0] = gain_scale
-    cols[:, 1], cols[:, 2], cols[:, 3] = rho33 / 2.0, rho22 / 2.0, rho00 / 2.0
-    cols[:, 4] = np.sqrt(rho33 * rho22) / 2.0
-    cols[:, 5] = np.sqrt(rho33 * rho00) / 2.0
-    cols[:, 6] = np.sqrt(rho22 * rho00) / 2.0
+    cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
+                     np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
+                     np.sqrt(rho22 * rho00) / 2.0], axis=1)
     weights = cols[:, 1:]
     gain3, gain2, loss1, cross32, cross31, cross21 = weights.T
     ok = (0.0 < gain_scale < math.inf) & (

@@ -495,6 +495,16 @@ def test_sweep_records_moments_beyond_the_float_range(argv, capsys):
             assert all(math.isnan(m) for m in moments) and row["failure"]
 
 
+def test_sweep_over_coordinates_near_the_float_limit(capsys):
+    # the population formulas overflow to inf there, which only makes a
+    # point unphysical, as in Python floats
+    code, out, err = run_cli(capsys, "sweep", "--eta-grid", "3x3", "--eta1-range=-1e308:1e308",
+                             "--eta2-range=-1e308:1e308")
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    assert [(r[0], r[1], r[2]) for r in rows] == [("0", "0", "valid")]
+
+
 PREFACTOR_POINT = ("prefactors", "--eta1", "0", "--eta2", "0")
 ORACLE_POINT = ("oracle", "--eta1", "0", "--eta2", "0")
 # Command lines the parser refuses, and what their one error line names.
