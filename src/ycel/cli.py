@@ -22,7 +22,7 @@ from .dynamics import BACKENDS, ROUTES, _eigen_margins, _steady_state, second_mo
 from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
 from .errors import ConfigurationError, PreparationError, YcelError
 from .model import ModelParams, Prefactors, populations_from_inversions, prefactors, prefactors_from_inversions
-from .serialize import csv_document, format_value, json_document, load_config
+from .serialize import csv_document, format_value, json_document, load_config, table_document
 
 MOMENT_COLUMNS = ("n1", "n2", "n3", "c32", "c31", "c21")
 
@@ -277,14 +277,6 @@ class _NoteCollector(list):
         return False
 
 
-def _table(args, params: dict, columns, rows, notes=()) -> str:
-    """The run as a JSON or CSV table document, per --format."""
-    if args.format == "json":
-        payload = {"columns": list(columns), "rows": rows}
-        return json_document(args.command, params, payload, notes=notes)
-    return csv_document(args.command, params, columns, rows, notes=notes)
-
-
 def cmd_prefactors(args: argparse.Namespace) -> str:
     params = _resolve(args)
     notes = _NoteCollector()
@@ -327,8 +319,9 @@ def cmd_evolve(args: argparse.Namespace) -> str:
             backend=params["backend"],
             route=params["route"],
         )
-    rows = [[t, *m.as_tuple()] for t, m in zip(times, moments)]
-    return _table(args, params, ("time", *MOMENT_COLUMNS), rows, notes)
+    cells = [times, *zip(*(m.as_tuple() for m in moments))]
+    columns = ("time", *MOMENT_COLUMNS)
+    return table_document(args.format, args.command, params, columns, cells, notes)
 
 
 def cmd_steady(args: argparse.Namespace) -> str:
@@ -338,7 +331,8 @@ def cmd_steady(args: argparse.Namespace) -> str:
         pref = _build_prefactors(params)
         margin, moments = _steady_state(pref, params["kappa"], params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
-    return _table(args, params, MOMENT_COLUMNS, [moments.as_tuple()], notes)
+    cells = [(v,) for v in moments.as_tuple()]
+    return table_document(args.format, args.command, params, MOMENT_COLUMNS, cells, notes)
 
 
 def cmd_oracle(args: argparse.Namespace) -> str:
@@ -367,13 +361,9 @@ def cmd_oracle(args: argparse.Namespace) -> str:
         notes.append(f"convergence delta = {format_value(run.convergence_delta)}")
     notes.append(f"closure leakage = {format_value(run.closure_leakage())}")
     columns = ("time", *MOMENT_COLUMNS, "trace_residue", "edge_population")
-    rows = [
-        [t, *m.as_tuple(), residue, edge]
-        for t, m, residue, edge in zip(
-            times, run.moments, run.trace_residues, run.edge_populations
-        )
-    ]
-    return _table(args, params, columns, rows, notes)
+    cells = [times, *zip(*(m.as_tuple() for m in run.moments)),
+             run.trace_residues, run.edge_populations]
+    return table_document(args.format, args.command, params, columns, cells, notes)
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
@@ -412,7 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     for ratio, flags in zip(table.ratio.T.tolist(), table.violated.T):
         cells += [ratio, verdicts(flags)]
     cells += [verdicts(table.fully_inseparable), table.failure]
-    return _table(args, params, columns, list(zip(*cells)))
+    return table_document(args.format, args.command, params, columns, cells)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,6 +4,13 @@ Every document embeds the full resolved parameter set, so any output can be
 fed back through ``--config`` to reproduce the run.  Floats are printed with
 12 significant digits in CSV; JSON keeps full repr precision for round
 trips.  Identical inputs yield byte-identical text.
+
+A table is rendered a column at a time.  In CSV, a column of floats goes
+through one float-cell formatter; every other cell goes through
+``format_value`` and the csv module's quoting, once per distinct text.  In
+JSON, the document around the rows is ``json.dumps(indent=2)``, and each
+row is encoded by json's C encoder (which runs only without ``indent``)
+with separators that lay it out as ``indent=2`` does, then spliced in.
 """
 
 from __future__ import annotations
@@ -11,19 +18,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError
 
-__all__ = ["format_value", "csv_document", "json_document", "load_config"]
+__all__ = ["format_value", "csv_document", "json_document", "table_document", "load_config"]
+
+
+def _float_cells(values: Iterable[float]) -> list[str]:
+    """CSV cells of floats at 12 significant digits.  Adding 0.0 prints
+    -0.0 as "0"; "%.12g" prints "nan", "inf" and "-inf" itself."""
+    return ["%.12g" % (v + 0.0) for v in values]
 
 
 def format_value(value: Any) -> str:
     """One CSV cell. Floats at 12 significant digits, bools lowercase."""
     if isinstance(value, float):  # the common cell, so tested first
-        if value != value:
-            return "nan"
-        return "%.12g" % value if value else "0"
+        return _float_cells((value,))[0]
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -42,6 +53,44 @@ def _param_lines(command: str, params: Mapping[str, Any]) -> list[str]:
     return lines
 
 
+def _csv_line(fields: Sequence[str]) -> str:
+    """One CSV record as the csv module writes it, without its line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _quote(text: str, alone: bool) -> str:
+    """A field as the csv module writes it, alone in its record or beside
+    others: a record of one empty field is written '""'."""
+    return _csv_line([text]) if alone else _csv_line([text, ""])[:-1]
+
+
+# Cells of these types are rendered once per distinct value: no two of
+# them compare equal yet print differently, as True, 1 and 1.0 do.
+_DISTINCT_TEXT = {str, bool, type(None)}
+
+
+def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
+    """The CSV cells of one column; ``alone`` if it is the table's only one."""
+    kinds = set(map(type, column))
+    if all(issubclass(kind, float) for kind in kinds):
+        return _float_cells(column)  # never quoted
+    keys = column if kinds <= _DISTINCT_TEXT else list(map(format_value, column))
+    cells = {key: _quote(format_value(key), alone) for key in set(keys)}
+    return list(map(cells.__getitem__, keys))
+
+
+def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
+         cells: Sequence[Sequence[Any]], notes: Sequence[str]) -> str:
+    lines = _param_lines(command, params)
+    lines += [f"# {note}" for note in notes]
+    lines.append(_csv_line(columns))
+    alone = len(cells) == 1
+    lines += map(",".join, zip(*(_column_cells(c, alone) for c in cells), strict=True))
+    return "\n".join(lines) + "\n"
+
+
 def csv_document(
     command: str,
     params: Mapping[str, Any],
@@ -49,16 +98,22 @@ def csv_document(
     rows: Sequence[Sequence[Any]],
     notes: Sequence[str] = (),
 ) -> str:
-    """Comment header ('#' lines with the parameter set), then plain CSV."""
-    buf = io.StringIO()
-    for line in _param_lines(command, params):
-        buf.write(line + "\n")
-    for note in notes:
-        buf.write(f"# {note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(map(format_value, row) for row in rows)
-    return buf.getvalue()
+    """Comment header ('#' lines with the parameter set), then plain CSV.
+
+    Every row holds one cell per column, and there is at least one column.
+    """
+    return _csv(command, params, columns, list(zip(*rows, strict=True)), notes)
+
+
+# Inside the table rows of an indent=2 document each value sits on its own
+# line, six spaces in; the rows themselves sit four spaces in.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_ROWS_KEY = '\n  "rows": '
+
+
+def _json_row(row: Sequence[Any]) -> str:
+    text = _ROW_ENCODER.encode(row)
+    return "[\n      " + text[1:-1] + "\n    ]" if row else text
 
 
 def json_document(
@@ -67,11 +122,40 @@ def json_document(
     payload: Mapping[str, Any],
     notes: Sequence[str] = (),
 ) -> str:
+    """The run as one JSON object: command, params, notes if any, then the
+    payload's keys.  A payload's "rows", if present, is a sequence of flat
+    rows of scalars."""
     doc: dict[str, Any] = {"command": command, "params": dict(params)}
     if notes:
         doc["notes"] = list(notes)
     doc.update(payload)
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    rows = doc.get("rows")
+    if not rows:
+        return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    doc["rows"] = []
+    # a string cannot hold a raw newline, so only the top-level key matches
+    head, _, tail = json.dumps(doc, indent=2, allow_nan=True).partition(_ROWS_KEY + "[]")
+    body = ",\n    ".join(map(_json_row, rows))
+    return f"{head}{_ROWS_KEY}[\n    {body}\n  ]{tail}\n"
+
+
+def table_document(
+    fmt: str,
+    command: str,
+    params: Mapping[str, Any],
+    columns: Sequence[str],
+    cells: Sequence[Sequence[Any]],
+    notes: Sequence[str] = (),
+) -> str:
+    """A table given column by column, as a "csv" or "json" document.
+
+    cells[j] holds the values of columns[j], one per row; there is at least
+    one column.
+    """
+    if fmt == "json":
+        rows = list(zip(*cells, strict=True))
+        return json_document(command, params, {"columns": list(columns), "rows": rows}, notes)
+    return _csv(command, params, columns, cells, notes)
 
 
 def load_config(path: str) -> tuple[str | None, dict[str, Any]]:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import serialize_reference as reference
 from ycel import cli
-from ycel.serialize import csv_document, format_value, json_document
+from ycel.serialize import csv_document, format_value, json_document, table_document
 
 # characters that CSV quoting, JSON escaping or the JSON row splice treat specially
 SPECIAL = st.text(alphabet=list('a0 ,"\'\r\n[]{}:\\-.é→ \x00\t'), max_size=8)
@@ -61,6 +61,15 @@ def test_json_table_document_matches_the_reference(command, params, table, notes
             == reference.json_document(command, params, payload, notes=notes))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["csv", "json"]), TEXT, PARAMS, tables(), NOTES)
+def test_table_document_matches_the_reference(fmt, command, params, table, notes):
+    columns, rows = table
+    cells = [list(column) for column in zip(*rows)] or [[] for _ in columns]
+    assert (table_document(fmt, command, params, columns, cells, notes)
+            == reference_table_document(fmt, command, params, columns, cells, notes))
+
+
 @settings(max_examples=100, deadline=None)
 @given(TEXT, PARAMS, PARAMS, NOTES)
 def test_json_document_without_rows_matches_the_reference(command, params, payload, notes):
@@ -83,6 +92,15 @@ CLI_CASES = {
 }
 
 
+def reference_table_document(fmt, command, params, columns, cells, notes=()):
+    """A table given column by column, rendered row by row by the reference."""
+    rows = [list(row) for row in zip(*cells)]
+    if fmt == "json":
+        return reference.json_document(command, params, {"columns": list(columns), "rows": rows},
+                                       notes)
+    return reference.csv_document(command, params, columns, rows, notes)
+
+
 def render(argv, tmp_path):
     out = tmp_path / "doc"
     with warnings.catch_warnings():
@@ -98,6 +116,7 @@ def test_cli_documents_match_the_reference_renderers(case, fmt, monkeypatch, tmp
     doc = render(argv, tmp_path)
     monkeypatch.setattr(cli, "csv_document", reference.csv_document)
     monkeypatch.setattr(cli, "json_document", reference.json_document)
+    monkeypatch.setattr(cli, "table_document", reference_table_document)
     assert render(argv, tmp_path) == doc
     if case.startswith("sweep"):
         assert "eigenvalues -" in doc
