@@ -54,11 +54,13 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:
     """n evenly spaced values from lo to hi, each the float nearest its exact
-    value, so a printed grid coordinate reads back as the one that ran."""
-    from fractions import Fraction  # its import costs a few ms; only sweep needs it
+    value, so a printed grid coordinate reads back as the one that ran.
 
-    step = (Fraction(hi) - Fraction(lo)) / max(n - 1, 1)
-    return [float(Fraction(lo) + i * step) for i in range(n)]
+    lo + (hi - lo) i / m is an exact ratio of integers, and int / int rounds
+    correctly to the nearest float.
+    """
+    (ln, ld), (hn, hd), m = lo.as_integer_ratio(), hi.as_integer_ratio(), max(n - 1, 1)
+    return [(ln * hd * (m - i) + hn * ld * i) / (ld * hd * m) for i in range(n)]
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
