@@ -44,6 +44,7 @@ scipy.integrate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -198,17 +199,31 @@ def _psi(z):
 
 def evolve_first_moments(pref: Prefactors, kappa: float, r0, t: float) -> np.ndarray:
     """Propagate mean amplitudes: R(t) = exp(-M t) R0 with the engine's
-    propagator e^(-kappa t/2) (I + phi(t) v w^T), exact for every drift."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    propagator e^(-kappa t/2) (I + phi(t) v w^T), exact for every drift.
+
+    Refuses a negative or non-finite t (ValueError), a t past the horizon
+    at which the second moments overflow (HorizonError), and amplitudes
+    beyond the floating-point range (FloatRangeError).
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     r0 = np.asarray(r0, dtype=complex)
     if r0.shape != (3,):
         raise ValueError("r0 must be a 3-vector")
-    v, mu, margin = (x[0] for x in _rank_one(*_couplings(_columns(pref)), kappa))
-    # e^(-kappa t/2) phi(t) = -a t e^(-margin t) psi(|mu| t), which overflows
-    # only where the growth itself does
-    coupled = -pref.gain_scale * t * np.exp(-margin * t) * _psi(np.abs(mu) * t)
-    return np.exp(-kappa * t / 2.0) * r0 + coupled * v * ((v * _SIGNS) @ r0)
+    v, mu, margin = _rank_one(*_couplings(_columns(pref)), kappa)
+    overflow = _horizon_errors(margin, mu, kappa, t)[0]
+    if overflow is not None:
+        raise overflow
+    v, mu, margin = v[0], mu[0], margin[0]
+    with np.errstate(all="ignore"):
+        # e^(-kappa t/2) phi(t) = -a t e^(-margin t) psi(|mu| t)
+        coupled = -pref.gain_scale * t * np.exp(-margin * t) * _psi(np.abs(mu) * t)
+        r = np.exp(-kappa * t / 2.0) * r0 + coupled * v * ((v * _SIGNS) @ r0)
+    if not np.isfinite(r).all():
+        raise FloatRangeError(
+            f"first moments at gain rate {pref.gain_scale:.6g} by t={t:.6g} "
+            "leave the floating-point range")
+    return r
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Drift/diffusion structure, moment evolution routes, steady states."""
 
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from ycel.dynamics import (
     stability,
     steady_state_moments,
 )
-from ycel.errors import HorizonError, UnstableDriftError
+from ycel.errors import FloatRangeError, HorizonError, UnstableDriftError
 from ycel.model import prefactors_from_inversions, validate_physical
 
 
@@ -266,6 +267,32 @@ def test_horizon_guard():
     # moderate horizons still evolve (growing but finite)
     out = evolve_second_moments(p, 1.0, 2.0)
     assert np.isfinite(np.array(out.as_tuple())).all()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_first_moments_refuse_a_non_finite_or_negative_time(t):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve_first_moments(pref(0.0, 0.0), 1.0, [1.0, 0.0, 0.0], t)
+
+
+def test_first_moments_share_the_second_moments_horizon():
+    p = pref(0.0, 0.0, a=1e300)  # margin -1.7e299
+    with pytest.raises(HorizonError, match="overflows"):
+        evolve_first_moments(p, 1.0, [1.0, 0.0, 0.0], 1e10)
+    p = pref(0.0, 0.0, a=3.5)  # margin -1/12: refused past t = 3600, as the second moments are
+    with pytest.raises(HorizonError):
+        evolve_second_moments(p, 1.0, 3700.0)
+    with pytest.raises(HorizonError):
+        evolve_first_moments(p, 1.0, [1.0, 0.0, 0.0], 3700.0)
+    assert np.isfinite(evolve_first_moments(p, 1.0, [1.0, 0.0, 0.0], 3500.0)).all()
+
+
+def test_first_moments_beyond_the_float_range():
+    # stable, yet a t = 1e310 overflows before e^(-margin t) = 0 multiplies it
+    p = pref(0.5, 0.5, a=1e300)
+    with pytest.raises(FloatRangeError, match="gain rate 1e\\+300 by t=1e\\+10"):
+        evolve_first_moments(p, 1.0, [1.0, 0.0, 0.0], 1e10)
+    assert np.isfinite(evolve_first_moments(p, 1.0, [1.0, 0.0, 0.0], 1.0)).all()
 
 
 def test_swap_symmetry_of_trajectories():
