@@ -16,7 +16,6 @@ with separators that lay it out as ``indent=2`` does, then spliced in.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -53,17 +52,24 @@ def _param_lines(command: str, params: Mapping[str, Any]) -> list[str]:
     return lines
 
 
-def _csv_line(fields: Sequence[str]) -> str:
-    """One CSV record as the csv module writes it, without its line end."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()[:-1]
+class _Records(list):
+    """A file for csv.writer that keeps each record it writes."""
+
+    write = list.append
 
 
-def _quote(text: str, alone: bool) -> str:
-    """A field as the csv module writes it, alone in its record or beside
-    others: a record of one empty field is written '""'."""
-    return _csv_line([text]) if alone else _csv_line([text, ""])[:-1]
+def _csv_records(records: Iterable[Sequence[str]]) -> list[str]:
+    """Each record as the csv module writes it, without its line end."""
+    out = _Records()
+    csv.writer(out, lineterminator="\n").writerows(records)
+    return [record[:-1] for record in out]
+
+
+def _quoted(texts: Sequence[str], alone: bool) -> list[str]:
+    """Each text as the csv module writes a field, alone in its record or
+    beside others: a record of one empty field is written '""'."""
+    records = _csv_records([t] if alone else [t, ""] for t in texts)
+    return records if alone else [record[:-1] for record in records]
 
 
 # Cells of these types are rendered once per distinct value: no two of
@@ -77,7 +83,8 @@ def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
     if all(issubclass(kind, float) for kind in kinds):
         return _float_cells(column)  # never quoted
     keys = column if kinds <= _DISTINCT_TEXT else list(map(format_value, column))
-    cells = {key: _quote(format_value(key), alone) for key in set(keys)}
+    distinct = list(set(keys))
+    cells = dict(zip(distinct, _quoted(list(map(format_value, distinct)), alone)))
     return list(map(cells.__getitem__, keys))
 
 
@@ -85,7 +92,7 @@ def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
          cells: Sequence[Sequence[Any]], notes: Sequence[str]) -> str:
     lines = _param_lines(command, params)
     lines += [f"# {note}" for note in notes]
-    lines.append(_csv_line(columns))
+    lines += _csv_records([columns])
     alone = len(cells) == 1
     lines += map(",".join, zip(*(_column_cells(c, alone) for c in cells), strict=True))
     return "\n".join(lines) + "\n"
