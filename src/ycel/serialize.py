@@ -6,11 +6,12 @@ fed back through ``--config`` to reproduce the run.  Floats are printed with
 trips.  Identical inputs yield byte-identical text.
 
 A table is rendered a column at a time.  In CSV, a column of floats goes
-through one float-cell formatter; every other cell goes through
-``format_value`` and the csv module's quoting, once per distinct text.  In
-JSON, the document around the rows is ``json.dumps(indent=2)``, and each
-row is encoded by json's C encoder (which runs only without ``indent``)
-with separators that lay it out as ``indent=2`` does, then spliced in.
+through the float-cell formatter that ``format_value`` also uses; every
+other cell goes through ``format_value`` and the csv module's quoting, once
+per distinct value.  In JSON, the document around the rows is
+``json.dumps(indent=2)``, and each row is encoded by json's C encoder
+(which runs only without ``indent``) with separators that lay it out as
+``indent=2`` does, then spliced in.
 """
 
 from __future__ import annotations
@@ -88,13 +89,19 @@ def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
     return list(map(cells.__getitem__, keys))
 
 
+# Rows rendered per pass, which bounds the cell strings held at once.
+_CSV_CHUNK = 4096
+
+
 def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
          cells: Sequence[Sequence[Any]], notes: Sequence[str]) -> str:
     lines = _param_lines(command, params)
     lines += [f"# {note}" for note in notes]
     lines += _csv_records([columns])
     alone = len(cells) == 1
-    lines += map(",".join, zip(*(_column_cells(c, alone) for c in cells), strict=True))
+    for start in range(0, max(map(len, cells), default=0), _CSV_CHUNK):
+        chunk = [_column_cells(c[start:start + _CSV_CHUNK], alone) for c in cells]
+        lines += map(",".join, zip(*chunk, strict=True))
     return "\n".join(lines) + "\n"
 
 
