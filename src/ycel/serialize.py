@@ -60,28 +60,32 @@ class _Records(list):
 
 
 def _csv_records(records: Iterable[Sequence[str]]) -> list[str]:
-    """Each record as the csv module writes it, without its line end."""
+    """Each record as the csv module writes it, ending in "\\n"."""
     out = _Records()
     csv.writer(out, lineterminator="\n").writerows(records)
-    return [record[:-1] for record in out]
+    return out
 
 
 def _quoted(texts: Sequence[str], alone: bool) -> list[str]:
     """Each text as the csv module writes a field, alone in its record or
-    beside others: a record of one empty field is written '""'."""
-    records = _csv_records([t] if alone else [t, ""] for t in texts)
-    return records if alone else [record[:-1] for record in records]
+    beside an empty one: a record of one empty field is written '""'."""
+    if alone:
+        return [record[:-1] for record in _csv_records([t] for t in texts)]
+    return [record[:-2] for record in _csv_records([t, ""] for t in texts)]
 
 
-# Cells of these types are rendered once per distinct value: no two of
-# them compare equal yet print differently, as True, 1 and 1.0 do.
+# A column of floats goes through _float_cells (a float subclass such as
+# numpy.float64 takes format_value, which prints it alike).  Cells of the
+# _DISTINCT_TEXT types are rendered once per distinct value: no two of them
+# compare equal yet print differently, as True, 1 and 1.0 do.
+_FLOAT = {float}
 _DISTINCT_TEXT = {str, bool, type(None)}
 
 
 def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
     """The CSV cells of one column; ``alone`` if it is the table's only one."""
     kinds = set(map(type, column))
-    if all(issubclass(kind, float) for kind in kinds):
+    if kinds <= _FLOAT:
         return _float_cells(column)  # never quoted
     keys = column if kinds <= _DISTINCT_TEXT else list(map(format_value, column))
     distinct = list(set(keys))
@@ -97,7 +101,7 @@ def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
          cells: Sequence[Sequence[Any]], notes: Sequence[str]) -> str:
     lines = _param_lines(command, params)
     lines += [f"# {note}" for note in notes]
-    lines += _csv_records([columns])
+    lines.append(_csv_records([columns])[0][:-1])
     alone = len(cells) == 1
     for start in range(0, max(map(len, cells), default=0), _CSV_CHUNK):
         chunk = [_column_cells(c[start:start + _CSV_CHUNK], alone) for c in cells]
