@@ -385,15 +385,16 @@ def second_moment_trajectory(
     backend: str = "ehrenfest",
     route: str = "closed-form",
 ) -> list[SecondMoments]:
-    """Second moments from vacuum at each requested time (nondecreasing, >= 0).
+    """Second moments from vacuum at each requested time (nondecreasing,
+    finite and >= 0; ValueError otherwise).
 
     The closed-form route evaluates the rank-one formula at every sample,
     defective drifts included; the ode route integrates the same equation
     numerically.
     """
     times = [float(t) for t in times]
-    if not times or any(t < 0.0 for t in times):
-        raise ValueError("times must be nonnegative")
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("times must be finite and nonnegative")
     if any(b > a for a, b in zip(times[1:], times)):
         raise ValueError("times must be nondecreasing")
     if route not in ROUTES:

@@ -25,6 +25,7 @@ second moments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -390,17 +391,20 @@ def sweep(
 
     The grid is the cartesian product of the two coordinate lists,
     restricted to the physical triangle; points outside it are skipped
-    entirely.  at_time=None evaluates steady states, a finite at_time
-    evaluates the transient state there.  A point whose moments or
-    witnesses cannot be computed (an unstable drift, moments beyond the
-    floating-point range, a covariance block that is not positive
-    definite) is recorded with a failure note.  Returns one SweepTable.
+    entirely.  at_time=None evaluates steady states, a finite nonnegative
+    at_time the transient state there (ValueError for any other).  A point
+    whose moments or witnesses cannot be computed (an unstable drift,
+    moments beyond the floating-point range, a covariance block that is not
+    positive definite) is recorded with a failure note.  Returns one
+    SweepTable.
 
     The grid goes through prefactors, drift, moments, covariance and
     witnesses in stacks of _SWEEP_CHUNK grid points, so the working memory
     does not grow with the grid.  A grid of more than MAX_SWEEP_POINTS
     points is refused with ConfigurationError.
     """
+    if at_time is not None and not 0.0 <= at_time < math.inf:
+        raise ValueError("at_time must be finite and nonnegative")
     eta1_values = np.array([float(e) for e in eta1_values])
     eta2_values = np.array([float(e) for e in eta2_values])
     n1, n2 = len(eta1_values), len(eta2_values)

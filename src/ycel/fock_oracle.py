@@ -54,6 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .dynamics import SecondMoments
 from .errors import (
@@ -402,11 +403,13 @@ class _Support:
 
     Coordinate i holds rho[ket, bra] = rho[bra, ket] for the i-th key
     (ket <= bra) of ``keys``.  Keys are ket * dim + bra, sorted, so
-    positions resolve by binary search.  Also holds the diagonal positions
-    and the diagonal positions sitting in each mode's edge layer.
+    positions resolve by binary search.  ``audited`` holds the diagonal
+    positions followed by the diagonal positions sitting in each mode's
+    edge layer, so an audit reads them all with one gather; ``diag_slice``
+    and ``edge_slices`` locate each part in that gather.
     """
 
-    __slots__ = ("cutoffs", "dim", "keys", "size", "diag", "edge")
+    __slots__ = ("cutoffs", "dim", "keys", "size", "audited", "diag_slice", "edge_slices")
 
     def __init__(self, cutoffs: tuple, keys: np.ndarray):
         sides = tuple(n + 1 for n in cutoffs)
@@ -415,9 +418,12 @@ class _Support:
         self.keys = keys
         self.size = keys.size
         ket, bra = np.divmod(keys, self.dim)
-        self.diag = np.flatnonzero(ket == bra)
-        occupations = np.unravel_index(ket[self.diag], sides)
-        self.edge = tuple(self.diag[occ == n] for occ, n in zip(occupations, cutoffs))
+        diag = np.flatnonzero(ket == bra)
+        occupations = np.unravel_index(ket[diag], sides)
+        edge = [diag[occ == n] for occ, n in zip(occupations, cutoffs)]
+        self.audited = np.concatenate((diag, *edge))
+        bounds = np.cumsum([0, diag.size, *(idx.size for idx in edge)]).tolist()
+        self.diag_slice, *self.edge_slices = map(slice, bounds[:-1], bounds[1:])
 
     def dense(self, vec: np.ndarray) -> np.ndarray:
         """The density matrix a folded vector stands for."""
@@ -469,6 +475,9 @@ def _explore(maps, dim: int, seeds: np.ndarray):
     conjugate term of each term sends the mirrored source to the mirror of
     every target.
     """
+    # one (terms, dim) array per field, so a level gathers every term at once;
+    # masks flatten term by term, in the order of ``maps``
+    coef, kmap, kw, bmap, bw = (np.array(field) for field in zip(*maps))
     keys = frontier = _sorted_unique(seeds.astype(np.int64))
     targets, sources, weights = [keys[:0]], [keys[:0]], [np.zeros(0)]
     while frontier.size:
@@ -476,15 +485,14 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         off = ket != bra
         ket, bra = np.concatenate((ket, bra[off])), np.concatenate((bra, ket[off]))
         src = np.concatenate((frontier, frontier[off]))
-        found = []
-        for coef, kmap, kw, bmap, bw in maps:
-            tk, tb = kmap[ket], bmap[bra]
-            keep = (tk >= 0) & (tb >= 0) & (tk <= tb)
-            found.append(tk[keep] * dim + tb[keep])
-            sources.append(src[keep])
-            weights.append(coef * kw[ket[keep]] * bw[bra[keep]])
-        targets.extend(found)
-        found = _sorted_unique(np.concatenate(found))
+        tk, tb = kmap[:, ket], bmap[:, bra]
+        keep = (tk >= 0) & (tb >= 0) & (tk <= tb)
+        term, pos = np.nonzero(keep)
+        found = tk[keep] * dim + tb[keep]
+        targets.append(found)
+        sources.append(src[pos])
+        weights.append(coef[term] * kw[term, ket[pos]] * bw[term, bra[pos]])
+        found = _sorted_unique(found)
         frontier = found[~_lookup(keys, found)[1]]
         keys = np.sort(np.concatenate((keys, frontier)))
     rows = _lookup(keys, np.concatenate(targets))[0]
@@ -601,9 +609,11 @@ class OracleRun:
     when the step was halved (None when the check was skipped).
     support_size is the number of real coordinates marched (the reachable
     folded support of the (a1, b) space, or every coordinate with
-    restrict=False).  min_eigenvalue is the smallest eigenvalue of the final
-    (a1, b) state when spectrum tracking was requested; its nonzero spectrum
-    is the three-mode one.
+    restrict=False), operator_nnz the stored entries of the real operator
+    marched on them, and steps the RK4 steps taken, those of the dt/2
+    re-march included.  min_eigenvalue is the smallest eigenvalue of the
+    final (a1, b) state when spectrum tracking was requested; its nonzero
+    spectrum is the three-mode one.
     """
 
     times: tuple
@@ -613,33 +623,51 @@ class OracleRun:
     edge_populations: tuple
     convergence_delta: float | None
     support_size: int
+    operator_nnz: int
+    steps: int
     min_eigenvalue: float | None = None
 
     def closure_leakage(self) -> float:
         return max(t.closure_leakage() for t in self.tables)
 
 
-def _rk4(lop, vec, h):
-    k1 = lop @ vec
-    k2 = lop @ (vec + (0.5 * h) * k1)
-    k3 = lop @ (vec + (0.5 * h) * k2)
-    k4 = lop @ (vec + h * k3)
+def _matvec(lop):
+    """x -> lop @ x for a float CSR matrix and a float vector, as one call of
+    scipy's CSR kernel into a fresh zero array: the kernel call ``lop @ x``
+    makes after its type dispatch, so the result is the same bit for bit."""
+    n_row, n_col = lop.shape
+    indptr, indices, data = lop.indptr, lop.indices, lop.data
+
+    def apply(x):
+        out = np.zeros(n_row)
+        csr_matvec(n_row, n_col, indptr, indices, data, x, out)
+        return out
+
+    return apply
+
+
+def _rk4(matvec, vec, h):
+    k1 = matvec(vec)
+    k2 = matvec(vec + (0.5 * h) * k1)
+    k3 = matvec(vec + (0.5 * h) * k2)
+    k4 = matvec(vec + h * k3)
     return vec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def _audit(support, vec, edge_tol, t):
-    peak = float(np.max(np.abs(vec)))
+    peak = float(np.abs(vec).max())
     if not math.isfinite(peak) or peak > _DIVERGENCE_PEAK:
         raise IntegrationError(
             f"integration diverged near t={t:.6g} (peak element {peak:.3e}); reduce dt"
         )
-    trace = float(vec[support.diag].sum())
+    audited = vec[support.audited]
+    trace = float(audited[support.diag_slice].sum())
     residue = abs(trace - 1.0)
     if residue > _TRACE_TOL:
         raise IntegrationError(
             f"trace drifted to {trace:.9g} near t={t:.6g}; reduce dt"
         )
-    edge = max(float(vec[idx].sum()) for idx in support.edge)
+    edge = max(float(audited[part].sum()) for part in support.edge_slices)
     if edge > edge_tol:
         raise TruncationError(
             f"edge-layer population {edge:.3e} exceeds edge_tol {edge_tol:.1e} "
@@ -656,9 +684,12 @@ def _table_at(maps, vec):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _march(lop, support, maps, vec, samples, dt, edge_tol):
+def _march(matvec, support, maps, vec, samples, dt, edge_tol):
+    """RK4 steps to each sample time, audited after every step: the tables,
+    trace residues and edge populations at the samples, the final vector and
+    the number of steps taken."""
     tables, residues, edges = [], [], []
-    t_prev = 0.0
+    t_prev, steps = 0.0, 0
     for t in samples:
         span = t - t_prev
         nfull = int(math.floor(span / dt + 1e-9))
@@ -667,16 +698,17 @@ def _march(lop, support, maps, vec, samples, dt, edge_tol):
             rem = 0.0
         for _ in range(nfull):
             t_prev += dt
-            vec = _rk4(lop, vec, dt)
+            vec = _rk4(matvec, vec, dt)
             _audit(support, vec, edge_tol, t_prev)
         if rem:
-            vec = _rk4(lop, vec, rem)
+            vec = _rk4(matvec, vec, rem)
+        steps += nfull + bool(rem)
         t_prev = t
         residue, edge = _audit(support, vec, edge_tol, t)
         tables.append(_table_at(maps, vec))
         residues.append(residue)
         edges.append(edge)
-    return tables, residues, edges, vec
+    return tables, residues, edges, vec, steps
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
@@ -754,15 +786,17 @@ def integrate(
     vec0 = np.zeros(support.size)
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
-    tables, residues, edges, vec = _march(
-        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
+    matvec = _matvec(lop)
+    tables, residues, edges, vec, steps = _march(
+        matvec, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
     )
 
     delta = None
     if check_convergence:
-        halved = _march(
-            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
-        )[0]
+        halved, *_, halved_steps = _march(
+            matvec, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
+        )
+        steps += halved_steps
         delta = max(
             (float(np.abs(x - y).max()) for a, b in zip(tables, halved)
              for x, y in ((a.first, b.first), (a.cross, b.cross), (a.pair, b.pair))),
@@ -793,5 +827,7 @@ def integrate(
         edge_populations=tuple(edges[i] for i in index),
         convergence_delta=delta,
         support_size=support.size,
+        operator_nnz=lop.nnz,
+        steps=steps,
         min_eigenvalue=min_eig,
     )

@@ -275,6 +275,17 @@ def test_first_moments_refuse_a_non_finite_or_negative_time(t):
         evolve_first_moments(pref(0.0, 0.0), 1.0, [1.0, 0.0, 0.0], t)
 
 
+@pytest.mark.parametrize("route", ["closed-form", "ode"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_second_moments_refuse_a_non_finite_time(t, route):
+    # refused up front, not by a FloatRangeError or HorizonError downstream
+    for times in ([t], [0.0, 1.0, t], [t, 1.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            second_moment_trajectory(pref(0.1, 0.1), 1.0, times, route=route)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve_second_moments(pref(0.1, 0.1), 1.0, t, route=route)
+
+
 def test_first_moments_share_the_second_moments_horizon():
     p = pref(0.0, 0.0, a=1e300)  # margin -1.7e299
     with pytest.raises(HorizonError, match="overflows"):

@@ -361,6 +361,13 @@ def test_sweep_fixed_time_mode():
     assert np.isfinite(table.ratio[0]).all()
 
 
+@pytest.mark.parametrize("at_time", [np.nan, np.inf, -np.inf, -1.0])
+def test_sweep_refuses_a_non_finite_or_negative_time(at_time):
+    # at_time = nan once returned rows marked invalid "by t=nan"
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sweep([0.0, 0.1], [0.0], gain_scale=0.5, at_time=at_time, optimize=False)
+
+
 def test_oracle_and_engine_witnesses_agree():
     p = pref(0.0, 0.0)
     cfg = FockConfig(n_max=6, dt=0.02, t_final=5.0, edge_tol=1e-3)
