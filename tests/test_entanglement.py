@@ -12,16 +12,11 @@ from ycel.entanglement import (
     vlf_evaluate,
 )
 from ycel.errors import ConfigurationError, DegenerateWitnessError
-from ycel.fock_oracle import (
-    DensityState,
-    FockConfig,
-    integrate,
-    mode_annihilators,
-    moments_from_state,
-)
+from ycel.fock_oracle import DensityState, FockConfig, integrate
 from ycel.model import prefactors_from_inversions
 
 from reduced_reference import reduced_march
+from three_mode_reference import mode_annihilators, moments_from_state
 
 
 def pref(eta1, eta2, a=0.5):

@@ -8,31 +8,29 @@ import ycel
 from ycel import fock_oracle
 from ycel.dynamics import second_moment_trajectory
 from ycel.errors import ConfigurationError, ConsistencyError, IntegrationError, TruncationError
-from ycel.fock_oracle import (
-    DensityState,
-    FockConfig,
-    integrate,
-    liouvillian_apply,
+from ycel.fock_oracle import DensityState, FockConfig, integrate
+from ycel.model import prefactors_from_inversions
+
+from reduced_reference import reduced_march, three_mode_table
+from three_mode_reference import (
+    liouvillian,
     master_equation_terms,
     mode_annihilators,
     moments_from_state,
 )
-from ycel.model import prefactors_from_inversions
-
-from reduced_reference import reduced_march, three_mode_table
 
 
 def pref(eta1, eta2, a=0.5):
     return prefactors_from_inversions(eta1, eta2, gain_scale=a)
 
 
-def dense_march(rho, p, kappa, dt, steps):
+def dense_march(rho, deriv, dt, steps):
     """Reference integrator: plain RK4 on the dense matrix, re-hermitised."""
     for _ in range(steps):
-        k1 = liouvillian_apply(rho, p, kappa)
-        k2 = liouvillian_apply(rho + 0.5 * dt * k1, p, kappa)
-        k3 = liouvillian_apply(rho + 0.5 * dt * k2, p, kappa)
-        k4 = liouvillian_apply(rho + dt * k3, p, kappa)
+        k1 = deriv(rho)
+        k2 = deriv(rho + 0.5 * dt * k1)
+        k3 = deriv(rho + 0.5 * dt * k2)
+        k4 = deriv(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         rho = 0.5 * (rho + rho.conj().T)
     return rho
@@ -56,7 +54,7 @@ def test_state_builders():
     assert abs(np.trace(vac.rho) - 1.0) < 1e-15
 
     one = DensityState.fock(2, (0, 0, 1))
-    table = moments_from_state(one)
+    table = moments_from_state(one.rho)
     assert table.cross[2, 2] == pytest.approx(1.0, abs=1e-15)
     assert table.cross[0, 0] == 0.0 and table.cross[1, 1] == 0.0
 
@@ -91,9 +89,9 @@ def test_dense_matrix_refused_beyond_dimension_1000():
     assert peak < 1e6
     # every reader of the dense matrix meets the same refusal
     with pytest.raises(ConfigurationError, match="limit of dimension 1000"):
-        moments_from_state(DensityState.vacuum(10))
+        fock_oracle.moments_from_state(DensityState.vacuum(10))
     with pytest.raises(ConfigurationError, match="limit of dimension 1000"):
-        liouvillian_apply(DensityState.vacuum(10), pref(0.0, 0.0), 1.0)
+        fock_oracle.liouvillian_apply(DensityState.vacuum(10), pref(0.0, 0.0), 1.0)
     assert DensityState.vacuum(9).rho.shape == (1000, 1000)
 
 
@@ -169,22 +167,22 @@ def test_generator_is_one_dissipator_plus_cavity_loss(eta):
 
 
 def test_liouvillian_trace_and_vacuum():
-    vac = DensityState.vacuum(3)
+    vac = pure_state(3, {(0, 0, 0): 1.0})
     # pure loss leaves vacuum exactly alone
-    still = liouvillian_apply(vac, pref(1.0, 1.0, a=0.7), 2.0)
+    still = liouvillian(pref(1.0, 1.0, a=0.7), 2.0, 3)(vac)
     assert np.max(np.abs(still)) == 0.0
     # any state gives a traceless derivative
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     rho = 0.5 * (raw + raw.conj().T)
     rho /= np.trace(rho).real
-    deriv = liouvillian_apply(rho, pref(0.1, 0.2, a=1.1), 0.9)
+    deriv = liouvillian(pref(0.1, 0.2, a=1.1), 0.9, 3)(rho)
     assert abs(np.trace(deriv)) < 1e-12
 
 
 def test_vacuum_gain_rates():
     a = 0.9
-    deriv = liouvillian_apply(DensityState.vacuum(2), pref(0.0, 0.0, a=a), 1.0)
+    deriv = liouvillian(pref(0.0, 0.0, a=a), 1.0, 2)(pure_state(2, {(0, 0, 0): 1.0}))
     a1, a2, a3 = mode_annihilators(2)
     rate = lambda op: complex(np.trace(op.toarray() @ deriv))
     # uniform preparation: gain3 = gain2 = 1/6, so both active modes fill
@@ -221,7 +219,7 @@ def test_sector_march_matches_dense_reference():
 def test_real_start_restricted_march_matches_full_march():
     # at a one-sided preparation b is a2 or a3 itself, so the (a1, b) march
     # is the three-mode problem: it follows the dense three-mode march of
-    # liouvillian_apply step for step, restricted or not
+    # the three-mode generator step for step, restricted or not
     n_max, dt, steps = 3, 0.05, 8
     times = [dt * k for k in range(1, steps + 1)]
     cfg = FockConfig(n_max=n_max, dt=dt, t_final=times[-1], edge_tol=0.5)
@@ -232,9 +230,9 @@ def test_real_start_restricted_march_matches_full_march():
                       check_convergence=False, restrict=restrict)
             for restrict in (True, False)
         ]
-        rho = DensityState.vacuum(n_max).rho
+        rho, deriv = pure_state(n_max, {(0, 0, 0): 1.0}), liouvillian(p, 1.0, n_max)
         for k in range(steps):
-            rho = dense_march(rho, p, 1.0, dt, 1)
+            rho = dense_march(rho, deriv, dt, 1)
             want = moments_from_state(rho)
             for run in runs:
                 got = run.tables[k]
@@ -299,7 +297,7 @@ def test_default_path_allocates_no_dense_matrix():
 
 
 def test_moment_table_fixtures():
-    vac = moments_from_state(DensityState.vacuum(2))
+    vac = moments_from_state(pure_state(2, {(0, 0, 0): 1.0}))
     assert np.max(np.abs(vac.first)) == 0.0
     assert np.max(np.abs(vac.cross)) == 0.0
     assert np.max(np.abs(vac.pair)) == 0.0
