@@ -66,10 +66,6 @@ _ORACLE_NAMES = frozenset({
     "MomentTable",
     "OracleRun",
     "integrate",
-    "liouvillian_apply",
-    "master_equation_terms",
-    "mode_annihilators",
-    "moments_from_state",
 })
 
 

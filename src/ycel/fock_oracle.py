@@ -19,9 +19,8 @@ the number of nonzero gains among gain2 and gain3, the most a2 and a3 hold
 together under a per-mode cutoff n_max; with both gains zero there is no
 b.  Moment tables map back through a = U (a1, b), with
 U = [[1, 0], [0, sqrt(f2)], [0, sqrt(f3)]] and fj = gainj / (gain2 + gain3).
-``master_equation_terms``, ``liouvillian_apply``, ``moments_from_state`` and
-``DensityState`` keep the three-mode generator and states, on kets
-|n1 n2 n3> flattened row-major, as the reference the tests compare against.
+``tests/three_mode_reference.py`` keeps the three-mode generator on dense
+states as the reference the tests compare against.
 
 Hermitian fold.  Every term of the generator is c * X rho Y with a real
 coefficient and real shift monomials X and Y, and the terms come in
@@ -70,10 +69,6 @@ __all__ = [
     "DensityState",
     "MomentTable",
     "OracleRun",
-    "mode_annihilators",
-    "master_equation_terms",
-    "liouvillian_apply",
-    "moments_from_state",
     "integrate",
 ]
 
@@ -83,11 +78,6 @@ __all__ = [
 # under 38,233 operator entries, and the process peaks at 57 MB RSS, 49 MB
 # of it imports (x86-64 Linux, Python 3.11).
 _N_MAX_LIMIT = 16
-
-# Largest three-mode dimension (n_max + 1)**3 whose dense complex matrix
-# DensityState.rho builds: 1000 (n_max = 9) takes 16 MB, while n_max = 16
-# would take 386 MB.
-_DENSE_DIM_LIMIT = 1000
 
 # Most fixed steps one march takes (t_final / dt); the dt/2 convergence
 # check marches twice as many.  The acceptance runs take at most 2,000.
@@ -137,86 +127,17 @@ class FockConfig:
             raise ConfigurationError("edge_tol must lie in (0, 1)")
 
 
+@dataclass(frozen=True)
 class DensityState:
-    """A validated density matrix on the truncated three-mode space.
+    """The three-mode vacuum at photon cutoff n_max, the start ``integrate``
+    takes: its two-mode reduction is exact only while b_perp is empty, so
+    the vacuum is the only state this type holds."""
 
-    ``sparse`` holds its nonzero elements as a CSR matrix.  ``rho``, the
-    dense complex array, is built on first read, and refused with
-    ``ConfigurationError`` above dimension 1000 (n_max = 9); ``vacuum``
-    and ``fock`` allocate nothing of size dim x dim until then.  The
-    constructor takes a dense matrix and checks it.
-    """
-
-    __slots__ = ("n_max", "sparse", "_rho")
-
-    def __init__(self, rho, n_max: int = -1):
-        rho = np.array(rho, dtype=complex, copy=True)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ConfigurationError("rho must be a square matrix")
-        inferred = _infer_n_max(rho.shape[0])
-        if n_max >= 0 and n_max != inferred:
-            raise ConfigurationError(
-                f"matrix dimension {rho.shape[0]} does not match n_max={n_max}"
-            )
-        scale = max(1.0, float(np.max(np.abs(rho))) if rho.size else 1.0)
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm > 1e-10 * scale:
-            raise ConsistencyError(f"hermiticity residue {herm:.3e} too large")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-9:
-            raise ConsistencyError(f"trace {tr:.12g} is not 1 within 1e-9")
-        self.n_max = inferred
-        self.sparse = sp.csr_matrix(rho)
-        self._rho = rho
+    n_max: int
 
     @classmethod
-    def _from_sparse(cls, n_max: int, mat) -> "DensityState":
-        """Wrap a hermitian unit-trace sparse matrix without a dense check."""
-        state = cls.__new__(cls)
-        state.n_max = n_max
-        state.sparse = mat.tocsr()
-        state._rho = None
-        return state
-
-    @property
-    def rho(self) -> np.ndarray:
-        if self._rho is None:
-            dim = self.sparse.shape[0]
-            if dim > _DENSE_DIM_LIMIT:
-                raise ConfigurationError(
-                    f"a dense {dim}x{dim} density matrix ({16 * dim * dim / 1e6:.0f} MB) "
-                    f"exceeds the limit of dimension {_DENSE_DIM_LIMIT} (n_max = 9)"
-                )
-            self._rho = self.sparse.toarray()
-        return self._rho
-
-    @staticmethod
-    def vacuum(n_max: int) -> "DensityState":
-        return DensityState.fock(n_max, (0, 0, 0))
-
-    @staticmethod
-    def fock(n_max: int, occupations) -> "DensityState":
-        """Pure number state |n1 n2 n3><n1 n2 n3|."""
-        occ = tuple(int(n) for n in occupations)
-        if len(occ) != 3:
-            raise ConfigurationError("occupations must have three entries")
-        if any(n < 0 or n > n_max for n in occ):
-            raise ConfigurationError(
-                f"occupations {occ} outside the 0..{n_max} cutoff"
-            )
-        side = n_max + 1
-        pos = (occ[0] * side + occ[1]) * side + occ[2]
-        mat = sp.csr_matrix(([1.0 + 0j], ([pos], [pos])), shape=(side**3, side**3))
-        return DensityState._from_sparse(_infer_n_max(side**3), mat)
-
-
-def _infer_n_max(dim: int) -> int:
-    side = round(dim ** (1.0 / 3.0))
-    if side < 2 or side**3 != dim:
-        raise ConfigurationError(
-            f"dimension {dim} is not (n_max+1)**3 for any n_max >= 1"
-        )
-    return side - 1
+    def vacuum(cls, n_max: int) -> "DensityState":
+        return cls(n_max)
 
 
 @lru_cache(maxsize=16)
@@ -233,119 +154,6 @@ def _ladders(cutoffs: tuple):
             op = sp.kron(op, factor, format="csr")
         out.append(op)
     return tuple(out)
-
-
-def mode_annihilators(n_max: int):
-    """Sparse annihilators (a1, a2, a3) on the flattened product space."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ConfigurationError("n_max must be an integer >= 1")
-    return _ladders((n_max,) * 3)
-
-
-def master_equation_terms(pref: Prefactors, kappa: float, n_max: int):
-    """The generator, grouped by coupling, as (coefficient, left, right) triples.
-
-    Each triple encodes coefficient * left @ rho @ right with None standing
-    for the identity.  Groups: one gain dissipator per upper coupling
-    (gain3, gain2), the mode-1 loss channel (loss1), the three cross
-    couplings, and the cavity damping of all modes.  Every group is
-    traceless on its own, which a unit test checks term by term.
-    """
-    if not isinstance(pref, Prefactors):
-        raise TypeError("pref must be a Prefactors value")
-    if not (kappa > 0.0) or not math.isfinite(kappa):
-        raise ConfigurationError("kappa must be positive and finite")
-    a1, a2, a3 = mode_annihilators(n_max)
-    a1d, a2d, a3d = (op.T.tocsr() for op in (a1, a2, a3))
-    s = pref.gain_scale
-    ab = s * pref.gain3
-    ac = s * pref.gain2
-    ad = s * pref.loss1
-    ae = s * pref.cross32
-    af = s * pref.cross31
-    ag = s * pref.cross21
-    half_k = 0.5 * kappa
-
-    groups = {
-        "gain3": [
-            (2.0 * ab, a3d, a3),
-            (-ab, (a3 @ a3d).tocsr(), None),
-            (-ab, None, (a3 @ a3d).tocsr()),
-        ],
-        "cross32": [
-            (2.0 * ae, a3d, a2),
-            (2.0 * ae, a2d, a3),
-            (-ae, (a2 @ a3d).tocsr(), None),
-            (-ae, None, (a2 @ a3d).tocsr()),
-            (-ae, (a3 @ a2d).tocsr(), None),
-            (-ae, None, (a3 @ a2d).tocsr()),
-        ],
-        "gain2": [
-            (2.0 * ac, a2d, a2),
-            (-ac, (a2 @ a2d).tocsr(), None),
-            (-ac, None, (a2 @ a2d).tocsr()),
-        ],
-        "cross31": [
-            (-2.0 * af, a1, a3),
-            (-2.0 * af, a3d, a1d),
-            (af, (a3 @ a1).tocsr(), None),
-            (af, None, (a3 @ a1).tocsr()),
-            (af, (a1d @ a3d).tocsr(), None),
-            (af, None, (a1d @ a3d).tocsr()),
-        ],
-        "loss1": [
-            (2.0 * ad, a1, a1d),
-            (-ad, (a1d @ a1).tocsr(), None),
-            (-ad, None, (a1d @ a1).tocsr()),
-        ],
-        "cross21": [
-            (-2.0 * ag, a1, a2),
-            (-2.0 * ag, a2d, a1d),
-            (ag, (a2 @ a1).tocsr(), None),
-            (ag, None, (a2 @ a1).tocsr()),
-            (ag, (a1d @ a2d).tocsr(), None),
-            (ag, None, (a1d @ a2d).tocsr()),
-        ],
-        "cavity-loss": [
-            entry
-            for a, adag in ((a1, a1d), (a2, a2d), (a3, a3d))
-            for entry in (
-                (2.0 * half_k, a, adag),
-                (-half_k, (adag @ a).tocsr(), None),
-                (-half_k, None, (adag @ a).tocsr()),
-            )
-        ],
-    }
-    return groups
-
-
-@lru_cache(maxsize=8)
-def _flat_terms(pref: Prefactors, kappa: float, n_max: int):
-    groups = master_equation_terms(pref, kappa, n_max)
-    flat = []
-    for name in sorted(groups):
-        flat.extend(groups[name])
-    # keep only terms that can act; zero coefficients drop out entirely
-    return tuple((c, x, y) for c, x, y in flat if c != 0.0)
-
-
-def liouvillian_apply(rho, pref: Prefactors, kappa: float) -> np.ndarray:
-    """Time derivative of a density matrix under the full generator.
-
-    Accepts a DensityState or a bare square array whose dimension is a
-    three-mode Fock cube.  The output is traceless to roundoff.
-    """
-    mat = rho.rho if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigurationError("rho must be a square matrix")
-    n_max = _infer_n_max(mat.shape[0])
-    out = np.zeros_like(mat)
-    for coef, left, right in _flat_terms(pref, float(kappa), n_max):
-        term = left @ mat if left is not None else mat
-        if right is not None:
-            term = term @ right
-        out += coef * term
-    return out
 
 
 def _lookup(keys: np.ndarray, wanted: np.ndarray):
@@ -367,9 +175,10 @@ def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
     """The generator on (a1, b): cutoffs, modes and terms.
 
     modes are (a1, a2, a3) = U (a1, b) as operators on the (a1, b) space.
-    Terms are (coefficient, left, right) triples as in master_equation_terms,
-    with zero coefficients dropped.  A weight that roundoff leaves a hair
-    below zero at the edge of the preparation triangle counts as zero.
+    Terms are (coefficient, left, right) triples, each coefficient * left @
+    rho @ right with None standing for the identity; zero coefficients are
+    dropped.  A weight that roundoff leaves a hair below zero at the edge of
+    the preparation triangle counts as zero.
     """
     s, half_k = pref.gain_scale, 0.5 * kappa
     loss = max(pref.loss1, 0.0)
@@ -509,16 +318,9 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _moment_operators(ladders):
-    """All ops whose traces feed a MomentTable: a_i, a_i^dag a_j, a_i a_j."""
-    first = list(ladders)
-    cross = [[(ai.T @ aj).tocsr() for aj in ladders] for ai in ladders]
-    pair = [[(ai @ aj).tocsr() for aj in ladders] for ai in ladders]
-    return first, cross, pair
-
-
 def _folded_moment_maps(support: _Support, modes):
-    """Per moment operator of ``modes``, the positions and weights it reads.
+    """Per moment operator of ``modes`` (a_i, a_i^dag a_j and a_i a_j), the
+    positions and weights it reads.
 
     Tr(O rho) = sum O[r, c] rho[c, r], and rho[c, r] is the coordinate of
     the pair (min, max).
@@ -531,11 +333,10 @@ def _folded_moment_maps(support: _Support, modes):
         pos, ok = _lookup(support.keys, np.minimum(col, row) * dim + np.maximum(col, row))
         return pos[ok], coo.data[ok]
 
-    first, cross, pair = _moment_operators(modes)
     return (
-        [mapping(op) for op in first],
-        [[mapping(op) for op in row] for row in cross],
-        [[mapping(op) for op in row] for row in pair],
+        [mapping(a) for a in modes],
+        [[mapping((ai.T @ aj).tocsr()) for aj in modes] for ai in modes],
+        [[mapping((ai @ aj).tocsr()) for aj in modes] for ai in modes],
     )
 
 
@@ -578,24 +379,6 @@ class MomentTable:
         out = max(out, abs(self.cross[2, 1].imag))
         out = max(out, abs(self.pair[2, 0].imag), abs(self.pair[1, 0].imag))
         return float(out)
-
-
-def moments_from_state(state) -> MomentTable:
-    """Full moment table of a density matrix (DensityState or bare array)."""
-    mat = state.rho if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ConfigurationError("state must be a square matrix")
-    n_max = _infer_n_max(mat.shape[0])
-
-    def trace_with(op):
-        coo = op.tocoo()
-        return complex(np.sum(coo.data * mat[coo.col, coo.row]))
-
-    first_ops, cross_ops, pair_ops = _moment_operators(mode_annihilators(n_max))
-    first = np.array([trace_with(op) for op in first_ops])
-    cross = np.array([[trace_with(op) for op in row] for row in cross_ops])
-    pair = np.array([[trace_with(op) for op in row] for row in pair_ops])
-    return MomentTable(first=first, cross=cross, pair=pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,15 +524,16 @@ def integrate(
 ) -> OracleRun:
     """March the vacuum and sample moments along the way.
 
-    rho0 must be the three-mode vacuum at cutoff cfg.n_max: the march runs
-    in the exact two-mode reduction (a1, b) of the module docstring, which
-    holds only while b_perp is empty.  Fixed-step fourth-order integration
-    of the folded real coordinates, so the state is hermitian by
-    construction.  The run refuses to continue when any edge layer holds
-    more than cfg.edge_tol population (the cutoff is too small for the
-    physics) or when the trace drifts or the state diverges (the step is
-    too large).  With check_convergence the whole march is repeated at
-    dt/2 and the tracked moments must agree within 1e-6.
+    rho0 is the three-mode vacuum at cutoff cfg.n_max, the only state a
+    DensityState holds: the march runs in the exact two-mode reduction
+    (a1, b) of the module docstring, which holds only while b_perp is
+    empty.  Fixed-step fourth-order integration of the folded real
+    coordinates, so the state is hermitian by construction.  The run
+    refuses to continue when any edge layer holds more than cfg.edge_tol
+    population (the cutoff is too small for the physics) or when the trace
+    drifts or the state diverges (the step is too large).  With
+    check_convergence the whole march is repeated at dt/2 and the tracked
+    moments must agree within 1e-6.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  The run holds one record
@@ -763,10 +547,6 @@ def integrate(
     if rho0.n_max != cfg.n_max:
         raise ConfigurationError(
             f"state truncation n_max={rho0.n_max} does not match config n_max={cfg.n_max}"
-        )
-    if rho0.sparse.count_nonzero() != 1 or rho0.sparse[0, 0] != 1.0:
-        raise ConfigurationError(
-            "integrate starts only from the vacuum, where its two-mode reduction is exact"
         )
     if not isinstance(pref, Prefactors):
         raise TypeError("pref must be a Prefactors value")
