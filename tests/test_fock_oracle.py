@@ -6,10 +6,10 @@ import scipy.sparse as sp
 
 import ycel
 from ycel import fock_oracle
-from ycel.dynamics import second_moment_trajectory
+from ycel.dynamics import second_moment_trajectory, stability
 from ycel.errors import ConfigurationError, IntegrationError, TruncationError
 from ycel.fock_oracle import DensityState, FockConfig, integrate
-from ycel.model import prefactors_from_inversions
+from ycel.model import prefactors_from_inversions, validate_physical
 
 from reduced_reference import reduced_march, three_mode_table
 from three_mode_reference import (
@@ -279,6 +279,52 @@ def test_integrate_matches_moment_engine():
     assert run.closure_leakage() < 1e-8
 
 
+def test_oracle_matches_engine_across_the_triangle():
+    # 30 seeded draws over the physical triangle with A in [0.2, 1], each
+    # marched at the smallest n_max from 6 in steps of 2 that keeps every
+    # edge layer under 1e-6, against criterion 6's relative bound 1e-4.
+    # The margin filter is physics, not a way to drop points: the moments
+    # grow as 1/margin, so near the threshold they need a cutoff deeper than
+    # the supported n_max <= 16.
+    times = [1.0, 3.0]
+    rng = np.random.default_rng(7)
+    report, failures = [], []
+    while len(report) < 30:
+        eta1, eta2 = rng.uniform(-1.0, 1.0, size=2)
+        a = rng.uniform(0.2, 1.0)
+        if not validate_physical(eta1, eta2).valid:
+            continue
+        p = pref(eta1, eta2, a=a)
+        margin = stability(p, 1.0).margin
+        if margin < 0.1:
+            continue
+        for n_max in range(6, 17, 2):
+            cfg = FockConfig(n_max=n_max, dt=0.02, t_final=times[-1], edge_tol=1e-6)
+            try:
+                run = integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=times)
+                break
+            except TruncationError:
+                pass
+        else:
+            pytest.fail(f"({eta1:.4f}, {eta2:.4f}), A = {a:.4f}: edge audit fails at n_max = 16")
+        dev = 0.0
+        for e, o in zip(second_moment_trajectory(p, 1.0, times), run.moments, strict=True):
+            e, o = np.array(e.as_tuple()), np.array(o.as_tuple())
+            dev = max(dev, float(np.abs(o - e).max() / np.abs(e).max()))
+        audits = {
+            "rel dev": (dev, 1e-4),
+            "trace": (max(run.trace_residues), fock_oracle._TRACE_TOL),
+            "leakage": (run.closure_leakage(), fock_oracle._CLOSURE_TOL),
+            "dt/2 delta": (run.convergence_delta, fock_oracle._CONVERGENCE_TOL),
+        }
+        line = f"({eta1:+.4f}, {eta2:+.4f}) A = {a:.4f} margin {margin:.3f} n_max {n_max:2d}: "
+        report.append(line + ", ".join(f"{k} {v:.2e}" for k, (v, _) in audits.items()))
+        failures += [f"{line}{k} {v:.3e} >= {bound:.1e}"
+                     for k, (v, bound) in audits.items() if not v < bound]
+    print("\n".join(report))
+    assert not failures, "\n".join(failures)
+
+
 def test_truncation_breach_advises_larger_cutoff():
     cfg = FockConfig(n_max=2, dt=0.02, t_final=10.0, edge_tol=1e-6)
     with pytest.raises(TruncationError, match="n_max"):
@@ -288,6 +334,23 @@ def test_truncation_breach_advises_larger_cutoff():
 def test_divergent_step_detected():
     cfg = FockConfig(n_max=2, dt=2.0, t_final=20.0, edge_tol=0.999)
     with pytest.raises(IntegrationError):
+        integrate(DensityState.vacuum(2), cfg, pref(0.0, 0.0, a=0.5), 1.0,
+                  check_convergence=False)
+
+
+def test_trace_drift_detected(monkeypatch):
+    # a uniform decay of 0.01 per unit time costs the trace 1e-5 in the
+    # first step of 1e-3, past the 1e-6 guard, while the largest element
+    # only shrinks and the edge layers stay empty
+    kernel = fock_oracle._matvec
+
+    def leaky(lop):
+        apply = kernel(lop)
+        return lambda x: apply(x) - 0.01 * x
+
+    monkeypatch.setattr(fock_oracle, "_matvec", leaky)
+    cfg = FockConfig(n_max=2, dt=1e-3, t_final=0.1, edge_tol=1e-6)
+    with pytest.raises(IntegrationError, match=r"trace drifted to 0\.99999\d* near t=0\.001; reduce dt"):
         integrate(DensityState.vacuum(2), cfg, pref(0.0, 0.0, a=0.5), 1.0,
                   check_convergence=False)
 
