@@ -18,13 +18,10 @@ def mode_annihilators(n_max):
     """Sparse annihilators (a1, a2, a3) on the flattened product space."""
     eye = sp.identity(n_max + 1, format="csr")
     ladder = sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), offsets=1, format="csr")
-    out = []
-    for i in range(3):
-        factors = [eye, eye, eye]
-        factors[i] = ladder
-        out.append(sp.kron(sp.kron(factors[0], factors[1], format="csr"), factors[2],
-                           format="csr"))
-    return tuple(out)
+    return tuple(
+        sp.kron(sp.kron(first, second, format="csr"), third, format="csr")
+        for first, second, third in ((ladder, eye, eye), (eye, ladder, eye), (eye, eye, ladder))
+    )
 
 
 def master_equation_terms(pref, kappa, n_max):
