@@ -38,6 +38,11 @@ shifts w = n1 - nb equally on ket and bra, so the set lies inside the
 charge sector w_ket = w_bra.  Pass ``restrict=False`` to march every
 coordinate regardless.
 
+March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
+buffers allocated once per march.  Full steps fill the rows of a block of
+up to 64 states (fewer past 2 MiB), and one audit per block checks every
+row in order with the same bounds and messages as an audit after each step.
+
 Positivity.  Exact evolution under a dissipator preserves positivity.
 Integration and truncation error can still push eigenvalues slightly
 negative, so runs report the smallest final eigenvalue when asked
@@ -50,6 +55,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,13 +81,19 @@ __all__ = [
 # Bounds the breadth-first search over the reachable support and the sparse
 # operator it assembles, which grow about as n_max**3.  From vacuum at
 # (0, 0), A = 1, n_max = 16 (a1 <= 16, b <= 32) marches 4,233 coordinates
-# under 38,233 operator entries, and the process peaks at 57 MB RSS, 49 MB
-# of it imports (x86-64 Linux, Python 3.11).
+# under 38,233 operator entries.  Marching it to t = 2 at dt = 0.01 with the
+# dt/2 check, the process peaks at 56.6 MB RSS, 49.4 MB of it imports and
+# 2 MB the 61-row step block (x86-64 Linux, Python 3.11, numpy 2.4).
 _N_MAX_LIMIT = 16
 
 # Most fixed steps one march takes (t_final / dt); the dt/2 convergence
 # check marches twice as many.  The acceptance runs take at most 2,000.
 _MAX_STEPS = 1_000_000
+
+# Full steps fill a block of up to _BLOCK_ROWS states that one audit checks;
+# fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
+_BLOCK_ROWS = 64
+_BLOCK_BYTES = 1 << 21
 
 _CLOSURE_TOL = 1e-10
 _TRACE_TOL = 1e-6
@@ -414,47 +426,83 @@ class OracleRun:
         return max(t.closure_leakage() for t in self.tables)
 
 
-def _matvec(lop):
-    """x -> lop @ x for a float CSR matrix and a float vector, as one call of
-    scipy's CSR kernel into a fresh zero array: the kernel call ``lop @ x``
-    makes after its type dispatch, so the result is the same bit for bit."""
-    n_row, n_col = lop.shape
-    indptr, indices, data = lop.indptr, lop.indices, lop.data
+def _rk4_step(lop):
+    """The RK4 step of dx/dt = lop @ x as ``step(vec, h, out)``, which writes
+    the state one step of h past vec into out (out may be vec) and allocates
+    nothing.
 
-    def apply(x):
-        out = np.zeros(n_row)
-        csr_matvec(n_row, n_col, indptr, indices, data, x, out)
-        return out
+    Each stage is one call of scipy's CSR kernel, the call ``lop @ x`` makes
+    after its type dispatch, into a row of one stage buffer zeroed once per
+    step: the kernel adds into its output.  The vector arithmetic is that of
+    vec + (h/6) (k1 + 2 (k2 + k3) + k4), operation for operation, so a step
+    equals ``lop @``-based RK4 bit for bit.
+    """
+    csr = (*lop.shape, lop.indptr, lop.indices, lop.data)
+    stages = np.empty((4, lop.shape[0]))
+    k1, k2, k3, k4 = stages
+    x = np.empty(lop.shape[0])
 
-    return apply
+    def step(vec, h, out):
+        stages.fill(0.0)
+        csr_matvec(*csr, vec, k1)
+        np.multiply(0.5 * h, k1, out=x)
+        np.add(vec, x, out=x)
+        csr_matvec(*csr, x, k2)
+        np.multiply(0.5 * h, k2, out=x)
+        np.add(vec, x, out=x)
+        csr_matvec(*csr, x, k3)
+        np.multiply(h, k3, out=x)
+        np.add(vec, x, out=x)
+        csr_matvec(*csr, x, k4)
+        np.add(k2, k3, out=x)
+        np.multiply(2.0, x, out=x)
+        np.add(k1, x, out=x)
+        np.add(x, k4, out=x)
+        np.multiply(h / 6.0, x, out=x)
+        np.add(vec, x, out=out)
+
+    return step
 
 
-def _rk4(matvec, vec, h):
-    k1 = matvec(vec)
-    k2 = matvec(vec + (0.5 * h) * k1)
-    k3 = matvec(vec + (0.5 * h) * k2)
-    k4 = matvec(vec + h * k3)
-    return vec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _row_sums(audited, part):
+    # the gather rows[:, idx] comes out column-major, and numpy sums strided
+    # rows in another order than the 1-D .sum() of each row; C-contiguous
+    # rows round exactly as that sum does
+    return np.ascontiguousarray(audited[:, part]).sum(axis=1)
 
 
-def _audit(support, vec, edge_tol, t):
-    peak = float(np.abs(vec).max())
-    if not math.isfinite(peak) or peak > _DIVERGENCE_PEAK:
-        raise IntegrationError(
-            f"integration diverged near t={t:.6g} (peak element {peak:.3e}); reduce dt"
-        )
-    audited = vec[support.audited]
-    trace = float(audited[support.diag_slice].sum())
-    residue = abs(trace - 1.0)
-    if residue > _TRACE_TOL:
-        raise IntegrationError(
-            f"trace drifted to {trace:.9g} near t={t:.6g}; reduce dt"
-        )
-    edge = max(float(audited[part].sum()) for part in support.edge_slices)
-    if edge > edge_tol:
+def _audit(support, rows, edge_tol, times):
+    """Audit each state in ``rows``, the state at ``times[i]`` in row i.
+
+    Checks the rows in order and raises for the first that fails: divergence
+    (an element beyond 1 in magnitude, or not finite), then trace drift, then
+    edge population, each with that row's time and value.  Otherwise returns
+    every row's trace residue and edge population.
+    """
+    peak = np.abs(rows).max(axis=1)
+    diverged = np.nan_to_num(peak, nan=np.inf) > _DIVERGENCE_PEAK
+    # rows from the first diverged one on are not summed: they need not be finite
+    n = int(diverged.argmax()) if diverged.any() else len(rows)
+    audited = rows[:n, support.audited]
+    trace = _row_sums(audited, support.diag_slice)
+    residue = np.abs(trace - 1.0)
+    edge = np.max([_row_sums(audited, part) for part in support.edge_slices], axis=0)
+    drifted, filled = residue > _TRACE_TOL, edge > edge_tol
+    failed = np.flatnonzero(drifted | filled)
+    if failed.size:
+        i = failed[0]
+        if drifted[i]:
+            raise IntegrationError(
+                f"trace drifted to {float(trace[i]):.9g} near t={times[i]:.6g}; reduce dt"
+            )
         raise TruncationError(
-            f"edge-layer population {edge:.3e} exceeds edge_tol {edge_tol:.1e} "
-            f"near t={t:.6g}; increase n_max beyond {support.cutoffs[0]}"
+            f"edge-layer population {float(edge[i]):.3e} exceeds edge_tol {edge_tol:.1e} "
+            f"near t={times[i]:.6g}; increase n_max beyond {support.cutoffs[0]}"
+        )
+    if n < len(rows):
+        raise IntegrationError(
+            f"integration diverged near t={times[n]:.6g} (peak element "
+            f"{float(peak[n]):.3e}); reduce dt"
         )
     return residue, edge
 
@@ -467,30 +515,65 @@ def _table_at(maps, vec):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _march(matvec, support, maps, vec, samples, dt, edge_tol):
-    """RK4 steps to each sample time, audited after every step: the tables,
-    trace residues and edge populations at the samples, the final vector and
-    the number of steps taken."""
+def _fill(step, vec, rows, h):
+    """Steps of h from vec into successive rows, with numpy's overflow and
+    invalid-value errors raised: the number of rows filled before the first
+    step that raised one.
+
+    Such a step leaves its row non-finite or beyond 1 in magnitude, so it is
+    the first failing row or follows one; the march audits the rows before
+    it and redoes it, if no row failed, under the caller's error handling.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        for i, row in enumerate(rows):
+            try:
+                step(vec, h, row)
+            except FloatingPointError:
+                return i
+            vec = row
+    return len(rows)
+
+
+def _march(lop, support, maps, vec, samples, dt, edge_tol):
+    """RK4 steps under lop to each sample time: the tables, trace residues and
+    edge populations at the samples, the final vector and the number of
+    steps taken.
+
+    Full steps fill consecutive rows of a block, and one audit per block
+    checks every row in order, raising the error and time an audit after
+    each step would; the next block starts from the last row, so no later
+    state is read before a step is audited.  The state at each sample, past
+    its remainder step, is audited as a block of one row.
+    """
+    step = _rk4_step(lop)
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * support.size)))
+    block = np.empty((rows, support.size))
     tables, residues, edges = [], [], []
     t_prev, steps = 0.0, 0
     for t in samples:
         span = t - t_prev
         nfull = int(math.floor(span / dt + 1e-9))
         rem = span - nfull * dt
-        if rem <= 1e-12 * max(dt, 1.0):
+        # the float residue of the full steps, not a span shorter than dt
+        if nfull and rem <= 1e-12 * max(dt, 1.0):
             rem = 0.0
-        for _ in range(nfull):
-            t_prev += dt
-            vec = _rk4(matvec, vec, dt)
-            _audit(support, vec, edge_tol, t_prev)
-        if rem:
-            vec = _rk4(matvec, vec, rem)
         steps += nfull + bool(rem)
+        while nfull:
+            n = _fill(step, vec, block[:min(nfull, rows)], dt)
+            if not n:  # its first step raised: redo it under the caller's error handling
+                step(vec, dt, block[0])
+                n = 1
+            times = list(accumulate(repeat(dt, n), initial=t_prev))[1:]
+            _audit(support, block[:n], edge_tol, times)
+            vec, t_prev, nfull = block[n - 1], times[-1], nfull - n
+        if rem:
+            step(vec, rem, block[0])
+            vec = block[0]
         t_prev = t
-        residue, edge = _audit(support, vec, edge_tol, t)
+        residue, edge = _audit(support, vec[None], edge_tol, (t,))
         tables.append(_table_at(maps, vec))
-        residues.append(residue)
-        edges.append(edge)
+        residues.append(float(residue[0]))
+        edges.append(float(edge[0]))
     return tables, residues, edges, vec, steps
 
 
@@ -566,15 +649,14 @@ def integrate(
     vec0 = np.zeros(support.size)
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
-    matvec = _matvec(lop)
     tables, residues, edges, vec, steps = _march(
-        matvec, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
+        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
     )
 
     delta = None
     if check_convergence:
         halved, *_, halved_steps = _march(
-            matvec, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
+            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
         )
         steps += halved_steps
         delta = max(

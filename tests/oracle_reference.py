@@ -1,11 +1,15 @@
 """The Fock oracle's march and support search as they were before the march
-called scipy's CSR kernel directly and the audit gathered once.
+called scipy's CSR kernel into preallocated buffers and audited once per
+block of steps with one gather.
 
 ``Support``, ``_explore``, ``_rk4``, ``_audit`` and ``_march`` are kept
 verbatim (``Support`` was ``fock_oracle._Support``) as the reference that
 tests pin the live code to bit for bit: every RK4 stage here is ``lop @ vec``
-and every audit three fancy-index gathers; the search loops over the term
-maps at every level.
+into a fresh array, every step is audited on its own with three fancy-index
+gathers, and the search loops over the term maps at every level.  One
+difference is deliberate: this ``_march`` drops a remainder of at most
+1e-12 * max(dt, 1) even when no full step precedes it, so a span shorter
+than that and than dt takes no step at all; the live march takes it.
 """
 
 import math

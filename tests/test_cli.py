@@ -836,6 +836,19 @@ def test_oracle_truncation_guard_exit_code(capsys):
     assert "edge" in err
 
 
+@pytest.mark.parametrize("dt", ["1e11", "1e13"])
+def test_oracle_step_longer_than_every_span_is_still_taken(dt, capsys):
+    # each span is one remainder step; at 1e13 a residue threshold of
+    # 1e-12 * dt once dropped it, and vacuum moments printed with exit 0
+    code, out, err = run_cli(
+        capsys, "oracle", "--eta1", "0", "--eta2", "0", "--nmax", "6",
+        "--dt", dt, "--times", "1,2,5",
+    )
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: integration diverged near t=1 ")
+
+
 def test_oracle_audit_columns_present(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "--eta1", "0", "--eta2", "0.5", "--A", "0.5",

@@ -342,13 +342,13 @@ def test_trace_drift_detected(monkeypatch):
     # a uniform decay of 0.01 per unit time costs the trace 1e-5 in the
     # first step of 1e-3, past the 1e-6 guard, while the largest element
     # only shrinks and the edge layers stay empty
-    kernel = fock_oracle._matvec
+    explore = fock_oracle._explore
 
-    def leaky(lop):
-        apply = kernel(lop)
-        return lambda x: apply(x) - 0.01 * x
+    def leaky(*args):
+        keys, lop = explore(*args)
+        return keys, (lop - 0.01 * sp.identity(keys.size, format="csr")).tocsr()
 
-    monkeypatch.setattr(fock_oracle, "_matvec", leaky)
+    monkeypatch.setattr(fock_oracle, "_explore", leaky)
     cfg = FockConfig(n_max=2, dt=1e-3, t_final=0.1, edge_tol=1e-6)
     with pytest.raises(IntegrationError, match=r"trace drifted to 0\.99999\d* near t=0\.001; reduce dt"):
         integrate(DensityState.vacuum(2), cfg, pref(0.0, 0.0, a=0.5), 1.0,

@@ -2,6 +2,7 @@
 replaced, kept verbatim in ``oracle_reference``: equal bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def both_marches(case, samples, dt, edge_tol):
     out = []
     for march, mat, support in (
         (oracle_reference._march, lop, oracle_reference.Support(cutoffs, keys)),
-        (fock_oracle._march, fock_oracle._matvec(lop), fock_oracle._Support(cutoffs, keys)),
+        (fock_oracle._march, lop, fock_oracle._Support(cutoffs, keys)),
     ):
         try:
             out.append(march(mat, support, moment_maps, vec0, samples, dt, edge_tol))
@@ -86,27 +87,158 @@ def test_kernel_march_equals_the_operator_march(case):
     assert got[4] == 6 + 15 + 8
 
 
-@pytest.mark.parametrize("dt, edge_tol, error", [
-    (2.0, 0.999, IntegrationError),  # diverges at t = 2
-    (0.02, 1e-6, TruncationError),   # an edge layer fills by t = 0.12
+# the first failing step is 187 (t = 1.87) at n_max = 3, edge_tol = 2e-4, and
+# 172 (t = 1.72) at n_max = 4, edge_tol = 1e-5, both at dt = 0.01
+N3, N4 = (0.0, 0.0, 3, True), (0.0, 0.0, 4, True)
+
+
+@pytest.mark.parametrize("case, samples, dt, edge_tol, block_rows, error", [
+    # diverges at t = 2
+    pytest.param((0.0, 0.0, 2, True), [20.0], 2.0, 0.999, None, IntegrationError,
+                 id="2.0-0.999-IntegrationError"),
+    # an edge layer fills by t = 0.12
+    pytest.param((0.0, 0.0, 2, True), [20.0], 0.02, 1e-6, None, TruncationError,
+                 id="0.02-1e-06-TruncationError"),
+    pytest.param(N3, [20.0], 0.01, 2e-4, None, TruncationError, id="n3-mid-block"),
+    pytest.param(N3, [20.0], 0.01, 2e-4, 17, TruncationError, id="n3-last-row"),
+    pytest.param(N3, [20.0], 0.01, 2e-4, 31, TruncationError, id="n3-next-first-row"),
+    pytest.param(N4, [20.0], 0.01, 1e-5, None, TruncationError, id="n4-mid-block"),
+    pytest.param(N4, [20.0], 0.01, 1e-5, 43, TruncationError, id="n4-last-row"),
+    pytest.param(N4, [20.0], 0.01, 1e-5, 19, TruncationError, id="n4-next-first-row"),
+    # 150 full steps to 1.5, 36 more and a remainder to 1.869, which fails
+    pytest.param(N3, [1.5, 1.869], 0.01, 2e-4, None, TruncationError, id="n3-remainder"),
 ])
-def test_failing_marches_raise_the_same_error(dt, edge_tol, error):
-    want, got = both_marches((0.0, 0.0, 2, True), np.array([20.0]), dt, edge_tol)
+def test_failing_marches_raise_the_same_error(case, samples, dt, edge_tol, block_rows, error,
+                                              monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
+    want, got = both_marches(case, np.array(samples), dt, edge_tol)
     assert type(want) is type(got) is error
     assert str(got) == str(want)
+
+
+def test_trace_drift_after_the_first_block_raises_the_same_error(monkeypatch):
+    # a uniform decay of 1.5e-6 per unit time drifts the trace past 1e-6 near
+    # t = 0.67, in the second block of 64 steps of 0.01
+    explore = fock_oracle._explore
+
+    def leaky(*args):
+        keys, lop = explore(*args)
+        return keys, (lop - 1.5e-6 * sp.identity(keys.size, format="csr")).tocsr()
+
+    monkeypatch.setattr(fock_oracle, "_explore", leaky)
+    want, got = both_marches(N3, np.array([20.0]), 0.01, 0.5)
+    assert type(want) is type(got) is IntegrationError
+    assert str(got) == str(want)
+    assert "trace drifted" in str(got)
+
+
+def test_an_overflowing_first_step_warns_as_the_reference():
+    # a first step of 1e200 overflows: the block redoes it under the default
+    # error handling, so it warns as the reference march does
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want, got = both_marches((0.0, 0.0, 2, True), np.array([1e200]), 1e200, 0.999)
+    messages = [str(w.message) for w in caught]
+    assert messages and messages[:len(messages) // 2] == messages[len(messages) // 2:]
+    assert type(want) is type(got) is IntegrationError
+    assert str(got) == str(want)
+
+
+def test_block_audit_equals_the_per_step_audit():
+    # every coordinate at n_max = 5 puts 36 states on the diagonal, enough for
+    # the order of a row sum to show in the trace residue
+    maps, dim, seeds, cutoffs, _ = operator(0.0, 0.0, 5, False)
+    keys, lop = fock_oracle._explore(maps, dim, seeds)
+    step = fock_oracle._rk4_step(lop)
+    block = np.empty((64, keys.size))
+    vec = np.zeros(keys.size)
+    vec[0] = 1.0
+    for row in block:
+        step(vec, DT, row)
+        vec = row
+    times = [DT * (i + 1) for i in range(len(block))]
+    residues, edges = fock_oracle._audit(fock_oracle._Support(cutoffs, keys), block, 0.5, times)
+    support = oracle_reference.Support(cutoffs, keys)
+    want = [oracle_reference._audit(support, row, 0.5, t) for row, t in zip(block, times)]
+    assert residues.tolist() == [r for r, _ in want]
+    assert edges.tolist() == [e for _, e in want]
+
+
+def square_int64_matrix(n, seed):
+    mat = sp.random(n, n, density=0.2, format="csr", random_state=seed)
+    mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    return mat
 
 
 def test_kernel_matvec_equals_the_matmul_operator():
     rng = np.random.default_rng(7)
     maps, dim, seeds, _, _ = operator(0.25, 0.25, 4, True)
     _, lop = fock_oracle._explore(maps, dim, seeds)
-    wide = sp.random(40, 60, density=0.2, format="csr", random_state=3)
-    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
-    for mat in (lop, wide):
-        apply = fock_oracle._matvec(mat)
-        for _ in range(5):
-            x = rng.standard_normal(mat.shape[1])
-            assert np.array_equal(apply(x), mat @ x)
+    for mat in (lop, square_int64_matrix(60, 3)):
+        step = fock_oracle._rk4_step(mat)
+        for h in (DT, 1.01 - 20 * DT):  # a full step and a remainder
+            for _ in range(3):
+                vec = rng.standard_normal(mat.shape[0])
+                want = oracle_reference._rk4(mat, vec, h)
+                out = np.empty_like(vec)
+                step(vec, h, out)
+                assert np.array_equal(out, want)
+                step(vec, h, vec)  # in place, as a block of one row steps
+                assert np.array_equal(vec, want)
+
+
+def test_csr_matvec_adds_into_its_output():
+    # the step zeroes its stage buffers once and relies on y += A x; small
+    # integers keep every sum exact in any order
+    rng = np.random.default_rng(5)
+    for mat in (sp.random(40, 60, density=0.2, format="csr", random_state=3),
+                square_int64_matrix(60, 4)):
+        mat.data = rng.integers(-4, 5, mat.nnz).astype(float)
+        x = rng.integers(-4, 5, mat.shape[1]).astype(float)
+        y = rng.integers(-4, 5, mat.shape[0]).astype(float)
+        out = y.copy()
+        fock_oracle.csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
+        assert np.array_equal(out, y + mat @ x)
+
+
+def assert_runs_equal(got, want):
+    for field in ("times", "moments", "trace_residues", "edge_populations",
+                  "convergence_delta", "support_size", "operator_nnz", "steps",
+                  "min_eigenvalue"):
+        assert getattr(got, field) == getattr(want, field), field
+    for table, want_table in zip(got.tables, want.tables, strict=True):
+        for field in ("first", "cross", "pair"):
+            assert np.array_equal(getattr(table, field), getattr(want_table, field)), field
+
+
+@pytest.mark.parametrize("case", CASES[:3] + CASES[5:6],
+                         ids=lambda c: f"{c[:2]}-n{c[2]}-restrict{c[3]}")
+def test_block_length_changes_no_result(case, monkeypatch):
+    eta1, eta2, n_max, restrict = case
+    p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
+    cfg = FockConfig(n_max=n_max, dt=DT, t_final=4.0, edge_tol=0.5)
+
+    def run():
+        return integrate(DensityState.vacuum(n_max), cfg, p, 1.0, restrict=restrict,
+                         sample_times=[0.3, 1.01, 1.37, 4.0, 1.01], track_spectrum=True)
+
+    want = run()
+    for rows in (1, 7):
+        monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", rows)
+        assert_runs_equal(run(), want)
+
+
+def test_divergent_march_raises_no_runtime_warning():
+    # steps of 1e8 grow the state about 1e31-fold each, so later rows of the
+    # block that holds the first failing one overflow in numpy's arithmetic
+    cfg = FockConfig(n_max=2, dt=1e8, t_final=1e10, edge_tol=0.999)
+    p = prefactors_from_inversions(0.0, 0.0, gain_scale=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match=r"diverged near t=1e\+08 "):
+            integrate(DensityState.vacuum(2), cfg, p, 1.0, sample_times=[1e10],
+                      check_convergence=False)
 
 
 def reference_march(lop, support, *rest):
@@ -130,7 +262,6 @@ def test_oracle_documents_equal_the_reference_march(point, fmt, capsys, monkeypa
 
     live = document()
     monkeypatch.setattr(fock_oracle, "_explore", oracle_reference._explore)
-    monkeypatch.setattr(fock_oracle, "_matvec", lambda lop: lop)
     monkeypatch.setattr(fock_oracle, "_march", reference_march)
     assert document() == live
 
