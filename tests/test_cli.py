@@ -354,6 +354,15 @@ def test_timed_commands_refuse_too_many_samples(command, tmp_path, capsys):
     assert_one_error_line(*run_cli(capsys, *point, "--config", str(cfg)), "--times")
 
 
+def test_oracle_refuses_a_step_that_halving_moves(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0", "--A", "0.5",
+                             "--nmax", "6", "--dt", "0.15", "--times", "1,2",
+                             "--edge-tol", "0.1")
+    assert (code, out) == (3, "")
+    assert err == ("error: halving dt moves tracked moments by 3.004e-04 "
+                   "(tolerance 1.0e-06); reduce dt\n")
+
+
 def test_oracle_refuses_too_many_steps(capsys):
     code, out, err = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0", "--A", "1",
                              "--nmax", "3", "--dt", "1e-300", "--t", "1")

@@ -364,6 +364,20 @@ def test_convergence_check_fires_on_coarse_step():
                   sample_times=[1.0])
 
 
+def test_convergence_refusal_names_the_move_and_the_tolerance():
+    # both runs pass every audit at n_max = 6; only the dt/2 comparison refuses
+    cfg = FockConfig(n_max=6, dt=0.15, t_final=2.0, edge_tol=0.1)
+    p = pref(0.0, 0.0, a=0.5)
+    with pytest.raises(IntegrationError) as caught:
+        integrate(DensityState.vacuum(6), cfg, p, 1.0, sample_times=[1.0, 2.0])
+    assert str(caught.value) == (
+        "halving dt moves tracked moments by 3.004e-04 (tolerance 1.0e-06); reduce dt"
+    )
+    run = integrate(DensityState.vacuum(6), cfg, p, 1.0, sample_times=[1.0, 2.0],
+                    check_convergence=False)
+    assert run.convergence_delta is None
+
+
 def test_decoupled_loss_mode_stays_dark():
     p = pref(-0.5, -0.5, a=0.5)
     cfg = FockConfig(n_max=5, dt=0.02, t_final=4.0, edge_tol=1e-2)
