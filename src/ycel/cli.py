@@ -241,7 +241,9 @@ def _resolve_times(params: dict, command: str) -> list[float]:
     t = params["t"]
     if t is None and command == "oracle":
         t = 20.0  # the default horizon of the library's FockConfig
-    if params["times"]:
+    if params["times"] is not None:
+        if not params["times"]:
+            raise ConfigurationError("--times lists no times")
         if len(params["times"]) > MAX_SAMPLES:
             raise ConfigurationError(
                 f"--times lists {len(params['times'])} times; at most {MAX_SAMPLES} are taken"

@@ -354,6 +354,19 @@ def test_timed_commands_refuse_too_many_samples(command, tmp_path, capsys):
     assert_one_error_line(*run_cli(capsys, *point, "--config", str(cfg)), "--times")
 
 
+@pytest.mark.parametrize("command", ["evolve", "oracle"])
+def test_timed_commands_refuse_an_empty_time_list(command, tmp_path, capsys):
+    # an explicit empty list is refused, not read as "no --times given"
+    point = (command, "--eta1", "0", "--eta2", "0")
+    for times in ("", ","):
+        code, out, err = run_cli(capsys, *point, "--t", "5", "--times", times)
+        assert_one_error_line(code, out, err, "--times lists no times")
+    cfg = tmp_path / "times.json"
+    cfg.write_text(json.dumps({"times": []}))
+    assert_one_error_line(*run_cli(capsys, *point, "--config", str(cfg)),
+                          "--times lists no times")
+
+
 def test_oracle_refuses_a_step_that_halving_moves(capsys):
     code, out, err = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0", "--A", "0.5",
                              "--nmax", "6", "--dt", "0.15", "--times", "1,2",
