@@ -1,6 +1,7 @@
-"""The Fock oracle's march and support search as they were before the march
-called scipy's CSR kernel into preallocated buffers and audited once per
-block of steps with one gather.
+"""The Fock oracle's march, support search and operator set-up as they were
+before the march called scipy's CSR kernel into preallocated buffers, audited
+once per block of steps with one gather, and stepped the dt and dt/2 runs
+together, and before the set-up built its maps by index arithmetic.
 
 ``Support``, ``_explore``, ``_rk4``, ``_audit`` and ``_march`` are kept
 verbatim (``Support`` was ``fock_oracle._Support``) as the reference that
@@ -10,21 +11,147 @@ gathers, and the search loops over the term maps at every level.  One
 difference is deliberate: this ``_march`` drops a remainder of at most
 1e-12 * max(dt, 1) even when no full step precedes it, so a span shorter
 than that and than dt takes no step at all; the live march takes it.
+
+``_reduced_model``, ``_term_maps`` and ``_folded_moment_maps`` are the
+set-up as scipy sparse algebra: Kronecker-product ladders, sparse products
+for the composite operators and the moment operators, and row maps read
+back from CSR.  The live set-up must give the same maps, positions and
+weights in the same order, bit for bit.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from ycel.errors import IntegrationError, TruncationError
+from ycel.errors import ConsistencyError, IntegrationError, TruncationError
 from ycel.fock_oracle import (
     _DIVERGENCE_PEAK,
     _TRACE_TOL,
-    _lookup,
     _sorted_unique,
     _table_at,
 )
+
+
+@lru_cache(maxsize=16)
+def _ladders(cutoffs: tuple):
+    """Sparse annihilators of each mode on the product space of ``cutoffs``,
+    flattened row-major (the last mode varies fastest)."""
+    eyes = [sp.identity(n + 1, format="csr") for n in cutoffs]
+    out = []
+    for i, n in enumerate(cutoffs):
+        factors = list(eyes)
+        factors[i] = sp.diags(np.sqrt(np.arange(1.0, n + 1)), offsets=1, format="csr")
+        op = factors[0]
+        for factor in factors[1:]:
+            op = sp.kron(op, factor, format="csr")
+        out.append(op)
+    return tuple(out)
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray):
+    """Positions of ``wanted`` in the sorted ``keys``, and which are present."""
+    pos = np.searchsorted(keys, wanted)
+    ok = pos < keys.size
+    ok[ok] = keys[pos[ok]] == wanted[ok]
+    return pos, ok
+
+
+def _dissipator(rate: float, op):
+    """rate * D[op] as (coefficient, left, right) triples, for a real op."""
+    number = (op.T @ op).tocsr()
+    return [(2.0 * rate, op, op.T.tocsr()), (-rate, number, None), (-rate, None, number)]
+
+
+@lru_cache(maxsize=8)
+def _reduced_model(pref, kappa: float, n_max: int):
+    """The generator on (a1, b): cutoffs, modes and terms.
+
+    modes are (a1, a2, a3) = U (a1, b) as operators on the (a1, b) space.
+    Terms are (coefficient, left, right) triples, each coefficient * left @
+    rho @ right with None standing for the identity; zero coefficients are
+    dropped.  A weight that roundoff leaves a hair below zero at the edge of
+    the preparation triangle counts as zero.
+    """
+    s, half_k = pref.gain_scale, 0.5 * kappa
+    loss = max(pref.loss1, 0.0)
+    gains = (max(pref.gain2, 0.0), max(pref.gain3, 0.0))
+    gain = gains[0] + gains[1]
+    if gain == 0.0:
+        (a1,) = _ladders((n_max,))
+        return (n_max,), (a1, 0.0 * a1, 0.0 * a1), tuple(_dissipator(s * loss + half_k, a1))
+    cutoffs = (n_max, n_max * sum(g > 0.0 for g in gains))
+    a1, b = _ladders(cutoffs)
+    a1d, bd = a1.T.tocsr(), b.T.tocsr()
+    up, down = (a1d @ bd).tocsr(), (b @ a1).tocsr()
+    cross = s * math.sqrt(loss * gain)
+    terms = [
+        *_dissipator(s * loss + half_k, a1),
+        *_dissipator(half_k, b),
+        *_dissipator(s * gain, bd),
+        (-2.0 * cross, a1, b),
+        (-2.0 * cross, bd, a1d),
+        (cross, up, None),
+        (cross, None, up),
+        (cross, down, None),
+        (cross, None, down),
+    ]
+    u2, u3 = (math.sqrt(g / gain) for g in gains)
+    return cutoffs, (a1, u2 * b, u3 * b), tuple(t for t in terms if t[0] != 0.0)
+
+
+def _monomial_rowmap(op, dim):
+    """Row -> (column, value) arrays for an operator with <=1 entry per row."""
+    csr = op.tocsr()
+    counts = np.diff(csr.indptr)
+    if counts.max() > 1:
+        raise ConsistencyError("generator term is not a shift monomial")
+    cols = np.full(dim, -1, dtype=np.int64)
+    vals = np.zeros(dim)
+    filled = np.flatnonzero(counts)
+    cols[filled] = csr.indices
+    vals[filled] = csr.data
+    return cols, vals
+
+
+def _term_maps(terms, dim: int):
+    """Each term c * X rho Y as (c, ket map, ket weight, bra map, bra weight).
+
+    The term sends element (k, b) to (kmap[k], bmap[b]) with weight
+    c * kw[k] * bw[b]; a map entry of -1 marks an element it annihilates.
+    """
+    ident = (np.arange(dim, dtype=np.int64), np.ones(dim))
+    return tuple(
+        (
+            coef,
+            *(ident if left is None else _monomial_rowmap(left.T, dim)),
+            *(ident if right is None else _monomial_rowmap(right, dim)),
+        )
+        for coef, left, right in terms
+    )
+
+
+def _folded_moment_maps(support, modes):
+    """Per moment operator of ``modes`` (a_i, a_i^dag a_j and a_i a_j), the
+    positions and weights it reads.
+
+    Tr(O rho) = sum O[r, c] rho[c, r], and rho[c, r] is the coordinate of
+    the pair (min, max).
+    """
+    dim = support.dim
+
+    def mapping(op):
+        coo = op.tocoo()
+        col, row = coo.col.astype(np.int64), coo.row.astype(np.int64)
+        pos, ok = _lookup(support.keys, np.minimum(col, row) * dim + np.maximum(col, row))
+        return pos[ok], coo.data[ok]
+
+    return (
+        [mapping(a) for a in modes],
+        [[mapping((ai.T @ aj).tocsr()) for aj in modes] for ai in modes],
+        [[mapping((ai @ aj).tocsr()) for aj in modes] for ai in modes],
+    )
 
 
 class Support:
