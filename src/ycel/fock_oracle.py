@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -90,8 +89,10 @@ _N_MAX_LIMIT = 16
 # check marches twice as many.  The acceptance runs take at most 2,000.
 _MAX_STEPS = 1_000_000
 
-# Full steps fill a block of up to _BLOCK_ROWS states that one audit checks;
+# Full steps fill a block of up to _BLOCK_ROWS rows that one audit checks;
 # fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
+# A row is one state, or the three states of one interval of the dt and dt/2
+# runs marched together.
 _BLOCK_ROWS = 64
 _BLOCK_BYTES = 1 << 21
 
@@ -152,22 +153,6 @@ class DensityState:
         return cls(n_max)
 
 
-@lru_cache(maxsize=16)
-def _ladders(cutoffs: tuple):
-    """Sparse annihilators of each mode on the product space of ``cutoffs``,
-    flattened row-major (the last mode varies fastest)."""
-    eyes = [sp.identity(n + 1, format="csr") for n in cutoffs]
-    out = []
-    for i, n in enumerate(cutoffs):
-        factors = list(eyes)
-        factors[i] = sp.diags(np.sqrt(np.arange(1.0, n + 1)), offsets=1, format="csr")
-        op = factors[0]
-        for factor in factors[1:]:
-            op = sp.kron(op, factor, format="csr")
-        out.append(op)
-    return tuple(out)
-
-
 def _lookup(keys: np.ndarray, wanted: np.ndarray):
     """Positions of ``wanted`` in the sorted ``keys``, and which are present."""
     pos = np.searchsorted(keys, wanted)
@@ -176,47 +161,88 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray):
     return pos, ok
 
 
-def _dissipator(rate: float, op):
-    """rate * D[op] as (coefficient, left, right) triples, for a real op."""
-    number = (op.T @ op).tocsr()
-    return [(2.0 * rate, op, op.T.tocsr()), (-rate, number, None), (-rate, None, number)]
+def _annihilator(sides: tuple, mode: int):
+    """One mode's annihilator on the grid of ``sides``, flattened row-major
+    (the last mode varies fastest), as a shift map: per source index, the
+    index it goes to (-1 where it annihilates) and its weight."""
+    stride = math.prod(sides[mode + 1:])
+    source = np.arange(math.prod(sides), dtype=np.int64)
+    occupation = source // stride % sides[mode]
+    return np.where(occupation > 0, source - stride, -1), np.sqrt(occupation.astype(float))
 
 
-@lru_cache(maxsize=8)
+def _transpose(op):
+    """The transpose of a shift map: it sends each target back to its
+    source with the same weight."""
+    target, weight = op
+    source = np.flatnonzero(target >= 0)
+    out = np.full(target.size, -1, dtype=np.int64), np.zeros(target.size)
+    out[0][target[source]] = source
+    out[1][target[source]] = weight[source]
+    return out
+
+
+def _product(left, right):
+    """left @ right for shift maps, each weight the one float product a sparse
+    product takes; an entry whose weight is zero is dropped, as there."""
+    (left_target, left_weight), (right_target, right_weight) = left, right
+    source = np.flatnonzero(right_target >= 0)
+    middle = right_target[source]
+    weight = left_weight[middle] * right_weight[source]
+    kept = (left_target[middle] >= 0) & (weight != 0.0)
+    out = np.full(right_target.size, -1, dtype=np.int64), np.zeros(right_target.size)
+    out[0][source[kept]] = left_target[middle[kept]]
+    out[1][source[kept]] = weight[kept]
+    return out
+
+
+def _dissipator(rate: float, op, ident):
+    """rate * D[op] for a real op as term maps: rate * (2 op rho op^T -
+    N rho - rho N) with the diagonal N = op^T op."""
+    number = _product(_transpose(op), op)
+    return [(2.0 * rate, *op, *op), (-rate, *number, *ident), (-rate, *ident, *number)]
+
+
 def _reduced_model(pref: Prefactors, kappa: float, n_max: int):
-    """The generator on (a1, b): cutoffs, modes and terms.
+    """The generator on (a1, b): cutoffs, modes and term maps.
 
-    modes are (a1, a2, a3) = U (a1, b) as operators on the (a1, b) space.
-    Terms are (coefficient, left, right) triples, each coefficient * left @
-    rho @ right with None standing for the identity; zero coefficients are
-    dropped.  A weight that roundoff leaves a hair below zero at the edge of
-    the preparation triangle counts as zero.
+    modes are (a1, a2, a3) = U (a1, b) as shift maps on the (a1, b) grid.
+    Each term c * X rho Y is (c, ket map, ket weight, bra map, bra weight):
+    it sends element (k, b) to (kmap[k], bmap[b]) with weight c * kw[k] *
+    bw[b], so the ket map is X's shift map and the bra map Y^T's.  Zero
+    coefficients are dropped.  A weight that roundoff leaves a hair below
+    zero at the edge of the preparation triangle counts as zero.
     """
     s, half_k = pref.gain_scale, 0.5 * kappa
     loss = max(pref.loss1, 0.0)
     gains = (max(pref.gain2, 0.0), max(pref.gain3, 0.0))
     gain = gains[0] + gains[1]
+    cutoffs = (n_max,) if gain == 0.0 else (n_max, n_max * sum(g > 0.0 for g in gains))
+    sides = tuple(n + 1 for n in cutoffs)
+    dim = math.prod(sides)
+    ident = (np.arange(dim, dtype=np.int64), np.ones(dim))
+    a1 = _annihilator(sides, 0)
     if gain == 0.0:
-        (a1,) = _ladders((n_max,))
-        return (n_max,), (a1, 0.0 * a1, 0.0 * a1), tuple(_dissipator(s * loss + half_k, a1))
-    cutoffs = (n_max, n_max * sum(g > 0.0 for g in gains))
-    a1, b = _ladders(cutoffs)
-    a1d, bd = a1.T.tocsr(), b.T.tocsr()
-    up, down = (a1d @ bd).tocsr(), (b @ a1).tocsr()
+        zero = (a1[0], 0.0 * a1[1])
+        return cutoffs, (a1, zero, zero), tuple(_dissipator(s * loss + half_k, a1, ident))
+    b = _annihilator(sides, 1)
+    a1d, bd = _transpose(a1), _transpose(b)
+    up, down = _product(a1d, bd), _product(b, a1)
     cross = s * math.sqrt(loss * gain)
     terms = [
-        *_dissipator(s * loss + half_k, a1),
-        *_dissipator(half_k, b),
-        *_dissipator(s * gain, bd),
-        (-2.0 * cross, a1, b),
-        (-2.0 * cross, bd, a1d),
-        (cross, up, None),
-        (cross, None, up),
-        (cross, down, None),
-        (cross, None, down),
+        *_dissipator(s * loss + half_k, a1, ident),
+        *_dissipator(half_k, b, ident),
+        *_dissipator(s * gain, bd, ident),
+        (-2.0 * cross, *a1, *bd),
+        (-2.0 * cross, *bd, *a1),
+        (cross, *up, *ident),
+        (cross, *ident, *down),
+        (cross, *down, *ident),
+        (cross, *ident, *up),
     ]
     u2, u3 = (math.sqrt(g / gain) for g in gains)
-    return cutoffs, (a1, u2 * b, u3 * b), tuple(t for t in terms if t[0] != 0.0)
+    modes = (a1, (b[0], u2 * b[1]), (b[0], u3 * b[1]))
+    return cutoffs, modes, tuple(t for t in terms if t[0] != 0.0)
 
 
 class _Support:
@@ -255,37 +281,6 @@ class _Support:
         return mat
 
 
-def _monomial_rowmap(op, dim):
-    """Row -> (column, value) arrays for an operator with <=1 entry per row."""
-    csr = op.tocsr()
-    counts = np.diff(csr.indptr)
-    if counts.max() > 1:
-        raise ConsistencyError("generator term is not a shift monomial")
-    cols = np.full(dim, -1, dtype=np.int64)
-    vals = np.zeros(dim)
-    filled = np.flatnonzero(counts)
-    cols[filled] = csr.indices
-    vals[filled] = csr.data
-    return cols, vals
-
-
-def _term_maps(terms, dim: int):
-    """Each term c * X rho Y as (c, ket map, ket weight, bra map, bra weight).
-
-    The term sends element (k, b) to (kmap[k], bmap[b]) with weight
-    c * kw[k] * bw[b]; a map entry of -1 marks an element it annihilates.
-    """
-    ident = (np.arange(dim, dtype=np.int64), np.ones(dim))
-    return tuple(
-        (
-            coef,
-            *(ident if left is None else _monomial_rowmap(left.T, dim)),
-            *(ident if right is None else _monomial_rowmap(right, dim)),
-        )
-        for coef, left, right in terms
-    )
-
-
 def _explore(maps, dim: int, seeds: np.ndarray):
     """Pairs reachable from ``seeds``, and the generator on them.
 
@@ -299,8 +294,10 @@ def _explore(maps, dim: int, seeds: np.ndarray):
     # one (terms, dim) array per field, so a level gathers every term at once;
     # masks flatten term by term, in the order of ``maps``
     coef, kmap, kw, bmap, bw = (np.array(field) for field in zip(*maps))
-    keys = frontier = _sorted_unique(seeds.astype(np.int64))
-    targets, sources, weights = [keys[:0]], [keys[:0]], [np.zeros(0)]
+    frontier = _sorted_unique(seeds.astype(np.int64))
+    seen = np.zeros(dim * dim, dtype=bool)  # by key: the pairs found so far
+    seen[frontier] = True
+    targets, sources, weights = [frontier[:0]], [frontier[:0]], [np.zeros(0)]
     while frontier.size:
         ket, bra = np.divmod(frontier, dim)
         off = ket != bra
@@ -313,11 +310,11 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         targets.append(found)
         sources.append(src[pos])
         weights.append(coef[term] * kw[term, ket[pos]] * bw[term, bra[pos]])
-        found = _sorted_unique(found)
-        frontier = found[~_lookup(keys, found)[1]]
-        keys = np.sort(np.concatenate((keys, frontier)))
-    rows = _lookup(keys, np.concatenate(targets))[0]
-    cols = _lookup(keys, np.concatenate(sources))[0]
+        frontier = _sorted_unique(found[~seen[found]])
+        seen[frontier] = True
+    keys = np.flatnonzero(seen)
+    rows = np.searchsorted(keys, np.concatenate(targets))
+    cols = np.searchsorted(keys, np.concatenate(sources))
     mat = sp.csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
     return keys, mat
 
@@ -332,7 +329,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def _folded_moment_maps(support: _Support, modes):
     """Per moment operator of ``modes`` (a_i, a_i^dag a_j and a_i a_j), the
-    positions and weights it reads.
+    positions and weights it reads, row by row of the operator.
 
     Tr(O rho) = sum O[r, c] rho[c, r], and rho[c, r] is the coordinate of
     the pair (min, max).
@@ -340,15 +337,17 @@ def _folded_moment_maps(support: _Support, modes):
     dim = support.dim
 
     def mapping(op):
-        coo = op.tocoo()
-        col, row = coo.col.astype(np.int64), coo.row.astype(np.int64)
+        col, weight = _transpose(op)
+        row = np.flatnonzero(col >= 0)
+        col = col[row]
         pos, ok = _lookup(support.keys, np.minimum(col, row) * dim + np.maximum(col, row))
-        return pos[ok], coo.data[ok]
+        return pos[ok], weight[row[ok]]
 
+    daggers = [_transpose(a) for a in modes]
     return (
         [mapping(a) for a in modes],
-        [[mapping((ai.T @ aj).tocsr()) for aj in modes] for ai in modes],
-        [[mapping((ai @ aj).tocsr()) for aj in modes] for ai in modes],
+        [[mapping(_product(ai, aj)) for aj in modes] for ai in daggers],
+        [[mapping(_product(ai, aj)) for aj in modes] for ai in modes],
     )
 
 
@@ -426,40 +425,58 @@ class OracleRun:
         return max(t.closure_leakage() for t in self.tables)
 
 
-def _rk4_step(lop):
-    """The RK4 step of dx/dt = lop @ x as ``step(vec, h, out)``, which writes
-    the state one step of h past vec into out (out may be vec) and allocates
-    nothing.
+def _sizes(h):
+    """A step size as the three factors an RK4 step multiplies by: 0.5 * h,
+    h and h / 6.  h may be an array of sizes, one per coordinate."""
+    return 0.5 * h, h, h / 6.0
+
+
+def _rk4_step(lop, runs: int = 1):
+    """The RK4 step of dx/dt = lop @ x as ``step(vec, sizes, out)``, which
+    writes the state one step past vec into out (out may be vec) and
+    allocates nothing; sizes is ``_sizes(h)``.
 
     Each stage is one call of scipy's CSR kernel, the call ``lop @ x`` makes
     after its type dispatch, into a row of one stage buffer zeroed once per
     step: the kernel adds into its output.  The vector arithmetic is that of
     vec + (h/6) (k1 + 2 (k2 + k3) + k4), operation for operation, so a step
     equals ``lop @``-based RK4 bit for bit.
-    """
-    csr = (*lop.shape, lop.indptr, lop.indices, lop.data)
-    stages = np.empty((4, lop.shape[0]))
-    k1, k2, k3, k4 = stages
-    x = np.empty(lop.shape[0])
 
-    def step(vec, h, out):
+    With runs > 1 the step moves that many states at once, one per row of a
+    C-contiguous (runs, n) vec, out any view of that shape, each by its own
+    size: h repeats each row's size over the row's coordinates.  The kernel
+    runs on a block-diagonal CSR that repeats lop's rows, entries in lop's
+    order, once per state, and 0.5 * h and h / 6 are the same operations
+    coordinate by coordinate, so each row equals a one-run step bit for bit.
+    """
+    n = lop.shape[0]
+    indptr = np.concatenate([lop.indptr[:1], *(lop.indptr[1:] + r * lop.nnz for r in range(runs))])
+    indices = np.concatenate([lop.indices + r * n for r in range(runs)])
+    csr = (runs * n, runs * n, indptr, indices, np.tile(lop.data, runs))
+    stages = np.empty((4, runs, n))
+    k1, k2, k3, k4 = stages.reshape(4, runs * n)  # flat, as the kernel and h read them
+    x = np.empty(runs * n)
+    xs = x if runs == 1 else x.reshape(runs, n)  # x in vec's shape, for sums with vec
+
+    def step(vec, sizes, out):
+        half, h, sixth = sizes
         stages.fill(0.0)
         csr_matvec(*csr, vec, k1)
-        np.multiply(0.5 * h, k1, out=x)
-        np.add(vec, x, out=x)
+        np.multiply(half, k1, out=x)
+        np.add(vec, xs, out=xs)
         csr_matvec(*csr, x, k2)
-        np.multiply(0.5 * h, k2, out=x)
-        np.add(vec, x, out=x)
+        np.multiply(half, k2, out=x)
+        np.add(vec, xs, out=xs)
         csr_matvec(*csr, x, k3)
         np.multiply(h, k3, out=x)
-        np.add(vec, x, out=x)
+        np.add(vec, xs, out=xs)
         csr_matvec(*csr, x, k4)
         np.add(k2, k3, out=x)
         np.multiply(2.0, x, out=x)
         np.add(k1, x, out=x)
         np.add(x, k4, out=x)
-        np.multiply(h / 6.0, x, out=x)
-        np.add(vec, x, out=out)
+        np.multiply(sixth, x, out=x)
+        np.add(vec, xs, out=out)
 
     return step
 
@@ -515,8 +532,8 @@ def _table_at(maps, vec):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _fill(step, vec, rows, h):
-    """Steps of h from vec into successive rows, with numpy's overflow and
+def _fill(step, vec, rows, sizes):
+    """Steps of ``sizes`` from vec into successive rows, with numpy's overflow and
     invalid-value errors raised: the number of rows filled before the first
     step that raised one.
 
@@ -527,54 +544,137 @@ def _fill(step, vec, rows, h):
     with np.errstate(over="raise", invalid="raise"):
         for i, row in enumerate(rows):
             try:
-                step(vec, h, row)
+                step(vec, sizes, row)
             except FloatingPointError:
                 return i
             vec = row
     return len(rows)
 
 
-def _march(lop, support, maps, vec, samples, dt, edge_tol):
-    """RK4 steps under lop to each sample time: the tables, trace residues and
-    edge populations at the samples, the final vector and the number of
-    steps taken.
+def _block_rows(row_size: int) -> int:
+    """Rows of a block of rows of row_size floats: _BLOCK_ROWS, fewer where
+    the block would pass _BLOCK_BYTES, and at least one."""
+    return min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * row_size)))
+
+
+def _times(t_prev, dt, n):
+    """The times after each of n steps of dt from t_prev, summed step by step."""
+    return list(accumulate(repeat(dt, n), initial=t_prev))[1:]
+
+
+def _full_steps(step, support, vec, count, dt, t_prev, block, edge_tol):
+    """count steps of dt from vec at t_prev, filling consecutive rows of block
+    and auditing each filled part before the next starts from its last row:
+    the final state and time."""
+    sizes = _sizes(dt)
+    while count:
+        n = _fill(step, vec, block[:min(count, len(block))], sizes)
+        if not n:  # its first step raised: redo it under the caller's error handling
+            step(vec, sizes, block[0])
+            n = 1
+        times = _times(t_prev, dt, n)
+        _audit(support, block[:n], edge_tol, times)
+        vec, t_prev, count = block[n - 1], times[-1], count - n
+    return vec, t_prev
+
+
+def _paired_steps(pair, step, support, start, count, dts, t_prevs, block, edge_tol):
+    """count steps of dt from start[0] and twice as many of dt/2 from
+    start[1], dts = (dt, dt/2): the final states and times.
+
+    Each interval is one paired step, dt on row 0 and dt/2 on row 1, and one
+    more dt/2 step.  Row j of block holds interval j's dt state, then its
+    second and first dt/2 states, so the pair reads rows 0:2 of the interval
+    before and writes rows 0 and 2.  Every state of a filled part of the
+    block is audited, the dt/2 run's first and second states apart, before
+    the next part starts from its last interval; so an audit raises for a
+    failing state, though not always the first in step order.
+    """
+    sizes, half = _sizes(np.repeat(dts, block.shape[-1])), _sizes(dts[1])
+    vec = start
+    while count:
+        n = min(count, len(block))
+        for rows in block[:n]:
+            pair(vec, sizes, rows[::2])
+            step(rows[2], half, rows[1])
+            vec = rows[:2]
+        times = _times(t_prevs[0], dts[0], n), _times(t_prevs[1], dts[1], 2 * n)
+        for states, at in ((block[:n, 0], times[0]), (block[:n, 2], times[1][::2]),
+                           (block[:n, 1], times[1][1::2])):
+            _audit(support, states, edge_tol, at)
+        t_prevs, count = [times[0][-1], times[1][-1]], count - n
+    return list(vec), t_prevs
+
+
+def _split(span, dt):
+    """A span as full steps of dt and a remainder step (0 for none)."""
+    nfull = int(math.floor(span / dt + 1e-9))
+    rem = span - nfull * dt
+    # the float residue of the full steps, not a span shorter than dt
+    if nfull and rem <= 1e-12 * max(dt, 1.0):
+        rem = 0.0
+    return nfull, rem
+
+
+def _march(lop, support, maps, vec, samples, dts, edge_tol):
+    """RK4 steps under lop to each sample time, one run from vec per step
+    size in dts, either (dt,) or (dt, dt/2): per run, the tables, trace
+    residues and edge populations at the samples and the final vector, and
+    the number of steps all runs took.
 
     Full steps fill consecutive rows of a block, and one audit per block
     checks every row in order, raising the error and time an audit after
     each step would; the next block starts from the last row, so no later
-    state is read before a step is audited.  The state at each sample, past
-    its remainder step, is audited as a block of one row.
+    state is read before a step is audited.  Two runs step side by side,
+    one dt interval at a time (``_paired_steps``), as far as both have full
+    steps left; the rest of each run steps alone.  The state at each sample,
+    past its remainder step, is audited as a block of one row.
+
+    One run is audited and warns as if each step were audited on its own.
+    Two runs raise an audit's error too, but the caller runs them under
+    numpy's overflow and invalid-value errors and marches them one at a
+    time after any refusal, so the order of errors and warnings is the
+    one-run order.
     """
+    size = support.size
     step = _rk4_step(lop)
-    rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * support.size)))
-    block = np.empty((rows, support.size))
-    tables, residues, edges = [], [], []
-    t_prev, steps = 0.0, 0
+    if len(dts) == 1:
+        blocks = [np.empty((_block_rows(size), size))]
+    else:
+        pair = _rk4_step(lop, runs=2)
+        paired = np.empty((_block_rows(3 * size), 3, size))  # three states an interval
+        start = np.empty((2, size))
+        # what each run steps alone: a full step or none, most samples
+        blocks = [np.empty((1, size)) for _ in dts]
+    vecs = [vec for _ in dts]
+    runs = [([], [], []) for _ in dts]
+    t_last, steps = 0.0, 0
     for t in samples:
-        span = t - t_prev
-        nfull = int(math.floor(span / dt + 1e-9))
-        rem = span - nfull * dt
-        # the float residue of the full steps, not a span shorter than dt
-        if nfull and rem <= 1e-12 * max(dt, 1.0):
-            rem = 0.0
-        steps += nfull + bool(rem)
-        while nfull:
-            n = _fill(step, vec, block[:min(nfull, rows)], dt)
-            if not n:  # its first step raised: redo it under the caller's error handling
-                step(vec, dt, block[0])
-                n = 1
-            times = list(accumulate(repeat(dt, n), initial=t_prev))[1:]
-            _audit(support, block[:n], edge_tol, times)
-            vec, t_prev, nfull = block[n - 1], times[-1], nfull - n
-        if rem:
-            step(vec, rem, block[0])
-            vec = block[0]
-        t_prev = t
-        residue, edge = _audit(support, vec[None], edge_tol, (t,))
-        tables.append(_table_at(maps, vec))
-        residues.append(float(residue[0]))
-        edges.append(float(edge[0]))
-    return tables, residues, edges, vec, steps
+        splits = [_split(t - t_last, dt) for dt in dts]
+        steps += sum(nfull + bool(rem) for nfull, rem in splits)
+        full = [nfull for nfull, _ in splits]
+        t_prevs = [t_last for _ in dts]
+        count = min(full[0], full[1] // 2) if len(dts) == 2 else 0
+        if count:
+            start[0], start[1] = vecs
+            vecs, t_prevs = _paired_steps(pair, step, support, start, count, dts, t_prevs,
+                                          paired, edge_tol)
+            full = [full[0] - count, full[1] - 2 * count]
+        for i, (_, rem) in enumerate(splits):
+            block = blocks[i]
+            vec, _ = _full_steps(step, support, vecs[i], full[i], dts[i], t_prevs[i], block,
+                                 edge_tol)
+            if rem:
+                step(vec, _sizes(rem), block[0])
+                vec = block[0]
+            residue, edge = _audit(support, vec[None], edge_tol, (t,))
+            tables, residues, edges = runs[i]
+            tables.append(_table_at(maps, vec))
+            residues.append(float(residue[0]))
+            edges.append(float(edge[0]))
+            vecs[i] = vec
+        t_last = t
+    return [(*run, vec) for run, vec in zip(runs, vecs)], steps
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
@@ -643,24 +743,32 @@ def integrate(
     seeds = np.zeros(1, dtype=np.int64)
     if not restrict:
         seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
-    keys, lop = _explore(_term_maps(terms, dim), dim, seeds)
+    keys, lop = _explore(terms, dim, seeds)
     support = _Support(cutoffs, keys)
     maps = _folded_moment_maps(support, modes)
     vec0 = np.zeros(support.size)
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
-    tables, residues, edges, vec, steps = _march(
-        lop, support, maps, vec0, samples, cfg.dt, cfg.edge_tol
-    )
+    runs = None
+    if check_convergence:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                runs, steps = _march(lop, support, maps, vec0, samples,
+                                     (cfg.dt, 0.5 * cfg.dt), cfg.edge_tol)
+        except (IntegrationError, TruncationError, FloatingPointError):
+            pass  # a refusal: the runs one at a time below raise and warn as it did
+    if runs is None:
+        runs, steps = [], 0
+        for dt in (cfg.dt, 0.5 * cfg.dt)[:1 + check_convergence]:
+            (run,), n = _march(lop, support, maps, vec0, samples, (dt,), cfg.edge_tol)
+            runs.append(run)
+            steps += n
+    (tables, residues, edges, vec), *halved = runs
 
     delta = None
-    if check_convergence:
-        halved, *_, halved_steps = _march(
-            lop, support, maps, vec0, samples, 0.5 * cfg.dt, cfg.edge_tol
-        )
-        steps += halved_steps
+    if halved:
         delta = max(
-            (float(np.abs(x - y).max()) for a, b in zip(tables, halved)
+            (float(np.abs(x - y).max()) for a, b in zip(tables, halved[0][0])
              for x, y in ((a.first, b.first), (a.cross, b.cross), (a.pair, b.pair))),
             default=0.0,
         )

@@ -1,5 +1,6 @@
-"""The oracle's kernel march and stacked support search against the code they
-replaced, kept verbatim in ``oracle_reference``: equal bit for bit."""
+"""The oracle's kernel march, stacked support search and index-arithmetic
+set-up against the code they replaced, kept verbatim in ``oracle_reference``:
+equal bit for bit."""
 
 import math
 import warnings
@@ -17,7 +18,8 @@ from ycel.model import prefactors_from_inversions
 import oracle_reference
 
 # (eta1, eta2, n_max, restrict): fully coupled, one-sided both ways, the
-# zero-gain corner (1, 1), where a1 alone is marched, and every coordinate
+# zero-gain corner (1, 1), where a1 alone is marched, every coordinate, and
+# the loss-free corner (-0.5, -0.5), where loss1 = 0 drops the cross terms
 CASES = [
     (0.0, 0.0, 5, True),
     (0.25, 0.25, 4, True),
@@ -26,6 +28,7 @@ CASES = [
     (1.0, 1.0, 5, True),
     (0.0, 0.0, 3, False),
     (0.25, 0.25, 3, False),
+    (-0.5, -0.5, 4, True),
 ]
 # a remainder step before the second and third samples, none before the first
 SAMPLES = np.array([0.3, 1.01, 1.37])
@@ -33,27 +36,79 @@ DT = 0.05
 
 
 def operator(eta1, eta2, n_max, restrict, a=0.5):
-    """The term maps, seeds and cutoffs ``integrate`` explores from."""
+    """The term maps, seeds, cutoffs and modes ``integrate`` explores from."""
     p = prefactors_from_inversions(eta1, eta2, gain_scale=a)
-    cutoffs, modes, terms = fock_oracle._reduced_model(p, 1.0, n_max)
+    cutoffs, modes, maps = fock_oracle._reduced_model(p, 1.0, n_max)
     dim = math.prod(n + 1 for n in cutoffs)
     seeds = np.zeros(1, dtype=np.int64)
     if not restrict:
         seeds = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
-    return fock_oracle._term_maps(terms, dim), dim, seeds, cutoffs, modes
+    return maps, dim, seeds, cutoffs, modes
+
+
+def case_id(case):
+    return f"{case[:2]}-n{case[2]}-restrict{case[3]}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_term_maps_equal_the_sparse_build(case):
+    maps, dim, _, cutoffs, _ = operator(*case)
+    p = prefactors_from_inversions(*case[:2], gain_scale=0.5)
+    want_cutoffs, _, terms = oracle_reference._reduced_model(p, 1.0, case[2])
+    want = oracle_reference._term_maps(terms, dim)
+    assert cutoffs == want_cutoffs
+    assert len(maps) == len(want)
+    for term, want_term in zip(maps, want):
+        assert term[0] == want_term[0]
+        for field, want_field in zip(term[1:], want_term[1:], strict=True):
+            assert field.dtype == want_field.dtype
+            assert np.array_equal(field, want_field)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_moment_maps_equal_the_sparse_build(case):
+    # positions and weights in the order the sparse operators store them;
+    # a mode with zero gain reads explicit zero weights, and its products read
+    # nothing, since a sparse product drops the zeros it computes
+    maps, dim, seeds, cutoffs, modes = operator(*case)
+    p = prefactors_from_inversions(*case[:2], gain_scale=0.5)
+    support = fock_oracle._Support(cutoffs, fock_oracle._explore(maps, dim, seeds)[0])
+    got = fock_oracle._folded_moment_maps(support, modes)
+    want = oracle_reference._folded_moment_maps(
+        support, oracle_reference._reduced_model(p, 1.0, case[2])[1])
+    flat = [got[0], *got[1], *got[2]]
+    want_flat = [want[0], *want[1], *want[2]]
+    for row, want_row in zip(flat, want_flat, strict=True):
+        for (pos, weight), (want_pos, want_weight) in zip(row, want_row, strict=True):
+            assert pos.dtype == want_pos.dtype and weight.dtype == want_weight.dtype
+            assert np.array_equal(pos, want_pos)
+            assert np.array_equal(weight, want_weight)
+
+
+def march_inputs(case):
+    """The operator, support, moment maps and vacuum a march of ``case`` takes."""
+    maps, dim, seeds, cutoffs, modes = operator(*case)
+    keys, lop = fock_oracle._explore(maps, dim, seeds)
+    support = fock_oracle._Support(cutoffs, keys)
+    vec0 = np.zeros(keys.size)
+    vec0[0] = 1.0
+    return lop, support, fock_oracle._folded_moment_maps(support, modes), vec0
+
+
+def one_run_march(lop, support, maps, vec, samples, dt, edge_tol):
+    """The live march of one run, laid out as the reference's, then its steps."""
+    (run,), steps = fock_oracle._march(lop, support, maps, vec, samples, (dt,), edge_tol)
+    return (*run, steps)
 
 
 def both_marches(case, samples, dt, edge_tol):
     """(reference, live) march results, or the exception each raised."""
-    maps, dim, seeds, cutoffs, modes = operator(*case)
-    keys, lop = fock_oracle._explore(maps, dim, seeds)
-    moment_maps = fock_oracle._folded_moment_maps(fock_oracle._Support(cutoffs, keys), modes)
-    vec0 = np.zeros(keys.size)
-    vec0[0] = 1.0
+    lop, live_support, moment_maps, vec0 = march_inputs(case)
     out = []
     for march, mat, support in (
-        (oracle_reference._march, lop, oracle_reference.Support(cutoffs, keys)),
-        (fock_oracle._march, lop, fock_oracle._Support(cutoffs, keys)),
+        (oracle_reference._march, lop,
+         oracle_reference.Support(live_support.cutoffs, live_support.keys)),
+        (one_run_march, lop, live_support),
     ):
         try:
             out.append(march(mat, support, moment_maps, vec0, samples, dt, edge_tol))
@@ -62,7 +117,7 @@ def both_marches(case, samples, dt, edge_tol):
     return out
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[:2]}-n{c[2]}-restrict{c[3]}")
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_explore_equals_the_per_term_search(case):
     maps, dim, seeds, _, _ = operator(*case)
     want_keys, want = oracle_reference._explore(maps, dim, seeds)
@@ -73,7 +128,7 @@ def test_explore_equals_the_per_term_search(case):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[:2]}-n{c[2]}-restrict{c[3]}")
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_kernel_march_equals_the_operator_march(case):
     want, got = both_marches(case, SAMPLES, DT, 0.5)
     *want_tables, want_vec = want[:4]
@@ -92,7 +147,7 @@ def test_kernel_march_equals_the_operator_march(case):
 N3, N4 = (0.0, 0.0, 3, True), (0.0, 0.0, 4, True)
 
 
-@pytest.mark.parametrize("case, samples, dt, edge_tol, block_rows, error", [
+FAILING_MARCHES = [
     # diverges at t = 2
     pytest.param((0.0, 0.0, 2, True), [20.0], 2.0, 0.999, None, IntegrationError,
                  id="2.0-0.999-IntegrationError"),
@@ -107,7 +162,10 @@ N3, N4 = (0.0, 0.0, 3, True), (0.0, 0.0, 4, True)
     pytest.param(N4, [20.0], 0.01, 1e-5, 19, TruncationError, id="n4-next-first-row"),
     # 150 full steps to 1.5, 36 more and a remainder to 1.869, which fails
     pytest.param(N3, [1.5, 1.869], 0.01, 2e-4, None, TruncationError, id="n3-remainder"),
-])
+]
+
+
+@pytest.mark.parametrize("case, samples, dt, edge_tol, block_rows, error", FAILING_MARCHES)
 def test_failing_marches_raise_the_same_error(case, samples, dt, edge_tol, block_rows, error,
                                               monkeypatch):
     if block_rows is not None:
@@ -155,7 +213,7 @@ def test_block_audit_equals_the_per_step_audit():
     vec = np.zeros(keys.size)
     vec[0] = 1.0
     for row in block:
-        step(vec, DT, row)
+        step(vec, fock_oracle._sizes(DT), row)
         vec = row
     times = [DT * (i + 1) for i in range(len(block))]
     residues, edges = fock_oracle._audit(fock_oracle._Support(cutoffs, keys), block, 0.5, times)
@@ -182,10 +240,30 @@ def test_kernel_matvec_equals_the_matmul_operator():
                 vec = rng.standard_normal(mat.shape[0])
                 want = oracle_reference._rk4(mat, vec, h)
                 out = np.empty_like(vec)
-                step(vec, h, out)
+                step(vec, fock_oracle._sizes(h), out)
                 assert np.array_equal(out, want)
-                step(vec, h, vec)  # in place, as a block of one row steps
+                step(vec, fock_oracle._sizes(h), vec)  # in place, as a block of one row steps
                 assert np.array_equal(vec, want)
+
+
+def test_stacked_step_equals_one_step_per_row():
+    # two states, each by its own size, into rows 0 and 2 of an interval as the
+    # two-run march writes them, and in place
+    rng = np.random.default_rng(11)
+    maps, dim, seeds, _, _ = operator(0.25, 0.25, 4, True)
+    _, lop = fock_oracle._explore(maps, dim, seeds)
+    for mat in (lop, square_int64_matrix(60, 3)):
+        n = mat.shape[0]
+        pair = fock_oracle._rk4_step(mat, runs=2)
+        for hs in ((DT, DT / 2), (1.01 - 20 * DT, 0.3 - 11 * DT / 2)):
+            sizes = fock_oracle._sizes(np.repeat(hs, n))
+            vec = rng.standard_normal((2, n))
+            want = [oracle_reference._rk4(mat, row, h) for row, h in zip(vec, hs)]
+            rows = np.empty((3, n))
+            pair(vec, sizes, rows[::2])
+            assert np.array_equal(rows[0], want[0]) and np.array_equal(rows[2], want[1])
+            pair(vec, sizes, vec)
+            assert np.array_equal(vec, np.array(want))
 
 
 def test_csr_matvec_adds_into_its_output():
@@ -213,7 +291,7 @@ def assert_runs_equal(got, want):
 
 
 @pytest.mark.parametrize("case", CASES[:3] + CASES[5:6],
-                         ids=lambda c: f"{c[:2]}-n{c[2]}-restrict{c[3]}")
+                         ids=case_id)
 def test_block_length_changes_no_result(case, monkeypatch):
     eta1, eta2, n_max, restrict = case
     p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
@@ -241,11 +319,12 @@ def test_divergent_march_raises_no_runtime_warning():
                       check_convergence=False)
 
 
-def reference_march(lop, support, *rest):
-    """The reference march in ``integrate``'s place; it counts no steps, which
-    no document prints."""
+def reference_march(lop, support, maps, vec, samples, dts, edge_tol):
+    """The reference march in ``integrate``'s place, one run after another;
+    it counts no steps, which no document prints."""
     reference_support = oracle_reference.Support(support.cutoffs, support.keys)
-    return (*oracle_reference._march(lop, reference_support, *rest), 0)
+    return [oracle_reference._march(lop, reference_support, maps, vec, samples, dt, edge_tol)
+            for dt in dts], 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -280,3 +359,127 @@ def test_run_counts_its_steps_and_operator_entries():
     assert single.steps == 6 + 15 + 8
     # at dt/2: 12 steps to 0.3, 28 and a remainder to 1.01, 14 and a remainder to 1.37
     assert checked.steps == single.steps + 12 + 29 + 15
+
+
+# 0.05 * (4 - 7e-10) past 0.3 is four steps of dt and seven of dt/2 and a
+# remainder: fewer than twice as many, so each run takes a full step alone
+TWO_RUN_SAMPLES = [
+    pytest.param(SAMPLES, id="twice-as-many"),
+    pytest.param(np.array([0.3, 1.01, 1.37, 1.66]), id="one-more-dt/2-step"),
+    pytest.param(np.array([0.3, 0.3 + DT * (4 - 7e-10), 1.0]), id="one-fewer-dt/2-step"),
+]
+
+
+@pytest.mark.parametrize("samples", TWO_RUN_SAMPLES)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+@pytest.mark.parametrize("block_rows", [64, 1, 7])
+def test_two_run_march_equals_two_one_run_marches(case, samples, block_rows, monkeypatch):
+    monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
+    lop, support, maps, vec0 = march_inputs(case)
+    want = [one_run_march(lop, support, maps, vec0, samples, dt, 0.5) for dt in (DT, DT / 2)]
+    runs, steps = fock_oracle._march(lop, support, maps, vec0, samples, (DT, DT / 2), 0.5)
+    assert steps == want[0][4] + want[1][4]
+    for (tables, residues, edges, vec), (*want_run, _) in zip(runs, want, strict=True):
+        for table, want_table in zip(tables, want_run[0], strict=True):
+            for field in ("first", "cross", "pair"):
+                assert np.array_equal(getattr(table, field), getattr(want_table, field)), field
+        assert (residues, edges) == (want_run[1], want_run[2])
+        assert np.array_equal(vec, want_run[3])
+
+
+def one_run_outcomes(case, samples, dt, edge_tol):
+    """What ``integrate`` with the dt/2 check raised and warned before runs
+    were marched together: the dt run's error, or else the dt/2 run's, and
+    the warnings of the runs it marched."""
+    eta1, eta2, n_max, restrict = case
+    p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
+    caught = []
+    for h in (dt, 0.5 * dt):
+        cfg = FockConfig(n_max=n_max, dt=h, t_final=max(samples), edge_tol=edge_tol)
+        error, warned = checked_outcome(
+            lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
+                              restrict=restrict, check_convergence=False))
+        caught += warned
+        if error is not None:
+            return error, caught
+    return None, caught
+
+
+def checked_outcome(run):
+    """The error ``run()`` raised, or None, and the messages it warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run()
+        except (IntegrationError, TruncationError) as exc:
+            return exc, [str(w.message) for w in caught]
+    return None, [str(w.message) for w in caught]
+
+
+def checked_run_outcome(case, samples, dt, edge_tol):
+    eta1, eta2, n_max, restrict = case
+    p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
+    cfg = FockConfig(n_max=n_max, dt=dt, t_final=max(samples), edge_tol=edge_tol)
+    return checked_outcome(
+        lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
+                          restrict=restrict))
+
+
+def counting_march(monkeypatch):
+    """Patch ``_march`` to record the step sizes of each call."""
+    calls, march = [], fock_oracle._march
+
+    def counted(*args):
+        calls.append(args[5])
+        return march(*args)
+
+    monkeypatch.setattr(fock_oracle, "_march", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, samples, dt, edge_tol, block_rows, error", [
+    *FAILING_MARCHES,
+    # a first step of 1e200 overflows, and the replay warns as the one-run march
+    pytest.param((0.0, 0.0, 2, True), [1e200], 1e200, 0.999, None, IntegrationError,
+                 id="1e200-overflow"),
+])
+def test_failing_checked_runs_replay_the_one_run_errors(case, samples, dt, edge_tol, block_rows,
+                                                       error, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
+    want, want_warnings = one_run_outcomes(case, samples, dt, edge_tol)
+    calls = counting_march(monkeypatch)
+    got, got_warnings = checked_run_outcome(case, samples, dt, edge_tol)
+    assert type(got) is type(want) is error
+    assert str(got) == str(want)
+    assert got_warnings == want_warnings
+    dts = (dt, 0.5 * dt)
+    assert calls[0] == dts and calls[1] == dts[:1]  # the attempt, then the replay
+
+
+def test_a_failing_dt2_run_alone_is_replayed():
+    # the edge layers fill monotonically from vacuum here, and the dt/2 run
+    # holds more edge population at t = 1 than the dt run, so a bound between
+    # the two refuses the dt/2 run alone, at its last step
+    case, samples, dt = (0.0, 0.0, 3, True), [1.0], 0.1
+    lop, support, maps, vec0 = march_inputs(case)
+    edges = [one_run_march(lop, support, maps, vec0, np.array(samples), h, 0.5)[2][0]
+             for h in (dt, dt / 2)]
+    assert edges[0] < edges[1]
+    edge_tol = 0.5 * (edges[0] + edges[1])
+    cfg = FockConfig(n_max=3, dt=dt, t_final=1.0, edge_tol=edge_tol)
+    integrate(DensityState.vacuum(3), cfg, prefactors_from_inversions(0.0, 0.0, gain_scale=0.5),
+              1.0, sample_times=samples, check_convergence=False)  # the dt run passes
+    want, want_warnings = one_run_outcomes(case, samples, dt, edge_tol)
+    assert isinstance(want, TruncationError) and "near t=1;" in str(want)
+    got, got_warnings = checked_run_outcome(case, samples, dt, edge_tol)
+    assert type(got) is type(want) and str(got) == str(want)
+    assert got_warnings == want_warnings == []
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_a_passing_checked_run_marches_once(case, monkeypatch):
+    calls = counting_march(monkeypatch)
+    got, _ = checked_run_outcome(case, list(SAMPLES), DT, 0.5)
+    assert got is None
+    assert calls == [(DT, 0.5 * DT)]
