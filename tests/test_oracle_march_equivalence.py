@@ -370,14 +370,31 @@ TWO_RUN_SAMPLES = [
 ]
 
 
+def audit_spy(monkeypatch):
+    """Patch ``_audit`` to record each state it audits, with its time."""
+    seen, audit = [], fock_oracle._audit
+
+    def spy(support, rows, edge_tol, times):
+        seen.extend((t, row.tobytes()) for t, row in zip(times, rows, strict=True))
+        return audit(support, rows, edge_tol, times)
+
+    monkeypatch.setattr(fock_oracle, "_audit", spy)
+    return seen
+
+
 @pytest.mark.parametrize("samples", TWO_RUN_SAMPLES)
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 @pytest.mark.parametrize("block_rows", [64, 1, 7])
 def test_two_run_march_equals_two_one_run_marches(case, samples, block_rows, monkeypatch):
     monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
     lop, support, maps, vec0 = march_inputs(case)
+    audited = audit_spy(monkeypatch)
     want = [one_run_march(lop, support, maps, vec0, samples, dt, 0.5) for dt in (DT, DT / 2)]
+    want_audited = sorted(audited)
+    audited.clear()
     runs, steps = fock_oracle._march(lop, support, maps, vec0, samples, (DT, DT / 2), 0.5)
+    # every state of both runs audited once, at its time, as the one-run marches do
+    assert sorted(audited) == want_audited
     assert steps == want[0][4] + want[1][4]
     for (tables, residues, edges, vec), (*want_run, _) in zip(runs, want, strict=True):
         for table, want_table in zip(tables, want_run[0], strict=True):
