@@ -40,8 +40,17 @@ coordinate regardless.
 
 March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
 buffers allocated once per march.  Full steps fill the rows of a block of
-up to 64 states (fewer past 2 MiB), and one audit per block checks every
-row in order with the same bounds and messages as an audit after each step.
+up to 64 rows (fewer past 2 MiB), and one audit per block checks every
+state with the same bounds and messages as an audit after each step.  With
+the dt/2 check the two runs march side by side: one step of a two-row
+state on a block-diagonal operator moves the dt run by dt and the dt/2 run
+by dt/2, and one more dt/2 step completes the interval, each row equal to
+its own run's step bit for bit.  A refusal marches the runs again one after
+the other, so it raises and warns as a march of one run does.
+
+Set-up.  Every operator here is a shift monomial on the (a1, b) grid, so
+the term maps and moment maps are built by index arithmetic, each weight
+the float product a sparse product would form, in the same order.
 
 Positivity.  Exact evolution under a dissipator preserves positivity.
 Integration and truncation error can still push eigenvalues slightly
@@ -81,8 +90,9 @@ __all__ = [
 # operator it assembles, which grow about as n_max**3.  From vacuum at
 # (0, 0), A = 1, n_max = 16 (a1 <= 16, b <= 32) marches 4,233 coordinates
 # under 38,233 operator entries.  Marching it to t = 2 at dt = 0.01 with the
-# dt/2 check, the process peaks at 56.6 MB RSS, 49.4 MB of it imports and
-# 2 MB the 61-row step block (x86-64 Linux, Python 3.11, numpy 2.4).
+# dt/2 check, the process peaks at 58.0 MB RSS, 49.4 MB of it imports and
+# 2 MB the 20-interval block of the two runs marched together (x86-64
+# Linux, Python 3.11, numpy 2.4, scipy 1.17).
 _N_MAX_LIMIT = 16
 
 # Most fixed steps one march takes (t_final / dt); the dt/2 convergence
@@ -405,7 +415,7 @@ class OracleRun:
     folded support of the (a1, b) space, or every coordinate with
     restrict=False), operator_nnz the stored entries of the real operator
     marched on them, and steps the RK4 steps taken, those of the dt/2
-    re-march included.  min_eigenvalue is the smallest eigenvalue of the
+    run included.  min_eigenvalue is the smallest eigenvalue of the
     final (a1, b) state when spectrum tracking was requested; its nonzero
     spectrum is the three-mode one.
     """
@@ -628,13 +638,9 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     state is read before a step is audited.  Two runs step side by side,
     one dt interval at a time (``_paired_steps``), as far as both have full
     steps left; the rest of each run steps alone.  The state at each sample,
-    past its remainder step, is audited as a block of one row.
-
-    One run is audited and warns as if each step were audited on its own.
-    Two runs raise an audit's error too, but the caller runs them under
-    numpy's overflow and invalid-value errors and marches them one at a
-    time after any refusal, so the order of errors and warnings is the
-    one-run order.
+    past its remainder step, is audited as a block of one row.  Two runs
+    raise an audit's error too, but not always the one a run alone would:
+    ``integrate`` marches them one at a time after any refusal.
     """
     size = support.size
     step = _rk4_step(lop)
@@ -715,8 +721,8 @@ def integrate(
     refuses to continue when any edge layer holds more than cfg.edge_tol
     population (the cutoff is too small for the physics) or when the trace
     drifts or the state diverges (the step is too large).  With
-    check_convergence the whole march is repeated at dt/2 and the tracked
-    moments must agree within 1e-6.
+    check_convergence the march is also made at dt/2, side by side with the
+    dt run, and the tracked moments must agree within 1e-6.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  The run holds one record
