@@ -460,11 +460,14 @@ def _rk4_step(lop, runs: int = 1):
     coordinate by coordinate, so each row equals a one-run step bit for bit.
     """
     n = lop.shape[0]
-    indptr = np.concatenate([lop.indptr[:1], *(lop.indptr[1:] + r * lop.nnz for r in range(runs))])
-    indices = np.concatenate([lop.indices + r * n for r in range(runs)])
-    csr = (runs * n, runs * n, indptr, indices, np.tile(lop.data, runs))
-    stages = np.empty((4, runs, n))
-    k1, k2, k3, k4 = stages.reshape(4, runs * n)  # flat, as the kernel and h read them
+    indptr, indices, data = lop.indptr, lop.indices, lop.data
+    if runs > 1:
+        indptr = np.concatenate([indptr[:1], *(indptr[1:] + r * lop.nnz for r in range(runs))])
+        indices = np.concatenate([indices + r * n for r in range(runs)])
+        data = np.tile(data, runs)
+    csr = (runs * n, runs * n, indptr, indices, data)
+    stages = np.empty((4, runs * n))  # flat, as the kernel and h read them
+    k1, k2, k3, k4 = stages
     x = np.empty(runs * n)
     xs = x if runs == 1 else x.reshape(runs, n)  # x in vec's shape, for sums with vec
 
@@ -762,10 +765,10 @@ def integrate(
                 runs, steps = _march(lop, support, maps, vec0, samples,
                                      (cfg.dt, 0.5 * cfg.dt), cfg.edge_tol)
         except (IntegrationError, TruncationError, FloatingPointError):
-            pass  # a refusal: the runs one at a time below raise and warn as it did
+            pass  # refused: the runs marched one at a time below raise and warn as one run does
     if runs is None:
         runs, steps = [], 0
-        for dt in (cfg.dt, 0.5 * cfg.dt)[:1 + check_convergence]:
+        for dt in (cfg.dt, 0.5 * cfg.dt)[:2 if check_convergence else 1]:
             (run,), n = _march(lop, support, maps, vec0, samples, (dt,), cfg.edge_tol)
             runs.append(run)
             steps += n
