@@ -405,15 +405,15 @@ def test_two_run_march_equals_two_one_run_marches(case, samples, block_rows, mon
 
 
 def one_run_outcomes(case, samples, dt, edge_tol):
-    """What ``integrate`` with the dt/2 check raised and warned before runs
-    were marched together: the dt run's error, or else the dt/2 run's, and
-    the warnings of the runs it marched."""
+    """What ``integrate`` with the dt/2 check must raise and warn: the error
+    of the dt run marched alone, or else of the dt/2 run, and the warnings
+    of the runs marched."""
     eta1, eta2, n_max, restrict = case
     p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
     caught = []
     for h in (dt, 0.5 * dt):
         cfg = FockConfig(n_max=n_max, dt=h, t_final=max(samples), edge_tol=edge_tol)
-        error, warned = checked_outcome(
+        error, warned = outcome(
             lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
                               restrict=restrict, check_convergence=False))
         caught += warned
@@ -422,7 +422,7 @@ def one_run_outcomes(case, samples, dt, edge_tol):
     return None, caught
 
 
-def checked_outcome(run):
+def outcome(run):
     """The error ``run()`` raised, or None, and the messages it warned."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -437,7 +437,7 @@ def checked_run_outcome(case, samples, dt, edge_tol):
     eta1, eta2, n_max, restrict = case
     p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
     cfg = FockConfig(n_max=n_max, dt=dt, t_final=max(samples), edge_tol=edge_tol)
-    return checked_outcome(
+    return outcome(
         lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
                           restrict=restrict))
 
