@@ -40,13 +40,15 @@ coordinate regardless.
 
 March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
 buffers allocated once per march.  Full steps fill the rows of a block of
-up to 64 rows (fewer past 2 MiB), and one audit per block checks every
-state with the same bounds and messages as an audit after each step.  With
-the dt/2 check the two runs march side by side: one step of a two-row
-state on a block-diagonal operator moves the dt run by dt and the dt/2 run
-by dt/2, and one more dt/2 step completes the interval, each row equal to
-its own run's step bit for bit.  A refusal marches the runs again one after
-the other, so it raises and warns as a march of one run does.
+up to 64 rows (fewer past 2 MiB), and one audit per block and run checks
+every state with the same bounds and messages as an audit after each
+step.  With the dt/2 check the two runs march side by side: one step of a
+two-row state on a block-diagonal operator moves the dt run by dt and the
+dt/2 run by dt/2, and one more dt/2 step completes the interval, each row
+equal to its own run's step bit for bit.  Overflow is silent: a step that
+overflows leaves a state that is not finite, and the audit refuses it.  A
+refusal marches the runs again one after the other, so its message is the
+one a march of one run raises.
 
 Set-up.  Every operator here is a shift monomial on the (a1, b) grid, so
 the term maps and moment maps are built by index arithmetic, each weight
@@ -99,7 +101,7 @@ _N_MAX_LIMIT = 16
 # check marches twice as many.  The acceptance runs take at most 2,000.
 _MAX_STEPS = 1_000_000
 
-# Full steps fill a block of up to _BLOCK_ROWS rows that one audit checks;
+# Full steps fill a block of up to _BLOCK_ROWS rows, audited once per run;
 # fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
 # A row is one state, or the three states of one interval of the dt and dt/2
 # runs marched together.
@@ -509,7 +511,7 @@ def _audit(support, rows, edge_tol, times):
     edge population, each with that row's time and value.  Otherwise returns
     every row's trace residue and edge population.
     """
-    peak = np.abs(rows).max(axis=1)
+    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
     diverged = np.nan_to_num(peak, nan=np.inf) > _DIVERGENCE_PEAK
     # rows from the first diverged one on are not summed: they need not be finite
     n = int(diverged.argmax()) if diverged.any() else len(rows)
@@ -545,25 +547,6 @@ def _table_at(maps, vec):
     return MomentTable(first=first, cross=cross, pair=pair)
 
 
-def _fill(step, vec, rows, sizes):
-    """Steps of ``sizes`` from vec into successive rows, with numpy's overflow and
-    invalid-value errors raised: the number of rows filled before the first
-    step that raised one.
-
-    Such a step leaves its row non-finite or beyond 1 in magnitude, so it is
-    the first failing row or follows one; the march audits the rows before
-    it and redoes it, if no row failed, under the caller's error handling.
-    """
-    with np.errstate(over="raise", invalid="raise"):
-        for i, row in enumerate(rows):
-            try:
-                step(vec, sizes, row)
-            except FloatingPointError:
-                return i
-            vec = row
-    return len(rows)
-
-
 def _block_rows(row_size: int) -> int:
     """Rows of a block of rows of row_size floats: _BLOCK_ROWS, fewer where
     the block would pass _BLOCK_BYTES, and at least one."""
@@ -575,48 +558,30 @@ def _times(t_prev, dt, n):
     return list(accumulate(repeat(dt, n), initial=t_prev))[1:]
 
 
-def _full_steps(step, support, vec, count, dt, t_prev, block, edge_tol):
-    """count steps of dt from vec at t_prev, filling consecutive rows of block
-    and auditing each filled part before the next starts from its last row:
-    the final state and time."""
-    sizes = _sizes(dt)
-    while count:
-        n = _fill(step, vec, block[:min(count, len(block))], sizes)
-        if not n:  # its first step raised: redo it under the caller's error handling
-            step(vec, sizes, block[0])
-            n = 1
-        times = _times(t_prev, dt, n)
-        _audit(support, block[:n], edge_tol, times)
-        vec, t_prev, count = block[n - 1], times[-1], count - n
-    return vec, t_prev
+def _steps(advance, support, vec, count, block, runs, edge_tol):
+    """count calls of ``advance(vec, row)`` into consecutive rows of block,
+    the first from vec and each next from the row before: the last row and
+    each run's time after it.
 
-
-def _paired_steps(pair, step, support, start, count, dts, t_prevs, block, edge_tol):
-    """count steps of dt from start[0] and twice as many of dt/2 from
-    start[1], dts = (dt, dt/2): the final states and times.
-
-    Each interval is one paired step, dt on row 0 and dt/2 on row 1, and one
-    more dt/2 step.  Row j of block holds interval j's dt state, then its
-    second and first dt/2 states, so the pair reads rows 0:2 of the interval
-    before and writes rows 0 and 2.  Every state of a filled part of the
-    block is audited, the dt/2 run's first and second states apart, before
-    the next part starts from its last interval; so an audit raises for a
-    failing state, though not always the first in step order.
+    runs holds, per run whose states the rows carry, its time before the
+    first step, its step size and ``states(part)``, that run's states in a
+    filled part of the block in step order.  Each run's states are audited
+    at their times, summed step by step, before the next part of the block
+    starts from the part's last row.
     """
-    sizes, half = _sizes(np.repeat(dts, block.shape[-1])), _sizes(dts[1])
-    vec = start
+    t_prevs = [t for t, _, _ in runs]
     while count:
         n = min(count, len(block))
-        for rows in block[:n]:
-            pair(vec, sizes, rows[::2])
-            step(rows[2], half, rows[1])
-            vec = rows[:2]
-        times = _times(t_prevs[0], dts[0], n), _times(t_prevs[1], dts[1], 2 * n)
-        for states, at in ((block[:n, 0], times[0]), (block[:n, 2], times[1][::2]),
-                           (block[:n, 1], times[1][1::2])):
-            _audit(support, states, edge_tol, at)
-        t_prevs, count = [times[0][-1], times[1][-1]], count - n
-    return list(vec), t_prevs
+        for row in block[:n]:
+            advance(vec, row)
+            vec = row
+        for i, (_, dt, states) in enumerate(runs):
+            part = states(block[:n])
+            times = _times(t_prevs[i], dt, len(part))
+            _audit(support, part, edge_tol, times)
+            t_prevs[i] = times[-1]
+        count -= n
+    return vec, t_prevs
 
 
 def _split(span, dt):
@@ -629,32 +594,47 @@ def _split(span, dt):
     return nfull, rem
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _march(lop, support, maps, vec, samples, dts, edge_tol):
     """RK4 steps under lop to each sample time, one run from vec per step
     size in dts, either (dt,) or (dt, dt/2): per run, the tables, trace
     residues and edge populations at the samples and the final vector, and
     the number of steps all runs took.
 
-    Full steps fill consecutive rows of a block, and one audit per block
-    checks every row in order, raising the error and time an audit after
-    each step would; the next block starts from the last row, so no later
-    state is read before a step is audited.  Two runs step side by side,
-    one dt interval at a time (``_paired_steps``), as far as both have full
-    steps left; the rest of each run steps alone.  The state at each sample,
-    past its remainder step, is audited as a block of one row.  Two runs
-    raise an audit's error too, but not always the one a run alone would:
-    ``integrate`` marches them one at a time after any refusal.
+    Full steps fill consecutive rows of a block (``_steps``), and one audit
+    per block and run checks that run's states in step order, raising the
+    error and time an audit after each step would; the next block starts
+    from the last row, so no later state is read before a step is audited.
+    Two runs step side by side, one dt interval a row, as far as both have
+    full steps left; the rest of each run steps alone.  The state at each
+    sample, past its remainder step, is audited as a block of one row.
+
+    Overflow is silent: a step that overflows leaves a state that is not
+    finite, and the audit refuses it as divergence.  Side by side, the
+    refused state need not be the first in step order, so ``integrate``
+    marches the runs one at a time after any refusal.
     """
     size = support.size
     step = _rk4_step(lop)
-    if len(dts) == 1:
-        blocks = [np.empty((_block_rows(size), size))]
-    else:
-        pair = _rk4_step(lop, runs=2)
-        paired = np.empty((_block_rows(3 * size), 3, size))  # three states an interval
+
+    def alone(dt):  # one state a row
+        sizes = _sizes(dt)
+        return lambda vec, row: step(vec, sizes, row)
+
+    if len(dts) == 2:
+        pair, sizes, half = _rk4_step(lop, runs=2), _sizes(np.repeat(dts, size)), _sizes(dts[1])
+
+        def interval(vec, row):
+            # row holds the dt state, then the second and first dt/2 states, so
+            # the pair reads rows 0:2 of the interval before and writes rows 0, 2
+            pair(vec[:2], sizes, row[::2])
+            step(row[2], half, row[1])
+
+        paired = np.empty((_block_rows(3 * size), 3, size))
         start = np.empty((2, size))
-        # what each run steps alone: a full step or none, most samples
-        blocks = [np.empty((1, size)) for _ in dts]
+        in_order = (lambda part: part[:, 0], lambda part: part[:, 2:0:-1].reshape(-1, size))
+    # what each run steps alone: with two runs, a full step or none, most samples
+    blocks = [np.empty((_block_rows(size) if len(dts) == 1 else 1, size)) for _ in dts]
     vecs = [vec for _ in dts]
     runs = [([], [], []) for _ in dts]
     t_last, steps = 0.0, 0
@@ -666,13 +646,14 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
         count = min(full[0], full[1] // 2) if len(dts) == 2 else 0
         if count:
             start[0], start[1] = vecs
-            vecs, t_prevs = _paired_steps(pair, step, support, start, count, dts, t_prevs,
-                                          paired, edge_tol)
+            last, t_prevs = _steps(interval, support, start, count, paired,
+                                   list(zip(t_prevs, dts, in_order)), edge_tol)
+            vecs = list(last[:2])
             full = [full[0] - count, full[1] - 2 * count]
         for i, (_, rem) in enumerate(splits):
             block = blocks[i]
-            vec, _ = _full_steps(step, support, vecs[i], full[i], dts[i], t_prevs[i], block,
-                                 edge_tol)
+            vec, _ = _steps(alone(dts[i]), support, vecs[i], full[i], block,
+                            [(t_prevs[i], dts[i], lambda part: part)], edge_tol)
             if rem:
                 step(vec, _sizes(rem), block[0])
                 vec = block[0]
@@ -761,11 +742,10 @@ def integrate(
     runs = None
     if check_convergence:
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                runs, steps = _march(lop, support, maps, vec0, samples,
-                                     (cfg.dt, 0.5 * cfg.dt), cfg.edge_tol)
-        except (IntegrationError, TruncationError, FloatingPointError):
-            pass  # refused: the runs marched one at a time below raise and warn as one run does
+            runs, steps = _march(lop, support, maps, vec0, samples, (cfg.dt, 0.5 * cfg.dt),
+                                 cfg.edge_tol)
+        except (IntegrationError, TruncationError):
+            pass  # refused: the runs marched one at a time below raise as one run does
     if runs is None:
         runs, steps = [], 0
         for dt in (cfg.dt, 0.5 * cfg.dt)[:2 if check_convergence else 1]:

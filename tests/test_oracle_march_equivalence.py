@@ -3,6 +3,7 @@ set-up against the code they replaced, kept verbatim in ``oracle_reference``:
 equal bit for bit."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -191,16 +192,37 @@ def test_trace_drift_after_the_first_block_raises_the_same_error(monkeypatch):
     assert "trace drifted" in str(got)
 
 
-def test_an_overflowing_first_step_warns_as_the_reference():
-    # a first step of 1e200 overflows: the block redoes it under the default
-    # error handling, so it warns as the reference march does
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        want, got = both_marches((0.0, 0.0, 2, True), np.array([1e200]), 1e200, 0.999)
-    messages = [str(w.message) for w in caught]
-    assert messages and messages[:len(messages) // 2] == messages[len(messages) // 2:]
-    assert type(want) is type(got) is IntegrationError
+def test_an_overflowing_first_step_raises_as_the_reference_without_warning():
+    # a first step of 1e200 overflows: the reference march warns on its way to
+    # the refusal, and the live march refuses the state that is not finite,
+    # with the same message, silently
+    lop, support, maps, vec0 = march_inputs((0.0, 0.0, 2, True))
+    samples = np.array([1e200])
+    reference_support = oracle_reference.Support(support.cutoffs, support.keys)
+    got, got_warnings = outcome(
+        lambda: one_run_march(lop, support, maps, vec0, samples, 1e200, 0.999))
+    want, want_warnings = outcome(
+        lambda: oracle_reference._march(lop, reference_support, maps, vec0, samples, 1e200, 0.999))
+    assert type(got) is type(want) is IntegrationError
     assert str(got) == str(want)
+    assert got_warnings == [] and "overflow encountered in multiply" in want_warnings
+
+
+@pytest.mark.parametrize("value, peak", [(-1.5, "1.500e+00"), (np.inf, "inf"),
+                                         (-np.inf, "inf"), (np.nan, "nan")])
+def test_audit_refuses_a_diverged_row_as_the_reference(value, peak):
+    maps, dim, seeds, cutoffs, _ = operator(0.0, 0.0, 2, True)
+    keys = fock_oracle._explore(maps, dim, seeds)[0]
+    row = np.zeros(keys.size)
+    row[0], row[-1] = 1.0, value
+    with pytest.raises(IntegrationError) as want:
+        oracle_reference._audit(oracle_reference.Support(cutoffs, keys), row, 0.5, 0.25)
+    # under the error handling the march audits with
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as got:
+        fock_oracle._audit(fock_oracle._Support(cutoffs, keys), row[None], 0.5, (0.25,))
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == (f"integration diverged near t=0.25 (peak element {peak}); "
+                              "reduce dt")
 
 
 def test_block_audit_equals_the_per_step_audit():
@@ -307,16 +329,23 @@ def test_block_length_changes_no_result(case, monkeypatch):
         assert_runs_equal(run(), want)
 
 
-def test_divergent_march_raises_no_runtime_warning():
+@pytest.mark.parametrize("check_convergence", [False, True], ids=["one-run", "checked"])
+@pytest.mark.parametrize("dt, t_final", [(1e8, 1e10), (1e200, 1e200)],
+                         ids=["later-rows", "first-row"])
+def test_divergent_march_raises_no_runtime_warning(dt, t_final, check_convergence, monkeypatch):
     # steps of 1e8 grow the state about 1e31-fold each, so later rows of the
-    # block that holds the first failing one overflow in numpy's arithmetic
-    cfg = FockConfig(n_max=2, dt=1e8, t_final=1e10, edge_tol=0.999)
+    # block that holds the first failing one overflow in numpy's arithmetic; a
+    # step of 1e200 overflows in the block's first row.  Checked, both the
+    # attempt and the replay march.
+    cfg = FockConfig(n_max=2, dt=dt, t_final=t_final, edge_tol=0.999)
     p = prefactors_from_inversions(0.0, 0.0, gain_scale=0.5)
+    calls = counting_march(monkeypatch)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(IntegrationError, match=r"diverged near t=1e\+08 "):
-            integrate(DensityState.vacuum(2), cfg, p, 1.0, sample_times=[1e10],
-                      check_convergence=False)
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=re.escape(f"diverged near t={dt:.6g} (")):
+            integrate(DensityState.vacuum(2), cfg, p, 1.0, sample_times=[t_final],
+                      check_convergence=check_convergence)
+    assert calls == ([(dt, 0.5 * dt), (dt,)] if check_convergence else [(dt,)])
 
 
 def reference_march(lop, support, maps, vec, samples, dts, edge_tol):
