@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ycel
-from ycel.cli import COMMANDS, PARAMETERS, build_parser, main
+from ycel.cli import COMMANDS, PARAMETERS, _attach_negative_numbers, build_parser, main
+from ycel.errors import ConfigurationError, PreparationError, YcelError
 from ycel.serialize import format_value
 
 
@@ -1035,7 +1036,7 @@ def run_call(argv, out_path):
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    written = out_path.read_text() if out_path.exists() else None
+    written = out_path.read_bytes() if out_path.exists() else None
     out_path.unlink(missing_ok=True)
     return code, out.getvalue(), err.getvalue(), written
 
@@ -1066,6 +1067,77 @@ def test_parser_built_once_gives_the_documents_of_a_fresh_parser(tmp_path):
     assert reused == fresh
     assert [code for code, *_ in reused].count(2) == 2
     assert all(code == 0 for code, *_ in reused if code != 2)
+
+
+def run_full_parser(argv, out_path):
+    """run_call's result by the full parser, then the command's function."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = build_parser().parse_args(_attach_negative_numbers(list(argv)))
+            text = args.func(args)
+        except (PreparationError, ConfigurationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except YcelError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            code = 0
+    written = out_path.read_bytes() if out_path.exists() else None
+    out_path.unlink(missing_ok=True)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+# Command lines around the commands' own: help, no command, unknown
+# commands, options ahead of the command, abbreviated, ambiguous and
+# unknown flags, '--' forms, a stray positional and a separate negative
+# value.
+EDGE_ARGVS = [
+    (), ("--help",), ("-h", "steady"), ("bogus",), ("stead", "--eta1", "0"), ("Steady",),
+    ("--format", "json", *STEADY_ARGS), ("--", *STEADY_ARGS), ("steady",),
+    *[(command, "--help") for command in COMMANDS],
+    (*STEADY_ARGS, "--back", "paper-literal"), (*STEADY_ARGS, "--form=json"),
+    ("evolve", "--eta", "0", "--t", "1"), (*STEADY_ARGS, "--bogus", "-h"),
+    ("steady", "-h", "--bogus"), (*STEADY_ARGS, "stray"), (*STEADY_ARGS, "--"),
+    ("steady", "--", "--eta1", "0", "--eta2", "0"), (*STEADY_ARGS, "--", "stray"),
+    ("steady", "--eta1", "-0.25", "--eta2", "0.25", "--A=0.5"),
+]
+
+
+def test_main_gives_the_results_and_namespaces_of_the_full_parser(tmp_path, monkeypatch):
+    namespaces = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(parser, *args, **kwargs):
+        namespace = parse_args(parser, *args, **kwargs)
+        namespaces.append(dict(vars(namespace)))
+        return namespace
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    out = tmp_path / "doc.out"
+    config = tmp_path / "steady.json"
+    assert main([*ROUND_TRIPS["steady"], "--format", "json", "--out", str(config)]) == 0
+    calls = [("steady", "--config", str(config), "--eta1", "0.2")]
+    for argv in (*ROUND_TRIPS.values(), (*EVOLVE_ARGS, "--t", "2")):
+        calls += [(*argv, "--format", fmt, "--out", str(out)) for fmt in ("csv", "json")]
+    calls += [argv for argv, _ in PARSER_ERRORS.values()] + EDGE_ARGVS
+    parsed = 0
+    for argv in calls:
+        namespaces.clear()
+        new = run_call(argv, out), namespaces[:]
+        namespaces.clear()
+        old = run_full_parser(argv, out), namespaces[:]
+        assert new == old, argv
+        parsed += bool(namespaces)
+    assert parsed >= 13
 
 
 # Property check of the refusals above: every malformed value argparse still
