@@ -222,6 +222,16 @@ def _gain_rate(params: dict) -> float:
     return gain
 
 
+def _absolute_time(value: float, params: dict, flag: str) -> float:
+    """The absolute time an entered time gives, refused past the floating-point range."""
+    absolute = value * _time_scale(params)
+    if absolute == math.inf:
+        raise ConfigurationError(
+            f"{flag} {value!r} over --kappa {params['kappa']!r} is out of floating-point range"
+        )
+    return absolute
+
+
 def _build_prefactors(params: dict) -> Prefactors:
     scale = _rate_scale(params)
     if "A" in params:
@@ -316,6 +326,11 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
+        if times[-1] == math.inf:  # the --t grid multiplies before it divides
+            raise ConfigurationError(
+                f"--t over --samples {len(times)} is out of floating-point range"
+            )
+        _absolute_time(times[-1], params, "--t/--times")
         moments = second_moment_trajectory(
             pref,
             params["kappa"],
@@ -384,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         gain_scale=_gain_rate(params),
         kappa=params["kappa"],
         backend=params["backend"],
-        at_time=None if at_time is None else at_time * _time_scale(params),
+        at_time=None if at_time is None else _absolute_time(at_time, params, "--at-time"),
         optimize=params["optimize"],
     )
     columns = ["eta1", "eta2", "status", "margin", *MOMENT_COLUMNS]
@@ -438,7 +453,10 @@ COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ycel parser, built once per process: parse_args keeps no state."""
+    """The ycel parser, built once per process: parse_args keeps no state.
+
+    Its ``commands`` maps each command name to that command's parser.
+    """
     parser = _Parser(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",
@@ -455,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
             if choices and "action" not in flag:
                 flag["choices"] = choices
             p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=command)
+    parser.commands = sub.choices
     return parser
 
 
@@ -479,10 +498,14 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    argv = _attach_negative_numbers(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser()
+    # The full parser would classify every token, then hand them all to the
+    # command's parser; that parser alone gives the same namespace and errors.
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
-        args = build_parser().parse_args(
-            _attach_negative_numbers(sys.argv[1:] if argv is None else list(argv))
-        )
+        args = parser.parse_args(argv)
         text = args.func(args)
     except (PreparationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -491,8 +514,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

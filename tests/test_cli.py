@@ -811,11 +811,26 @@ def test_doubly_malformed_line_reports_its_first_error(case, capsys):
         pytest.param((*SWEEP_ARGS, "--at-time", "nan"), "--at-time must be", id="at-time=nan"),
         pytest.param((*SWEEP_ARGS, "--at-time", "inf"), "--at-time must be", id="at-time=inf"),
         pytest.param((*SWEEP_ARGS, "--at-time", "-1"), "--at-time must be", id="at-time=-1"),
+        # finite times whose sample grid or kappa time scale overflows
+        pytest.param((*EVOLVE_ARGS, "--t", "1e308"), "--t over --samples 11", id="t=1e308"),
+        pytest.param((*EVOLVE_ARGS, "--t", "1e300", "--kappa", "1e-10"), "--t/--times 1e+300",
+                     id="t=1e300-kappa=1e-10"),
+        pytest.param((*EVOLVE_ARGS, "--times", "1e300", "--kappa", "1e-10"),
+                     "--t/--times 1e+300", id="times=1e300-kappa=1e-10"),
+        pytest.param(("sweep", "--eta-grid", "3x3", "--at-time", "1e300", "--kappa", "1e-10"),
+                     "--at-time 1e+300", id="at-time=1e300-kappa=1e-10"),
     ],
 )
 def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert_one_error_line(code, out, err, named)
+
+
+@pytest.mark.parametrize("target", [("missing", "x.csv"), ()], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_exits_2_with_one_line(target, tmp_path, capsys):
+    path = tmp_path.joinpath(*target)
+    code, out, err = run_cli(capsys, *PREFACTOR_POINT, "--out", str(path))
+    assert_one_error_line(code, out, err, f"cannot write output {str(path)!r}: ")
 
 
 def test_evolve_matches_oracle(capsys):
@@ -974,7 +989,7 @@ def test_console_script_installed():
 @pytest.mark.skipif(
     shutil.which("ycel") is None, reason="no ycel console script on PATH (package not installed)"
 )
-def test_console_script_on_path(capsys):
+def test_console_script_on_path(tmp_path, capsys):
     proc = run_child(["ycel", "--help"])
     assert_help(proc)
     # The ycel on PATH must be this checkout's program, not some other install.
@@ -982,6 +997,10 @@ def test_console_script_on_path(capsys):
     code, out, _ = run_cli(capsys, *PREFACTORS_ARGS)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+    # main(argv=None) reads sys.argv, and refuses an --out it cannot open.
+    proc = run_child(["ycel", *PREFACTORS_ARGS, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert "Traceback" not in proc.stderr
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr, "cannot write output")
 
 
 
