@@ -1,5 +1,6 @@
 """Preparation domain, prefactor values, and their algebraic identities."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -12,11 +13,14 @@ from ycel.model import (
     GoodCavityWarning,
     ModelParams,
     Prefactors,
+    _prefactor_columns,
     populations_from_inversions,
     prefactors,
     prefactors_from_inversions,
     validate_physical,
 )
+
+from test_sweep_equivalence import grid
 
 
 def triangle_grid(n):
@@ -122,6 +126,78 @@ def test_grid_identities():
         assert abs(p.cross32 - math.sqrt(p.gain3 * p.gain2)) < 1e-12
         assert abs(p.cross31 - math.sqrt(p.gain3 * p.loss1)) < 1e-12
         assert abs(p.cross21 - math.sqrt(p.gain2 * p.loss1)) < 1e-12
+
+
+def edge_probes(rng, n):
+    """n points on the three triangle edges, each coordinate moved by up to 8
+    ulps of 1 scaled by 10**-3 to 10**3, so the populations straddle the
+    1e-12 boundary tolerance; about one in 17 coordinates is not moved."""
+    vertices = np.array([(1.0, 1.0), (0.0, -1.0), (-1.0, 0.0)])
+    side = rng.integers(0, 3, n)
+    start, end = vertices[side], vertices[(side + 1) % 3]
+    points = start + rng.uniform(0.0, 1.0, (n, 1)) * (end - start)
+    ulps = rng.integers(-8, 9, (n, 2)) * np.spacing(1.0)
+    return points + ulps * 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
+
+
+def prefactor_probes():
+    """(eta1, eta2) rows: 10,000 uniform over [-1.2, 1.2]^2, 10,000 edge
+    probes, the grids of the sweep equivalence tests, the tolerated points,
+    and inversions that are not finite or whose populations overflow."""
+    rng = np.random.default_rng(21)
+    grids = [(e1, e2) for n in (17, 33) for e1 in grid(n) for e2 in grid(n)]
+    special = [*TOLERATED_POINTS, (1.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (-0.5, -0.5),
+               (math.nan, 0.0), (0.0, math.inf), (-math.inf, -math.inf),
+               (1e308, 1e308), (-1e308, 1e308), (1e308, -1e308)]
+    return np.concatenate([rng.uniform(-1.2, 1.2, (10_000, 2)), edge_probes(rng, 10_000),
+                           np.array(grids), np.array(special)])
+
+
+def refusal(eta1, eta2, verdict):
+    """The PreparationError message of an unphysical (eta1, eta2)."""
+    values = {"rho33": verdict.rho33, "rho22": verdict.rho22, "rho00": verdict.rho00}
+    detail = ", ".join(
+        f"{name}={values[name]:.6g} " + ("< 0" if values[name] < 0 else "is not finite")
+        for name in verdict.violated
+    )
+    return f"unphysical preparation eta1={eta1!r}, eta2={eta2!r}: {detail}"
+
+
+def test_prefactor_columns_match_the_scalar_calls():
+    # the sweep's array builder against validate_physical and
+    # prefactors_from_inversions, bit for bit (float.hex tells -0.0 from
+    # 0.0); every refusal is a PreparationError with its exact message
+    points = prefactor_probes()
+    physical, cols = _prefactor_columns(points[:, 0], points[:, 1], 0.5)
+    mask, rows = [], []
+    for e1, e2 in points.tolist():
+        verdict = validate_physical(e1, e2)
+        mask.append(verdict.valid)
+        try:
+            pref = prefactors_from_inversions(e1, e2, 0.5)
+        except PreparationError as exc:
+            assert not verdict.valid and str(exc) == refusal(e1, e2, verdict), (e1, e2)
+        else:
+            assert verdict.valid, (e1, e2)
+            rows.append([v.hex() for v in dataclasses.astuple(pref)])
+    assert physical.tolist() == mask
+    assert [[v.hex() for v in row] for row in cols.tolist()] == rows
+    # both sides of every edge, the exactly empty ground level among them
+    assert 1000 < len(rows) < len(points) - 1000
+    assert np.count_nonzero(cols[:, 3] == 0.0) > 100
+
+
+@pytest.mark.parametrize("gain_scale", [0.0, -1.0, math.nan, math.inf])
+def test_prefactor_columns_refuse_the_gain_scale_of_the_scalar_call(gain_scale):
+    points = prefactor_probes()
+    e1, e2 = points[[validate_physical(*p).valid for p in points.tolist()].index(True)]
+    with pytest.raises(ConsistencyError) as scalar:
+        prefactors_from_inversions(float(e1), float(e2), gain_scale)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(str(scalar.value))}$"):
+        _prefactor_columns(points[:, 0], points[:, 1], gain_scale)
+    # with no physical point there is nothing to refuse
+    physical, cols = _prefactor_columns(np.array([2.0, math.nan]), np.zeros(2), gain_scale)
+    assert not physical.any() and cols.shape == (0, 7)
 
 
 def test_swap_symmetry_is_exact():
