@@ -65,13 +65,8 @@ __all__ = [
 # computed one is -0.99994e-12, and that point is accepted.
 BOUNDARY_TOL = 1e-12
 
-# Least radicand accepted below.  Each radicand is 9 rho_a rho_b: one
-# population may sit BOUNDARY_TOL below zero while the other is at most 1,
-# and the polynomial adds a few ulps of its own.
-RADICAND_FLOOR = -10.0 * BOUNDARY_TOL
-
-# Required agreement between the polynomial radicals and the product forms
-# of the cross coefficients.
+# Required agreement of a Prefactors' weights with the sum rule and the
+# product rules.
 CROSS_CHECK_TOL = 1e-12
 
 # The adiabatic elimination of the atoms wants gamma at least this many
@@ -271,29 +266,16 @@ class Prefactors:
                 raise ConsistencyError(f"{name} violates its product rule")
 
 
-# Polynomial radicands of the three cross coefficients, as functions of the
-# inversions.  They factor into the population products used below; both are
-# evaluated and must agree, which guards the implementation against typos.
-def _radicands(eta1: float, eta2: float) -> tuple[float, float, float]:
-    e1sq = eta1 * eta1
-    e2sq = eta2 * eta2
-    r32 = 1.0 - eta1 - eta2 + 5.0 * (eta1 * eta2) - 2.0 * (e1sq + e2sq)
-    r31 = 1.0 - eta1 + 2.0 * eta2 - (eta1 * eta2) - 2.0 * e1sq + e2sq
-    r21 = 1.0 - eta2 + 2.0 * eta1 - (eta1 * eta2) - 2.0 * e2sq + e1sq
-    return r32, r31, r21
-
-
 def prefactors_from_inversions(
     eta1: float, eta2: float, gain_scale: float
 ) -> Prefactors:
     """Prefactors straight from the inversions and the gain rate.
 
     The cross coefficients are returned in product form, which is exactly
-    symmetric under eta1 <-> eta2 together with the mode 2 <-> 3 relabeling;
-    the equivalent polynomial radicals are evaluated as a cross-check.
+    symmetric under eta1 <-> eta2 together with the mode 2 <-> 3 relabeling.
     """
     prep = populations_from_inversions(eta1, eta2)
-    pref = Prefactors(
+    return Prefactors(
         gain_scale=gain_scale,
         gain3=prep.rho33 / 2.0,
         gain2=prep.rho22 / 2.0,
@@ -302,23 +284,6 @@ def prefactors_from_inversions(
         cross31=prep.rho30 / 2.0,
         cross21=prep.rho20 / 2.0,
     )
-    for name, value, radicand in zip(
-        ("cross32", "cross31", "cross21"),
-        (pref.cross32, pref.cross31, pref.cross21),
-        _radicands(eta1, eta2),
-    ):
-        if radicand < RADICAND_FLOOR:
-            raise ConsistencyError(
-                f"negative radicand {radicand!r} for {name} at eta1={eta1!r}, eta2={eta2!r}"
-            )
-        # Compared on the squares: near the triangle boundary the radicand is
-        # an O(ulp) residual whose square root would amplify roundoff to 1e-8.
-        if abs(max(radicand, 0.0) - 36.0 * value * value) > CROSS_CHECK_TOL:
-            radical = math.sqrt(max(radicand, 0.0)) / 6.0
-            raise ConsistencyError(
-                f"{name}: radical {radical!r} disagrees with product form {value!r}"
-            )
-    return pref
 
 
 def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
@@ -327,10 +292,8 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
 
     The array twin of validate_physical, populations_from_inversions and
     prefactors_from_inversions: the same formulas in the same order, so each
-    column equals the scalar call bit for bit.  AtomPreparation's checks
-    hold after the clamp and the sum rule implies its own.  A physical point
-    that fails a check is re-run through prefactors_from_inversions, which
-    raises its error.
+    column equals the scalar call bit for bit.  A gain scale that Prefactors
+    refuses is refused with its error when some point is physical.
     """
     # past about 1e308 these overflow to inf, or to NaN, as Python floats do
     # without a warning; either makes the point unphysical
@@ -349,23 +312,8 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
                      np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
                      np.sqrt(rho22 * rho00) / 2.0], axis=1)
-    weights = cols[:, 1:]
-    gain3, gain2, loss1, cross32, cross31, cross21 = weights.T
-    ok = (0.0 < gain_scale < math.inf) & (
-        (-BOUNDARY_TOL <= weights) & (weights <= 0.5 + BOUNDARY_TOL)).all(axis=1)
-    ok &= np.abs(gain3 + gain2 + loss1 - 0.5) <= CROSS_CHECK_TOL
-    for value, a, b, radicand in zip((cross32, cross31, cross21),
-                                     (gain3, gain3, gain2), (gain2, loss1, loss1),
-                                     _radicands(eta1, eta2)):
-        ok &= np.abs(value - np.sqrt(a * b)) <= CROSS_CHECK_TOL
-        ok &= (radicand >= RADICAND_FLOOR) & (
-            np.abs(np.maximum(radicand, 0.0) - 36.0 * value * value) <= CROSS_CHECK_TOL)
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0]
-        e1, e2 = float(eta1[i]), float(eta2[i])
-        prefactors_from_inversions(e1, e2, gain_scale)
-        raise ConsistencyError(
-            f"prefactor columns at eta1={e1!r}, eta2={e2!r} fail a check the scalar call passes")
+    if len(cols):  # the scalar call's refusal of the gain scale
+        Prefactors(gain_scale, *cols[0, 1:].tolist())
     return physical, cols
 
 

@@ -128,6 +128,32 @@ def test_grid_identities():
         assert abs(p.cross21 - math.sqrt(p.gain2 * p.loss1)) < 1e-12
 
 
+def radicands(eta1, eta2):
+    """9 rho33 rho22, 9 rho33 rho00 and 9 rho22 rho00 as polynomials in the
+    inversions: 36 times the squares of cross32, cross31 and cross21."""
+    e1sq = eta1 * eta1
+    e2sq = eta2 * eta2
+    r32 = 1.0 - eta1 - eta2 + 5.0 * (eta1 * eta2) - 2.0 * (e1sq + e2sq)
+    r31 = 1.0 - eta1 + 2.0 * eta2 - (eta1 * eta2) - 2.0 * e1sq + e2sq
+    r21 = 1.0 - eta2 + 2.0 * eta1 - (eta1 * eta2) - 2.0 * e2sq + e1sq
+    return r32, r31, r21
+
+
+def test_cross_coefficients_match_the_polynomial_radicands():
+    # Compared on the squares: near the triangle boundary a radicand is an
+    # O(ulp) residual whose square root would amplify roundoff to 1e-8.  A
+    # radicand may fall below zero by 9 rho_a rho_b with one population
+    # 1e-12 below zero, plus a few ulps of the polynomial.
+    edge = edge_probes(np.random.default_rng(21), 10_000).tolist()
+    points = triangle_grid(41) + [p for p in edge if validate_physical(*p).valid]
+    assert len(points) > 10_000
+    for e1, e2 in points:
+        p = prefactors_from_inversions(e1, e2, gain_scale=2.0)
+        for value, radicand in zip((p.cross32, p.cross31, p.cross21), radicands(e1, e2)):
+            assert radicand >= -1e-11, (e1, e2)
+            assert abs(max(radicand, 0.0) - 36.0 * value * value) <= 1e-12, (e1, e2)
+
+
 def edge_probes(rng, n):
     """n points on the three triangle edges, each coordinate moved by up to 8
     ulps of 1 scaled by 10**-3 to 10**3, so the populations straddle the
