@@ -214,12 +214,7 @@ class ModelParams:
             value = getattr(self, name)
             if not value > 0.0 or not math.isfinite(value):
                 raise PreparationError(f"{name}={value!r} must be a positive finite rate")
-        verdict = validate_physical(self.eta1, self.eta2)
-        if not verdict.valid:
-            raise PreparationError(
-                f"unphysical preparation eta1={self.eta1!r}, eta2={self.eta2!r}: "
-                + ", ".join(verdict.violated)
-            )
+        populations_from_inversions(self.eta1, self.eta2)
         if self.gamma < GOOD_CAVITY_FACTOR * self.kappa:
             warnings.warn(
                 f"gamma/kappa = {self.gamma / self.kappa:.3g} < {GOOD_CAVITY_FACTOR:g}; "

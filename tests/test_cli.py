@@ -67,6 +67,18 @@ def test_prefactors_invalid_preparation_names_population(capsys):
     assert "rho33" in err
 
 
+@pytest.mark.parametrize("eta1, detail", [
+    ("2", "rho33=-1 < 0"),
+    ("nan", "rho33=nan is not finite, rho22=nan is not finite, rho00=nan is not finite"),
+])
+def test_rate_trio_and_gain_refuse_a_preparation_alike(eta1, detail, capsys):
+    argv = ("steady", "--eta1", eta1, "--eta2", "0")
+    trio = run_cli(capsys, *argv, "--r-a", "1", "--g", "1", "--gamma", "20")
+    gain = run_cli(capsys, *argv, "--A", "1")
+    message = f"error: unphysical preparation eta1={float(eta1)!r}, eta2=0.0: {detail}\n"
+    assert trio == gain == (2, "", message)
+
+
 def test_evolve_time_zero_row_is_vacuum(capsys):
     code, out, _ = run_cli(
         capsys, "evolve", "--eta1", "0", "--eta2", "0", "--times", "0"
