@@ -223,13 +223,24 @@ def _gain_rate(params: dict) -> float:
 
 
 def _absolute_time(value: float, params: dict, flag: str) -> float:
-    """The absolute time an entered time gives, refused past the floating-point range."""
+    """The absolute time an entered time gives, refused when a finite one
+    leaves the floating-point range."""
     absolute = value * _time_scale(params)
-    if absolute == math.inf:
+    if absolute == math.inf and value < math.inf:
         raise ConfigurationError(
             f"{flag} {value!r} over --kappa {params['kappa']!r} is out of floating-point range"
         )
     return absolute
+
+
+def _final_time(times: list[float], params: dict) -> float:
+    """The absolute last time of a --t or --times grid, refused past the
+    floating-point range."""
+    if times[-1] == math.inf:  # the --t grid multiplies before it divides
+        raise ConfigurationError(
+            f"--t over --samples {len(times)} is out of floating-point range"
+        )
+    return _absolute_time(times[-1], params, "--t/--times")
 
 
 def _build_prefactors(params: dict) -> Prefactors:
@@ -326,11 +337,7 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
-        if times[-1] == math.inf:  # the --t grid multiplies before it divides
-            raise ConfigurationError(
-                f"--t over --samples {len(times)} is out of floating-point range"
-            )
-        _absolute_time(times[-1], params, "--t/--times")
+        _final_time(times, params)
         moments = second_moment_trajectory(
             pref,
             params["kappa"],
@@ -364,8 +371,8 @@ def cmd_oracle(args: argparse.Namespace) -> str:
         pref = _build_prefactors(params)
         cfg = FockConfig(
             n_max=params["nmax"],
-            dt=params["dt"] * tscale,
-            t_final=times[-1] * tscale,
+            dt=_absolute_time(params["dt"], params, "--dt"),
+            t_final=_final_time(times, params),
             edge_tol=params["edge_tol"],
         )
         run = integrate(

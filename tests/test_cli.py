@@ -831,11 +831,26 @@ def test_doubly_malformed_line_reports_its_first_error(case, capsys):
                      "--t/--times 1e+300", id="times=1e300-kappa=1e-10"),
         pytest.param(("sweep", "--eta-grid", "3x3", "--at-time", "1e300", "--kappa", "1e-10"),
                      "--at-time 1e+300", id="at-time=1e300-kappa=1e-10"),
+        pytest.param((*ORACLE_POINT, "--t", "1e308"), "--t over --samples 11",
+                     id="oracle-t=1e308"),
+        pytest.param((*ORACLE_POINT, "--t", "1e300", "--kappa", "1e-10"), "--t/--times 1e+300",
+                     id="oracle-t=1e300-kappa=1e-10"),
+        pytest.param((*ORACLE_POINT, "--times", "1e300", "--kappa", "1e-10"),
+                     "--t/--times 1e+300", id="oracle-times=1e300-kappa=1e-10"),
+        pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e300", "--kappa", "1e-10"),
+                     "--dt 1e+300 over --kappa 1e-10", id="oracle-dt=1e300-kappa=1e-10"),
     ],
 )
 def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert_one_error_line(code, out, err, named)
+
+
+@pytest.mark.parametrize("dt", ["inf", "nan", "0", "-1e300"])
+def test_oracle_step_that_is_not_positive_and_finite_keeps_its_message(dt, capsys):
+    # only a finite step that overflows once scaled names --dt
+    argv = (*ORACLE_POINT, "--t", "1", "--dt", dt, "--kappa", "1e-10")
+    assert run_cli(capsys, *argv) == (2, "", "error: dt must be positive and finite\n")
 
 
 @pytest.mark.parametrize("target", [("missing", "x.csv"), ()], ids=["missing-dir", "a-dir"])
