@@ -438,6 +438,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
+class _CommandLine(_Parser):
+    """The full parser.  It refuses a command's option given ahead of the
+    command, where argparse would take the option as unknown and its value
+    as the command."""
+
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        flag = args[0].split("=", 1)[0] if args else ""
+        if flag in self.command_options:
+            raise ConfigurationError(f"option {flag} goes after the command name")
+        return super().parse_args(args, namespace)
+
+
 _TRIO = ("r_a", "g", "gamma")
 _POINT = ("eta1", "eta2", "kappa", "units", "A", *_TRIO)
 _TIMES = ("times", "t", "samples")
@@ -462,13 +475,15 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The ycel parser, built once per process: parse_args keeps no state.
 
-    Its ``commands`` maps each command name to that command's parser.
+    Its ``commands`` maps each command name to that command's parser, and
+    its ``command_options`` holds the option strings of all the commands.
     """
-    parser = _Parser(
+    parser = _CommandLine(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.command_options = {"--config", "--out", "--format"}
     for command, (func, text, names) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON file with parameters (a previous run's JSON output works)")
@@ -479,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
             flag = dict(flag, dest=key)
             if choices and "action" not in flag:
                 flag["choices"] = choices
-            p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag)
+            action = p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag)
+            parser.command_options.update(action.option_strings)
         p.set_defaults(func=func, command=command)
     parser.commands = sub.choices
     return parser

@@ -577,6 +577,35 @@ def test_help_exits_0(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: ycel")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--format", "json", *STEADY_ARGS), "--format"),
+    (("--format=json", *STEADY_ARGS), "--format"),
+    (("--out", "x.csv", *STEADY_ARGS), "--out"),
+    (("--absolute-units", *STEADY_ARGS), "--absolute-units"),
+    (("--eta1", "0", "steady", "--eta2", "0"), "--eta1"),
+])
+def test_option_ahead_of_the_command_is_named(argv, flag, capsys):
+    message = f"error: option {flag} goes after the command name\n"
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_no_command_is_refused_as_before(capsys):
+    assert run_cli(capsys) == (2, "", "error: the following arguments are required: command\n")
+
+
+def test_top_level_help_is_printed_as_before(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ycel [-h] {prefactors,")
+
+
+def test_unknown_command_is_refused_as_before(capsys):
+    code, out, err = run_cli(capsys, "bogus", "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
+
+
 # The parameters each command reads: its flags and its --config keys are
 # exactly these, so a flag that does nothing cannot come back.
 COMMAND_KEYS = {
