@@ -589,21 +589,22 @@ def test_option_ahead_of_the_command_is_named(argv, flag, capsys):
     assert run_cli(capsys, *argv) == (2, "", message)
 
 
-def test_no_command_is_refused_as_before(capsys):
-    assert run_cli(capsys) == (2, "", "error: the following arguments are required: command\n")
-
-
-def test_top_level_help_is_printed_as_before(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: ycel [-h] {prefactors,")
-
-
-def test_unknown_command_is_refused_as_before(capsys):
-    code, out, err = run_cli(capsys, "bogus", "--format", "json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
+@pytest.mark.parametrize("argv, code, out, err", [
+    ((), 2, "", "error: the following arguments are required: command\n"),
+    (("-h",), 0, "usage: ycel [-h] {prefactors,", ""),
+    (("bogus", "--format", "json"), 2, "",
+     "error: argument command: invalid choice: 'bogus' (choose from "),
+], ids=["no-command", "help", "unknown-command"])
+def test_argv_not_led_by_an_option_of_a_command_is_parsed_as_before(argv, code, out, err,
+                                                                    capsys):
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    for text, start in ((captured.out, out), (captured.err, err)):
+        assert text.startswith(start) and bool(text) == bool(start)
 
 
 # The parameters each command reads: its flags and its --config keys are
