@@ -287,8 +287,10 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
 
     The array twin of validate_physical, populations_from_inversions and
     prefactors_from_inversions: the same formulas in the same order, so each
-    column equals the scalar call bit for bit.  A gain scale that Prefactors
-    refuses is refused with its error when some point is physical.
+    column equals the scalar call bit for bit.  The weights meet the checks
+    of AtomPreparation and Prefactors by construction, as the scalar call's
+    do, so only the first physical point goes through Prefactors, which
+    refuses a bad gain scale with the scalar call's error.
     """
     # past about 1e308 these overflow to inf, or to NaN, as Python floats do
     # without a warning; either makes the point unphysical
@@ -307,7 +309,7 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
                      np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
                      np.sqrt(rho22 * rho00) / 2.0], axis=1)
-    if len(cols):  # the scalar call's refusal of the gain scale
+    if len(cols):
         Prefactors(gain_scale, *cols[0, 1:].tolist())
     return physical, cols
 
