@@ -11,7 +11,6 @@ byte-identical text, and every JSON document can be fed back through
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import re
@@ -315,7 +314,7 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
         "residue_cross21": abs(pref.cross21 - math.sqrt(pref.gain2 * pref.loss1)),
     }
     populations = {"rho00": prep.rho00, "rho22": prep.rho22, "rho33": prep.rho33}
-    coefficients = dataclasses.asdict(pref)
+    coefficients = {name: getattr(pref, name) for name in Prefactors.__dataclass_fields__}
     if args.format == "json":
         return json_document(
             "prefactors",

@@ -35,9 +35,13 @@ c = w.r, where I0, I1 and I2 integrate e^(-kappa s) times 1, phi and
 phi^2 over [0, t]; they are divided differences of g(x) = (1 - e^-xt) / x
 (1 / x in the steady state) at kappa, kappa + mu and kappa + 2 mu.
 
-The closed-form route evaluates these on stacks of preparations: the
-public single-preparation calls are stacks of one, and entanglement.sweep
-passes its grid through in chunks.  The ode route integrates the six
+The closed-form route evaluates these on stacks of preparations, and
+entanglement.sweep passes its grid through in chunks.  The public
+single-preparation calls, where numpy's per-call overhead would dominate a
+stack of one, compute the same values bit for bit on Python floats, except
+for two steps: r = Q w, which numpy hands to BLAS in its own summation
+order, and a trajectory's np.exp and np.expm1, which differ from math's in
+the last bit for some arguments.  The ode route integrates the six
 equations numerically as an independent check; only it imports
 scipy.integrate.
 """
@@ -50,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, FloatRangeError, HorizonError, UnstableDriftError
+from .errors import (ConfigurationError, ConsistencyError, FloatRangeError, HorizonError,
+                     UnstableDriftError)
 from .model import Prefactors
 
 __all__ = [
@@ -102,11 +107,15 @@ def _couplings(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols[:, 0, None, None], cols.take(_K_ENTRIES, axis=1).reshape(-1, 3, 3)
 
 
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+
+
 def _diffusion(a: np.ndarray, k: np.ndarray, backend: str) -> np.ndarray:
     """(N, 3, 3) noise matrices: a K with the mode-2,3 block doubled, and
     the mode-1 entry -2 a loss1 (paper-literal) or 0 (ehrenfest)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
+    _check_backend(backend)
     q = a * (k * np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 2.0]]))
     q[:, 0, 0] = -2.0 * q[:, 0, 0] if backend == "paper-literal" else 0.0
     return q
@@ -127,6 +136,41 @@ def _linear_system(cols: np.ndarray, kappa: float, backend: str):
     a, k = _couplings(cols)
     q = _diffusion(a, k, backend)
     return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
+
+
+def _drift(pref: Prefactors, kappa: float) -> tuple[float, list[float], float, float]:
+    """_rank_one of one preparation on Python floats: a, v, mu and the
+    exact margin.  Refuses a kappa that is not positive and finite."""
+    if not 0.0 < kappa < math.inf:
+        raise ConfigurationError("kappa must be positive and finite")
+    a, d = pref.gain_scale, (pref.loss1, pref.gain2, pref.gain3)
+    mu = a * (d[0] - (d[1] + d[2]))
+    # on a tie between zeros np.maximum and np.minimum return their second
+    # argument, and max and min their first
+    return a, [math.sqrt(max(0.0, x)) for x in d], mu, kappa / 2.0 + min(mu, 0.0)
+
+
+def _preparation(pref: Prefactors, kappa: float, backend: str):
+    """_linear_system of one preparation on Python floats, with what its
+    moments need: a, mu, the exact margin, c = w.Q w, the (1, 3, 3) noise
+    matrix Q, and the entries (n1, n2, n3, c32, c31, c21) of Q,
+    v r^T + r v^T and v v^T.  The stacked engine's operations in its
+    order, with r and c by its expressions on a stack of one."""
+    a, v, mu, margin = _drift(pref, kappa)
+    _check_backend(backend)
+    q00 = -2.0 * (a * pref.loss1) if backend == "paper-literal" else 0.0
+    q10, q20, q21 = a * pref.cross21, a * pref.cross31, a * (pref.cross32 * 2.0)
+    q = np.array([[[q00, q10, q20],
+                   [q10, a * (pref.gain2 * 2.0), q21],
+                   [q20, q21, a * (pref.gain3 * 2.0)]]])
+    w = np.array([[v[0], -v[1], -v[2]]])
+    r = (q @ w[..., None])[..., 0]
+    c = (w * r).sum(axis=-1)[0].item()
+    qs, r = q[0].tolist(), r[0].tolist()
+    entries = ([qs[i][j] for i, j in _ENTRY_PAIRS],
+               [v[i] * r[j] + v[j] * r[i] for i, j in _ENTRY_PAIRS],
+               [v[i] * v[j] for i, j in _ENTRY_PAIRS])
+    return a, mu, margin, c, q, entries
 
 
 def _drifts(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
@@ -186,9 +230,8 @@ def _eigen_margins(cols: np.ndarray, kappa: float) -> np.ndarray:
 def stability(pref: Prefactors, kappa: float) -> StabilityReport:
     """Exact stability of drift_matrix(pref, kappa): the eigenvalues kappa/2
     (twice) and kappa/2 + mu, and the margin kappa/2 + min(0, mu)."""
-    _, mu, margin = _rank_one(*_couplings(_columns(pref)), kappa)
-    margin = float(margin[0])
-    return StabilityReport(margin > 0.0, margin, _spectrum(kappa, float(mu[0])))
+    _, _, mu, margin = _drift(pref, kappa)
+    return StabilityReport(margin > 0.0, margin, _spectrum(kappa, mu))
 
 
 def _psi(z):
@@ -210,11 +253,11 @@ def evolve_first_moments(pref: Prefactors, kappa: float, r0, t: float) -> np.nda
     r0 = np.asarray(r0, dtype=complex)
     if r0.shape != (3,):
         raise ValueError("r0 must be a 3-vector")
-    v, mu, margin = _rank_one(*_couplings(_columns(pref)), kappa)
-    overflow = _horizon_errors(margin, mu, kappa, t)[0]
+    _, v, mu, margin = _drift(pref, kappa)
+    overflow = _horizon_error(margin, mu, kappa, t)
     if overflow is not None:
         raise overflow
-    v, mu, margin = v[0], mu[0], margin[0]
+    v = np.array(v)
     with np.errstate(all="ignore"):
         # e^(-kappa t/2) phi(t) = -a t e^(-margin t) psi(|mu| t)
         coupled = -pref.gain_scale * t * np.exp(-margin * t) * _psi(np.abs(mu) * t)
@@ -271,20 +314,34 @@ class SecondMoments:
 
 # Row-major positions of n1, n2, n3, c32, c31, c21 in a 3x3 moment matrix.
 _MOMENT_ENTRIES = np.array([0, 4, 8, 7, 6, 3])
+_ENTRY_PAIRS = [divmod(k, 3) for k in _MOMENT_ENTRIES.tolist()]
+
+
+def _horizon_error(margin: float, mu: float, kappa: float, t: float) -> HorizonError | None:
+    """HorizonError if the drift's growth over t overflows, else None."""
+    # Python floats, whose products overflow to inf without a warning
+    if 2.0 * max(0.0, -margin) * t > _MAX_GROWTH_EXPONENT:
+        return HorizonError(
+            f"unstable drift (margin {margin:.3g}, eigenvalues "
+            f"{_eigen_text(_spectrum(kappa, mu))}) over t={t:.3g} overflows; "
+            "no steady state exists in this regime, reduce t"
+        )
 
 
 def _horizon_errors(margin: np.ndarray, mu: np.ndarray, kappa: float, t: float) -> list:
-    """HorizonError for each drift whose growth over t overflows, else None."""
-    errors = [None] * len(margin)
-    # Python floats, whose products overflow to inf without a warning
-    for i, m in enumerate(margin.tolist()):
-        if 2.0 * max(0.0, -m) * t > _MAX_GROWTH_EXPONENT:
-            errors[i] = HorizonError(
-                f"unstable drift (margin {m:.3g}, eigenvalues "
-                f"{_eigen_text(_spectrum(kappa, mu[i]))}) over t={t:.3g} overflows; "
-                "no steady state exists in this regime, reduce t"
-            )
-    return errors
+    """_horizon_error of each drift in a stack; only a negative margin grows."""
+    return [_horizon_error(m, u, kappa, t) if m < 0.0 else None
+            for m, u in zip(margin.tolist(), mu.tolist())]
+
+
+def _unstable_error(margin: float, mu: float, kappa: float) -> UnstableDriftError:
+    return UnstableDriftError(f"no steady state: drift margin {margin:.6g} <= 0 "
+                              f"(eigenvalues {_eigen_text(_spectrum(kappa, mu))})")
+
+
+def _range_error(a: float, when: str) -> FloatRangeError:
+    return FloatRangeError(
+        f"second moments at gain rate {a:.6g} {when} leave the floating-point range")
 
 
 def _g(x, t):
@@ -355,8 +412,7 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t):
         finite = np.isfinite(rows).all(axis=-1)
         when = "in the steady state" if t is None else f"by t={t[-1, 0]:.6g}"
         for i in np.flatnonzero(~finite if t is None else ~finite.all(axis=0)):
-            errors[i] = FloatRangeError(
-                f"second moments at gain rate {a[i]:.6g} {when} leave the floating-point range")
+            errors[i] = _range_error(a[i], when)
     return rows, errors
 
 
@@ -399,16 +455,20 @@ def second_moment_trajectory(
         raise ValueError("times must be nondecreasing")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    a, v, mu, margin, q = _linear_system(_columns(pref), kappa, backend)
-    overflow = _horizon_errors(margin, mu, kappa, times[-1])[0]
+    a, mu, margin, c, q, entries = _preparation(pref, kappa, backend)
+    overflow = _horizon_error(margin, mu, kappa, times[-1])
     if overflow is not None:
         raise overflow
     if route == "ode":
         return _integrate_second_moments(drift_matrix(pref, kappa), q[0], times, backend)
-    rows, errors = _moment_rows_at(a, v, mu, q, kappa, np.array(times)[:, None])
-    if errors[0] is not None:
-        raise errors[0]
-    return [_check_occupations(SecondMoments(*row), backend) for row in rows[:, 0].tolist()]
+    # _moment_rows_at's sum, term for term, on the (T, 1) time axis
+    with np.errstate(all="ignore"):
+        i0, i1, i2 = _integrals(kappa, mu, np.array(times)[:, None])
+        terms = np.array(entries)
+        rows = (i0 * terms[0] + (a * i1) * terms[1]) + (2.0 * a * a * c * i2) * terms[2] + 0.0
+    if not np.isfinite(rows).all():
+        raise _range_error(a, f"by t={times[-1]:.6g}")
+    return [_check_occupations(SecondMoments(*row), backend) for row in rows.tolist()]
 
 
 def _integrate_second_moments(m, q, times, backend):
@@ -472,9 +532,7 @@ def _second_moment_rows(cols: np.ndarray, kappa: float, backend: str, at_time: f
     if at_time is None:
         errors = [None] * len(cols)
         for i in np.flatnonzero(~(margin > 0.0)):
-            errors[i] = UnstableDriftError(
-                f"no steady state: drift margin {margin[i]:.6g} <= 0 "
-                f"(eigenvalues {_eigen_text(_spectrum(kappa, mu[i]))})")
+            errors[i] = _unstable_error(margin[i], mu[i], kappa)
     else:
         errors = _horizon_errors(margin, mu, kappa, at_time)
     # every row is evaluated, and a refused one is then blanked
@@ -497,11 +555,30 @@ def steady_state_moments(
     return _steady_state(pref, kappa, backend)[1]
 
 
+def _steady_pair(x: float, mu: float) -> float:
+    """_g_pair(x, mu, None, None) on Python floats, for positive nodes."""
+    y = x + mu
+    p, q = (y, x) if abs(y) > abs(x) else (x, y)
+    return (0.0 - 1.0 / q) / p
+
+
 def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, SecondMoments]:
-    """Exact stability margin and steady moments of one preparation."""
-    margin, rows, errors = _second_moment_rows(_columns(pref), kappa, backend, None)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(margin[0]), _check_occupations(
-        SecondMoments(*rows[0].tolist()), backend, stacklevel=4
-    )
+    """Exact stability margin and steady moments of one preparation.
+
+    _integrals and _moment_rows_at at t None, on Python floats.  An
+    unstable drift is refused before any division: a stable one has the
+    positive nodes kappa, kappa + mu and kappa + 2 mu, where a Python
+    float would raise ZeroDivisionError at a zero.
+    """
+    a, mu, margin, c, _, entries = _preparation(pref, kappa, backend)
+    if not margin > 0.0:
+        raise _unstable_error(margin, mu, kappa)
+    end = kappa + 2.0 * mu
+    far = abs(end) > kappa
+    i1 = _steady_pair(kappa, mu)
+    i2 = (0.0 - (i1 if far else _steady_pair(kappa + mu, mu))) / (end if far else kappa)
+    i0, ai1, ai2 = 1.0 / kappa, a * i1, 2.0 * a * a * c * i2
+    row = [i0 * q + ai1 * vr + ai2 * vv + 0.0 for q, vr, vv in zip(*entries)]
+    if not all(map(math.isfinite, row)):
+        raise _range_error(a, "in the steady state")
+    return margin, _check_occupations(SecondMoments(*row), backend, stacklevel=4)

@@ -392,9 +392,10 @@ def sweep(
     The grid is the cartesian product of the two coordinate lists,
     restricted to the physical triangle; points outside it are skipped
     entirely.  at_time=None evaluates steady states, a finite nonnegative
-    at_time the transient state there (ValueError for any other).  A point
-    whose moments or witnesses cannot be computed (an unstable drift,
-    moments beyond the floating-point range, a covariance block that is not
+    at_time the transient state there (ValueError for any other); kappa
+    must be positive and finite (ConfigurationError).  A point whose
+    moments or witnesses cannot be computed (an unstable drift, moments
+    beyond the floating-point range, a covariance block that is not
     positive definite) is recorded with a failure note.  Returns one
     SweepTable.
 
@@ -405,6 +406,8 @@ def sweep(
     """
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ValueError("at_time must be finite and nonnegative")
+    if not 0.0 < kappa < math.inf:
+        raise ConfigurationError("kappa must be positive and finite")
     eta1_values = np.array([float(e) for e in eta1_values])
     eta2_values = np.array([float(e) for e in eta2_values])
     n1, n2 = len(eta1_values), len(eta2_values)

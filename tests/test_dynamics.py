@@ -19,7 +19,8 @@ from ycel.dynamics import (
     stability,
     steady_state_moments,
 )
-from ycel.errors import FloatRangeError, HorizonError, UnstableDriftError
+from ycel.entanglement import sweep
+from ycel.errors import ConfigurationError, FloatRangeError, HorizonError, UnstableDriftError
 from ycel.model import prefactors_from_inversions, validate_physical
 
 
@@ -284,6 +285,28 @@ def test_second_moments_refuse_a_non_finite_time(t, route):
             second_moment_trajectory(pref(0.1, 0.1), 1.0, times, route=route)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         evolve_second_moments(pref(0.1, 0.1), 1.0, t, route=route)
+
+
+# The moment engine's public calls, each given a preparation and a kappa.
+KAPPA_CALLS = {
+    "second_moment_trajectory": lambda p, k: second_moment_trajectory(p, k, [0.0, 1.0]),
+    "second_moment_trajectory-ode": lambda p, k: second_moment_trajectory(
+        p, k, [0.0, 1.0], route="ode"),
+    "evolve_second_moments": lambda p, k: evolve_second_moments(p, k, 1.0),
+    "steady_state_moments": lambda p, k: steady_state_moments(p, k),
+    "stability": lambda p, k: stability(p, k),
+    "evolve_first_moments": lambda p, k: evolve_first_moments(p, k, [1.0, 0.0, 0.0], 1.0),
+    "sweep": lambda p, k: sweep([0.0], [0.0], gain_scale=p.gain_scale, kappa=k),
+}
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(KAPPA_CALLS))
+def test_moment_calls_refuse_a_kappa_not_positive_and_finite(call, kappa):
+    # not a ZeroDivisionError, moments for negative damping, or a
+    # stable verdict with margin inf
+    with pytest.raises(ConfigurationError, match="^kappa must be positive and finite$"):
+        KAPPA_CALLS[call](pref(0.0, 0.0), kappa)
 
 
 def test_first_moments_share_the_second_moments_horizon():

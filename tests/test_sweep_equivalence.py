@@ -5,7 +5,9 @@ tells -0.0 from 0.0), every failure string and every warning exactly and
 in order.  The grids hold unstable drifts, exactly marginal drifts (margin
 0), the defective line eta1 + eta2 = 0.5, horizon overflows and the
 paper-literal covariances whose x block is not positive definite, and they
-span several chunks of the batched pass.
+span several chunks of the batched pass.  The single-preparation moment
+calls, which compute on Python floats, are pinned to the stacked engine in
+the same way, every sample of a trajectory included.
 """
 
 import dataclasses
@@ -20,16 +22,19 @@ from ycel import (
     BIPARTITIONS,
     YcelError,
     covariance_from_moments,
+    evolve_first_moments,
     evolve_second_moments,
     optimize_gains,
     prefactors_from_inversions,
+    second_moment_trajectory,
     stability,
     steady_state_moments,
     sweep,
     validate_physical,
     vlf_evaluate,
 )
-from ycel import entanglement
+from ycel import dynamics, entanglement
+from ycel.errors import FloatRangeError
 
 # Exactly on the defective line: 0.1 + 0.4, 0.25 + 0.25 and 0 + 0.5 all
 # round to 0.5.
@@ -174,3 +179,98 @@ def test_sweep_raises_the_scalar_error_of_the_first_failing_point(gain_scale):
                          at_time=None, optimize=True)
         with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
             sweep(values, values, gain_scale=gain_scale)
+
+
+# Trajectories against one stacked _second_moment_rows call per time:
+# t = 0 and repeated times; the long list overflows the horizon of the
+# unstable drifts at A = 3.5, and A = 1e200 leaves the floating-point range.
+TIMES = {"short": [0.0, 0.0, 0.25, 1.0, 1.0, 3.0], "long": [0.0, 0.5, 40.0, 40.0, 400.0]}
+# gain2 = 0 at (0, 0.5), rho00 = 0 at (-0.5, -0.5), only loss1 at (1, 1)
+EDGES = [(0.0, 0.5), (-0.5, -0.5), (1.0, 1.0)]
+# what the trajectories of the grid come to at each gain
+OUTCOMES = {0.5: {"rows"}, 2.0: {"rows"}, 3.5: {"rows", "HorizonError"},
+            1e200: {"FloatRangeError", "HorizonError"}}
+
+
+def stacked_trajectory(pref, backend, times):
+    """second_moment_trajectory's rows, refusal and warnings, from the
+    stacked engine at one time after another."""
+    cols = np.array([dataclasses.astuple(pref)])
+    per_time = [dynamics._second_moment_rows(cols, 1.0, backend, t)[1:] for t in times]
+    if any(errors[0] is not None for _, errors in per_time):
+        # the trajectory is refused in the words of its last time
+        error = per_time[-1][1][0]
+        assert error is not None
+        raise error
+    rows = [rows[0].tolist() for rows, _ in per_time]
+    for row in rows:
+        dynamics._warn_occupation(min(row[:3]), backend, stacklevel=1)
+    return rows
+
+
+@pytest.mark.parametrize("gain_scale", [0.5, 2.0, 3.5, 1e200])
+@pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
+def test_trajectory_rows_match_the_stacked_rows_at_each_time(backend, gain_scale):
+    values = grid(17)
+    points = [(e1, e2) for e1 in values for e2 in values if validate_physical(e1, e2).valid]
+    assert set(EDGES) <= set(points)
+    assert sum(e1 + e2 == 0.5 for e1, e2 in points) >= 5
+    outcomes = set()
+    for e1, e2 in points:
+        pref = prefactors_from_inversions(e1, e2, gain_scale)
+        for times in TIMES.values():
+            got_warnings = None
+            try:
+                moments, got_warnings = run(second_moment_trajectory, pref, 1.0, times,
+                                            backend=backend)
+                got = [m.as_tuple() for m in moments]
+            except YcelError as exc:
+                got = (type(exc), str(exc))
+            try:
+                want, want_warnings = run(stacked_trajectory, pref, backend, times)
+            except YcelError as exc:
+                want = (type(exc), str(exc))
+            else:
+                assert got_warnings == want_warnings, (e1, e2, times)
+                outcomes.update(category for category, _ in got_warnings)
+            assert exact(got) == exact(want), (e1, e2, times)
+            outcomes.add(got[0].__name__ if isinstance(got, tuple) else "rows")
+    expected = OUTCOMES[gain_scale]
+    if backend == "paper-literal" and "rows" in expected:
+        expected = expected | {"NegativeOccupationWarning"}
+    assert outcomes == expected
+
+
+@pytest.mark.parametrize("gain_scale", [0.5, 3.5, 1e300])
+def test_stability_and_first_moments_match_the_stacked_rank_one(gain_scale):
+    values = grid(17)
+    r0 = np.array([0.3 - 0.1j, -0.2, 0.4j])
+    for e1 in values:
+        for e2 in values:
+            if not validate_physical(e1, e2).valid:
+                continue
+            pref = prefactors_from_inversions(e1, e2, gain_scale)
+            v, mu, margin = dynamics._rank_one(
+                *dynamics._couplings(np.array([dataclasses.astuple(pref)])), 1.0)
+            report = stability(pref, 1.0)
+            assert exact(report.margin) == exact(margin[0].item())
+            assert report.stable == (margin[0] > 0.0)
+            assert report.eigenvalues == dynamics._spectrum(1.0, mu[0].item())
+            for t in (0.0, 0.7, 30.0, 1e4):
+                error = dynamics._horizon_errors(margin, mu, 1.0, t)[0]
+                if error is not None:
+                    with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                        evolve_first_moments(pref, 1.0, r0, t)
+                    continue
+                # evolve_first_moments' propagator, from the stacked values
+                with np.errstate(all="ignore"):
+                    coupled = (-gain_scale * t * np.exp(-margin[0] * t)
+                               * dynamics._psi(np.abs(mu[0]) * t))
+                    want = np.exp(-t / 2.0) * r0 + coupled * v[0] * ((v[0] * [1, -1, -1]) @ r0)
+                if not np.isfinite(want).all():
+                    with pytest.raises(FloatRangeError):
+                        evolve_first_moments(pref, 1.0, r0, t)
+                    continue
+                got = evolve_first_moments(pref, 1.0, r0, t)
+                assert exact([z for c in got.tolist() for z in (c.real, c.imag)]) == \
+                    exact([z for c in want.tolist() for z in (c.real, c.imag)]), (e1, e2, t)
