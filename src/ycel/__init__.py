@@ -29,53 +29,43 @@ from .model import (
     prefactors_from_inversions,
     validate_physical,
 )
-from .dynamics import (
-    NegativeOccupationWarning,
-    SecondMoments,
-    StabilityReport,
-    diffusion_matrix,
-    drift_matrix,
-    evolve_first_moments,
-    evolve_second_moments,
-    is_stable,
-    second_moment_trajectory,
-    stability,
-    steady_state_moments,
-)
-from .entanglement import (
-    BIPARTITIONS,
-    CovarianceMatrix,
-    SubVacuumWarning,
-    SweepTable,
-    VlfReport,
-    WitnessRecord,
-    covariance_from_moments,
-    optimize_gains,
-    sweep,
-    vlf_evaluate,
-)
 
 __version__ = "0.1.0"
 
-# The Fock-space oracle needs scipy.sparse, which takes most of the package's
-# import time; its names load on first access (PEP 562), so only a caller
-# that uses the oracle pays for it.
-_ORACLE_NAMES = frozenset({
-    "DensityState",
-    "FockConfig",
-    "MomentTable",
-    "OracleRun",
-    "integrate",
-})
+# Names whose modules import numpy (dynamics, entanglement) or scipy.sparse
+# (fock_oracle) load on first access (PEP 562), so `import ycel`, the CLI's
+# parser and `ycel prefactors` load neither, and a caller pays only for the
+# modules it uses.
+_LAZY = {
+    **dict.fromkeys(("NegativeOccupationWarning", "SecondMoments", "StabilityReport",
+                     "diffusion_matrix", "drift_matrix", "evolve_first_moments",
+                     "evolve_second_moments", "is_stable", "second_moment_trajectory",
+                     "stability", "steady_state_moments"), "dynamics"),
+    **dict.fromkeys(("BIPARTITIONS", "CovarianceMatrix", "SubVacuumWarning", "SweepTable",
+                     "VlfReport", "WitnessRecord", "covariance_from_moments",
+                     "optimize_gains", "sweep", "vlf_evaluate"), "entanglement"),
+    **dict.fromkeys(("DensityState", "FockConfig", "MomentTable", "OracleRun", "integrate"),
+                    "fock_oracle"),
+}
+
+# `from ycel import *` binds every public name but the oracle's, which would
+# load scipy.sparse, and the four modules that hold them.
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")}
+    | {name for name, module in _LAZY.items() if module != "fock_oracle"}
+    | {"dynamics", "entanglement"}
+)
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import fock_oracle
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(fock_oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))

@@ -17,11 +17,13 @@ import re
 import sys
 import warnings
 
-from .dynamics import BACKENDS, ROUTES, _eigen_margins, _steady_state, second_moment_trajectory
-from .entanglement import BIPARTITIONS, MAX_SWEEP_POINTS, sweep as run_sweep
 from .errors import ConfigurationError, PreparationError, YcelError
-from .model import ModelParams, Prefactors, populations_from_inversions, prefactors, prefactors_from_inversions
+from .model import (BACKENDS, ROUTES, ModelParams, Prefactors, populations_from_inversions,
+                    prefactors, prefactors_from_inversions)
 from .serialize import csv_document, format_value, json_document, load_config, table_document
+
+# The numerical modules, and numpy with them, are imported by the commands
+# that use them, so the parser, --help and prefactors run without numpy.
 
 MOMENT_COLUMNS = ("n1", "n2", "n3", "c32", "c31", "c21")
 
@@ -63,6 +65,8 @@ def _axis(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
+    from .entanglement import MAX_SWEEP_POINTS
+
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ConfigurationError(f"grid {text!r} must look like NxM")
@@ -332,6 +336,8 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
 
 def cmd_evolve(args: argparse.Namespace) -> str:
     params = _resolve(args)
+    from .dynamics import second_moment_trajectory
+
     times = params["times"]
     notes = _NoteCollector()
     with notes:
@@ -351,6 +357,8 @@ def cmd_evolve(args: argparse.Namespace) -> str:
 
 def cmd_steady(args: argparse.Namespace) -> str:
     params = _resolve(args)
+    from .dynamics import _steady_state
+
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
@@ -393,6 +401,9 @@ def cmd_oracle(args: argparse.Namespace) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     params = _resolve(args)
+    from .dynamics import _eigen_margins
+    from .entanglement import BIPARTITIONS, sweep as run_sweep
+
     n1, n2 = _parse_grid(params["eta_grid"])
     lo1, hi1 = _parse_range(params["eta1_range"], "--eta1-range")
     lo2, hi2 = _parse_range(params["eta2_range"], "--eta2-range")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ConsistencyError, FloatRangeError, HorizonError,
                      UnstableDriftError)
-from .model import Prefactors
+from .model import BACKENDS, ROUTES, Prefactors
 
 __all__ = [
     "BACKENDS",
@@ -73,9 +73,6 @@ __all__ = [
     "stability",
     "steady_state_moments",
 ]
-
-BACKENDS = ("ehrenfest", "paper-literal")
-ROUTES = ("closed-form", "ode")
 
 # exp() arguments past this would overflow float64 anyway; used by the
 # horizon guard for unstable drifts.
@@ -138,11 +135,15 @@ def _linear_system(cols: np.ndarray, kappa: float, backend: str):
     return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
 
 
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < math.inf:
+        raise ConfigurationError("kappa must be positive and finite")
+
+
 def _drift(pref: Prefactors, kappa: float) -> tuple[float, list[float], float, float]:
     """_rank_one of one preparation on Python floats: a, v, mu and the
     exact margin.  Refuses a kappa that is not positive and finite."""
-    if not 0.0 < kappa < math.inf:
-        raise ConfigurationError("kappa must be positive and finite")
+    _check_kappa(kappa)
     a, d = pref.gain_scale, (pref.loss1, pref.gain2, pref.gain3)
     mu = a * (d[0] - (d[1] + d[2]))
     # on a tie between zeros np.maximum and np.minimum return their second
@@ -182,7 +183,9 @@ def _drifts(a: np.ndarray, k: np.ndarray, kappa: float) -> np.ndarray:
 
 def drift_matrix(pref: Prefactors, kappa: float) -> np.ndarray:
     """3x3 drift matrix M = kappa/2 I + a K diag(1, -1, -1) of dR/dt = -M R
-    over R = (a1*, a2, a3)."""
+    over R = (a1*, a2, a3).  Refuses a kappa that is not positive and
+    finite, as the moment calls do."""
+    _check_kappa(kappa)
     return _drifts(*_couplings(_columns(pref)), kappa)[0]
 
 

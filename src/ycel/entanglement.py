@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SecondMoments, _second_moment_rows, _warn_occupation
+from .dynamics import SecondMoments, _check_kappa, _second_moment_rows, _warn_occupation
 from .errors import ConfigurationError, DegenerateWitnessError
-from .model import _prefactor_columns
+from .model import BOUNDARY_TOL, Prefactors
 
 __all__ = [
     "SubVacuumWarning",
@@ -349,6 +349,40 @@ class SweepTable:
         return self.violated.all(axis=1)
 
 
+def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
+    """The physical mask of the points (eta1, eta2) and, for the physical
+    ones, the seven Prefactors fields as the columns of an (N, 7) array.
+
+    The array twin of the model's validate_physical,
+    populations_from_inversions and prefactors_from_inversions: the same
+    formulas in the same order, so each column equals the scalar call bit
+    for bit.  The weights meet the checks of AtomPreparation and Prefactors
+    by construction, as the scalar call's do, so only the first physical
+    point goes through Prefactors, which refuses a bad gain scale with the
+    scalar call's error.
+    """
+    # past about 1e308 these overflow to inf, or to NaN, as Python floats do
+    # without a warning; either makes the point unphysical
+    with np.errstate(all="ignore"):
+        rho00 = (1.0 + (eta1 + eta2)) / 3.0
+        rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
+        rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
+    physical = np.logical_and.reduce(
+        [(-BOUNDARY_TOL <= v) & (v < math.inf) for v in (rho33, rho22, rho00)])
+    eta1, eta2, rho33, rho22, rho00 = (x[physical] for x in (eta1, eta2, rho33, rho22, rho00))
+    edge = rho00 == 0.0
+    rho33, rho22 = np.where(edge, -eta1, rho33), np.where(edge, -eta2, rho22)
+    # min(max(v, 0.0), 1.0) with Python's choice among equals: -0.0 stays
+    rho33, rho22, rho00 = (np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
+                           for v in (rho33, rho22, rho00))
+    cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
+                     np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
+                     np.sqrt(rho22 * rho00) / 2.0], axis=1)
+    if len(cols):
+        Prefactors(gain_scale, *cols[0, 1:].tolist())
+    return physical, cols
+
+
 def _sweep_chunk(eta1, eta2, gain_scale, kappa, backend, at_time, optimize) -> tuple:
     """The SweepTable columns of the physical points among grid points
     (eta1, eta2), in one stacked pass."""
@@ -406,8 +440,7 @@ def sweep(
     """
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ValueError("at_time must be finite and nonnegative")
-    if not 0.0 < kappa < math.inf:
-        raise ConfigurationError("kappa must be positive and finite")
+    _check_kappa(kappa)
     eta1_values = np.array([float(e) for e in eta1_values])
     eta2_values = np.array([float(e) for e in eta2_values])
     n1, n2 = len(eta1_values), len(eta2_values)

@@ -42,8 +42,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConsistencyError, PreparationError
 
 __all__ = [
@@ -57,6 +55,11 @@ __all__ = [
     "prefactors_from_inversions",
     "validate_physical",
 ]
+
+# The noise conventions and the trajectory routes of the moment engine in
+# dynamics, named here so that the CLI's parser needs no numpy.
+BACKENDS = ("ehrenfest", "paper-literal")
+ROUTES = ("closed-form", "ode")
 
 # Populations this far below zero are treated as boundary roundoff.  The
 # tolerance applies to the populations as validate_physical computes them
@@ -279,39 +282,6 @@ def prefactors_from_inversions(
         cross31=prep.rho30 / 2.0,
         cross21=prep.rho20 / 2.0,
     )
-
-
-def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
-    """The physical mask of the points (eta1, eta2) and, for the physical
-    ones, the seven Prefactors fields as the columns of an (N, 7) array.
-
-    The array twin of validate_physical, populations_from_inversions and
-    prefactors_from_inversions: the same formulas in the same order, so each
-    column equals the scalar call bit for bit.  The weights meet the checks
-    of AtomPreparation and Prefactors by construction, as the scalar call's
-    do, so only the first physical point goes through Prefactors, which
-    refuses a bad gain scale with the scalar call's error.
-    """
-    # past about 1e308 these overflow to inf, or to NaN, as Python floats do
-    # without a warning; either makes the point unphysical
-    with np.errstate(all="ignore"):
-        rho00 = (1.0 + (eta1 + eta2)) / 3.0
-        rho22 = (1.0 + eta1 - 2.0 * eta2) / 3.0
-        rho33 = (1.0 + eta2 - 2.0 * eta1) / 3.0
-    physical = np.logical_and.reduce(
-        [(-BOUNDARY_TOL <= v) & (v < math.inf) for v in (rho33, rho22, rho00)])
-    eta1, eta2, rho33, rho22, rho00 = (x[physical] for x in (eta1, eta2, rho33, rho22, rho00))
-    edge = rho00 == 0.0
-    rho33, rho22 = np.where(edge, -eta1, rho33), np.where(edge, -eta2, rho22)
-    # min(max(v, 0.0), 1.0) with Python's choice among equals: -0.0 stays
-    rho33, rho22, rho00 = (np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
-                           for v in (rho33, rho22, rho00))
-    cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
-                     np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
-                     np.sqrt(rho22 * rho00) / 2.0], axis=1)
-    if len(cols):
-        Prefactors(gain_scale, *cols[0, 1:].tolist())
-    return physical, cols
 
 
 def prefactors(params: ModelParams) -> Prefactors:

@@ -1061,14 +1061,16 @@ def test_console_script_on_path(tmp_path, capsys):
 
 
 
-# Start-up loads neither scipy.integrate nor scipy.sparse; the command in
-# argv[2:] then loads the module named in argv[1].
+# Start-up loads neither numpy, nor the moment and witness modules, nor
+# scipy.integrate or scipy.sparse; the command in argv[2:] then loads the
+# module named in argv[1].
 COLD_START = """\
 import sys
 import ycel.cli
 
 ycel.cli.build_parser()
-loaded = {"scipy.integrate", "scipy.sparse"} & set(sys.modules)
+numerical = {"numpy", "ycel.dynamics", "ycel.entanglement", "scipy.integrate", "scipy.sparse"}
+loaded = numerical & set(sys.modules)
 assert not loaded, f"{sorted(loaded)} imported at start-up"
 assert ycel.cli.main(sys.argv[2:]) == 0
 assert sys.argv[1] in sys.modules
@@ -1102,6 +1104,43 @@ def test_cold_start_skips_scipy_sparse_until_the_oracle(tmp_path, capsys):
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.read_text() == expected
+
+
+# Runs main on argv[1:] and fails if numpy was imported by the time it ends.
+NUMPY_FREE = """\
+import sys
+import ycel.cli
+
+try:
+    code = ycel.cli.main(sys.argv[1:])
+finally:
+    assert "numpy" not in sys.modules, "numpy imported"
+sys.exit(code)
+"""
+
+PREFACTORS_FORMS = {
+    "csv": PREFACTORS_ARGS,
+    "json": (*PREFACTORS_ARGS, "--format", "json"),
+    "trio": (*PREFACTORS_ARGS, "--r-a", "1", "--g", "5", "--gamma", "50"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(PREFACTORS_FORMS))
+def test_prefactors_never_imports_numpy(form, capsys):
+    argv = PREFACTORS_FORMS[form]
+    proc = run_child([sys.executable, "-c", NUMPY_FREE, *argv], text=False)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out.encode()
+
+
+def test_help_and_argument_errors_never_import_numpy():
+    assert_help(run_child([sys.executable, "-c", NUMPY_FREE, "--help"]))
+    for argv, named in (PARSER_ERRORS["unknown-flag"],
+                        (("steady", "--eta2", "0"), "steady needs --eta1")):
+        proc = run_child([sys.executable, "-c", NUMPY_FREE, *argv])
+        assert_one_error_line(proc.returncode, proc.stdout, proc.stderr, named)
 
 
 def run_call(argv, out_path):

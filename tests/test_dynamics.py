@@ -287,7 +287,8 @@ def test_second_moments_refuse_a_non_finite_time(t, route):
         evolve_second_moments(pref(0.1, 0.1), 1.0, t, route=route)
 
 
-# The moment engine's public calls, each given a preparation and a kappa.
+# The moment engine's public calls and drift_matrix, each given a
+# preparation and a kappa.
 KAPPA_CALLS = {
     "second_moment_trajectory": lambda p, k: second_moment_trajectory(p, k, [0.0, 1.0]),
     "second_moment_trajectory-ode": lambda p, k: second_moment_trajectory(
@@ -297,6 +298,8 @@ KAPPA_CALLS = {
     "stability": lambda p, k: stability(p, k),
     "evolve_first_moments": lambda p, k: evolve_first_moments(p, k, [1.0, 0.0, 0.0], 1.0),
     "sweep": lambda p, k: sweep([0.0], [0.0], gain_scale=p.gain_scale, kappa=k),
+    # unchecked, kappa 0 or -1 gives a matrix and inf one is_stable cannot solve
+    "drift_matrix": lambda p, k: drift_matrix(p, k),
 }
 
 

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -499,13 +500,38 @@ def test_march_matches_pinned_parent_tables(case):
 
 ORACLE_EXPORTS = ("DensityState", "FockConfig", "MomentTable", "OracleRun", "integrate")
 
+# What `from ycel import *` binds: every public name but the oracle's, and
+# the four modules that hold them.
+STAR_NAMES = {
+    "AtomPreparation", "BIPARTITIONS", "ConfigurationError", "ConsistencyError",
+    "CovarianceMatrix", "DegenerateWitnessError", "FloatRangeError", "GoodCavityWarning",
+    "HorizonError", "IntegrationError", "ModelParams", "NegativeOccupationWarning",
+    "Prefactors", "PreparationError", "PreparationVerdict", "SecondMoments", "StabilityReport",
+    "SubVacuumWarning", "SweepTable", "TruncationError", "UnstableDriftError", "VlfReport",
+    "WitnessRecord", "YcelError", "covariance_from_moments", "diffusion_matrix",
+    "drift_matrix", "dynamics", "entanglement", "errors", "evolve_first_moments",
+    "evolve_second_moments", "is_stable", "model", "optimize_gains",
+    "populations_from_inversions", "prefactors", "prefactors_from_inversions",
+    "second_moment_trajectory", "stability", "steady_state_moments", "sweep",
+    "validate_physical", "vlf_evaluate",
+}
 
-@pytest.mark.parametrize("name", ORACLE_EXPORTS)
+
+@pytest.mark.parametrize("name", sorted(ycel._LAZY))
 def test_package_exports_each_oracle_name(name):
     namespace = {}
     exec(f"from ycel import {name}", namespace)
-    assert namespace[name] is getattr(fock_oracle, name)
+    module = importlib.import_module(f"ycel.{ycel._LAZY[name]}")
+    assert namespace[name] is getattr(module, name)
     assert name in dir(ycel)
+
+
+def test_package_star_import_binds_no_oracle_name():
+    assert {n for n, m in ycel._LAZY.items() if m == "fock_oracle"} == set(ORACLE_EXPORTS)
+    namespace = {}
+    exec("from ycel import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR_NAMES
+    assert not STAR_NAMES & set(ORACLE_EXPORTS)
 
 
 def test_package_refuses_an_unknown_name():

@@ -8,12 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from ycel.entanglement import _prefactor_columns
 from ycel.errors import ConsistencyError, PreparationError
 from ycel.model import (
     GoodCavityWarning,
     ModelParams,
     Prefactors,
-    _prefactor_columns,
     populations_from_inversions,
     prefactors,
     prefactors_from_inversions,
