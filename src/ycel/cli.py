@@ -318,7 +318,7 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
         "residue_cross21": abs(pref.cross21 - math.sqrt(pref.gain2 * pref.loss1)),
     }
     populations = {"rho00": prep.rho00, "rho22": prep.rho22, "rho33": prep.rho33}
-    coefficients = {name: getattr(pref, name) for name in Prefactors.__dataclass_fields__}
+    coefficients = pref._asdict()
     if args.format == "json":
         return json_document(
             "prefactors",

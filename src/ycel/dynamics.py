@@ -93,8 +93,7 @@ _K_ENTRIES = np.array([3, 6, 5, 6, 2, 4, 5, 4, 1])
 
 def _columns(pref: Prefactors) -> np.ndarray:
     """The (1, 7) stack of Prefactors columns of one preparation."""
-    return np.array([[pref.gain_scale, pref.gain3, pref.gain2, pref.loss1,
-                      pref.cross32, pref.cross31, pref.cross21]])
+    return np.array([tuple(pref)])
 
 
 def _couplings(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

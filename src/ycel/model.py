@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, PreparationError
 
@@ -81,8 +81,16 @@ class GoodCavityWarning(UserWarning):
     """Atomic decay is not fast enough relative to the cavity damping."""
 
 
-@dataclass(frozen=True)
-class PreparationVerdict:
+def _record(name: str, fields: str):
+    """The named-tuple base of a record whose class checks its fields in
+    __new__.  Its _make, and with it _replace, builds through the class, so
+    no way of building a record skips the checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class PreparationVerdict(_record("PreparationVerdict", "valid rho33 rho22 rho00 violated")):
     """Outcome of a domain check on (eta1, eta2).
 
     Total function output: populations are reported raw (possibly negative
@@ -92,11 +100,7 @@ class PreparationVerdict:
     point, whose rounding can differ from the exact value by a few ulps.
     """
 
-    valid: bool
-    rho33: float
-    rho22: float
-    rho00: float
-    violated: tuple[str, ...]
+    __slots__ = ()
 
 
 def validate_physical(eta1: float, eta2: float) -> PreparationVerdict:
@@ -112,8 +116,7 @@ def validate_physical(eta1: float, eta2: float) -> PreparationVerdict:
     return PreparationVerdict(not violated, rho33, rho22, rho00, violated)
 
 
-@dataclass(frozen=True)
-class AtomPreparation:
+class AtomPreparation(_record("AtomPreparation", "rho33 rho22 rho00 rho32 rho30 rho20")):
     """Initial single-atom state: level populations and real coherences.
 
     The intermediate level is empty, so rho33 + rho22 + rho00 = 1.  For the
@@ -121,14 +124,11 @@ class AtomPreparation:
     of the populations it connects.
     """
 
-    rho33: float
-    rho22: float
-    rho00: float
-    rho32: float
-    rho30: float
-    rho20: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, rho33: float, rho22: float, rho00: float,
+                rho32: float, rho30: float, rho20: float):
+        self = super().__new__(cls, rho33, rho22, rho00, rho32, rho30, rho20)
         for name in ("rho33", "rho22", "rho00"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -145,6 +145,7 @@ class AtomPreparation:
                 raise PreparationError(
                     f"coherence {name}={lhs!r} is not the geometric mean of its populations"
                 )
+        return self
 
     @property
     def eta1(self) -> float:
@@ -193,8 +194,7 @@ def populations_from_inversions(eta1: float, eta2: float) -> AtomPreparation:
     )
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_record("ModelParams", "r_a g gamma kappa eta1 eta2")):
     """Physical inputs of a run.
 
     Rates carry whatever unit kappa carries; the library is unit agnostic.
@@ -205,14 +205,11 @@ class ModelParams:
     medium starts to lose accuracy.
     """
 
-    r_a: float
-    g: float
-    gamma: float
-    kappa: float
-    eta1: float
-    eta2: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, r_a: float, g: float, gamma: float, kappa: float,
+                eta1: float, eta2: float):
+        self = super().__new__(cls, r_a, g, gamma, kappa, eta1, eta2)
         for name in ("r_a", "g", "gamma", "kappa"):
             value = getattr(self, name)
             if not value > 0.0 or not math.isfinite(value):
@@ -225,10 +222,10 @@ class ModelParams:
                 GoodCavityWarning,
                 stacklevel=2,
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Prefactors:
+class Prefactors(_record("Prefactors", "gain_scale gain3 gain2 loss1 cross32 cross31 cross21")):
     """The seven coefficients of the field master equation.
 
     gain_scale is the linear gain rate 2*r_a*g**2/gamma**2; the six weights
@@ -238,15 +235,11 @@ class Prefactors:
     cross21 = sqrt(gain2*loss1).  Construction enforces all of this.
     """
 
-    gain_scale: float
-    gain3: float
-    gain2: float
-    loss1: float
-    cross32: float
-    cross31: float
-    cross21: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gain_scale: float, gain3: float, gain2: float, loss1: float,
+                cross32: float, cross31: float, cross21: float):
+        self = super().__new__(cls, gain_scale, gain3, gain2, loss1, cross32, cross31, cross21)
         if not self.gain_scale > 0.0 or not math.isfinite(self.gain_scale):
             raise ConsistencyError(f"gain_scale={self.gain_scale!r} must be positive")
         for name in ("gain3", "gain2", "loss1", "cross32", "cross31", "cross21"):
@@ -262,6 +255,7 @@ class Prefactors:
         ):
             if abs(lhs - math.sqrt(a * b)) > CROSS_CHECK_TOL:
                 raise ConsistencyError(f"{name} violates its product rule")
+        return self
 
 
 def prefactors_from_inversions(

@@ -1,6 +1,5 @@
 """Preparation domain, prefactor values, and their algebraic identities."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -205,7 +204,7 @@ def test_prefactor_columns_match_the_scalar_calls():
             assert not verdict.valid and str(exc) == refusal(e1, e2, verdict), (e1, e2)
         else:
             assert verdict.valid, (e1, e2)
-            rows.append([v.hex() for v in dataclasses.astuple(pref)])
+            rows.append([v.hex() for v in tuple(pref)])
     assert physical.tolist() == mask
     assert [[v.hex() for v in row] for row in cols.tolist()] == rows
     # both sides of every edge, the exactly empty ground level among them

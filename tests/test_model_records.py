@@ -177,3 +177,31 @@ def test_good_cavity_warning_message():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ModelParams(*RECORDS["ModelParams"][2])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_named_tuples_of_their_fields(name):
+    cls, names, values, _ = RECORDS[name]
+    record = cls(*values)
+    assert cls._fields == names
+    assert tuple(record) == values and isinstance(record, tuple)
+    assert record._asdict() == dict(zip(names, values))
+    assert cls._make(values) == record and type(cls._make(values)) is cls
+    assert record._replace() == record and type(record._replace()) is cls
+
+
+@pytest.mark.parametrize("cls,values,error,message", REFUSALS)
+def test_make_and_replace_refuse_alike(cls, values, error, message):
+    names, good = next((n, v) for c, n, v, _ in RECORDS.values() if c is cls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls._make(values)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(*good)._replace(**dict(zip(names, values)))
+
+
+def test_good_cavity_warning_names_the_callers_line():
+    with pytest.warns(GoodCavityWarning) as caught:
+        ModelParams(1.0, 5.0, 5.0, 1.0, 0.0, 0.0)
+    assert caught[0].filename == __file__

@@ -9,8 +9,6 @@ the steady state and fixed times up to 200/margin, and at offsets 1e-2
 to 1e-12 from the defective line eta1 + eta2 = 0.5 as well as on it.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -30,7 +28,7 @@ def grid_prefs(a, n=41):
 
 def rows_of(prefs, backend, at_time):
     """The engine's margins, rows and refusals for a list of Prefactors."""
-    cols = np.array([dataclasses.astuple(p) for p in prefs]).reshape(-1, 7)
+    cols = np.array([tuple(p) for p in prefs]).reshape(-1, 7)
     return _second_moment_rows(cols, 1.0, backend, at_time)
 
 

@@ -10,7 +10,6 @@ calls, which compute on Python floats, are pinned to the stacked engine in
 the same way, every sample of a trajectory included.
 """
 
-import dataclasses
 import math
 import re
 import warnings
@@ -69,7 +68,7 @@ def scalar_sweep(eta1_values, eta2_values, *, gain_scale, backend, at_time, opti
                 records = [vlf.record(bip.name) for bip in BIPARTITIONS]
                 ratio = tuple(r.ratio for r in records)
                 violated = tuple(r.violated for r in records)
-            for name, value in zip(COLUMNS, (e1, e2, dataclasses.astuple(pref),
+            for name, value in zip(COLUMNS, (e1, e2, tuple(pref),
                                              stability(pref, 1.0).margin, moments, ratio,
                                              violated, failure)):
                 table[name].append(value)
@@ -195,7 +194,7 @@ OUTCOMES = {0.5: {"rows"}, 2.0: {"rows"}, 3.5: {"rows", "HorizonError"},
 def stacked_trajectory(pref, backend, times):
     """second_moment_trajectory's rows, refusal and warnings, from the
     stacked engine at one time after another."""
-    cols = np.array([dataclasses.astuple(pref)])
+    cols = np.array([tuple(pref)])
     per_time = [dynamics._second_moment_rows(cols, 1.0, backend, t)[1:] for t in times]
     if any(errors[0] is not None for _, errors in per_time):
         # the trajectory is refused in the words of its last time
@@ -251,7 +250,7 @@ def test_stability_and_first_moments_match_the_stacked_rank_one(gain_scale):
                 continue
             pref = prefactors_from_inversions(e1, e2, gain_scale)
             v, mu, margin = dynamics._rank_one(
-                *dynamics._couplings(np.array([dataclasses.astuple(pref)])), 1.0)
+                *dynamics._couplings(np.array([tuple(pref)])), 1.0)
             report = stability(pref, 1.0)
             assert exact(report.margin) == exact(margin[0].item())
             assert report.stable == (margin[0] > 0.0)
