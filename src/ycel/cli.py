@@ -18,12 +18,13 @@ import sys
 import warnings
 
 from .errors import ConfigurationError, PreparationError, YcelError
-from .model import (BACKENDS, ROUTES, ModelParams, Prefactors, populations_from_inversions,
-                    prefactors, prefactors_from_inversions)
+from .model import (BACKENDS, MAX_SWEEP_POINTS, ROUTES, ModelParams, Prefactors,
+                    populations_from_inversions, prefactors, prefactors_from_inversions)
 from .serialize import csv_document, format_value, json_document, load_config, table_document
 
 # The numerical modules, and numpy with them, are imported by the commands
-# that use them, so the parser, --help and prefactors run without numpy.
+# that use them, after their arguments are checked, so the parser, --help,
+# prefactors and every refused argument run without numpy.
 
 MOMENT_COLUMNS = ("n1", "n2", "n3", "c32", "c31", "c21")
 
@@ -65,8 +66,6 @@ def _axis(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    from .entanglement import MAX_SWEEP_POINTS
-
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise ConfigurationError(f"grid {text!r} must look like NxM")
@@ -290,7 +289,8 @@ def _resolve_times(params: dict, command: str) -> list[float]:
 
 
 class _NoteCollector(list):
-    """Warnings raised while computing, replayed as '#' notes in the output."""
+    """Warnings raised while computing, replayed as '#' notes in the output.
+    Each ``with`` block appends the warnings it caught."""
 
     def __enter__(self):
         self._ctx = warnings.catch_warnings(record=True)
@@ -336,13 +336,14 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
 
 def cmd_evolve(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    from .dynamics import second_moment_trajectory
-
     times = params["times"]
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
         _final_time(times, params)
+    from .dynamics import second_moment_trajectory
+
+    with notes:
         moments = second_moment_trajectory(
             pref,
             params["kappa"],
@@ -357,11 +358,12 @@ def cmd_evolve(args: argparse.Namespace) -> str:
 
 def cmd_steady(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    from .dynamics import _steady_state
-
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
+    from .dynamics import _steady_state
+
+    with notes:
         margin, moments = _steady_state(pref, params["kappa"], params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
     cells = [(v,) for v in moments.as_tuple()]
@@ -370,18 +372,17 @@ def cmd_steady(args: argparse.Namespace) -> str:
 
 def cmd_oracle(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    from .fock_oracle import DensityState, FockConfig, integrate
-
     times, tscale = params["times"], _time_scale(params)
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
-        cfg = FockConfig(
-            n_max=params["nmax"],
-            dt=_absolute_time(params["dt"], params, "--dt"),
-            t_final=_final_time(times, params),
-            edge_tol=params["edge_tol"],
-        )
+        dt = _absolute_time(params["dt"], params, "--dt")
+        t_final = _final_time(times, params)
+    from .fock_oracle import DensityState, FockConfig, integrate
+
+    with notes:
+        cfg = FockConfig(n_max=params["nmax"], dt=dt, t_final=t_final,
+                         edge_tol=params["edge_tol"])
         run = integrate(
             DensityState.vacuum(cfg.n_max),
             cfg,
@@ -401,22 +402,25 @@ def cmd_oracle(args: argparse.Namespace) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    from .dynamics import _eigen_margins
-    from .entanglement import BIPARTITIONS, sweep as run_sweep
-
     n1, n2 = _parse_grid(params["eta_grid"])
     lo1, hi1 = _parse_range(params["eta1_range"], "--eta1-range")
     lo2, hi2 = _parse_range(params["eta2_range"], "--eta2-range")
     at_time = params["at_time"]
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
+    gain_scale = _gain_rate(params)
+    if at_time is not None:
+        at_time = _absolute_time(at_time, params, "--at-time")
+    from .dynamics import _eigen_margins
+    from .entanglement import BIPARTITIONS, sweep as run_sweep
+
     table = run_sweep(
         _axis(lo1, hi1, n1),
         _axis(lo2, hi2, n2),
-        gain_scale=_gain_rate(params),
+        gain_scale=gain_scale,
         kappa=params["kappa"],
         backend=params["backend"],
-        at_time=None if at_time is None else _absolute_time(at_time, params, "--at-time"),
+        at_time=at_time,
         optimize=params["optimize"],
     )
     columns = ["eta1", "eta2", "status", "margin", *MOMENT_COLUMNS]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import SecondMoments, _check_kappa, _second_moment_rows, _warn_occupation
 from .errors import ConfigurationError, DegenerateWitnessError
-from .model import BOUNDARY_TOL, Prefactors
+from .model import BOUNDARY_TOL, MAX_SWEEP_POINTS, Prefactors
 
 __all__ = [
     "SubVacuumWarning",
@@ -57,10 +57,6 @@ _P_SLOTS = (1, 3, 5)
 # points are all physical peak near 2.5 MB, most of it the witness
 # optimum's, besides the 0.16 kB per point the table returns.
 _SWEEP_CHUNK = 1024
-
-# Largest n1 x n2 grid a sweep takes.  About 37.5% of a grid over
-# [-1, 1]^2 is physical, so the largest map returns about 375,000 points.
-MAX_SWEEP_POINTS = 1_000_000
 
 
 class SubVacuumWarning(UserWarning):

@@ -57,9 +57,13 @@ __all__ = [
 ]
 
 # The noise conventions and the trajectory routes of the moment engine in
-# dynamics, named here so that the CLI's parser needs no numpy.
+# dynamics, and the largest n1 x n2 grid entanglement.sweep takes, named
+# here so that the CLI checks its arguments without numpy.  About 37.5% of
+# a grid over [-1, 1]^2 is physical, so the largest map returns about
+# 375,000 points.
 BACKENDS = ("ehrenfest", "paper-literal")
 ROUTES = ("closed-form", "ode")
+MAX_SWEEP_POINTS = 1_000_000
 
 # Populations this far below zero are treated as boundary roundoff.  The
 # tolerance applies to the populations as validate_physical computes them

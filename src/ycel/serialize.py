@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError
 
@@ -31,7 +31,7 @@ def _float_cells(values: Iterable[float]) -> list[str]:
     return ["%.12g" % (v + 0.0) for v in values]
 
 
-def format_value(value: Any) -> str:
+def format_value(value: object) -> str:
     """One CSV cell. Floats at 12 significant digits, bools lowercase."""
     if isinstance(value, float):  # the common cell, so tested first
         return _float_cells((value,))[0]
@@ -42,7 +42,7 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def _param_lines(command: str, params: Mapping[str, Any]) -> list[str]:
+def _param_lines(command: str, params: Mapping[str, object]) -> list[str]:
     lines = [f"# ycel {command}"]
     for key, value in params.items():
         if isinstance(value, (list, tuple)):
@@ -82,7 +82,7 @@ _FLOAT = {float}
 _DISTINCT_TEXT = {str, bool, type(None)}
 
 
-def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
+def _column_cells(column: Sequence[object], alone: bool) -> list[str]:
     """The CSV cells of one column; ``alone`` if it is the table's only one."""
     kinds = set(map(type, column))
     if kinds <= _FLOAT:
@@ -97,8 +97,8 @@ def _column_cells(column: Sequence[Any], alone: bool) -> list[str]:
 _CSV_CHUNK = 4096
 
 
-def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
-         cells: Sequence[Sequence[Any]], notes: Sequence[str]) -> str:
+def _csv(command: str, params: Mapping[str, object], columns: Sequence[str],
+         cells: Sequence[Sequence[object]], notes: Sequence[str]) -> str:
     lines = _param_lines(command, params)
     lines += [f"# {note}" for note in notes]
     lines.append(_csv_records([columns])[0][:-1])
@@ -111,9 +111,9 @@ def _csv(command: str, params: Mapping[str, Any], columns: Sequence[str],
 
 def csv_document(
     command: str,
-    params: Mapping[str, Any],
+    params: Mapping[str, object],
     columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
+    rows: Sequence[Sequence[object]],
     notes: Sequence[str] = (),
 ) -> str:
     """Comment header ('#' lines with the parameter set), then plain CSV.
@@ -129,21 +129,21 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 _ROWS_KEY = '\n  "rows": '
 
 
-def _json_row(row: Sequence[Any]) -> str:
+def _json_row(row: Sequence[object]) -> str:
     text = _ROW_ENCODER.encode(row)
     return "[\n      " + text[1:-1] + "\n    ]" if row else text
 
 
 def json_document(
     command: str,
-    params: Mapping[str, Any],
-    payload: Mapping[str, Any],
+    params: Mapping[str, object],
+    payload: Mapping[str, object],
     notes: Sequence[str] = (),
 ) -> str:
     """The run as one JSON object: command, params, notes if any, then the
     payload's keys.  A payload's "rows", if present, is a sequence of flat
     rows of scalars."""
-    doc: dict[str, Any] = {"command": command, "params": dict(params)}
+    doc: dict[str, object] = {"command": command, "params": dict(params)}
     if notes:
         doc["notes"] = list(notes)
     doc.update(payload)
@@ -160,9 +160,9 @@ def json_document(
 def table_document(
     fmt: str,
     command: str,
-    params: Mapping[str, Any],
+    params: Mapping[str, object],
     columns: Sequence[str],
-    cells: Sequence[Sequence[Any]],
+    cells: Sequence[Sequence[object]],
     notes: Sequence[str] = (),
 ) -> str:
     """A table given column by column, as a "csv" or "json" document.
@@ -176,7 +176,7 @@ def table_document(
     return _csv(command, params, columns, cells, notes)
 
 
-def load_config(path: str) -> tuple[str | None, dict[str, Any]]:
+def load_config(path: str) -> tuple[str | None, dict[str, object]]:
     """(command, parameter dict) from a JSON file.
 
     Accepts both a bare parameter object and a full output document from a

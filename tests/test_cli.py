@@ -1135,12 +1135,59 @@ def test_prefactors_never_imports_numpy(form, capsys):
     assert proc.stdout == out.encode()
 
 
-def test_help_and_argument_errors_never_import_numpy():
+# Arguments the numerical commands refuse before they import numpy, each
+# with a text its error line holds.
+NUMERIC_REFUSALS = (
+    (("sweep", "--eta-grid", "3y3"), "grid '3y3' must look like NxM"),
+    (("sweep", "--eta1-range", "1:0"), "--eta1-range '1:0' must be finite and nondecreasing"),
+    (("steady", "--eta1", "5", "--eta2", "0"), "unphysical preparation eta1=5.0"),
+    (("evolve", "--eta1", "5", "--eta2", "0", "--t", "1"), "unphysical preparation eta1=5.0"),
+    (("oracle", "--eta1", "5", "--eta2", "0"), "unphysical preparation eta1=5.0"),
+)
+
+
+def test_help_and_argument_errors_never_import_numpy(capsys):
     assert_help(run_child([sys.executable, "-c", NUMPY_FREE, "--help"]))
     for argv, named in (PARSER_ERRORS["unknown-flag"],
-                        (("steady", "--eta2", "0"), "steady needs --eta1")):
+                        (("steady", "--eta2", "0"), "steady needs --eta1"),
+                        *NUMERIC_REFUSALS):
         proc = run_child([sys.executable, "-c", NUMPY_FREE, *argv])
         assert_one_error_line(proc.returncode, proc.stdout, proc.stderr, named)
+        code, _, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, err)
+
+
+# What a bare start of a CLI loads anyway: argparse, json and csv, and one
+# parser with one subparser.  Prints the names of the loaded modules.
+BARE_START = """\
+import argparse, csv, json, sys
+argparse.ArgumentParser().add_subparsers().add_parser("x")
+print(*sys.modules)
+"""
+
+# import ycel.cli, build_parser() and one call of main on argv[1:], then
+# the names of the loaded modules on stderr.
+CLI_START = """\
+import sys
+import ycel.cli
+ycel.cli.build_parser()
+code = ycel.cli.main(sys.argv[1:])
+print(*sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_cli_start_path_loads_no_dataclasses_inspect_or_typing(capsys):
+    # -S: no site hook loads modules ahead of the ones under test.  The
+    # baseline keeps modules that argparse itself loads on some Python
+    # from counting against the CLI.
+    bare = run_child([sys.executable, "-S", "-c", BARE_START])
+    proc = run_child([sys.executable, "-S", "-c", CLI_START, *PREFACTORS_ARGS])
+    assert bare.returncode == 0 and proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, *PREFACTORS_ARGS)[1]
+    extra = set(proc.stderr.split()) - set(bare.stdout.split())
+    assert {"ycel.cli", "ycel.model", "ycel.serialize"} <= extra
+    assert not extra & {"dataclasses", "inspect", "typing"}, sorted(extra)
 
 
 def run_call(argv, out_path):
