@@ -1,8 +1,9 @@
-"""The model's four records as a caller sees them.
+"""The model's records as a caller sees them.
 
-PreparationVerdict, AtomPreparation, ModelParams and Prefactors: their
-fields and order, repr, equality and hash, immutability, every refusal
-message and the good-cavity warning.
+PreparationVerdict, AtomPreparation, ModelParams, Prefactors and the
+oracle's FockConfig: their fields and order, repr, equality and hash,
+immutability, every refusal message, FockConfig's defaults and the
+good-cavity warning.
 """
 
 import math
@@ -11,7 +12,8 @@ import warnings
 
 import pytest
 
-from ycel.errors import ConsistencyError, PreparationError
+from ycel.errors import ConfigurationError, ConsistencyError, PreparationError
+from ycel.fock_oracle import FockConfig
 from ycel.model import (
     AtomPreparation,
     GoodCavityWarning,
@@ -49,6 +51,11 @@ RECORDS = {
         (1.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0),
         "Prefactors(gain_scale=1.0, gain3=0.25, gain2=0.0, loss1=0.25, cross32=0.0, "
         "cross31=0.25, cross21=0.0)",
+    ),
+    "FockConfig": (
+        FockConfig, ("n_max", "dt", "t_final", "edge_tol"),
+        (8, 0.02, 4.0, 1e-4),
+        "FockConfig(n_max=8, dt=0.02, t_final=4.0, edge_tol=0.0001)",
     ),
 }
 
@@ -110,6 +117,26 @@ REFUSALS = [
      "cross31 violates its product rule"),
     (Prefactors, (1.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.1), ConsistencyError,
      "cross21 violates its product rule"),
+    (FockConfig, (8.0, 0.02, 4.0, 1e-4), ConfigurationError, "n_max must be an integer"),
+    (FockConfig, (True, 0.02, 4.0, 1e-4), ConfigurationError, "n_max must be an integer"),
+    (FockConfig, (0, 0.02, 4.0, 1e-4), ConfigurationError, "n_max must be at least 1"),
+    (FockConfig, (17, 0.02, 4.0, 1e-4), ConfigurationError,
+     "n_max=17 exceeds the supported limit 16"),
+    # n_max is checked before dt
+    (FockConfig, (17, -1.0, 4.0, 1e-4), ConfigurationError,
+     "n_max=17 exceeds the supported limit 16"),
+    (FockConfig, (8, 0.0, 4.0, 1e-4), ConfigurationError, "dt must be positive and finite"),
+    (FockConfig, (8, nan, 4.0, 1e-4), ConfigurationError, "dt must be positive and finite"),
+    (FockConfig, (8, inf, 4.0, 1e-4), ConfigurationError, "dt must be positive and finite"),
+    (FockConfig, (8, 0.02, -1.0, 1e-4), ConfigurationError,
+     "t_final must be nonnegative and finite"),
+    (FockConfig, (8, 0.02, inf, 1e-4), ConfigurationError,
+     "t_final must be nonnegative and finite"),
+    (FockConfig, (8, 1e-7, 1.0, 1e-4), ConfigurationError,
+     "t_final/dt = 1e+07 steps exceeds the limit 1000000"),
+    (FockConfig, (8, 0.02, 4.0, 0.0), ConfigurationError, "edge_tol must lie in (0, 1)"),
+    (FockConfig, (8, 0.02, 4.0, 1.0), ConfigurationError, "edge_tol must lie in (0, 1)"),
+    (FockConfig, (8, 0.02, 4.0, nan), ConfigurationError, "edge_tol must lie in (0, 1)"),
 ]
 
 GOOD_CAVITY = ("gamma/kappa = 5 < 10; the adiabatic elimination of the atoms "
@@ -152,6 +179,13 @@ def test_fields_cannot_be_assigned(name):
     assert repr(record) == RECORDS[name][3]
 
 
+def test_fock_config_defaults():
+    cfg = FockConfig()
+    assert cfg == FockConfig(5, 0.01, 20.0, 1e-6)
+    assert repr(cfg) == "FockConfig(n_max=5, dt=0.01, t_final=20.0, edge_tol=1e-06)"
+    assert FockConfig(n_max=8) == FockConfig(8, 0.01, 20.0, 1e-6)
+
+
 def test_the_builders_return_the_records():
     assert validate_physical(2.0, 0.0) == PreparationVerdict(*RECORDS["PreparationVerdict"][2])
     assert populations_from_inversions(0.0, 0.5) == AtomPreparation(
@@ -179,7 +213,7 @@ def test_good_cavity_warning_message():
         ModelParams(*RECORDS["ModelParams"][2])
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", [n for n in RECORDS if n != "FockConfig"])
 def test_records_are_named_tuples_of_their_fields(name):
     cls, names, values, _ = RECORDS[name]
     record = cls(*values)
@@ -190,7 +224,8 @@ def test_records_are_named_tuples_of_their_fields(name):
     assert record._replace() == record and type(record._replace()) is cls
 
 
-@pytest.mark.parametrize("cls,values,error,message", REFUSALS)
+@pytest.mark.parametrize("cls,values,error,message",
+                         [r for r in REFUSALS if r[0] is not FockConfig])
 def test_make_and_replace_refuse_alike(cls, values, error, message):
     names, good = next((n, v) for c, n, v, _ in RECORDS.values() if c is cls)
     with warnings.catch_warnings():
