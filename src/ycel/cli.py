@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from .errors import ConfigurationError, PreparationError, YcelError
-from .model import (BACKENDS, MAX_SWEEP_POINTS, ROUTES, ModelParams, Prefactors,
+from .model import (BACKENDS, MAX_SWEEP_POINTS, ROUTES, FockConfig, ModelParams, Prefactors,
                     populations_from_inversions, prefactors, prefactors_from_inversions)
 from .serialize import csv_document, format_value, json_document, load_config, table_document
 
@@ -263,7 +263,7 @@ def _build_prefactors(params: dict) -> Prefactors:
 def _resolve_times(params: dict, command: str) -> list[float]:
     t = params["t"]
     if t is None and command == "oracle":
-        t = 20.0  # the default horizon of the library's FockConfig
+        t = FockConfig().t_final
     if params["times"] is not None:
         if not params["times"]:
             raise ConfigurationError("--times lists no times")
@@ -377,12 +377,10 @@ def cmd_oracle(args: argparse.Namespace) -> str:
     with notes:
         pref = _build_prefactors(params)
         dt = _absolute_time(params["dt"], params, "--dt")
-        t_final = _final_time(times, params)
-    from .fock_oracle import DensityState, FockConfig, integrate
+        cfg = FockConfig(params["nmax"], dt, _final_time(times, params), params["edge_tol"])
+    from .fock_oracle import DensityState, integrate
 
     with notes:
-        cfg = FockConfig(n_max=params["nmax"], dt=dt, t_final=t_final,
-                         edge_tol=params["edge_tol"])
         run = integrate(
             DensityState.vacuum(cfg.n_max),
             cfg,

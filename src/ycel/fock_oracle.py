@@ -78,7 +78,7 @@ from .errors import (
     IntegrationError,
     TruncationError,
 )
-from .model import Prefactors
+from .model import FockConfig, Prefactors
 
 __all__ = [
     "FockConfig",
@@ -87,19 +87,6 @@ __all__ = [
     "OracleRun",
     "integrate",
 ]
-
-# Bounds the breadth-first search over the reachable support and the sparse
-# operator it assembles, which grow about as n_max**3.  From vacuum at
-# (0, 0), A = 1, n_max = 16 (a1 <= 16, b <= 32) marches 4,233 coordinates
-# under 38,233 operator entries.  Marching it to t = 2 at dt = 0.01 with the
-# dt/2 check, the process peaks at 58.0 MB RSS, 49.4 MB of it imports and
-# 2 MB the 20-interval block of the two runs marched together (x86-64
-# Linux, Python 3.11, numpy 2.4, scipy 1.17).
-_N_MAX_LIMIT = 16
-
-# Most fixed steps one march takes (t_final / dt); the dt/2 convergence
-# check marches twice as many.  The acceptance runs take at most 2,000.
-_MAX_STEPS = 1_000_000
 
 # Full steps fill a block of up to _BLOCK_ROWS rows, audited once per run;
 # fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
@@ -113,43 +100,6 @@ _TRACE_TOL = 1e-6
 _CONVERGENCE_TOL = 1e-6
 # No element of a density matrix exceeds 1 in magnitude.
 _DIVERGENCE_PEAK = 1.0 + _TRACE_TOL
-
-
-@dataclass(frozen=True)
-class FockConfig:
-    """Discretisation knobs for a brute-force run.
-
-    n_max is the photon cutoff of a1 (b holds up to n_max times the number
-    of modes with nonzero gain), dt the fixed integrator step, t_final the
-    horizon, and edge_tol the largest population allowed in any edge Fock
-    layer (occupation == cutoff in some mode) before the run refuses to
-    continue.
-    """
-
-    n_max: int = 5
-    dt: float = 0.01
-    t_final: float = 20.0
-    edge_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
-            raise ConfigurationError("n_max must be an integer")
-        if self.n_max < 1:
-            raise ConfigurationError("n_max must be at least 1")
-        if self.n_max > _N_MAX_LIMIT:
-            raise ConfigurationError(
-                f"n_max={self.n_max} exceeds the supported limit {_N_MAX_LIMIT}"
-            )
-        if not (self.dt > 0.0) or not math.isfinite(self.dt):
-            raise ConfigurationError("dt must be positive and finite")
-        if not (self.t_final >= 0.0) or not math.isfinite(self.t_final):
-            raise ConfigurationError("t_final must be nonnegative and finite")
-        if self.t_final / self.dt > _MAX_STEPS:
-            raise ConfigurationError(
-                f"t_final/dt = {self.t_final / self.dt:.3g} steps exceeds the limit {_MAX_STEPS}"
-            )
-        if not (0.0 < self.edge_tol < 1.0):
-            raise ConfigurationError("edge_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

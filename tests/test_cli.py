@@ -1114,7 +1114,7 @@ import ycel.cli
 try:
     code = ycel.cli.main(sys.argv[1:])
 finally:
-    assert "numpy" not in sys.modules, "numpy imported"
+    assert not {"numpy", "scipy"} & set(sys.modules), "numpy or scipy imported"
 sys.exit(code)
 """
 
@@ -1143,6 +1143,12 @@ NUMERIC_REFUSALS = (
     (("steady", "--eta1", "5", "--eta2", "0"), "unphysical preparation eta1=5.0"),
     (("evolve", "--eta1", "5", "--eta2", "0", "--t", "1"), "unphysical preparation eta1=5.0"),
     (("oracle", "--eta1", "5", "--eta2", "0"), "unphysical preparation eta1=5.0"),
+    ((*ORACLE_POINT, "--nmax", "-1"), "n_max must be at least 1"),
+    ((*ORACLE_POINT, "--nmax", "17"), "n_max=17 exceeds the supported limit 16"),
+    ((*ORACLE_POINT, "--dt", "-1"), "dt must be positive and finite"),
+    ((*ORACLE_POINT, "--edge-tol", "2"), "edge_tol must lie in (0, 1)"),
+    ((*ORACLE_POINT, "--dt", "1e-7", "--t", "1"),
+     "t_final/dt = 1e+07 steps exceeds the limit 1000000"),
 )
 
 

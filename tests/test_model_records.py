@@ -13,9 +13,9 @@ import warnings
 import pytest
 
 from ycel.errors import ConfigurationError, ConsistencyError, PreparationError
-from ycel.fock_oracle import FockConfig
 from ycel.model import (
     AtomPreparation,
+    FockConfig,
     GoodCavityWarning,
     ModelParams,
     Prefactors,
@@ -213,7 +213,7 @@ def test_good_cavity_warning_message():
         ModelParams(*RECORDS["ModelParams"][2])
 
 
-@pytest.mark.parametrize("name", [n for n in RECORDS if n != "FockConfig"])
+@pytest.mark.parametrize("name", RECORDS)
 def test_records_are_named_tuples_of_their_fields(name):
     cls, names, values, _ = RECORDS[name]
     record = cls(*values)
@@ -224,8 +224,7 @@ def test_records_are_named_tuples_of_their_fields(name):
     assert record._replace() == record and type(record._replace()) is cls
 
 
-@pytest.mark.parametrize("cls,values,error,message",
-                         [r for r in REFUSALS if r[0] is not FockConfig])
+@pytest.mark.parametrize("cls,values,error,message", REFUSALS)
 def test_make_and_replace_refuse_alike(cls, values, error, message):
     names, good = next((n, v) for c, n, v, _ in RECORDS.values() if c is cls)
     with warnings.catch_warnings():
