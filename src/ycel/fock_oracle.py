@@ -71,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .dynamics import SecondMoments
+from .dynamics import SecondMoments, _check_kappa
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -674,8 +674,7 @@ def integrate(
     if not isinstance(pref, Prefactors):
         raise TypeError("pref must be a Prefactors value")
     kappa = float(kappa)
-    if not (kappa > 0.0) or not math.isfinite(kappa):
-        raise ConfigurationError("kappa must be positive and finite")
+    _check_kappa(kappa)
 
     samples, index = _sample_grid(cfg, sample_times)
     cutoffs, modes, terms = _reduced_model(pref, kappa, cfg.n_max)
