@@ -226,9 +226,9 @@ def _gain_rate(params: dict) -> float:
 
 def _absolute_time(value: float, params: dict, flag: str) -> float:
     """The absolute time an entered time gives, refused when a finite one
-    leaves the floating-point range."""
+    overflows or a positive one underflows to 0."""
     absolute = value * _time_scale(params)
-    if absolute == math.inf and value < math.inf:
+    if absolute == math.inf and value < math.inf or absolute == 0.0 < value:
         raise ConfigurationError(
             f"{flag} {value!r} over --kappa {params['kappa']!r} is out of floating-point range"
         )

@@ -869,6 +869,18 @@ def test_doubly_malformed_line_reports_its_first_error(case, capsys):
                      "--t/--times 1e+300", id="oracle-times=1e300-kappa=1e-10"),
         pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e300", "--kappa", "1e-10"),
                      "--dt 1e+300 over --kappa 1e-10", id="oracle-dt=1e300-kappa=1e-10"),
+        # positive times that underflow to 0 once scaled
+        pytest.param((*EVOLVE_ARGS, "--t", "1e-300", "--kappa", "1e300"),
+                     "--t/--times 1e-300 over --kappa 1e+300", id="t=1e-300-kappa=1e300"),
+        pytest.param((*EVOLVE_ARGS, "--times", "0,1e-320", "--kappa", "1e10"),
+                     "--t/--times 1e-320 over --kappa 10000000000.0",
+                     id="times=0,1e-320-kappa=1e10"),
+        pytest.param(("sweep", "--eta-grid", "2x2", "--at-time", "1e-320", "--kappa", "1e300"),
+                     "--at-time 1e-320 over --kappa 1e+300", id="at-time=1e-320-kappa=1e300"),
+        pytest.param((*ORACLE_POINT, "--t", "1e-300", "--kappa", "1e300"),
+                     "--t/--times 1e-300 over --kappa 1e+300", id="oracle-t=1e-300-kappa=1e300"),
+        pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e-300", "--kappa", "1e300"),
+                     "--dt 1e-300 over --kappa 1e+300", id="oracle-dt=1e-300-kappa=1e300"),
     ],
 )
 def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
