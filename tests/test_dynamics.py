@@ -21,7 +21,8 @@ from ycel.dynamics import (
 )
 from ycel.entanglement import sweep
 from ycel.errors import ConfigurationError, FloatRangeError, HorizonError, UnstableDriftError
-from ycel.model import prefactors_from_inversions, validate_physical
+from ycel.fock_oracle import DensityState, integrate
+from ycel.model import FockConfig, prefactors_from_inversions, validate_physical
 
 
 def pref(eta1, eta2, a=0.5):
@@ -287,8 +288,8 @@ def test_second_moments_refuse_a_non_finite_time(t, route):
         evolve_second_moments(pref(0.1, 0.1), 1.0, t, route=route)
 
 
-# The moment engine's public calls and drift_matrix, each given a
-# preparation and a kappa.
+# The moment engine's public calls, drift_matrix and the oracle's
+# integrate, each given a preparation and a kappa.
 KAPPA_CALLS = {
     "second_moment_trajectory": lambda p, k: second_moment_trajectory(p, k, [0.0, 1.0]),
     "second_moment_trajectory-ode": lambda p, k: second_moment_trajectory(
@@ -300,6 +301,7 @@ KAPPA_CALLS = {
     "sweep": lambda p, k: sweep([0.0], [0.0], gain_scale=p.gain_scale, kappa=k),
     # unchecked, kappa 0 or -1 gives a matrix and inf one is_stable cannot solve
     "drift_matrix": lambda p, k: drift_matrix(p, k),
+    "integrate": lambda p, k: integrate(DensityState.vacuum(2), FockConfig(2, 0.02, 0.1), p, k),
 }
 
 

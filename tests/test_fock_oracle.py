@@ -77,14 +77,11 @@ def test_config_validation():
         FockConfig(dt=1e-300, t_final=1.0)
 
 
-def test_integrate_takes_the_one_fock_config_and_a_positive_finite_kappa():
+def test_integrate_takes_the_one_fock_config_and_not_its_tuple():
     assert ycel.FockConfig is FockConfig is model.FockConfig
     cfg = FockConfig(n_max=2, dt=0.02, t_final=0.1)
     with pytest.raises(ConfigurationError, match="^cfg must be a FockConfig$"):
         integrate(DensityState.vacuum(2), tuple(cfg), pref(0.0, 0.0), 1.0)
-    for kappa in (0, -1.0, np.inf, np.nan, "nan"):
-        with pytest.raises(ConfigurationError, match="^kappa must be positive and finite$"):
-            integrate(DensityState.vacuum(2), cfg, pref(0.0, 0.0), kappa)
 
 
 def test_each_group_is_traceless():
