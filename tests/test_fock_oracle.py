@@ -6,11 +6,10 @@ import pytest
 import scipy.sparse as sp
 
 import ycel
-from ycel import fock_oracle
+from ycel import fock_oracle, model
 from ycel.dynamics import second_moment_trajectory, stability
 from ycel.errors import ConfigurationError, IntegrationError, TruncationError
 from ycel.fock_oracle import DensityState, FockConfig, integrate
-from ycel import model
 from ycel.model import prefactors_from_inversions, validate_physical
 
 from reduced_reference import reduced_march, three_mode_table
