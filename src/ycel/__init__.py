@@ -32,10 +32,11 @@ from .model import (
 
 __version__ = "0.1.0"
 
-# Names whose modules import numpy (dynamics, entanglement) or scipy.sparse
-# (fock_oracle) load on first access (PEP 562), so `import ycel`, the CLI's
-# parser and `ycel prefactors` load neither, and a caller pays only for the
-# modules it uses.
+# Names whose modules import numpy (dynamics, entanglement, fock_oracle) load
+# on first access (PEP 562), so `import ycel`, the CLI's parser and `ycel
+# prefactors` load no numpy, and a caller pays only for the modules it uses.
+# No scipy module loads with them: the oracle imports scipy.sparse at its
+# first `integrate` call, and dynamics scipy.integrate on the ode route.
 _LAZY = {
     **dict.fromkeys(("NegativeOccupationWarning", "SecondMoments", "StabilityReport",
                      "diffusion_matrix", "drift_matrix", "evolve_first_moments",
@@ -48,8 +49,9 @@ _LAZY = {
                     "fock_oracle"),
 }
 
-# `from ycel import *` binds every public name but the oracle's, which would
-# load scipy.sparse, and the four modules that hold them.
+# `from ycel import *` binds every public name but the oracle's, and the four
+# modules that hold them: the oracle is a referee of the moment engine, read
+# by name where it is wanted.
 __all__ = sorted(
     {name for name in globals() if not name.startswith("_")}
     | {name for name, module in _LAZY.items() if module != "fock_oracle"}

@@ -39,7 +39,9 @@ charge sector w_ket = w_bra.  Pass ``restrict=False`` to march every
 coordinate regardless.
 
 March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
-buffers allocated once per march.  Full steps fill the rows of a block of
+buffers allocated once per march.  scipy.sparse loads at the first
+``integrate`` call, not with this module, so importing the oracle's
+records costs numpy only.  Full steps fill the rows of a block of
 up to 64 rows (fewer past 2 MiB), and one audit per block and run checks
 every state with the same bounds and messages as an audit after each
 step.  With the dt/2 check the two runs march side by side: one step of a
@@ -68,8 +70,6 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .dynamics import SecondMoments, _check_kappa
 from .errors import (
@@ -274,10 +274,12 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         weights.append(coef[term] * kw[term, ket[pos]] * bw[term, bra[pos]])
         frontier = _sorted_unique(found[~seen[found]])
         seen[frontier] = True
+    from scipy.sparse import csr_matrix
+
     keys = np.flatnonzero(seen)
     rows = np.searchsorted(keys, np.concatenate(targets))
     cols = np.searchsorted(keys, np.concatenate(sources))
-    mat = sp.csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
+    mat = csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
     return keys, mat
 
 
@@ -411,6 +413,8 @@ def _rk4_step(lop, runs: int = 1):
     order, once per state, and 0.5 * h and h / 6 are the same operations
     coordinate by coordinate, so each row equals a one-run step bit for bit.
     """
+    from scipy.sparse._sparsetools import csr_matvec
+
     n = lop.shape[0]
     indptr, indices, data = lop.indptr, lop.indices, lop.data
     if runs > 1:

@@ -1,5 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +543,31 @@ def test_package_star_import_binds_no_oracle_name():
     exec("from ycel import *", namespace)
     assert set(namespace) - {"__builtins__"} == STAR_NAMES
     assert not STAR_NAMES & set(ORACLE_EXPORTS)
+
+
+# Imports the oracle and reads its names in a fresh interpreter: no scipy
+# module loads until the first integrate call, which loads scipy.sparse.
+ORACLE_IMPORT = """\
+import sys
+import ycel.fock_oracle
+from ycel import DensityState, FockConfig, MomentTable, OracleRun, integrate
+from ycel.model import prefactors_from_inversions
+
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+assert not loaded, f"{loaded} imported with the oracle's names"
+integrate(DensityState.vacuum(4), FockConfig(n_max=4, dt=0.1, t_final=0.2),
+          prefactors_from_inversions(0.0, 0.0, gain_scale=0.5), 1.0,
+          check_convergence=False)
+assert "scipy.sparse" in sys.modules, "integrate ran without scipy.sparse"
+"""
+
+
+def test_oracle_names_load_no_scipy_until_integrate():
+    src = str(Path(fock_oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", ORACLE_IMPORT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_refuses_an_unknown_name():
