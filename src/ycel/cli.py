@@ -237,12 +237,15 @@ def _absolute_time(value: float, params: dict, flag: str) -> float:
 
 def _final_time(times: list[float], params: dict) -> float:
     """The absolute last time of a --t or --times grid, refused past the
-    floating-point range."""
+    floating-point range, as is a grid whose smallest positive time
+    underflows to 0."""
     if times[-1] == math.inf:  # the --t grid multiplies before it divides
         raise ConfigurationError(
             f"--t over --samples {len(times)} is out of floating-point range"
         )
-    return _absolute_time(times[-1], params, "--t/--times")
+    final = _absolute_time(times[-1], params, "--t/--times")
+    _absolute_time(next((t for t in times if t > 0.0), 0.0), params, "--t/--times")
+    return final
 
 
 def _build_prefactors(params: dict) -> Prefactors:

@@ -881,6 +881,18 @@ def test_doubly_malformed_line_reports_its_first_error(case, capsys):
                      "--t/--times 1e-300 over --kappa 1e+300", id="oracle-t=1e-300-kappa=1e300"),
         pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e-300", "--kappa", "1e300"),
                      "--dt 1e-300 over --kappa 1e+300", id="oracle-dt=1e-300-kappa=1e300"),
+        # an earlier positive time that underflows, the last one in range
+        pytest.param((*EVOLVE_ARGS, "--times", "1e-320,1", "--kappa", "1e10"),
+                     "--t/--times 1e-320 over --kappa 10000000000.0",
+                     id="times=1e-320,1-kappa=1e10"),
+        pytest.param((*EVOLVE_ARGS, "--t", "4e-314", "--kappa", "1e10"),
+                     "--t/--times 4e-315 over --kappa 10000000000.0", id="t=4e-314-kappa=1e10"),
+        pytest.param((*ORACLE_POINT, "--times", "1e-320,1", "--kappa", "1e10"),
+                     "--t/--times 1e-320 over --kappa 10000000000.0",
+                     id="oracle-times=1e-320,1-kappa=1e10"),
+        pytest.param((*ORACLE_POINT, "--t", "4e-314", "--kappa", "1e10"),
+                     "--t/--times 4e-315 over --kappa 10000000000.0",
+                     id="oracle-t=4e-314-kappa=1e10"),
     ],
 )
 def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
