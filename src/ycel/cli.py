@@ -213,11 +213,18 @@ def _time_scale(params: dict) -> float:
     return 1.0 / params["kappa"] if params["units"] == "kappa" else 1.0
 
 
+def _out_of_range(value: float, scaled: float) -> bool:
+    """Whether a positive finite value, once scaled, overflows or lies below
+    the normal floating-point range: at 0, or subnormal, with fewer
+    significant bits than a float carries."""
+    return 0.0 < value < math.inf and not sys.float_info.min <= scaled < math.inf
+
+
 def _gain_rate(params: dict) -> float:
     """The absolute linear gain rate --A gives."""
     scale = _rate_scale(params)
     gain = params["A"] * scale
-    if not 0.0 < gain < math.inf:
+    if _out_of_range(params["A"], gain):
         raise ConfigurationError(
             f"--A {params['A']!r} times --kappa {scale!r} is out of floating-point range"
         )
@@ -225,10 +232,10 @@ def _gain_rate(params: dict) -> float:
 
 
 def _absolute_time(value: float, params: dict, flag: str) -> float:
-    """The absolute time an entered time gives, refused when a finite one
-    overflows or a positive one underflows to 0."""
+    """The absolute time an entered time gives, refused when a scaled
+    positive one leaves the floating-point range."""
     absolute = value * _time_scale(params)
-    if absolute == math.inf and value < math.inf or absolute == 0.0 < value:
+    if _out_of_range(value, absolute):
         raise ConfigurationError(
             f"{flag} {value!r} over --kappa {params['kappa']!r} is out of floating-point range"
         )

@@ -39,6 +39,7 @@ closed forms contradict.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 
@@ -300,14 +301,18 @@ def prefactors_from_inversions(
 def prefactors(params: ModelParams) -> Prefactors:
     """Master-equation coefficients for a parameter set.
 
-    Raises PreparationError when the gain rate 2 r_a g**2 / gamma**2
-    overflows or underflows to 0 in floating point.
+    Raises PreparationError when the gain rate 2 r_a g**2 / gamma**2, or a
+    square or product on the way to it, overflows or falls below the normal
+    floating-point range, where it keeps fewer significant bits than the
+    rates (0 included).
     """
     try:
-        scale = 2.0 * params.r_a * params.g**2 / params.gamma**2
+        g2, gamma2 = params.g**2, params.gamma**2
+        product = 2.0 * params.r_a * g2
+        scale = product / gamma2
     except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
+        g2 = gamma2 = product = scale = math.inf
+    if not all(sys.float_info.min <= x < math.inf for x in (g2, gamma2, product, scale)):
         raise PreparationError(
             f"gain rate 2 r_a g**2 / gamma**2 = {scale!r} is out of floating-point range "
             f"for r_a={params.r_a!r}, g={params.g!r}, gamma={params.gamma!r}"

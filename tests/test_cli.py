@@ -780,7 +780,8 @@ def test_each_command_records_its_resolved_params(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["prefactors", "steady"])
 @pytest.mark.parametrize("rates", [("1e200", "1e200", "1e-10"), ("1e300", "1e10", "1"),
-                                   ("1", "1", "1e-200")], ids=["g2", "product", "gamma2"])
+                                   ("1", "1", "1e-200"), ("1", "1e-155", "1e-150")],
+                         ids=["g2", "product", "gamma2", "subnormal-g2"])
 def test_gain_rate_out_of_float_range_exits_2(command, rates, capsys):
     r_a, g, gamma = rates
     code, out, err = run_cli(capsys, command, "--eta1", "0.1", "--eta2", "0.2",
@@ -790,13 +791,15 @@ def test_gain_rate_out_of_float_range_exits_2(command, rates, capsys):
 
 
 @pytest.mark.parametrize("command", [c for c, (_, _, names) in COMMANDS.items() if "A" in names])
-@pytest.mark.parametrize("rate", ["1e300", "1e-300"], ids=["overflow", "underflow"])
-def test_gain_times_kappa_out_of_float_range_exits_2(command, rate, capsys):
+@pytest.mark.parametrize("rate, kappa", [("1e300", "1e300"), ("1e-300", "1e-300"),
+                                         ("1e-300", "1e-10")],
+                         ids=["overflow", "underflow", "subnormal"])
+def test_gain_times_kappa_out_of_float_range_exits_2(command, rate, kappa, capsys):
     point = () if command == "sweep" else ("--eta1", "0", "--eta2", "0")
     times = ("--t", "1") if command == "evolve" else ()
-    code, out, err = run_cli(capsys, command, *point, *times, "--A", rate, "--kappa", rate)
+    code, out, err = run_cli(capsys, command, *point, *times, "--A", rate, "--kappa", kappa)
     assert_one_error_line(code, out, err, "out of floating-point range",
-                          f"--A {float(rate)!r} times --kappa {float(rate)!r}")
+                          f"--A {float(rate)!r} times --kappa {float(kappa)!r}")
 
 
 # Integer --config values, and the flags that give the same run.
@@ -885,14 +888,28 @@ def test_doubly_malformed_line_reports_its_first_error(case, capsys):
         pytest.param((*EVOLVE_ARGS, "--times", "1e-320,1", "--kappa", "1e10"),
                      "--t/--times 1e-320 over --kappa 10000000000.0",
                      id="times=1e-320,1-kappa=1e10"),
-        pytest.param((*EVOLVE_ARGS, "--t", "4e-314", "--kappa", "1e10"),
-                     "--t/--times 4e-315 over --kappa 10000000000.0", id="t=4e-314-kappa=1e10"),
+        pytest.param((*EVOLVE_ARGS, "--t", "1e-297", "--kappa", "1e10"),
+                     "--t/--times 1.0000000000000001e-298 over --kappa 10000000000.0",
+                     id="t=1e-297-kappa=1e10"),
+        # positive times or steps that fall below the normal range once scaled
+        pytest.param((*EVOLVE_ARGS, "--t", "1e-300", "--kappa", "1e10"),
+                     "--t/--times 1e-300 over --kappa 10000000000.0", id="t=1e-300-kappa=1e10"),
+        pytest.param((*EVOLVE_ARGS, "--times", "5e-324,1"), "--t/--times 5e-324 over --kappa 1.0",
+                     id="times=5e-324,1"),
+        pytest.param((*ORACLE_POINT, "--t", "1e-300", "--kappa", "1e10"),
+                     "--t/--times 1e-300 over --kappa 10000000000.0",
+                     id="oracle-t=1e-300-kappa=1e10"),
+        pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e-300", "--kappa", "1e10"),
+                     "--dt 1e-300 over --kappa 10000000000.0", id="oracle-dt=1e-300-kappa=1e10"),
+        pytest.param(("sweep", "--eta-grid", "2x2", "--at-time", "1e-300", "--kappa", "1e10"),
+                     "--at-time 1e-300 over --kappa 10000000000.0",
+                     id="at-time=1e-300-kappa=1e10"),
         pytest.param((*ORACLE_POINT, "--times", "1e-320,1", "--kappa", "1e10"),
                      "--t/--times 1e-320 over --kappa 10000000000.0",
                      id="oracle-times=1e-320,1-kappa=1e10"),
-        pytest.param((*ORACLE_POINT, "--t", "4e-314", "--kappa", "1e10"),
-                     "--t/--times 4e-315 over --kappa 10000000000.0",
-                     id="oracle-t=4e-314-kappa=1e10"),
+        pytest.param((*ORACLE_POINT, "--t", "1e-297", "--kappa", "1e10"),
+                     "--t/--times 1.0000000000000001e-298 over --kappa 10000000000.0",
+                     id="oracle-t=1e-297-kappa=1e10"),
     ],
 )
 def test_non_finite_or_negative_time_exits_2(argv, named, capsys):
@@ -1470,3 +1487,4 @@ def test_malformed_config_value_exits_2(case, tmp_path_factory):
     cfg = write_config(tmp_path_factory.getbasetemp() / "fuzz_config.json", command, extra)
     code, out, err = run_quietly([command, "--config", str(cfg)])
     assert_one_error_line(code, out, err)
+
