@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ycel
 from ycel.cli import COMMANDS, PARAMETERS, _attach_negative_numbers, build_parser, main
@@ -1488,3 +1488,62 @@ def test_malformed_config_value_exits_2(case, tmp_path_factory):
     code, out, err = run_quietly([command, "--config", str(cfg)])
     assert_one_error_line(code, out, err)
 
+
+
+# In kappa units a document's rows do not depend on --kappa, so the same
+# evolve line at two kappas gives the same rows, or a run refuses because a
+# number leaves the floating-point range: exit 2 for a scaled time or rate,
+# exit 3 for the engine's own range. Rows agree to ROW_REL_BOUND of their
+# largest moment, plus SUBNORMAL_SPACING where moments sit below the normal
+# range, which has no relative precision to spare. Measured over 24,000
+# random lines (kappa 1e-300 to 1e300, times down to 5e-324): 9.6e-14 of
+# the row (at kappa 1.6e-105), and one subnormal spacing.
+ROW_REL_BOUND = 1e-12
+SUBNORMAL_SPACING = 2 * 5e-324
+RANGE_REFUSALS = {2: "is out of floating-point range", 3: "leave the floating-point range"}
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# entered times: moderate ones, and ones that any kappa above 1 scales to
+# the subnormal range or to 0
+KAPPA_TIMES = log_uniform(-3, 2) | log_uniform(-323.5, -290) | log_uniform(-290, -3)
+KAPPA_LINES = st.tuples(
+    st.sampled_from([-0.5, -0.2, 0.0, 0.1, 0.25, 0.5, 1.0]),
+    st.sampled_from([-0.3, 0.0, 0.2, 0.25, 0.5]),
+    st.one_of(
+        st.tuples(st.just("--A"), log_uniform(-3, 1)),
+        st.tuples(st.just("--r-a"), log_uniform(-1, 1), st.just("--g"), log_uniform(-1, 1),
+                  st.just("--gamma"), log_uniform(0, 2)),
+    ),
+    st.one_of(
+        st.lists(KAPPA_TIMES, min_size=1, max_size=3).map(
+            lambda ts: ("--times", ",".join(map(repr, sorted(ts))))),
+        st.tuples(st.just("--t"), KAPPA_TIMES, st.just("--samples"), st.integers(1, 5)),
+    ),
+    st.sampled_from(["ehrenfest", "paper-literal"]),
+).map(lambda d: ["evolve", "--eta1", repr(d[0]), "--eta2", repr(d[1]),
+                 *map(str, d[2]), *map(str, d[3]), "--backend", d[4], "--format", "json"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=KAPPA_LINES, kappas=st.tuples(log_uniform(-300, 300), log_uniform(-300, 300)))
+# an earlier time that divides to 0, and one left subnormal, by the second kappa
+@example(argv=[*EVOLVE_ARGS, "--times", "1e-320,1", "--format", "json"], kappas=(1.0, 1e10))
+@example(argv=[*EVOLVE_ARGS, "--times", "1e-300,1", "--format", "json"], kappas=(1.0, 1e10))
+def test_evolve_rows_in_kappa_units_do_not_depend_on_kappa(argv, kappas):
+    runs = [run_quietly([*argv, "--kappa", repr(kappa)]) for kappa in kappas]
+    refused = [(code, err) for code, _, err in runs if code]
+    if len(refused) == 1:
+        code, err = refused[0]
+        assert RANGE_REFUSALS.get(code, "\0") in err, err
+    if refused:
+        return
+    rows, other = (json.loads(out)["rows"] for _, out, _ in runs)
+    for row, row_other in zip(rows, other, strict=True):
+        assert row[0] == row_other[0]
+        scale = max(map(abs, row[1:] + row_other[1:]))
+        bound = ROW_REL_BOUND * scale + SUBNORMAL_SPACING
+        assert max(abs(a - b) for a, b in zip(row[1:], row_other[1:])) <= bound, (row, row_other)
