@@ -181,15 +181,16 @@ class VlfReport:
 
 
 # Per bipartition, in BIPARTITIONS order: the lone slot, the two partner
-# slots, the default gains, and D_s (1 in the partner slots, s = +1 then
-# -1 in the lone slot) shaped to scale the columns of a 3x3 matrix.
+# slots and the default gains.  _D holds the distinct D_s (1 in the partner
+# slots, s in the lone slot) shaped to scale the columns of a 3x3 matrix:
+# s = +1, the same for every bipartition, then s = -1 for each in turn.
 _ROWS = np.arange(len(BIPARTITIONS))
 _LONE = np.array([bip.lone for bip in BIPARTITIONS])
 _PARTNERS = np.array([bip.partners for bip in BIPARTITIONS]).T
 _DEFAULT_H = np.array([bip.default_h for bip in BIPARTITIONS])
 _DEFAULT_G = np.array([bip.default_g for bip in BIPARTITIONS])
-_D = np.ones((len(BIPARTITIONS), 2, 1, 3))
-_D[_ROWS, 1, 0, _LONE] = -1.0
+_D = np.ones((1 + len(BIPARTITIONS), 1, 3))
+_D[1 + _ROWS, 0, _LONE] = -1.0
 
 
 def _witnesses(xb, pb, h, g, refused=None) -> tuple:
@@ -282,13 +283,14 @@ def _optimal_witnesses(xb, pb) -> tuple:
     (N, 3, 3) stacks of x and p blocks."""
     lx, refused_x = _cholesky(xb, "x")
     lp, refused_p = _cholesky(pb, "p")
-    # [member, bipartition, sign] stacks of Lx^-1 D_s Lp^-T
+    # [member, D_s] stacks of Lx^-1 D_s Lp^-T, one per distinct D_s
     lx_inv, lp_inv = np.linalg.inv(lx)[:, None], np.linalg.inv(lp)[:, None]
-    u, s, vt = np.linalg.svd((lx_inv[:, :, None] * _D) @ lp_inv.swapaxes(-1, -2)[:, :, None])
-    # the larger top singular value picks the sign; s = +1 wins a tie
-    sign = (s[..., 1, 0] > s[..., 0, 0]).astype(int)
+    u, s, vt = np.linalg.svd((lx_inv * _D) @ lp_inv.swapaxes(-1, -2))
+    # per bipartition, the larger top singular value picks the sign; s = +1
+    # wins a tie
+    pick = np.where(s[:, 1:, 0] > s[:, :1, 0], 1 + _ROWS, 0)
     members = np.arange(len(xb))[:, None]
-    u, vt = u[members, _ROWS, sign], vt[members, _ROWS, sign]
+    u, vt = u[members, pick], vt[members, pick]
     # one common scale for h and g keeps h.X.h = g.P.g, the AM-GM equality
     h = (lx_inv.swapaxes(-1, -2) @ u[..., :, 0, None])[..., 0]
     g = (lp_inv.swapaxes(-1, -2) @ vt[..., 0, :, None])[..., 0]

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ycel.cli import main
 from ycel.dynamics import SecondMoments, steady_state_moments
 from ycel.entanglement import (
     BIPARTITIONS,
@@ -376,3 +379,30 @@ def test_oracle_and_engine_witnesses_agree():
     for bip in BIPARTITIONS:
         ra, rb = a.record(bip.name), b.record(bip.name)
         assert ra.lhs == pytest.approx(rb.lhs, rel=2e-3)
+
+
+@pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
+@pytest.mark.parametrize("gain", [0.5, 1.0, 2.0])
+def test_witness_svd_of_the_distinct_matrices_equals_all_six(backend, gain, monkeypatch,
+                                                             capsys):
+    # The optimised default sweep takes one SVD of Lx^-1 D_s Lp^-T per
+    # distinct D_s: s = +1, shared by the three bipartitions, and s = -1 for
+    # each.  Indexed back to [member, bipartition, sign], it equals the SVD
+    # of all six matrices bit for bit.
+    calls = []
+    inv, svd = np.linalg.inv, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(inv(a)) or calls[-1])
+    monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(svd(a)) or calls[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the paper-literal occupations
+        assert main(["sweep", "--A", repr(gain), "--backend", backend]) == 0
+    capsys.readouterr()
+    six_d = np.ones((len(BIPARTITIONS), 2, 1, 3))
+    six_d[np.arange(3), 1, 0, [bip.lone for bip in BIPARTITIONS]] = -1.0
+    signed = [[0, 1], [0, 2], [0, 3]]
+    assert calls and len(calls) % 3 == 0
+    for lx_inv, lp_inv, distinct in zip(*[iter(calls)] * 3):
+        six = svd((lx_inv[:, None, None] * six_d) @ lp_inv.swapaxes(-1, -2)[:, None, None])
+        assert six[0].shape[:3] == (len(lx_inv), 3, 2)
+        for got, want in zip(distinct, six, strict=True):
+            assert np.array_equal(got[:, signed], want)
