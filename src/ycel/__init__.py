@@ -49,9 +49,9 @@ _LAZY = {
                     "fock_oracle"),
 }
 
-# `from ycel import *` binds every public name but the oracle's, and the four
-# modules that hold them: the oracle is a referee of the moment engine, read
-# by name where it is wanted.
+# `from ycel import *` binds every public name but those of the oracle, the
+# referee that tests and `ycel oracle` import by name, and the four modules
+# that hold the others.
 __all__ = sorted(
     {name for name in globals() if not name.startswith("_")}
     | {name for name, module in _LAZY.items() if module != "fock_oracle"}

@@ -253,6 +253,8 @@ def _explore(maps, dim: int, seeds: np.ndarray):
     conjugate term of each term sends the mirrored source to the mirror of
     every target.
     """
+    from scipy.sparse import csr_matrix
+
     # one (terms, dim) array per field, so a level gathers every term at once;
     # masks flatten term by term, in the order of ``maps``
     coef, kmap, kw, bmap, bw = (np.array(field) for field in zip(*maps))
@@ -274,8 +276,6 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         weights.append(coef[term] * kw[term, ket[pos]] * bw[term, bra[pos]])
         frontier = _sorted_unique(found[~seen[found]])
         seen[frontier] = True
-    from scipy.sparse import csr_matrix
-
     keys = np.flatnonzero(seen)
     rows = np.searchsorted(keys, np.concatenate(targets))
     cols = np.searchsorted(keys, np.concatenate(sources))

@@ -1489,15 +1489,15 @@ def test_malformed_config_value_exits_2(case, tmp_path_factory):
     assert_one_error_line(code, out, err)
 
 
-
 # In kappa units a document's rows do not depend on --kappa, so the same
 # evolve line at two kappas gives the same rows, or a run refuses because a
 # number leaves the floating-point range: exit 2 for a scaled time or rate,
 # exit 3 for the engine's own range. Rows agree to ROW_REL_BOUND of their
 # largest moment, plus SUBNORMAL_SPACING where moments sit below the normal
-# range, which has no relative precision to spare. Measured over 24,000
-# random lines (kappa 1e-300 to 1e300, times down to 5e-324): 9.6e-14 of
-# the row (at kappa 1.6e-105), and one subnormal spacing.
+# range, which has no relative precision to spare. The largest deviations
+# seen over 24,000 random lines of this kind were 9.6e-14 of the row (at
+# kappa 1.6e-105) and one subnormal spacing; 5,000 unseeded examples of
+# this test pass.
 ROW_REL_BOUND = 1e-12
 SUBNORMAL_SPACING = 2 * 5e-324
 RANGE_REFUSALS = {2: "is out of floating-point range", 3: "leave the floating-point range"}
@@ -1536,9 +1536,9 @@ KAPPA_LINES = st.tuples(
 def test_evolve_rows_in_kappa_units_do_not_depend_on_kappa(argv, kappas):
     runs = [run_quietly([*argv, "--kappa", repr(kappa)]) for kappa in kappas]
     refused = [(code, err) for code, _, err in runs if code]
-    if len(refused) == 1:
+    if len(refused) == 1:  # only a range refusal may depend on kappa
         code, err = refused[0]
-        assert RANGE_REFUSALS.get(code, "\0") in err, err
+        assert code in RANGE_REFUSALS and RANGE_REFUSALS[code] in err, err
     if refused:
         return
     rows, other = (json.loads(out)["rows"] for _, out, _ in runs)
