@@ -243,9 +243,8 @@ def _absolute_time(value: float, params: dict, flag: str) -> float:
 
 
 def _final_time(times: list[float], params: dict) -> float:
-    """The absolute last time of a --t or --times grid, refused past the
-    floating-point range, as is a grid whose smallest positive time
-    underflows to 0."""
+    """The absolute last time of a --t or --times grid, refused when that
+    time or the smallest positive one leaves the floating-point range."""
     if times[-1] == math.inf:  # the --t grid multiplies before it divides
         raise ConfigurationError(
             f"--t over --samples {len(times)} is out of floating-point range"

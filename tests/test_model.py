@@ -260,7 +260,7 @@ def test_gain_scale_formula():
 # Rates whose gain rate 2 r_a g**2 / gamma**2 leaves the float range: g**2
 # overflows, the product overflows to inf, the quotient underflows to 0,
 # gamma**2 underflows to 0, g**2 is subnormal (the quotient 2e-10 would keep
-# only its few bits), and the quotient is subnormal.
+# only the few bits of g**2), and the product and quotient are subnormal.
 OUT_OF_RANGE_RATES = [(1e200, 1e200, 1e-10), (1e300, 1e10, 1.0), (1e-300, 1e-10, 1e10),
                       (1.0, 1.0, 1e-200), (1.0, 1e-155, 1e-150), (1e-300, 1e-5, 1.0)]
 
