@@ -42,9 +42,9 @@ _LAZY = {
                      "diffusion_matrix", "drift_matrix", "evolve_first_moments",
                      "evolve_second_moments", "is_stable", "second_moment_trajectory",
                      "stability", "steady_state_moments"), "dynamics"),
-    **dict.fromkeys(("BIPARTITIONS", "CovarianceMatrix", "SubVacuumWarning", "SweepTable",
-                     "VlfReport", "WitnessRecord", "covariance_from_moments",
-                     "optimize_gains", "sweep", "vlf_evaluate"), "entanglement"),
+    **dict.fromkeys(("BIPARTITIONS", "CovarianceMatrix", "SweepTable", "VlfReport",
+                     "WitnessRecord", "covariance_from_moments", "optimize_gains",
+                     "sweep", "vlf_evaluate"), "entanglement"),
     **dict.fromkeys(("DensityState", "FockConfig", "MomentTable", "OracleRun", "integrate"),
                     "fock_oracle"),
 }

@@ -14,10 +14,14 @@ type correlations of modes (1,2) and (1,3), an x-difference /
 p-difference pair for the beam-splitter type correlation of modes (2,3).
 optimize_gains replaces the defaults by the exact minimum of each
 bipartition's ratio over all six gains, found in closed form from two
-3x3 singular value decompositions.  A state is reported fully
-inseparable only when all three bipartitions are violated at once;
-callers wanting a stricter notion can apply their own rule to the
-per-bipartition records.
+3x3 singular value decompositions: the minimum is the smallest
+symplectic eigenvalue of the cut's partial transpose or nu_min of sigma,
+and a sigma with nu_min < 1 breaks the uncertainty relation and is
+refused.  A state is reported fully inseparable when all three cuts are
+violated: with the optimum, each 1|2 cut fails the PPT test.  That is not
+the paper's genuine tripartite entanglement, since a mixture of
+biseparable states can be inseparable on every cut (Giedke et al., PRA
+64, 052303 (2001)).
 
 First moments vanish from vacuum in this model, so variances equal raw
 second moments.
@@ -26,7 +30,6 @@ second moments.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,6 @@ from .errors import ConfigurationError, DegenerateWitnessError
 from .model import BOUNDARY_TOL, MAX_SWEEP_POINTS, Prefactors
 
 __all__ = [
-    "SubVacuumWarning",
     "CovarianceMatrix",
     "Bipartition",
     "BIPARTITIONS",
@@ -59,25 +61,6 @@ _P_SLOTS = (1, 3, 5)
 _SWEEP_CHUNK = 1024
 
 
-class SubVacuumWarning(UserWarning):
-    """A quadrature variance fell below the vacuum floor.
-
-    The amplification in this model never squeezes a single mode, so a
-    sub-vacuum diagonal entry means the moments came from somewhere
-    suspect (for instance the literal-coefficient backend, whose loss
-    mode goes negative).
-    """
-
-
-def _check_vacuum_floor(low: float, stacklevel: int) -> None:
-    if low < 1.0 - 1e-9:
-        warnings.warn(
-            f"quadrature variance {low:.6g} below the vacuum floor",
-            SubVacuumWarning,
-            stacklevel=stacklevel,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """6x6 symmetric quadrature covariance over (x1, p1, x2, p2, x3, p3)."""
@@ -94,7 +77,6 @@ class CovarianceMatrix:
         if asym > 1e-10 * max(1.0, float(np.max(np.abs(sigma)))):
             raise ValueError(f"covariance asymmetry {asym:.3e} too large")
         sigma = 0.5 * (sigma + sigma.T)
-        _check_vacuum_floor(float(np.min(np.diag(sigma))), stacklevel=4)
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -286,6 +268,13 @@ def _optimal_witnesses(xb, pb) -> tuple:
     # [member, D_s] stacks of Lx^-1 D_s Lp^-T, one per distinct D_s
     lx_inv, lp_inv = np.linalg.inv(lx)[:, None], np.linalg.inv(lp)[:, None]
     u, s, vt = np.linalg.svd((lx_inv * _D) @ lp_inv.swapaxes(-1, -2))
+    refused = {**refused_p, **refused_x}
+    # 1 / s_max of the s = +1 matrix is the smallest symplectic eigenvalue of
+    # sigma = X + P; below 1, sigma + i Omega is not positive semidefinite
+    for i in np.flatnonzero(s[:, 0, 0] > 1.0 / (1.0 - 1e-9)).tolist():
+        refused.setdefault(i, DegenerateWitnessError(
+            "covariance breaks the uncertainty relation (smallest symplectic eigenvalue "
+            f"{1.0 / s[i, 0, 0]:.6g} < 1); no physical state has this covariance"))
     # per bipartition, the larger top singular value picks the sign; s = +1
     # wins a tie
     pick = np.where(s[:, 1:, 0] > s[:, :1, 0], 1 + _ROWS, 0)
@@ -295,7 +284,7 @@ def _optimal_witnesses(xb, pb) -> tuple:
     h = (lx_inv.swapaxes(-1, -2) @ u[..., :, 0, None])[..., 0]
     g = (lp_inv.swapaxes(-1, -2) @ vt[..., 0, :, None])[..., 0]
     pivot = np.take_along_axis(h, np.abs(h).argmax(axis=-1)[..., None], axis=-1)
-    return _witnesses(xb, pb, h / pivot, g / pivot, {**refused_p, **refused_x})
+    return _witnesses(xb, pb, h / pivot, g / pivot, refused)
 
 
 def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
@@ -309,8 +298,11 @@ def optimize_gains(cov: CovarianceMatrix) -> VlfReport:
     052315 (2003)), attained by the top singular pair.  The gains are
     scaled so that the largest |h_j| is +1 (lowest index and s = +1 win
     ties), so the result is deterministic and never above the default-gain
-    ratio.  Raises DegenerateWitnessError when a block is not positive
-    definite: no physical state has such a covariance.
+    ratio.  The s = +1 matrix serves all three cuts, and 1 / its s_max is
+    nu_min = sqrt(lambda_min(X P)), the smallest symplectic eigenvalue of
+    sigma (Simon, PRL 84, 2726 (2000)).  Raises DegenerateWitnessError when
+    a block is not positive definite or nu_min < 1 - 1e-9: no physical
+    state has such a covariance.
     """
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError("cov must be a CovarianceMatrix")
@@ -392,12 +384,10 @@ def _sweep_chunk(eta1, eta2, gain_scale, kappa, backend, at_time, optimize) -> t
     pb = np.ascontiguousarray(sigma[:, 1::2, 1::2])
     *_, ratio, violated, refused = (
         _optimal_witnesses(xb, pb) if optimize else _witnesses(xb, pb, _DEFAULT_H, _DEFAULT_G))
-    # the warnings of each point, in the order its scalar calls raise them
+    # the warning each point's scalar calls raise
     occupation = rows[solved, :3].min(axis=1)
-    vacuum = np.diagonal(sigma, axis1=1, axis2=2).min(axis=1)
-    for k in np.flatnonzero((occupation < -1e-9) | (vacuum < 1.0 - 1e-9)).tolist():
+    for k in np.flatnonzero(occupation < -1e-9).tolist():
         _warn_occupation(float(occupation[k]), backend, stacklevel=3)
-        _check_vacuum_floor(float(vacuum[k]), stacklevel=4)
     for k, error in refused.items():
         errors[solved[k]] = error
     failed = np.flatnonzero([e is not None for e in errors])
@@ -428,7 +418,8 @@ def sweep(
     must be positive and finite (ConfigurationError).  A point whose
     moments or witnesses cannot be computed (an unstable drift, moments
     beyond the floating-point range, a covariance block that is not
-    positive definite) is recorded with a failure note.  Returns one
+    positive definite, or with optimize a covariance that breaks the
+    uncertainty relation) is recorded with a failure note.  Returns one
     SweepTable.
 
     The grid goes through prefactors, drift, moments, covariance and

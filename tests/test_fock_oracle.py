@@ -518,7 +518,7 @@ STAR_NAMES = {
     "CovarianceMatrix", "DegenerateWitnessError", "FloatRangeError", "GoodCavityWarning",
     "HorizonError", "IntegrationError", "ModelParams", "NegativeOccupationWarning",
     "Prefactors", "PreparationError", "PreparationVerdict", "SecondMoments", "StabilityReport",
-    "SubVacuumWarning", "SweepTable", "TruncationError", "UnstableDriftError", "VlfReport",
+    "SweepTable", "TruncationError", "UnstableDriftError", "VlfReport",
     "WitnessRecord", "YcelError", "covariance_from_moments", "diffusion_matrix",
     "drift_matrix", "dynamics", "entanglement", "errors", "evolve_first_moments",
     "evolve_second_moments", "is_stable", "model", "optimize_gains",
