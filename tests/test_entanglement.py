@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from ycel.cli import main
-from ycel.dynamics import SecondMoments, steady_state_moments
+from ycel.dynamics import SecondMoments, evolve_second_moments, steady_state_moments
 from ycel.entanglement import (
     BIPARTITIONS,
     CovarianceMatrix,
+    _optimal_witnesses,
     covariance_from_moments,
     optimize_gains,
     sweep,
     vlf_evaluate,
 )
-from ycel.errors import ConfigurationError, DegenerateWitnessError
+from ycel.errors import ConfigurationError, DegenerateWitnessError, YcelError
 from ycel.fock_oracle import DensityState, FockConfig, integrate
-from ycel.model import prefactors_from_inversions
+from ycel.model import BACKENDS, prefactors_from_inversions
 
 from reduced_reference import reduced_march
 from three_mode_reference import mode_annihilators, moments_from_state
@@ -136,6 +137,97 @@ def test_degenerate_gains_rejected():
     sigma[0, 4] = sigma[4, 0] = 3.0
     with pytest.raises(DegenerateWitnessError, match="x block is not positive definite"):
         optimize_gains(CovarianceMatrix(sigma))
+
+
+# The symplectic form of the (x1, p1, x2, p2, x3, p3) ordering with [x, p] = 2i:
+# a physical covariance has sigma + i OMEGA >= 0.
+OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+EPS = np.finfo(float).eps
+
+
+def random_states(backend, count, seed):
+    """Covariances of random steady and transient states of one backend, over
+    the physical triangle with A in [0.05, 3] and t in [0.1, 10]; a draw that
+    is unphysical, unstable or out of range is drawn again."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    while len(covs) < count:
+        eta1, eta2, a, t = *rng.uniform(-1.0, 1.0, 2), rng.uniform(0.05, 3.0), rng.uniform(0.1, 10)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the paper-literal occupations
+                p = pref(eta1, eta2, a)
+                m = (steady_state_moments(p, 1.0, backend=backend) if rng.random() < 0.5
+                     else evolve_second_moments(p, 1.0, t, backend=backend))
+        except YcelError:
+            continue
+        covs.append(covariance_from_moments(m))
+    return covs
+
+
+def smallest_symplectic_eigenvalue(sigma):
+    """The smallest |eigenvalue| of i OMEGA sigma, with no x-p split assumed."""
+    return np.abs(np.linalg.eigvals(1j * OMEGA @ sigma)).min()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_optimum_refuses_exactly_the_covariances_that_break_the_uncertainty_relation(backend):
+    gate = {True: 0, False: 0}
+    for cov in random_states(backend, 150, seed=5):
+        lowest = np.linalg.eigvalsh(cov.sigma + 1j * OMEGA)[0]
+        try:
+            optimize_gains(cov)
+            refused = False
+        except DegenerateWitnessError as exc:
+            refused = True
+            gate["uncertainty relation" in str(exc)] += 1
+        assert refused == (lowest < -1e-9), lowest
+    if backend == "paper-literal":  # its draws meet both refusals
+        assert gate[True] > 0 and gate[False] > 0
+    else:  # every ehrenfest draw is physical
+        assert gate == {True: 0, False: 0}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_gate_reads_the_smallest_symplectic_eigenvalue_off_the_shared_svd(backend, monkeypatch):
+    # 1 / s_max of the s = +1 matrix is nu_min = sqrt(lambda_min(X P)).  The
+    # reference eigenvalue carries an error of about EPS cond(X P) relative;
+    # the worst measured on these draws is 1.5 EPS cond(X P).
+    covs = random_states(backend, 150, seed=6)
+    xb = np.array([cov.x_block for cov in covs])
+    pb = np.array([cov.p_block for cov in covs])
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(svd(a)) or calls[-1])
+    _optimal_witnesses(xb, pb)
+    top = calls[0][1][:, 0, 0]
+    definite = (np.linalg.eigvalsh(xb)[:, 0] > 0.0) & (np.linalg.eigvalsh(pb)[:, 0] > 0.0)
+    assert definite.sum() > 100
+    xp = xb[definite] @ pb[definite]
+    nu = np.sqrt(np.linalg.eigvals(xp).real.min(axis=1))
+    assert np.all(np.abs(1.0 / top[definite] / nu - 1.0) <= 4.0 * EPS * np.linalg.cond(xp))
+
+
+def test_optimised_ratio_is_the_smallest_symplectic_eigenvalue_of_each_cut():
+    # On physical states the ratio of a cut is min(nu_min, nu~_min), nu~ of
+    # the partial transpose on the lone mode (its p flipped), taken here
+    # from i OMEGA sigma directly.  The worst measured is 6.9 EPS cond(sigma).
+    for cov in random_states("ehrenfest", 150, seed=7):
+        report = optimize_gains(cov)
+        nu = smallest_symplectic_eigenvalue(cov.sigma)
+        for bip in BIPARTITIONS:
+            flip = np.ones(6)
+            flip[2 * bip.lone + 1] = -1.0
+            want = min(nu, smallest_symplectic_eigenvalue(flip[:, None] * cov.sigma * flip))
+            ratio = report.record(bip.name).ratio
+            assert abs(ratio / want - 1.0) <= 32.0 * EPS * np.linalg.cond(cov.sigma), bip.name
+
+
+def test_optimizer_refuses_the_paper_literal_steady_state_at_the_balanced_point():
+    with pytest.warns(UserWarning, match="negative mean photon number"):
+        m = steady_state_moments(pref(0.0, 0.0), 1.0, backend="paper-literal")
+    with pytest.raises(DegenerateWitnessError, match=r"breaks the uncertainty relation "
+                       r"\(smallest symplectic eigenvalue 0\.\d+ < 1\)"):
+        optimize_gains(covariance_from_moments(m))
 
 
 def test_optimizer_dominates_defaults():
