@@ -219,8 +219,8 @@ def _single(witnesses) -> VlfReport:
 def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     """Evaluate all three bipartition witnesses at fixed gains.
 
-    gains maps a bipartition name to an (h, g) pair of 3-vectors; missing
-    entries use the defaults described in the module docstring.
+    gains maps a bipartition name to an (h, g) pair of finite 3-vectors;
+    missing entries use the defaults described in the module docstring.
     """
     if not isinstance(cov, CovarianceMatrix):
         raise TypeError("cov must be a CovarianceMatrix")
@@ -228,8 +228,18 @@ def vlf_evaluate(cov: CovarianceMatrix, gains=None) -> VlfReport:
     unknown = set(gains) - {b.name for b in BIPARTITIONS}
     if unknown:
         raise DegenerateWitnessError(f"unknown bipartition names: {sorted(unknown)}")
-    pairs = [gains.get(bip.name, (bip.default_h, bip.default_g)) for bip in BIPARTITIONS]
-    h, g = ([np.asarray(pair[k], dtype=float) for pair in pairs] for k in (0, 1))
+    pairs = []
+    for bip in BIPARTITIONS:
+        pair = gains.get(bip.name, (bip.default_h, bip.default_g))
+        try:
+            hg = np.array(pair, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            hg = np.empty(0)
+        if hg.shape != (2, 3) or not np.isfinite(hg).all():
+            raise DegenerateWitnessError(
+                f"bipartition {bip.name}: gains {pair!r} are not two finite 3-vectors (h, g)")
+        pairs.append(hg)
+    h, g = np.stack(pairs, axis=1)
     return _single(_witnesses(cov.x_block[None], cov.p_block[None], h, g))
 
 

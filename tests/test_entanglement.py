@@ -230,6 +230,23 @@ def test_optimizer_refuses_the_paper_literal_steady_state_at_the_balanced_point(
         optimize_gains(covariance_from_moments(m))
 
 
+@pytest.mark.parametrize("gains", [
+    ((1.0, 2.0), (1.0, 2.0)),  # once numpy's inhomogeneous-shape ValueError
+    ((1.0, 2.0, 3.0),),  # once an IndexError
+    ((1.0, 2.0), (1.0, 2.0, 3.0)),
+    ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0)),
+    ((np.nan, 1.0, -1.0), (0.0, 1.0, -1.0)),  # once a NaN ratio, not violated
+    ((0.0, 1.0, -1.0), (0.0, np.inf, -1.0)),
+    ((0.0, 1.0, -1.0), ("x", 1.0, -1.0)),
+    None,
+], ids=["two-2-vectors", "one-vector", "ragged", "three-vectors", "nan", "inf", "text", "none"])
+def test_vlf_evaluate_refuses_malformed_gains_naming_the_bipartition(gains):
+    cov = covariance_from_moments(SecondMoments.vacuum())
+    with pytest.raises(DegenerateWitnessError, match=r"bipartition 2\|13: gains .* are not two "
+                       r"finite 3-vectors"):
+        vlf_evaluate(cov, gains={"2|13": gains})
+
+
 def test_optimizer_dominates_defaults():
     rng = np.random.default_rng(42)
     for _ in range(8):
