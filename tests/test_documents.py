@@ -10,13 +10,20 @@ document_corpus._gap).  An excerpted document is compared by its line
 count and its stored rows.  Each test prints its document's worst distance.
 """
 
+import hashlib
+import math
+
 import pytest
 
 from document_corpus import (CORPUS, FORMATS, MANIFEST, distance, excerpt, manifest, omitted,
                              render, stored_form, stored_path, versions)
 
 # About twice the ode route's rtol of 1e-12, counted in ulps at unit scale:
-# solve_ivp may pick other steps when the arithmetic under it changes.
+# solve_ivp may pick other steps when the arithmetic under it changes.  On
+# numpy 2.4.6 and scipy 1.17.1 with other OpenBLAS kernels (OPENBLAS_CORETYPE
+# Haswell, Sandybridge, Prescott or Zen) every number stayed within 92 ulps
+# but the sweep margin column: the eigensolver's margin of a defective drift
+# (eta1 + eta2 = 0.5) moved by up to 2.4e7 ulps, which fails this bound.
 ULP_BOUND = 8192
 
 SPEC = manifest()
@@ -53,3 +60,39 @@ def test_document_matches_the_corpus(name, fmt):
 def test_corpus_holds_the_manifest_documents_only():
     stored = {path.name for path in CORPUS.iterdir()} - {MANIFEST.name}
     assert stored == {stored_path(name, fmt).name for name, fmt in DOCUMENTS}
+
+
+def test_parsed_comparison_counts_ulps_and_refuses_moved_text():
+    # the comparison off the recorded versions, which this suite otherwise
+    # runs only on other numpy or scipy versions
+    two = 2.0
+    for _ in range(3):
+        two = math.nextafter(two, 3.0)
+    assert distance('[\n  2.0,\n  "valid"\n]', f'[\n  {two!r},\n  "valid"\n]', None) == (3.0, 2)
+    # CSV cells at 12 digits: a neighbouring cell is rounding, two apart is not
+    assert distance("2.00000000001,valid", "2.00000000002,valid", 12)[0] < 1.0
+    assert distance("2.00000000001,valid", "2.00000000003,valid", 12)[0] > ULP_BOUND
+    with pytest.raises(AssertionError, match="line 1"):
+        distance("2,valid", "2,invalid", 12)
+    with pytest.raises(AssertionError):
+        distance("2\n3", "2", 12)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_excerpt_keeps_the_first_and_last_rows_and_digests_the_whole(fmt):
+    # rows (-0.5, -0.5) first and (0.5, 0.5) last; (0.5, -0.5) is unphysical
+    text = render("sweep --eta-grid 3x3 --eta1-range -0.5:0.5 --eta2-range -0.5:0.5", fmt)
+    lines, kept = text.splitlines(), excerpt(text, fmt).splitlines()
+    marker = next(i for i, line in enumerate(kept) if line.startswith("@@ "))
+    head, tail = kept[:marker], kept[marker + 1:]
+    assert lines[:len(head)] == head and lines[-len(tail):] == tail
+    assert len(head) + len(tail) < len(lines)
+    assert omitted(kept[marker]) == (len(lines), len(text.encode()),
+                                     hashlib.sha256(text.encode()).hexdigest())
+    if fmt == "csv":
+        assert head[-1].startswith("-0.5,-0.5,") and tail[0].startswith("0.5,0.5,")
+        assert len(tail) == 1
+    else:
+        opening = max(i for i, line in enumerate(head) if line == "    [")
+        assert head[opening + 1:opening + 3] == ["      -0.5,"] * 2 and head[-1] == "    ],"
+        assert tail[:3] == ["    [", "      0.5,", "      0.5,"] and tail[-3:] == ["    ]", "  ]", "}"]
