@@ -22,7 +22,6 @@ import io
 import json
 import math
 import re
-import sys
 import warnings
 from pathlib import Path
 
@@ -100,14 +99,18 @@ def stored_path(name: str, fmt: str) -> Path:
 
 
 def regenerate() -> None:
+    """Render every document, then replace the stored ones with them."""
     spec = manifest()
-    for old in CORPUS.glob("*"):
-        if old != MANIFEST:
-            old.unlink()
+    files = {}
     for name, argv in spec["documents"].items():
         for fmt in FORMATS:
             suffix, text = stored_form(render(argv, fmt), fmt)
-            (CORPUS / f"{name}.{suffix}").write_text(text, encoding="utf-8", newline="")
+            files[f"{name}.{suffix}"] = text
+    for old in CORPUS.iterdir():
+        if old != MANIFEST:
+            old.unlink()
+    for file, text in files.items():
+        (CORPUS / file).write_text(text, encoding="utf-8", newline="")
     spec.update(versions())
     MANIFEST.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
 
@@ -151,4 +154,4 @@ def omitted(stored: str) -> tuple[int, int, str] | None:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
