@@ -51,11 +51,13 @@ def test_covariance_fixtures():
 
 def test_sub_vacuum_covariance_flagged():
     # a negative photon number (what the paper-literal loss mode produces)
-    # pushes a quadrature variance below the vacuum floor; the witness
-    # optimum refuses such a covariance (see the uncertainty-relation tests)
+    # pushes a quadrature variance below the vacuum floor, and the witness
+    # optimum refuses the covariance: its mode 1 has symplectic eigenvalue 0.8
     m = SecondMoments(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
     cov = covariance_from_moments(m)
     assert cov.sigma[0, 0] == cov.sigma[1, 1] == pytest.approx(1.0 - 0.2)
+    with pytest.raises(DegenerateWitnessError, match="smallest symplectic eigenvalue 0.8 < 1"):
+        optimize_gains(cov)
 
 
 def test_covariance_validation():
