@@ -498,26 +498,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     Its ``commands`` maps each command name to that command's parser, and
     its ``command_options`` holds the option strings of all the commands.
+    Each command's parser holds its ``flags``, the Action each of its
+    option strings names, and its ``defaults``, the namespace of an empty
+    line once _parse_exact first needs it.
     """
     parser = _CommandLine(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.command_options = {"--config", "--out", "--format"}
+    parser.command_options = set()
     for command, (func, text, names) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        p.add_argument("--config", help="JSON file with parameters (a previous run's JSON output works)")
-        p.add_argument("--out", help="write here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        actions = [
+            p.add_argument("--config",
+                           help="JSON file with parameters (a previous run's JSON output works)"),
+            p.add_argument("--out", help="write here instead of stdout"),
+            p.add_argument("--format", choices=("csv", "json"), default="csv"),
+        ]
         for key in names:
             _, _, choices, flag = PARAMETERS[key]
             flag = dict(flag, dest=key)
             if choices and "action" not in flag:
                 flag["choices"] = choices
-            action = p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag)
-            parser.command_options.update(action.option_strings)
+            actions.append(p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag))
         p.set_defaults(func=func, command=command)
+        p.flags = {option: action for action in actions for option in action.option_strings}
+        p.defaults = None
+        parser.command_options.update(p.flags)
     parser.commands = sub.choices
     return parser
 
@@ -541,15 +549,60 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
+    """The namespace ``parser.parse_args(argv)`` gives, when every token of
+    argv is one of the command's exact option strings or the value one
+    takes; None otherwise, and argparse parses the line.
+
+    Each flag sets its dest on a copy of the empty line's namespace, the
+    last occurrence winning.  Left to argparse, so that its help and every
+    refusal keep their wording: an abbreviation, -h/--help, a positional,
+    '--', a value given to a store_const flag, a missing value, a separate
+    value led by '-', the value '--' (argparse drops it), and a value that
+    fails its type or lies outside its choices.
+    """
+    if parser.defaults is None:
+        parser.defaults = parser.parse_args([])
+    args = argparse.Namespace(**vars(parser.defaults))
+    tokens = iter(argv)
+    for token in tokens:
+        flag, attached, value = token.partition("=")
+        action = parser.flags.get(flag)
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_const
+            if attached:
+                return None
+            setattr(args, action.dest, action.const)
+            continue
+        if not attached:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = _attach_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     # The full parser would classify every token, then hand them all to the
     # command's parser; that parser alone gives the same namespace and errors.
+    args = None
     if argv and argv[0] in parser.commands:
         parser, argv = parser.commands[argv[0]], argv[1:]
+        args = _parse_exact(parser, argv)
     try:
-        args = parser.parse_args(argv)
+        if args is None:
+            args = parser.parse_args(argv)
         text = args.func(args)
     except (PreparationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -298,15 +298,6 @@ class SecondMoments:
         )
 
     @classmethod
-    def from_matrix(cls, s: np.ndarray, tol: float = 1e-9) -> "SecondMoments":
-        s = np.asarray(s, dtype=float)
-        if s.shape != (3, 3):
-            raise ValueError("second-moment matrix must be 3x3")
-        if np.abs(s - s.T).max() > tol * max(1.0, np.abs(s).max()):
-            raise ConsistencyError("second-moment matrix is not symmetric")
-        return cls(*((s + s.T) / 2.0).ravel()[_MOMENT_ENTRIES].tolist())
-
-    @classmethod
     def vacuum(cls) -> "SecondMoments":
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -1,7 +1,8 @@
 """The committed document corpus in tests/documents, and its regeneration.
 
 MANIFEST.json maps each document's name to the ycel argv that makes it and
-records the numpy and scipy versions the corpus was made with.  Each argv
+records the numpy and scipy versions the corpus was made with, and the
+OpenBLAS kernel ("core") numpy's library picked on that CPU.  Each argv
 is run twice, with --format csv and --format json.  A document of at most
 EXCERPT_BYTES is stored whole as <name>.csv or <name>.json; a larger one
 as <name>.<format>.excerpt: its lines through the first table row, one
@@ -17,6 +18,7 @@ repository root and commit the diff with the change:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -40,11 +42,34 @@ def manifest() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU at run time,
+    such as "SkylakeX" or "Haswell", or None for another BLAS."""
+    import numpy
+
+    package = Path(numpy.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            library = ctypes.CDLL(str(path))  # the copy numpy loaded
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            corename = getattr(library, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def versions() -> dict:
+    """What the corpus's bytes depend on besides the code: the numpy and
+    scipy versions and numpy's OpenBLAS kernel."""
     import numpy
     import scipy
 
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "openblas_core": openblas_core()}
 
 
 def render(argv: str, fmt: str) -> str:

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ycel
-from ycel.cli import COMMANDS, PARAMETERS, _attach_negative_numbers, build_parser, main
+from ycel.cli import (COMMANDS, PARAMETERS, _attach_negative_numbers, _parse_exact,
+                      build_parser, main)
 from ycel.errors import ConfigurationError, PreparationError, YcelError
 from ycel.serialize import format_value
 
@@ -1322,15 +1323,16 @@ EDGE_ARGVS = [
 
 
 def test_main_gives_the_results_and_namespaces_of_the_full_parser(tmp_path, monkeypatch):
+    # each command hands its namespace to _resolve first, whichever of the
+    # flag table and argparse parsed its line
     namespaces = []
-    parse_args = argparse.ArgumentParser.parse_args
+    resolve = ycel.cli._resolve
 
-    def recording_parse_args(parser, *args, **kwargs):
-        namespace = parse_args(parser, *args, **kwargs)
-        namespaces.append(dict(vars(namespace)))
-        return namespace
+    def recording_resolve(args):
+        namespaces.append(dict(vars(args)))
+        return resolve(args)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    monkeypatch.setattr(ycel.cli, "_resolve", recording_resolve)
     out = tmp_path / "doc.out"
     config = tmp_path / "steady.json"
     assert main([*ROUND_TRIPS["steady"], "--format", "json", "--out", str(config)]) == 0
@@ -1347,6 +1349,119 @@ def test_main_gives_the_results_and_namespaces_of_the_full_parser(tmp_path, monk
         assert new == old, argv
         parsed += bool(namespaces)
     assert parsed >= 13
+
+
+# main resolves a line of exact long options through each command's flag
+# table and leaves every other line to argparse.  The lines below are drawn
+# from a command's option strings, whole and abbreviated, in the '=' and
+# separate forms and bare, with values their type and choices take or
+# refuse, mixed with help flags, positionals and '--'.  Wherever the table
+# gives a namespace, argparse must give the same one (NaN compared by repr).
+BAD_VALUES = st.sampled_from(["--", "-", "", "-x", "--eta1", "-0.5", "-inf", "nan", "1e999",
+                              "abc", "0,a", " 1", "1_0", "xml", "json", "paper-literal"])
+STRAY_TOKENS = st.sampled_from(["-h", "--help", "stray", "--", "-", "-0.5", "-5", "--bogus"])
+
+
+def flag_values(action):
+    """Value texts for a flag: ones its type and choices take, and ones not."""
+    if action.choices is not None:
+        good = st.sampled_from(list(action.choices))
+    elif action.type is float:
+        good = st.floats().map(repr) | st.integers(-10, 10).map(str)
+    elif action.type is int:
+        good = st.integers(-10, 10).map(str)
+    elif action.type is not None:  # the comma-separated time list
+        good = st.lists(st.floats(allow_nan=False), max_size=3).map(
+            lambda values: ",".join(map(repr, values)))
+    else:
+        good = st.sampled_from(["doc.out", "21x21", "-1:1", "a=b", "0:0.5"])
+    return good | BAD_VALUES
+
+
+def flag_tokens(option, action):
+    """One flag's tokens: exact or abbreviated, bare, 'flag=value' or 'flag value'."""
+    names = st.just(option) | st.sampled_from([option[:-1], option[:5]])
+    values = flag_values(action)
+    forms = [names.map(lambda name: [name]),
+             st.tuples(names, values).map(lambda drawn: ["=".join(drawn)]),
+             st.tuples(names, values).map(list)]
+    # the form the flag takes is drawn twice as often: bare for a
+    # store_const flag, 'flag=value' otherwise
+    return st.one_of(*forms, forms[0 if action.nargs == 0 else 1])
+
+
+def command_lines(command):
+    flags = build_parser().commands[command].flags
+    tokens = st.one_of(*(flag_tokens(option, action) for option, action in flags.items()))
+    return st.lists(tokens | STRAY_TOKENS.map(lambda token: [token]), max_size=5).map(
+        lambda parts: _attach_negative_numbers([token for part in parts for token in part]))
+
+
+def by_repr(namespace):
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flag_table_gives_the_namespace_of_argparse(command):
+    parser = build_parser().commands[command]
+    accepted = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(line=command_lines(command))
+    @example(line=["--out=--"])  # argparse reads this '--' as no value, not as a path
+    @example(line=["--format=json", "--format", "csv", "--out=a b"])
+    def check(line):
+        table = _parse_exact(parser, line)
+        if table is None:
+            return
+        accepted.append(line)
+        try:
+            full = parser.parse_args(line)
+        except (ConfigurationError, SystemExit) as exc:
+            pytest.fail(f"argparse refused {line!r} that the table took: {exc!r}")
+        assert by_repr(table) == by_repr(full), line
+
+    check()
+    assert len(accepted) >= 30
+
+
+def test_flag_table_leaves_argparse_the_lines_it_does_not_resolve():
+    parser = build_parser().commands["sweep"]
+    for line in (["--out=--"], ["--out", "--"], ["--out"], ["--out", "-x"], ["--no-optimize=1"],
+                 ["--eta-gr", "3x3"], ["--A", "-0.5"], ["-h"], ["stray"], ["--", "--A=1"],
+                 ["--A=x"], ["--format=xml"]):
+        assert _parse_exact(parser, line) is None, line
+    assert vars(_parse_exact(parser, ["--A=-0.5", "--no-optimize", "--A=2"])) == vars(
+        parser.parse_args(["--A=-0.5", "--no-optimize", "--A=2"]))
+
+
+# One line per kind of call the benchmark makes, each with --format json
+# --out: main must give its document without calling argparse.
+EXACT_LINES = {
+    "prefactors": ["prefactors", "--eta1=0.1", "--eta2=0.25", "--A=0.5"],
+    "evolve": ["evolve", "--eta1=0.1", "--eta2=0.25", "--A=0.5", "--t=5.0"],
+    "steady": ["steady", "--eta1=0.1", "--eta2=0.25", "--A=0.5"],
+    "oracle": ["oracle", "--eta1=0.0", "--eta2=0.0", "--A=0.5", "--nmax=3", "--dt=0.05",
+               "--edge-tol=0.001", "--times=0.25,0.5"],
+    "sweep": ["sweep", "--eta-grid", "3x3", "--A=0.5", "--at-time=5.0", "--no-optimize"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_LINES))
+def test_benchmark_lines_are_parsed_without_argparse(command, tmp_path, monkeypatch):
+    out = tmp_path / "doc.json"
+    argv = [*EXACT_LINES[command], "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    document = out.read_bytes()
+    out.unlink()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a line of exact long options")
+
+    for parser in build_parser().commands.values():
+        monkeypatch.setattr(parser, "parse_args", refuse)
+    assert main(argv) == 0
+    assert out.read_bytes() == document
 
 
 # Property check of the refusals above: every malformed value argparse still

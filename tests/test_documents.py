@@ -1,8 +1,9 @@
 """Every document of the committed corpus in tests/documents, made afresh.
 
-On the numpy and scipy versions that MANIFEST.json records, each document
-must equal its stored form byte for byte.  Elsewhere numpy's ufunc kernels
-and the LAPACK build move the last bits, so each document is compared as
+On the numpy and scipy versions and the OpenBLAS kernel that MANIFEST.json
+records, each document must equal its stored form byte for byte.  Elsewhere
+numpy's ufunc kernels, the LAPACK build and the kernel OpenBLAS picks for
+the CPU move the last bits, so each document is compared as
 parsed text: the same lines, the same text between the numbers, and each
 number within ULP_BOUND float64 ulps (at unit scale or above; a CSV cell,
 printed at 12 digits, is allowed one unit in its last digit besides; see
@@ -27,7 +28,7 @@ from document_corpus import (CORPUS, FORMATS, MANIFEST, distance, excerpt, manif
 ULP_BOUND = 8192
 
 SPEC = manifest()
-RECORDED = {key: SPEC[key] for key in ("numpy", "scipy")}
+RECORDED = {key: SPEC[key] for key in ("numpy", "scipy", "openblas_core")}
 DOCUMENTS = [(name, fmt) for name in SPEC["documents"] for fmt in FORMATS]
 
 
@@ -44,7 +45,7 @@ def test_document_matches_the_corpus(name, fmt):
         suffix, text = stored_form(fresh, fmt)
         assert path.name == f"{name}.{suffix}"
         assert text == stored, f"{path.name} moved; regenerate it if the change is deliberate"
-        print(f"{path.name}: byte-identical on numpy {RECORDED['numpy']}, scipy {RECORDED['scipy']}")
+        print(f"{path.name}: byte-identical on {RECORDED}")
         return
     whole = omitted(stored)
     if whole is not None:

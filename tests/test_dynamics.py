@@ -353,11 +353,6 @@ def test_occupations_stay_nonnegative_from_vacuum():
             assert min(m.n1, m.n2, m.n3) >= -1e-10
 
 
-def test_moment_matrix_round_trip():
-    m = SecondMoments(0.1, 0.2, 0.3, 0.04, 0.05, 0.06)
-    assert SecondMoments.from_matrix(m.as_matrix()) == m
-
-
 def defective_line_points():
     """(eta1, eta2, A) on or next to the defective line eta1 + eta2 = 1/2."""
     grid = [float(v) for v in np.linspace(-1.0, 1.0, 21)]
