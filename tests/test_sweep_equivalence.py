@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ycel import (
     BIPARTITIONS,
@@ -191,11 +192,11 @@ OUTCOMES = {0.5: {"rows"}, 2.0: {"rows"}, 3.5: {"rows", "HorizonError"},
             1e200: {"FloatRangeError", "HorizonError"}}
 
 
-def stacked_trajectory(pref, backend, times):
+def stacked_trajectory(pref, backend, times, kappa=1.0):
     """second_moment_trajectory's rows, refusal and warnings, from the
     stacked engine at one time after another."""
     cols = np.array([tuple(pref)])
-    per_time = [dynamics._second_moment_rows(cols, 1.0, backend, t)[1:] for t in times]
+    per_time = [dynamics._second_moment_rows(cols, kappa, backend, t)[1:] for t in times]
     if any(errors[0] is not None for _, errors in per_time):
         # the trajectory is refused in the words of its last time
         error = per_time[-1][1][0]
@@ -238,6 +239,78 @@ def test_trajectory_rows_match_the_stacked_rows_at_each_time(backend, gain_scale
     if backend == "paper-literal" and "rows" in expected:
         expected = expected | {"NegativeOccupationWarning"}
     assert outcomes == expected
+
+
+def trajectory_outcome(fn, *args, **kwargs):
+    """The rows and warnings of a trajectory call, or its refusal."""
+    try:
+        moments, caught = run(fn, *args, **kwargs)
+    except YcelError as exc:
+        return type(exc), str(exc)
+    return exact([getattr(m, "as_tuple", lambda: m)() for m in moments]), caught
+
+
+# The physical triangle's corners rho00 = 1, rho33 = 1 and rho22 = 1.
+CORNERS = [(1.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+def on_segment(start, stop, s):
+    return tuple(a + s * (b - a) for a, b in zip(start, stop))
+
+
+@st.composite
+def preparations(draw):
+    """A point inside the triangle, on one of its edges, or exactly on the
+    defective line eta1 + eta2 = 0.5."""
+    kind = draw(st.sampled_from(["inside", "edge", "defective"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "inside":
+        u, v = draw(unit), draw(unit)
+        if u + v > 1.0:
+            u, v = 1.0 - u, 1.0 - v
+        (x0, y0), (x1, y1), (x2, y2) = CORNERS
+        point = (x0 + u * (x1 - x0) + v * (x2 - x0), y0 + u * (y1 - y0) + v * (y2 - y0))
+    elif kind == "edge":
+        k = draw(st.integers(0, 2))
+        point = on_segment(CORNERS[k], CORNERS[(k + 1) % 3], draw(unit))
+    else:
+        e1 = draw(st.floats(0.0, 0.5))
+        point = (e1, 0.5 - e1)
+        if sum(point) != 0.5:
+            point = (0.25, 0.25)
+    if not validate_physical(*point).valid:
+        point = CORNERS[0]
+    return point
+
+
+@st.composite
+def sample_times(draw):
+    """1-21 nondecreasing times up to a horizon of at most 1e4 (in 1/kappa),
+    often with t = 0 and with repeated times."""
+    horizon = 10.0 ** draw(st.floats(-3.0, 4.0))
+    fractions = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                              min_size=1, max_size=21))
+    return sorted(f * horizon for f in fractions)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(point=preparations(),
+       gain=st.one_of(st.floats(0.05, 3.0), st.just(1e200)),
+       kappa=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       times=sample_times(),
+       backend=st.sampled_from(["ehrenfest", "paper-literal"]))
+@example(point=(0.25, 0.25), gain=1.0, kappa=1.0, times=[0.0, 0.0, 2.0, 2.0],
+         backend="paper-literal")
+@example(point=(-0.5, -0.5), gain=3.0, kappa=1e-3, times=[0.0, 1e7], backend="ehrenfest")
+@example(point=(0.0, 0.5), gain=1e200, kappa=1e3, times=[0.0, 1e-3], backend="ehrenfest")
+def test_drawn_trajectories_match_the_stacked_rows_at_each_time(point, gain, kappa, times,
+                                                                backend):
+    # gain is the rate A in units of kappa, and the times are in 1/kappa
+    pref = prefactors_from_inversions(*point, gain * kappa)
+    times = [t / kappa for t in times]
+    got = trajectory_outcome(second_moment_trajectory, pref, kappa, times, backend=backend)
+    want = trajectory_outcome(stacked_trajectory, pref, backend, times, kappa)
+    assert got == want
 
 
 @pytest.mark.parametrize("gain_scale", [0.5, 3.5, 1e300])
