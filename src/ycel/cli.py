@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 import warnings
@@ -350,17 +351,12 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     with notes:
         pref = _build_prefactors(params)
         _final_time(times, params)
-    from .dynamics import second_moment_trajectory
+    from .dynamics import _trajectory_rows
 
     with notes:
-        moments = second_moment_trajectory(
-            pref,
-            params["kappa"],
-            [t * _time_scale(params) for t in times],
-            backend=params["backend"],
-            route=params["route"],
-        )
-    cells = [times, *zip(*(m.as_tuple() for m in moments))]
+        rows = _trajectory_rows(pref, params["kappa"], [t * _time_scale(params) for t in times],
+                                params["backend"], params["route"])
+    cells = [times, *zip(*rows)]
     columns = ("time", *MOMENT_COLUMNS)
     return table_document(args.format, args.command, params, columns, cells, notes)
 
@@ -591,6 +587,16 @@ def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
     return args
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Replace the file at path with data, as open(path, "w") would."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def main(argv=None) -> int:
     argv = _attach_negative_numbers(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
@@ -612,8 +618,7 @@ def main(argv=None) -> int:
         return 3
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            _write_file(args.out, text.encode("utf-8"))
         except OSError as exc:
             print(f"error: cannot write output {args.out!r}: {exc.strerror}", file=sys.stderr)
             return 2

@@ -40,10 +40,11 @@ entanglement.sweep passes its grid through in chunks.  The public
 single-preparation calls, where numpy's per-call overhead would dominate a
 stack of one, compute the same values bit for bit on Python floats, except
 for two steps: r = Q w, which numpy hands to BLAS in its own summation
-order, and a trajectory's np.exp and np.expm1, which differ from math's in
-the last bit for some arguments.  The ode route integrates the six
-equations numerically as an independent check; only it imports
-scipy.integrate.
+order, and a trajectory's exponentials, which differ from math's in the
+last bit for some arguments; a trajectory gathers them over all its
+sample times into one np.expm1 and one np.exp call.  The ode route
+integrates the six equations numerically as an independent check; only it
+imports scipy.integrate.
 """
 
 from __future__ import annotations
@@ -377,15 +378,15 @@ def _integrals(kappa: float, mu: np.ndarray, t):
     return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
 
 
-def _moment_rows_at(a, v, mu, q, kappa: float, t):
-    """(n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T) + I2 c v v^T,
-    and for each preparation None or the FloatRangeError refusing it.
+def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
+    """(N, 6) rows (n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T)
+    + I2 c v v^T, and for each preparation None or the FloatRangeError
+    refusing it.
 
-    a, v, mu and q describe N preparations; t is a (T, 1) array of times,
-    giving (T, N, 6) rows, or None for the steady states, giving (N, 6).
-    Each term of S is symmetric in floating point, so S is too.  Past a
-    gain rate or a time near 1e154 a product overflows, and inf * 0 gives
-    NaN: a preparation with a non-finite row at any time is refused.  The
+    a, v, mu and q describe N preparations; t is one time, or None for the
+    steady states.  Each term of S is symmetric in floating point, so S is
+    too.  Past a gain rate or a time near 1e154 a product overflows, and
+    inf * 0 gives NaN: a preparation with a non-finite row is refused.  The
     rows of drifts that the caller refuses as unstable are evaluated too,
     and may divide by zero; no floating-point warning is raised.
     """
@@ -399,12 +400,11 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t):
              + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
              + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
     # + 0.0 turns the -0.0 that t = 0 leaves under negative entries into 0.0
-    rows = s.reshape(*s.shape[:-2], 9)[..., _MOMENT_ENTRIES] + 0.0
+    rows = s.reshape(-1, 9)[:, _MOMENT_ENTRIES] + 0.0
     errors = [None] * len(a)
     if not np.isfinite(rows).all():
-        finite = np.isfinite(rows).all(axis=-1)
-        when = "in the steady state" if t is None else f"by t={t[-1, 0]:.6g}"
-        for i in np.flatnonzero(~finite if t is None else ~finite.all(axis=0)):
+        when = "in the steady state" if t is None else f"by t={t:.6g}"
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=-1)):
             errors[i] = _range_error(a[i], when)
     return rows, errors
 
@@ -419,11 +419,6 @@ def _warn_occupation(low: float, backend: str, stacklevel: int) -> None:
             NegativeOccupationWarning,
             stacklevel=stacklevel + 1,
         )
-
-
-def _check_occupations(m: SecondMoments, backend: str, stacklevel: int = 3) -> SecondMoments:
-    _warn_occupation(min(m.n1, m.n2, m.n3), backend, stacklevel)
-    return m
 
 
 def second_moment_trajectory(
@@ -441,6 +436,14 @@ def second_moment_trajectory(
     defective drifts included; the ode route integrates the same equation
     numerically.
     """
+    return [SecondMoments(*row) for row in _trajectory_rows(pref, kappa, times, backend, route)]
+
+
+def _trajectory_rows(pref: Prefactors, kappa: float, times, backend: str,
+                     route: str) -> list[list[float]]:
+    """second_moment_trajectory's moments as lists (n1, n2, n3, c32, c31,
+    c21), one per time, after its NegativeOccupationWarnings, which name the
+    line that called second_moment_trajectory."""
     times = [float(t) for t in times]
     if not times or not all(0.0 <= t < math.inf for t in times):
         raise ValueError("times must be finite and nonnegative")
@@ -453,18 +456,52 @@ def second_moment_trajectory(
     if overflow is not None:
         raise overflow
     if route == "ode":
-        return _integrate_second_moments(drift_matrix(pref, kappa), q[0], times, backend)
-    # _moment_rows_at's sum, term for term, on the (T, 1) time axis
+        rows = _integrate_second_moments(drift_matrix(pref, kappa), q[0], times)
+    else:
+        rows = _closed_form_rows(kappa, a, mu, c, entries, times)
+    for row in rows:
+        _warn_occupation(min(row[:3]), backend, stacklevel=3)
+    return rows
+
+
+def _closed_form_rows(kappa: float, a: float, mu: float, c: float, entries,
+                      times: list[float]) -> list[list[float]]:
+    """_integrals and _moment_rows_at of one preparation at each time, in
+    their order on Python floats, from _preparation's a, mu, c and entries.
+
+    Only the exponentials stay in numpy: one np.expm1 call takes every
+    sample's psi arguments (|mu| t, kappa t and the _g_pair nodes q t), and
+    one np.exp call its slope arguments.  No divisor is 0: kappa > 0, and
+    each _g_pair's p is its node of larger magnitude.
+    """
+    x1 = kappa + mu  # the nodes of _g_pair(kappa, mu) and _g_pair(kappa + mu, mu)
+    y2, end = x1 + mu, kappa + 2.0 * mu
+    p1, q1 = (x1, kappa) if abs(x1) > abs(kappa) else (kappa, x1)
+    p2, q2 = (y2, x1) if abs(y2) > abs(x1) else (x1, y2)
+    far = abs(end) > kappa
+    lows = (min(kappa, x1), min(x1, y2), min(kappa, end))
+    z = [x * t for t in times for x in (abs(mu), kappa, q1, q2)]
     with np.errstate(all="ignore"):
-        i0, i1, i2 = _integrals(kappa, mu, np.array(times)[:, None])
-        terms = np.array(entries)
-        rows = (i0 * terms[0] + (a * i1) * terms[1]) + (2.0 * a * a * c * i2) * terms[2] + 0.0
-    if not np.isfinite(rows).all():
+        # _psi's guard: an argument 0 is replaced, and its psi is 1
+        em1 = np.expm1([-(x or 1.0) for x in z]).tolist()
+        decay = np.exp([-x * t for t in times for x in lows]).tolist()
+    psi = [1.0 if x == 0.0 else -e / x for x, e in zip(z, em1)]
+    ac2 = 2.0 * a * a * c
+    rows = []
+    for k, t in enumerate(times):
+        pm, pk, pq1, pq2 = psi[4 * k:4 * k + 4]
+        d1, d2, d3 = decay[3 * k:3 * k + 3]
+        i1 = (t * d1 * pm - t * pq1) / p1
+        rest = i1 if far else (t * d2 * pm - t * pq2) / p2
+        i2 = (-0.5 * t * t * d3 * (pm * pm) - rest) / (end if far else kappa)
+        i0, ai1, ai2 = t * pk, a * i1, ac2 * i2
+        rows.append([i0 * q + ai1 * vr + ai2 * vv + 0.0 for q, vr, vv in zip(*entries)])
+    if not all(math.isfinite(x) for row in rows for x in row):
         raise _range_error(a, f"by t={times[-1]:.6g}")
-    return [_check_occupations(SecondMoments(*row), backend) for row in rows.tolist()]
+    return rows
 
 
-def _integrate_second_moments(m, q, times, backend):
+def _integrate_second_moments(m, q, times):
     from scipy.integrate import solve_ivp
 
     y0 = np.zeros(6)
@@ -476,7 +513,7 @@ def _integrate_second_moments(m, q, times, backend):
     # t_eval must be strictly inside the span; handle t=0 and duplicates by lookup
     t_end = times[-1]
     if t_end == 0.0:
-        return [SecondMoments.vacuum()] * len(times)
+        return [[0.0] * 6 for _ in times]
     unique = sorted({t for t in times if t > 0.0})
     sol = solve_ivp(
         rhs,
@@ -489,12 +526,9 @@ def _integrate_second_moments(m, q, times, backend):
     )
     if not sol.success:
         raise ConsistencyError(f"moment integration failed: {sol.message}")
-    table = {t: sol.y[:, i] for i, t in enumerate(unique)}
-    table[0.0] = y0
-    return [
-        _check_occupations(SecondMoments(*(float(x) for x in table[t])), backend)
-        for t in times
-    ]
+    table = dict(zip(unique, sol.y.T.tolist()))
+    table[0.0] = y0.tolist()
+    return [table[t] for t in times]
 
 
 def evolve_second_moments(
@@ -529,10 +563,8 @@ def _second_moment_rows(cols: np.ndarray, kappa: float, backend: str, at_time: f
     else:
         errors = _horizon_errors(margin, mu, kappa, at_time)
     # every row is evaluated, and a refused one is then blanked
-    t = None if at_time is None else np.array([[at_time]])
-    rows, range_errors = _moment_rows_at(a, v, mu, q, kappa, t)
+    rows, range_errors = _moment_rows_at(a, v, mu, q, kappa, at_time)
     errors = [r if e is None else e for e, r in zip(errors, range_errors)]
-    rows = rows.reshape(-1, 6)
     rows[np.flatnonzero([e is not None for e in errors])] = np.nan
     return margin, rows, errors
 
@@ -574,4 +606,5 @@ def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, 
     row = [i0 * q + ai1 * vr + ai2 * vv + 0.0 for q, vr, vv in zip(*entries)]
     if not all(map(math.isfinite, row)):
         raise _range_error(a, "in the steady state")
-    return margin, _check_occupations(SecondMoments(*row), backend, stacklevel=4)
+    _warn_occupation(min(row[:3]), backend, stacklevel=3)
+    return margin, SecondMoments(*row)

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ycel
+from document_corpus import FORMATS, manifest, render, stored_path, versions
+from ycel import dynamics
 from ycel.cli import (COMMANDS, PARAMETERS, _attach_negative_numbers, _parse_exact,
                       build_parser, main)
 from ycel.errors import ConfigurationError, PreparationError, YcelError
@@ -930,6 +932,71 @@ def test_unwritable_out_exits_2_with_one_line(target, tmp_path, capsys):
     path = tmp_path.joinpath(*target)
     code, out, err = run_cli(capsys, *PREFACTOR_POINT, "--out", str(path))
     assert_one_error_line(code, out, err, f"cannot write output {str(path)!r}: ")
+
+
+EVOLVE_JSON = ("evolve", "--eta1", "0.1", "--eta2", "0.25", "--A", "0.5", "--t", "5",
+               "--format", "json")
+
+
+def test_out_holds_the_whole_document_through_short_writes(tmp_path, capsys, monkeypatch):
+    code, document, _ = run_cli(capsys, *EVOLVE_JSON)
+    assert code == 0
+    data, write, sizes = document.encode("utf-8"), os.write, []
+
+    def short_write(fd, chunk):
+        sizes.append(write(fd, chunk[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    out = tmp_path / "doc.json"
+    assert main([*EVOLVE_JSON, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert out.read_bytes() == data
+    assert len(sizes) == -(-len(data) // 7)
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    code, document, _ = run_cli(capsys, *EVOLVE_JSON)
+    out = tmp_path / "doc.json"
+    out.write_bytes(b"x" * (4 * len(document)))
+    assert main([*EVOLVE_JSON, "--out", str(out)]) == 0
+    assert out.read_bytes() == document.encode("utf-8")
+
+
+# The corpus's closed-form evolve lines: both backends and the defective
+# line, sampled at t = 0, 1, ..., 5.  A --times list with 0 and repeats
+# picks these rows of each.
+CORPUS_EVOLVES = ("evolve", "evolve-paper-literal", "evolve-defective-line")
+PICKED = (0, 0, 1, 3, 3, 5)
+
+
+def table_rows(text, fmt):
+    return json.loads(text)["rows"] if fmt == "json" else parse_csv(text)[2]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", CORPUS_EVOLVES)
+def test_closed_form_evolve_builds_no_moment_objects(name, fmt, tmp_path, monkeypatch):
+    # the stored document, where the corpus was recorded on this numpy,
+    # scipy and OpenBLAS kernel; elsewhere test_documents pins the fresh
+    # document to it within its ulp bound
+    argv = manifest()["documents"][name]
+    stored = stored_path(name, fmt).read_text(encoding="utf-8")
+    expected = stored if versions().items() <= manifest().items() else render(argv, fmt)
+    picked_argv = argv.replace("--t 5 --samples 6", "--times " + ",".join(map(str, PICKED)))
+    assert picked_argv != argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form evolve left the trajectory's float kernel")
+
+    monkeypatch.setattr(dynamics, "_integrals", refuse)
+    monkeypatch.setattr(dynamics, "SecondMoments", refuse)
+    out = tmp_path / f"doc.{fmt}"
+    assert main([*argv.split(), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    assert main([*picked_argv.split(), "--format", fmt, "--out", str(out)]) == 0
+    rows = table_rows(expected, fmt)
+    assert table_rows(out.read_text(encoding="utf-8"), fmt) == [rows[i] for i in PICKED]
 
 
 def test_evolve_matches_oracle(capsys):

@@ -174,6 +174,18 @@ def test_paper_literal_negative_occupation_reported():
     assert mt.n1 == pytest.approx(expected, rel=1e-10)
 
 
+def test_negative_occupation_warnings_name_the_callers_line():
+    p = pref(1.0, 1.0, a=1.0)
+    calls = [lambda: steady_state_moments(p, 1.0, backend="paper-literal")]
+    for route in ("closed-form", "ode"):
+        calls.append(lambda route=route: second_moment_trajectory(
+            p, 1.0, [0.0, 1.0, 2.0], backend="paper-literal", route=route))
+    for call in calls:
+        with pytest.warns(NegativeOccupationWarning) as caught:
+            call()
+        assert {w.filename for w in caught} == {__file__}
+
+
 def test_initial_condition_recovered_at_t0():
     # every trajectory starts from vacuum, exactly, on both routes
     p = pref(0.2, 0.1)
@@ -183,13 +195,24 @@ def test_initial_condition_recovered_at_t0():
         assert out[2] != SecondMoments.vacuum()
 
 
+def route_pairs():
+    """The route check's draws: a (closed-form, ode) pair of SecondMoments
+    for each of six stable preparations at t = 0.7 and 4."""
+    return [tuple(evolve_second_moments(p, 1.0, t, route=route) for route in ("closed-form", "ode"))
+            for p in random_stable_sets(6, seed=7) for t in (0.7, 4.0)]
+
+
+def routes_agree(closed, ode):
+    """Whether every closed-form moment lies within 1e-8 of the largest ode
+    moment (or of 1e-12, if that is smaller) of its ode value."""
+    a, b = np.array(closed.as_tuple()), np.array(ode.as_tuple())
+    scale = max(np.abs(b).max(), 1e-12)
+    return np.abs(a - b).max() < 1e-8 * scale
+
+
 def test_route_equivalence_on_random_stable_sets():
-    for p in random_stable_sets(6, seed=7):
-        for t in (0.7, 4.0):
-            a = evolve_second_moments(p, 1.0, t, route="closed-form")
-            b = evolve_second_moments(p, 1.0, t, route="ode")
-            scale = max(np.abs(np.array(b.as_tuple())).max(), 1e-12)
-            assert np.abs(np.array(a.as_tuple()) - np.array(b.as_tuple())).max() < 1e-8 * scale
+    for closed, ode in route_pairs():
+        assert routes_agree(closed, ode), (closed, ode)
 
 
 def test_einstein_relation_via_finite_differences():
