@@ -474,7 +474,8 @@ def _closed_form_rows(kappa: float, a: float, mu: float, c: float, entries,
     one np.exp call its slope arguments.  No divisor is 0: kappa > 0, and
     each _g_pair's p is its node of larger magnitude.
     """
-    x1 = kappa + mu  # the nodes of _g_pair(kappa, mu) and _g_pair(kappa + mu, mu)
+    # _g_pair(kappa, mu) has the nodes kappa and x1, _g_pair(x1, mu) x1 and y2
+    x1 = kappa + mu
     y2, end = x1 + mu, kappa + 2.0 * mu
     p1, q1 = (x1, kappa) if abs(x1) > abs(kappa) else (kappa, x1)
     p2, q2 = (y2, x1) if abs(y2) > abs(x1) else (x1, y2)

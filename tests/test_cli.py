@@ -950,7 +950,6 @@ def test_out_holds_the_whole_document_through_short_writes(tmp_path, capsys, mon
     monkeypatch.setattr(os, "write", short_write)
     out = tmp_path / "doc.json"
     assert main([*EVOLVE_JSON, "--out", str(out)]) == 0
-    monkeypatch.undo()
     assert out.read_bytes() == data
     assert len(sizes) == -(-len(data) // 7)
 

@@ -274,12 +274,9 @@ def preparations(draw):
         k = draw(st.integers(0, 2))
         point = on_segment(CORNERS[k], CORNERS[(k + 1) % 3], draw(unit))
     else:
-        e1 = draw(st.floats(0.0, 0.5))
-        point = (e1, 0.5 - e1)
-        if sum(point) != 0.5:
-            point = (0.25, 0.25)
-    if not validate_physical(*point).valid:
-        point = CORNERS[0]
+        # for e1 in [0.25, 0.5], 0.5 - e1 and the sum 0.5 are exact
+        e1 = draw(st.floats(0.25, 0.5))
+        point = (e1, 0.5 - e1)[::draw(st.sampled_from([1, -1]))]
     return point
 
 
