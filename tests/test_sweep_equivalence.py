@@ -194,7 +194,8 @@ OUTCOMES = {0.5: {"rows"}, 2.0: {"rows"}, 3.5: {"rows", "HorizonError"},
 
 def stacked_trajectory(pref, backend, times, kappa=1.0):
     """second_moment_trajectory's rows, refusal and warnings, from the
-    stacked engine at one time after another."""
+    stacked engine at one time after another; the times [None] give
+    steady_state_moments'."""
     cols = np.array([tuple(pref)])
     per_time = [dynamics._second_moment_rows(cols, kappa, backend, t)[1:] for t in times]
     if any(errors[0] is not None for _, errors in per_time):
@@ -307,6 +308,10 @@ def test_drawn_trajectories_match_the_stacked_rows_at_each_time(point, gain, kap
     times = [t / kappa for t in times]
     got = trajectory_outcome(second_moment_trajectory, pref, kappa, times, backend=backend)
     want = trajectory_outcome(stacked_trajectory, pref, backend, times, kappa)
+    assert got == want
+    # the steady state, as the stacked rows at the time None
+    got = trajectory_outcome(lambda: [steady_state_moments(pref, kappa, backend=backend)])
+    want = trajectory_outcome(stacked_trajectory, pref, backend, [None], kappa)
     assert got == want
 
 
