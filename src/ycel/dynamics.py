@@ -38,13 +38,14 @@ phi^2 over [0, t]; they are divided differences of g(x) = (1 - e^-xt) / x
 The closed-form route evaluates these on stacks of preparations, and
 entanglement.sweep passes its grid through in chunks.  The public
 single-preparation calls, where numpy's per-call overhead would dominate a
-stack of one, compute the same values bit for bit on Python floats, except
-for two steps: r = Q w, which numpy hands to BLAS in its own summation
-order, and a trajectory's exponentials, which differ from math's in the
-last bit for some arguments; a trajectory gathers them over all its
-sample times into one np.expm1 and one np.exp call.  The ode route
-integrates the six equations numerically as an independent check; only it
-imports scipy.integrate.
+stack of one, compute the same values bit for bit on Python floats, in
+one kernel that serves the steady state and a trajectory alike, except for
+two steps: r = Q w, which numpy hands to BLAS in its own summation order,
+and a trajectory's exponentials, which differ from math's in the last bit
+for some arguments; a trajectory gathers them over all its sample times
+into one np.expm1 and one np.exp call.  The ode route integrates the six
+equations numerically as an independent check; only it imports
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -127,14 +128,6 @@ def _rank_one(a: np.ndarray, k: np.ndarray, kappa: float):
     return np.sqrt(np.maximum(d, 0.0)), mu, kappa / 2.0 + np.minimum(0.0, mu)
 
 
-def _linear_system(cols: np.ndarray, kappa: float, backend: str):
-    """gain_scale a, v, mu, the exact margins and the noise matrices Q of a
-    stack of preparations."""
-    a, k = _couplings(cols)
-    q = _diffusion(a, k, backend)
-    return (a[:, 0, 0], *_rank_one(a, k, kappa), q)
-
-
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa < math.inf:
         raise ConfigurationError("kappa must be positive and finite")
@@ -152,8 +145,8 @@ def _drift(pref: Prefactors, kappa: float) -> tuple[float, list[float], float, f
 
 
 def _preparation(pref: Prefactors, kappa: float, backend: str):
-    """_linear_system of one preparation on Python floats, with what its
-    moments need: a, mu, the exact margin, c = w.Q w, the (1, 3, 3) noise
+    """_second_moment_rows' set-up of one preparation on Python floats, with
+    what its moments need: a, mu, the exact margin, c = w.Q w, the (1, 3, 3) noise
     matrix Q, and the entries (n1, n2, n3, c32, c31, c21) of Q,
     v r^T + r v^T and v v^T.  The stacked engine's operations in its
     order, with r and c by its expressions on a stack of one."""
@@ -338,65 +331,50 @@ def _range_error(a: float, when: str) -> FloatRangeError:
         f"second moments at gain rate {a:.6g} {when} leave the floating-point range")
 
 
-def _g(x, t):
-    """g(x) = (1 - e^-xt) / x, or 1 / x in the steady state (t None)."""
-    return 1.0 / x if t is None else t * _psi(x * t)
-
-
-def _g_pair(x, mu, t, psi_mu):
-    """The divided difference g[x, x + mu], mu = 0 included.
-
-    Leibniz's rule on x g(x) = F(x) = 1 - e^-xt gives p g[x, x + mu] =
-    F[x, x + mu] - g(q), with p the node of larger magnitude and q the
-    other; F[lo, lo + h] = t e^-lo t psi(h t) for h >= 0, and 0 steady.
-    psi_mu is psi(|mu| t), which every divided difference here shares.
-    """
-    y = x + mu
-    far = np.abs(y) > np.abs(x)
-    p, q = np.where(far, y, x), np.where(far, x, y)
-    slope = 0.0 if t is None else t * np.exp(-np.minimum(x, y) * t) * psi_mu
-    return (slope - _g(q, t)) / p
-
-
-def _integrals(kappa: float, mu: np.ndarray, t):
-    """g[kappa], g[kappa, kappa + mu] and g[kappa, kappa + mu, kappa + 2 mu].
-
-    These are I0, I1 / a and I2 / (2 a^2).  As in _g_pair, the node p of
-    largest magnitude, an end node and never below kappa, is peeled off:
-    p g[all] = F[all] - g[the other two], where F[lo, lo + h, lo + 2h] =
-    -(t^2 / 2) e^-lo t psi(h t)^2.  No step divides by mu, so the
-    defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
-    Math. Comp. 43, 501 (1984)).
-    """
-    psi_mu = None if t is None else _psi(np.abs(mu) * t)
-    end = kappa + 2.0 * mu
-    i1 = _g_pair(kappa, mu, t, psi_mu)
-    far = np.abs(end) > kappa
-    rest = np.where(far, i1, _g_pair(kappa + mu, mu, t, psi_mu))
-    curve = 0.0 if t is None else (
-        -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * psi_mu ** 2)
-    return np.asarray(_g(kappa, t)), i1, (curve - rest) / np.where(far, end, kappa)
-
-
 def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
     """(N, 6) rows (n1, n2, n3, c32, c31, c21) of S = I0 Q + I1 (v r^T + r v^T)
     + I2 c v v^T, and for each preparation None or the FloatRangeError
     refusing it.
 
     a, v, mu and q describe N preparations; t is one time, or None for the
-    steady states.  Each term of S is symmetric in floating point, so S is
-    too.  Past a gain rate or a time near 1e154 a product overflows, and
-    inf * 0 gives NaN: a preparation with a non-finite row is refused.  The
-    rows of drifts that the caller refuses as unstable are evaluated too,
-    and may divide by zero; no floating-point warning is raised.
+    steady states.  I0, I1 / a and I2 / (2 a^2) are the divided differences
+    of g at kappa, x1 = kappa + mu and end = kappa + 2 mu.  Leibniz's rule
+    on x g(x) = F(x) = 1 - e^-xt peels off the node p of larger magnitude:
+    p g[x, y] = F[x, y] - g(q), and p g[kappa, x1, end] = F[kappa, x1, end]
+    - g[the other two], p an end node never below kappa, where F[lo, lo +
+    h] = t e^-lo t psi(h t) and F[lo, lo + h, lo + 2h] = -(t^2 / 2) e^-lo t
+    psi(h t)^2 for h >= 0; F is 0 steady.  No step divides by mu, so the
+    defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
+    Math. Comp. 43, 501 (1984)).  Each term of S is symmetric in floating point, so S is too.  Past a
+    gain rate or a time near 1e154 a product overflows, and inf * 0 gives
+    NaN: a preparation with a non-finite row is refused.  The rows of
+    drifts that the caller refuses as unstable are evaluated too, and may
+    divide by zero; no floating-point warning is raised.
     """
     with np.errstate(all="ignore"):
+        # g[kappa, x1] has the nodes kappa and x1, g[x1, y2] x1 and y2
+        x1 = kappa + mu
+        y2, end = x1 + mu, kappa + 2.0 * mu
+        far1, far2 = np.abs(x1) > abs(kappa), np.abs(y2) > np.abs(x1)
+        p1, q1 = np.where(far1, x1, kappa), np.where(far1, kappa, x1)
+        p2, q2 = np.where(far2, y2, x1), np.where(far2, x1, y2)
+        far = np.abs(end) > kappa
+        if t is None:
+            i0, g1, g2, curve = 1.0 / kappa, 0.0 - 1.0 / q1, 0.0 - 1.0 / q2, 0.0
+        else:
+            pm = _psi(np.abs(mu) * t)
+            i0 = t * _psi(kappa * t)
+            g1 = t * np.exp(-np.minimum(kappa, x1) * t) * pm - t * _psi(q1 * t)
+            g2 = t * np.exp(-np.minimum(x1, y2) * t) * pm - t * _psi(q2 * t)
+            curve = -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * pm ** 2
+        i1 = g1 / p1
+        rest = np.where(far, i1, g2 / p2)
+        i2 = (curve - rest) / np.where(far, end, kappa)
         w = v * _SIGNS
         r = (q @ w[..., None])[..., 0]
         c = (w * r).sum(axis=-1)
         vr = v[:, :, None] * r[:, None, :]
-        i0, i1, i2 = _integrals(kappa, mu, t)
-        s = (i0[..., None, None] * q
+        s = (i0 * q
              + (a * i1)[..., None, None] * (vr + vr.swapaxes(-1, -2))
              + (2.0 * a * a * c * i2)[..., None, None] * (v[:, :, None] * v[:, None, :]))
     # + 0.0 turns the -0.0 that t = 0 leaves under negative entries into 0.0
@@ -465,40 +443,52 @@ def _trajectory_rows(pref: Prefactors, kappa: float, times, backend: str,
 
 
 def _closed_form_rows(kappa: float, a: float, mu: float, c: float, entries,
-                      times: list[float]) -> list[list[float]]:
-    """_integrals and _moment_rows_at of one preparation at each time, in
-    their order on Python floats, from _preparation's a, mu, c and entries.
+                      times: list[float] | None = None) -> list[list[float]]:
+    """_moment_rows_at of one preparation at each time, or its one steady
+    row (times None), in its order on Python floats, from _preparation's a,
+    mu, c and entries.
 
-    Only the exponentials stay in numpy: one np.expm1 call takes every
-    sample's psi arguments (|mu| t, kappa t and the _g_pair nodes q t), and
-    one np.exp call its slope arguments.  No divisor is 0: kappa > 0, and
-    each _g_pair's p is its node of larger magnitude.
+    Only a trajectory's exponentials stay in numpy: one np.expm1 call takes
+    every sample's psi arguments (|mu| t, kappa t, q1 t and q2 t), and one
+    np.exp call its slope arguments.  No divisor is 0: kappa > 0, each p is
+    its pair's node of larger magnitude, and the steady state's caller
+    refuses an unstable drift, so its nodes are positive.
     """
-    # _g_pair(kappa, mu) has the nodes kappa and x1, _g_pair(x1, mu) x1 and y2
+    # g[kappa, x1] has the nodes kappa and x1, g[x1, y2] x1 and y2
     x1 = kappa + mu
     y2, end = x1 + mu, kappa + 2.0 * mu
     p1, q1 = (x1, kappa) if abs(x1) > abs(kappa) else (kappa, x1)
     p2, q2 = (y2, x1) if abs(y2) > abs(x1) else (x1, y2)
     far = abs(end) > kappa
-    lows = (min(kappa, x1), min(x1, y2), min(kappa, end))
-    z = [x * t for t in times for x in (abs(mu), kappa, q1, q2)]
-    with np.errstate(all="ignore"):
-        # _psi's guard: an argument 0 is replaced, and its psi is 1
-        em1 = np.expm1([-(x or 1.0) for x in z]).tolist()
-        decay = np.exp([-x * t for t in times for x in lows]).tolist()
-    psi = [1.0 if x == 0.0 else -e / x for x, e in zip(z, em1)]
+    if times is None:
+        # i0, p1 i1, p2 g[x1, y2] and the curve term
+        terms = [(1.0 / kappa, 0.0 - 1.0 / q1, 0.0 - 1.0 / q2, 0.0)]
+        when = "in the steady state"
+    else:
+        lows = (min(kappa, x1), min(x1, y2), min(kappa, end))
+        z = [x * t for t in times for x in (abs(mu), kappa, q1, q2)]
+        with np.errstate(all="ignore"):
+            # _psi's guard: an argument 0 is replaced, and its psi is 1
+            em1 = np.expm1([-(x or 1.0) for x in z]).tolist()
+            decay = np.exp([-x * t for t in times for x in lows]).tolist()
+        psi = [1.0 if x == 0.0 else -e / x for x, e in zip(z, em1)]
+        terms = []
+        for k, t in enumerate(times):
+            pm, pk, pq1, pq2 = psi[4 * k:4 * k + 4]
+            d1, d2, d3 = decay[3 * k:3 * k + 3]
+            terms.append((t * pk, t * d1 * pm - t * pq1, t * d2 * pm - t * pq2,
+                          -0.5 * t * t * d3 * (pm * pm)))
+        when = f"by t={times[-1]:.6g}"
     ac2 = 2.0 * a * a * c
     rows = []
-    for k, t in enumerate(times):
-        pm, pk, pq1, pq2 = psi[4 * k:4 * k + 4]
-        d1, d2, d3 = decay[3 * k:3 * k + 3]
-        i1 = (t * d1 * pm - t * pq1) / p1
-        rest = i1 if far else (t * d2 * pm - t * pq2) / p2
-        i2 = (-0.5 * t * t * d3 * (pm * pm) - rest) / (end if far else kappa)
-        i0, ai1, ai2 = t * pk, a * i1, ac2 * i2
+    for i0, g1, g2, curve in terms:
+        i1 = g1 / p1
+        rest = i1 if far else g2 / p2
+        i2 = (curve - rest) / (end if far else kappa)
+        ai1, ai2 = a * i1, ac2 * i2
         rows.append([i0 * q + ai1 * vr + ai2 * vv + 0.0 for q, vr, vv in zip(*entries)])
     if not all(math.isfinite(x) for row in rows for x in row):
-        raise _range_error(a, f"by t={times[-1]:.6g}")
+        raise _range_error(a, when)
     return rows
 
 
@@ -556,7 +546,10 @@ def _second_moment_rows(cols: np.ndarray, kappa: float, backend: str, at_time: f
     steady state, a horizon its growth overflows at a time, or moments
     beyond the floating-point range.
     """
-    a, v, mu, margin, q = _linear_system(cols, kappa, backend)
+    a, k = _couplings(cols)
+    q = _diffusion(a, k, backend)
+    v, mu, margin = _rank_one(a, k, kappa)
+    a = a[:, 0, 0]
     if at_time is None:
         errors = [None] * len(cols)
         for i in np.flatnonzero(~(margin > 0.0)):
@@ -581,31 +574,16 @@ def steady_state_moments(
     return _steady_state(pref, kappa, backend)[1]
 
 
-def _steady_pair(x: float, mu: float) -> float:
-    """_g_pair(x, mu, None, None) on Python floats, for positive nodes."""
-    y = x + mu
-    p, q = (y, x) if abs(y) > abs(x) else (x, y)
-    return (0.0 - 1.0 / q) / p
-
-
 def _steady_state(pref: Prefactors, kappa: float, backend: str) -> tuple[float, SecondMoments]:
     """Exact stability margin and steady moments of one preparation.
 
-    _integrals and _moment_rows_at at t None, on Python floats.  An
-    unstable drift is refused before any division: a stable one has the
-    positive nodes kappa, kappa + mu and kappa + 2 mu, where a Python
-    float would raise ZeroDivisionError at a zero.
+    _closed_form_rows with no times, after an unstable drift is refused: a
+    stable one has the positive nodes kappa, kappa + mu and kappa + 2 mu,
+    where a Python float would raise ZeroDivisionError at a zero.
     """
     a, mu, margin, c, _, entries = _preparation(pref, kappa, backend)
     if not margin > 0.0:
         raise _unstable_error(margin, mu, kappa)
-    end = kappa + 2.0 * mu
-    far = abs(end) > kappa
-    i1 = _steady_pair(kappa, mu)
-    i2 = (0.0 - (i1 if far else _steady_pair(kappa + mu, mu))) / (end if far else kappa)
-    i0, ai1, ai2 = 1.0 / kappa, a * i1, 2.0 * a * a * c * i2
-    row = [i0 * q + ai1 * vr + ai2 * vv + 0.0 for q, vr, vv in zip(*entries)]
-    if not all(map(math.isfinite, row)):
-        raise _range_error(a, "in the steady state")
+    (row,) = _closed_form_rows(kappa, a, mu, c, entries)
     _warn_occupation(min(row[:3]), backend, stacklevel=3)
     return margin, SecondMoments(*row)

@@ -988,7 +988,7 @@ def test_closed_form_evolve_builds_no_moment_objects(name, fmt, tmp_path, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("closed-form evolve left the trajectory's float kernel")
 
-    monkeypatch.setattr(dynamics, "_integrals", refuse)
+    monkeypatch.setattr(dynamics, "_moment_rows_at", refuse)
     monkeypatch.setattr(dynamics, "SecondMoments", refuse)
     out = tmp_path / f"doc.{fmt}"
     assert main([*argv.split(), "--format", fmt, "--out", str(out)]) == 0
