@@ -49,8 +49,8 @@ two-row state on a block-diagonal operator moves the dt run by dt and the
 dt/2 run by dt/2, and one more dt/2 step completes the interval, each row
 equal to its own run's step bit for bit.  Overflow is silent: a step that
 overflows leaves a state that is not finite, and the audit refuses it.  A
-refusal marches the runs again one after the other, so its message is the
-one a march of one run raises.
+refusal marches the dt run again alone, so its message is the one a march
+of one run raises.
 
 Set-up.  Every operator here is a shift monomial on the (a1, b) grid, so
 the term maps and moment maps are built by index arithmetic, each weight
@@ -564,9 +564,9 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     sample, past its remainder step, is audited as a block of one row.
 
     Overflow is silent: a step that overflows leaves a state that is not
-    finite, and the audit refuses it as divergence.  Side by side, the
-    refused state need not be the first in step order, so ``integrate``
-    marches the runs one at a time after any refusal.
+    finite, and the audit refuses it as divergence.  Side by side, a refusal
+    is the dt run's first or else the dt/2 run's first, since each block
+    audits its dt states first; ``integrate`` then marches the dt run alone.
     """
     size = support.size
     step = _rk4_step(lop)
@@ -692,19 +692,15 @@ def integrate(
     vec0 = np.zeros(support.size)
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
-    runs = None
-    if check_convergence:
-        try:
-            runs, steps = _march(lop, support, maps, vec0, samples, (cfg.dt, 0.5 * cfg.dt),
-                                 cfg.edge_tol)
-        except (IntegrationError, TruncationError):
-            pass  # refused: the runs marched one at a time below raise as one run does
-    if runs is None:
-        runs, steps = [], 0
-        for dt in (cfg.dt, 0.5 * cfg.dt)[:2 if check_convergence else 1]:
-            (run,), n = _march(lop, support, maps, vec0, samples, (dt,), cfg.edge_tol)
-            runs.append(run)
-            steps += n
+    dts = (cfg.dt, 0.5 * cfg.dt) if check_convergence else (cfg.dt,)
+    try:
+        runs, steps = _march(lop, support, maps, vec0, samples, dts, cfg.edge_tol)
+    except (IntegrationError, TruncationError):
+        if check_convergence:
+            # the refusal is the dt run's first or else the dt/2 run's first:
+            # the dt run marched alone raises its own if it has one
+            _march(lop, support, maps, vec0, samples, dts[:1], cfg.edge_tol)
+        raise
     (tables, residues, edges, vec), *halved = runs
 
     delta = None

@@ -530,3 +530,17 @@ def test_a_passing_checked_run_marches_once(case, monkeypatch):
     got, _ = checked_run_outcome(case, list(SAMPLES), DT, 0.5)
     assert got is None
     assert calls == [(DT, 0.5 * DT)]
+
+
+def test_a_refused_checked_run_replays_the_dt_run_alone(monkeypatch):
+    # the dt run passes and the dt/2 run is refused, as in the test above:
+    # the one replay march of the dt run passes, and the refusal caught
+    # side by side is raised
+    case, samples, dt = (0.0, 0.0, 3, True), [1.0], 0.1
+    lop, support, maps, vec0 = march_inputs(case)
+    edges = [one_run_march(lop, support, maps, vec0, np.array(samples), h, 0.5)[2][0]
+             for h in (dt, dt / 2)]
+    calls = counting_march(monkeypatch)
+    got, _ = checked_run_outcome(case, samples, dt, 0.5 * (edges[0] + edges[1]))
+    assert isinstance(got, TruncationError)
+    assert calls == [(dt, 0.5 * dt), (dt,)]
