@@ -146,8 +146,8 @@ def _drift(pref: Prefactors, kappa: float) -> tuple[float, list[float], float, f
 
 def _preparation(pref: Prefactors, kappa: float, backend: str):
     """_second_moment_rows' set-up of one preparation on Python floats, with
-    what its moments need: a, mu, the exact margin, c = w.Q w, the (1, 3, 3) noise
-    matrix Q, and the entries (n1, n2, n3, c32, c31, c21) of Q,
+    what its moments need: a, mu, the exact margin, c = w.Q w, the (1, 3, 3)
+    noise matrix Q, and the entries (n1, n2, n3, c32, c31, c21) of Q,
     v r^T + r v^T and v v^T.  The stacked engine's operations in its
     order, with r and c by its expressions on a stack of one."""
     a, v, mu, margin = _drift(pref, kappa)
@@ -345,11 +345,12 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
     h] = t e^-lo t psi(h t) and F[lo, lo + h, lo + 2h] = -(t^2 / 2) e^-lo t
     psi(h t)^2 for h >= 0; F is 0 steady.  No step divides by mu, so the
     defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
-    Math. Comp. 43, 501 (1984)).  Each term of S is symmetric in floating point, so S is too.  Past a
-    gain rate or a time near 1e154 a product overflows, and inf * 0 gives
-    NaN: a preparation with a non-finite row is refused.  The rows of
-    drifts that the caller refuses as unstable are evaluated too, and may
-    divide by zero; no floating-point warning is raised.
+    Math. Comp. 43, 501 (1984)).  Each term of S is symmetric in floating
+    point, so S is too.  Past a gain rate or a time near 1e154 a product
+    overflows, and inf * 0 gives NaN: a preparation with a non-finite row
+    is refused.  The rows of drifts that the caller refuses as unstable
+    are evaluated too, and may divide by zero; no floating-point warning
+    is raised.
     """
     with np.errstate(all="ignore"):
         # g[kappa, x1] has the nodes kappa and x1, g[x1, y2] x1 and y2
