@@ -300,7 +300,9 @@ def _resolve_times(params: dict, command: str) -> list[float]:
 
 class _NoteCollector(list):
     """Warnings raised while computing, replayed as '#' notes in the output.
-    Each ``with`` block appends the warnings it caught."""
+    Each ``with`` block appends the warnings it caught.  A command opens one
+    block, around its checks and its computation alike, so its notes keep
+    the order the warnings were raised in."""
 
     def __enter__(self):
         self._ctx = warnings.catch_warnings(record=True)
@@ -351,9 +353,7 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     with notes:
         pref = _build_prefactors(params)
         _final_time(times, params)
-    from .dynamics import _trajectory_rows
-
-    with notes:
+        from .dynamics import _trajectory_rows
         rows = _trajectory_rows(pref, params["kappa"], [t * _time_scale(params) for t in times],
                                 params["backend"], params["route"])
     cells = [times, *zip(*rows)]
@@ -366,9 +366,7 @@ def cmd_steady(args: argparse.Namespace) -> str:
     notes = _NoteCollector()
     with notes:
         pref = _build_prefactors(params)
-    from .dynamics import _steady_state
-
-    with notes:
+        from .dynamics import _steady_state
         margin, moments = _steady_state(pref, params["kappa"], params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
     cells = [(v,) for v in moments.as_tuple()]
@@ -383,9 +381,7 @@ def cmd_oracle(args: argparse.Namespace) -> str:
         pref = _build_prefactors(params)
         dt = _absolute_time(params["dt"], params, "--dt")
         cfg = FockConfig(params["nmax"], dt, _final_time(times, params), params["edge_tol"])
-    from .fock_oracle import DensityState, integrate
-
-    with notes:
+        from .fock_oracle import DensityState, integrate
         run = integrate(
             DensityState.vacuum(cfg.n_max),
             cfg,
@@ -559,7 +555,8 @@ def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
     """
     if parser.defaults is None:
         parser.defaults = parser.parse_args([])
-    args = argparse.Namespace(**vars(parser.defaults))
+    args = argparse.Namespace()
+    args.__dict__.update(parser.defaults.__dict__)
     tokens = iter(argv)
     for token in tokens:
         flag, attached, value = token.partition("=")

@@ -5,36 +5,32 @@ fed back through ``--config`` to reproduce the run.  Floats are printed with
 12 significant digits in CSV; JSON keeps full repr precision for round
 trips.  Identical inputs yield byte-identical text.
 
-A table is rendered a column at a time.  In CSV, a column of floats goes
-through the float-cell formatter that ``format_value`` also uses; every
-other cell goes through ``format_value`` and the csv module's quoting, once
-per distinct value.  In JSON, the document around the rows is
-``json.dumps(indent=2)``, and each row is encoded by json's C encoder
-(which runs only without ``indent``) with separators that lay it out as
-``indent=2`` does, then spliced in.
+A table is rendered a column at a time.  In CSV, a column of floats takes
+the float format of ``format_value``; every other cell takes
+``format_value`` and the csv module's quoting, once per distinct value.
+JSON is written directly, as ``json.dumps(indent=2, allow_nan=True)``
+writes it: the document around the rows by a recursive writer, a column of
+finite floats by one map of ``float.__repr__``, and every other cell by the
+same writer.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigurationError
 
 __all__ = ["format_value", "csv_document", "json_document", "table_document", "load_config"]
 
 
-def _float_cells(values: Iterable[float]) -> list[str]:
-    """CSV cells of floats at 12 significant digits.  Adding 0.0 prints
-    -0.0 as "0"; "%.12g" prints "nan", "inf" and "-inf" itself."""
-    return ["%.12g" % (v + 0.0) for v in values]
-
-
 def format_value(value: object) -> str:
     """One CSV cell. Floats at 12 significant digits, bools lowercase."""
     if isinstance(value, float):  # the common cell, so tested first
-        return _float_cells((value,))[0]
+        return "%.12g" % (value + 0.0)  # -0.0 + 0.0 prints "0"; nan and inf print themselves
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -46,7 +42,7 @@ def _param_lines(command: str, params: Mapping[str, object]) -> list[str]:
     lines = [f"# ycel {command}"]
     for key, value in params.items():
         if isinstance(value, (list, tuple)):
-            rendered = " ".join(format_value(v) for v in value)
+            rendered = " ".join(map(format_value, value))
         else:
             rendered = format_value(value)
         lines.append(f"# {key} = {rendered}")
@@ -74,8 +70,8 @@ def _quoted(texts: Sequence[str], alone: bool) -> list[str]:
     return [record[:-2] for record in _csv_records([t, ""] for t in texts)]
 
 
-# A column of floats goes through _float_cells (a float subclass such as
-# numpy.float64 takes format_value, which prints it alike).  Cells of the
+# A column of floats is rendered by one float format (a float subclass such
+# as numpy.float64 is rendered cell by cell, alike).  Cells of the
 # _DISTINCT_TEXT types are rendered once per distinct value: no two of them
 # compare equal yet print differently, as True, 1 and 1.0 do.
 _FLOAT = {float}
@@ -86,7 +82,7 @@ def _column_cells(column: Sequence[object], alone: bool) -> list[str]:
     """The CSV cells of one column; ``alone`` if it is the table's only one."""
     kinds = set(map(type, column))
     if kinds <= _FLOAT:
-        return _float_cells(column)  # never quoted
+        return ["%.12g" % (v + 0.0) for v in column]  # never quoted
     keys = column if kinds <= _DISTINCT_TEXT else list(map(format_value, column))
     distinct = list(set(keys))
     cells = dict(zip(distinct, _quoted(list(map(format_value, distinct)), alone)))
@@ -123,15 +119,65 @@ def csv_document(
     return _csv(command, params, columns, list(zip(*rows, strict=True)), notes)
 
 
-# Inside the table rows of an indent=2 document each value sits on its own
-# line, six spaces in; the rows themselves sit four spaces in.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-_ROWS_KEY = '\n  "rows": '
+# The constants, and the float reprs, that JSON spells its own way
+_SPELLED = {None: "null", True: "true", False: "false",
+            "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_row(row: Sequence[object]) -> str:
-    text = _ROW_ENCODER.encode(row)
-    return "[\n      " + text[1:-1] + "\n    ]" if row else text
+def _json(value: object, indent: str) -> str:
+    """value as json.dumps(indent=2, allow_nan=True) writes it, where indent
+    is a newline and the indentation of the line that value starts on.
+    Every mapping key is a string."""
+    if isinstance(value, float):  # the common value, so tested first
+        text = float.__repr__(value)
+        return _SPELLED.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _SPELLED[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        texts, ends = [_json(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        texts, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                       for k, v in value.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(texts) + indent + ends[1] if texts else ends
+
+
+def _json_cells(column: Sequence[object]) -> list[str]:
+    """The JSON cells of one table column.  Finite floats take one map of
+    float.__repr__, cells of the _DISTINCT_TEXT types one _json call per
+    distinct value, and any other cell a _json call of its own."""
+    kinds = set(map(type, column))
+    if kinds <= _FLOAT and all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
+    if kinds <= _DISTINCT_TEXT:
+        spelled = {cell: _json(cell, "") for cell in set(column)}
+        return list(map(spelled.__getitem__, column))
+    return [_json(cell, "\n      ") for cell in column]
+
+
+def _json_rows(cells: Sequence[Sequence[object]]) -> str:
+    """The "rows" of a table given column by column."""
+    rows = list(map(",\n      ".join, zip(*map(_json_cells, cells), strict=True)))
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]" if rows else "[]"
+
+
+def _json_document(command: str, params: Mapping[str, object], payload: Mapping[str, object],
+                   notes: Sequence[str], cells: Sequence[Sequence[object]] | None) -> str:
+    """json_document's document, its "rows" rendered from cells, their columns, if given."""
+    doc: dict[str, object] = {"command": command, "params": dict(params)}
+    if notes:
+        doc["notes"] = list(notes)
+    doc.update(payload)
+    items = [encode_basestring_ascii(key) + ": " + (
+        _json_rows(cells) if key == "rows" and cells is not None else _json(value, "\n  "))
+        for key, value in doc.items()]
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def json_document(
@@ -141,20 +187,8 @@ def json_document(
     notes: Sequence[str] = (),
 ) -> str:
     """The run as one JSON object: command, params, notes if any, then the
-    payload's keys.  A payload's "rows", if present, is a sequence of flat
-    rows of scalars."""
-    doc: dict[str, object] = {"command": command, "params": dict(params)}
-    if notes:
-        doc["notes"] = list(notes)
-    doc.update(payload)
-    rows = doc.get("rows")
-    if not rows:
-        return json.dumps(doc, indent=2, allow_nan=True) + "\n"
-    doc["rows"] = []
-    # a string cannot hold a raw newline, so only the top-level key matches
-    head, _, tail = json.dumps(doc, indent=2, allow_nan=True).partition(_ROWS_KEY + "[]")
-    body = ",\n    ".join(map(_json_row, rows))
-    return f"{head}{_ROWS_KEY}[\n    {body}\n  ]{tail}\n"
+    payload's keys.  A table's document comes faster from table_document."""
+    return _json_document(command, params, payload, notes, None)
 
 
 def table_document(
@@ -171,8 +205,8 @@ def table_document(
     one column.
     """
     if fmt == "json":
-        rows = list(zip(*cells, strict=True))
-        return json_document(command, params, {"columns": list(columns), "rows": rows}, notes)
+        return _json_document(command, params, {"columns": list(columns), "rows": ()}, notes,
+                              cells)
     return _csv(command, params, columns, cells, notes)
 
 
