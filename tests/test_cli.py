@@ -580,13 +580,17 @@ def test_help_exits_0(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: ycel")
 
 
-@pytest.mark.parametrize("argv, flag", [
+# Command lines led by an option of a command, and the option each names.
+OPTIONS_AHEAD = [
     (("--format", "json", *STEADY_ARGS), "--format"),
     (("--format=json", *STEADY_ARGS), "--format"),
     (("--out", "x.csv", *STEADY_ARGS), "--out"),
     (("--absolute-units", *STEADY_ARGS), "--absolute-units"),
     (("--eta1", "0", "steady", "--eta2", "0"), "--eta1"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, flag", OPTIONS_AHEAD)
 def test_option_ahead_of_the_command_is_named(argv, flag, capsys):
     message = f"error: option {flag} goes after the command name\n"
     assert run_cli(capsys, *argv) == (2, "", message)
