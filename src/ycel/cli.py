@@ -25,7 +25,10 @@ from .serialize import csv_document, format_value, json_document, load_config, t
 
 # The numerical modules, and numpy with them, are imported by the commands
 # that use them, after their arguments are checked, so the parser, --help,
-# prefactors and every refused argument run without numpy.
+# prefactors and every refused argument run without numpy.  serialize loads
+# json and csv with the first document or --config that needs them, and a
+# command's parser adds its arguments when it first parses, so a start pays
+# only for the command it runs.
 
 MOMENT_COLUMNS = ("n1", "n2", "n3", "c32", "c31", "c21")
 
@@ -255,18 +258,21 @@ def _final_time(times: list[float], params: dict) -> float:
     return final
 
 
-def _build_prefactors(params: dict) -> Prefactors:
+def _build_prefactors(params: dict, notes: _NoteCollector) -> Prefactors:
+    """The run's prefactors.  Only the rate trio's ModelParams can warn (of a
+    bad cavity), and notes records that warning."""
     scale = _rate_scale(params)
     if "A" in params:
         return prefactors_from_inversions(params["eta1"], params["eta2"], _gain_rate(params))
-    model = ModelParams(
-        r_a=params["r_a"] * scale,
-        g=params["g"] * scale,
-        gamma=params["gamma"] * scale,
-        kappa=params["kappa"],
-        eta1=params["eta1"],
-        eta2=params["eta2"],
-    )
+    with notes:
+        model = ModelParams(
+            r_a=params["r_a"] * scale,
+            g=params["g"] * scale,
+            gamma=params["gamma"] * scale,
+            kappa=params["kappa"],
+            eta1=params["eta1"],
+            eta2=params["eta2"],
+        )
     return prefactors(model)
 
 
@@ -300,9 +306,11 @@ def _resolve_times(params: dict, command: str) -> list[float]:
 
 class _NoteCollector(list):
     """Warnings raised while computing, replayed as '#' notes in the output.
-    Each ``with`` block appends the warnings it caught.  A command opens one
-    block, around its checks and its computation alike, so its notes keep
-    the order the warnings were raised in."""
+    Each ``with`` block appends the warnings it caught, so the notes keep
+    the order the warnings were raised in.  A block's exit drops every
+    warning filter set inside it, and numpy and scipy set some at import,
+    so a command imports the numerical modules it needs after its checks
+    and before its computation's block."""
 
     def __enter__(self):
         self._ctx = warnings.catch_warnings(record=True)
@@ -320,9 +328,8 @@ class _NoteCollector(list):
 def cmd_prefactors(args: argparse.Namespace) -> str:
     params = _resolve(args)
     notes = _NoteCollector()
-    with notes:
-        pref = _build_prefactors(params)
-        prep = populations_from_inversions(params["eta1"], params["eta2"])
+    pref = _build_prefactors(params, notes)
+    prep = populations_from_inversions(params["eta1"], params["eta2"])
     residues = {
         "residue_sum_rule": abs(pref.gain3 + pref.gain2 + pref.loss1 - 0.5),
         "residue_cross32": abs(pref.cross32 - math.sqrt(pref.gain3 * pref.gain2)),
@@ -350,10 +357,12 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     params = _resolve(args)
     times = params["times"]
     notes = _NoteCollector()
+    pref = _build_prefactors(params, notes)
+    _final_time(times, params)
+    from .dynamics import _trajectory_rows
+    if params["route"] == "ode":
+        import scipy.integrate  # noqa: F401 -- the ode route's solver, outside the note scope
     with notes:
-        pref = _build_prefactors(params)
-        _final_time(times, params)
-        from .dynamics import _trajectory_rows
         rows = _trajectory_rows(pref, params["kappa"], [t * _time_scale(params) for t in times],
                                 params["backend"], params["route"])
     cells = [times, *zip(*rows)]
@@ -364,9 +373,9 @@ def cmd_evolve(args: argparse.Namespace) -> str:
 def cmd_steady(args: argparse.Namespace) -> str:
     params = _resolve(args)
     notes = _NoteCollector()
+    pref = _build_prefactors(params, notes)
+    from .dynamics import _steady_state
     with notes:
-        pref = _build_prefactors(params)
-        from .dynamics import _steady_state
         margin, moments = _steady_state(pref, params["kappa"], params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
     cells = [(v,) for v in moments.as_tuple()]
@@ -377,11 +386,12 @@ def cmd_oracle(args: argparse.Namespace) -> str:
     params = _resolve(args)
     times, tscale = params["times"], _time_scale(params)
     notes = _NoteCollector()
+    pref = _build_prefactors(params, notes)
+    dt = _absolute_time(params["dt"], params, "--dt")
+    cfg = FockConfig(params["nmax"], dt, _final_time(times, params), params["edge_tol"])
+    from .fock_oracle import DensityState, integrate
+    import scipy.sparse  # noqa: F401 -- integrate's operator, outside the note scope
     with notes:
-        pref = _build_prefactors(params)
-        dt = _absolute_time(params["dt"], params, "--dt")
-        cfg = FockConfig(params["nmax"], dt, _final_time(times, params), params["edge_tol"])
-        from .fock_oracle import DensityState, integrate
         run = integrate(
             DensityState.vacuum(cfg.n_max),
             cfg,
@@ -445,21 +455,54 @@ def cmd_sweep(args: argparse.Namespace) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as ConfigurationError, not usage and exit."""
+    """A command's parser.  It reports a malformed command line as
+    ConfigurationError, not usage and exit, and adds the command's
+    arguments when it first parses or its flags are first read."""
 
     def error(self, message):
         raise ConfigurationError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        self.flags  # adds the command's arguments on the first parse
+        return super().parse_known_args(args, namespace)
 
-class _CommandLine(_Parser):
-    """The full parser.  It refuses a command's option given ahead of the
-    command, where argparse would take the option as unknown and its value
-    as the command."""
+    @functools.cached_property
+    def flags(self) -> dict:
+        """The Action each of the command's option strings names, once the
+        command's arguments are added."""
+        actions = [
+            self.add_argument("--config",
+                              help="JSON file with parameters (a previous run's JSON output works)"),
+            self.add_argument("--out", help="write here instead of stdout"),
+            self.add_argument("--format", choices=("csv", "json"), default="csv"),
+        ]
+        for key in COMMANDS[self.get_default("command")][2]:
+            _, _, choices, flag = PARAMETERS[key]
+            flag = dict(flag, dest=key)
+            if choices and "action" not in flag:
+                flag["choices"] = choices
+            actions.append(self.add_argument(flag.pop("flag", "--" + key.replace("_", "-")),
+                                             **flag))
+        return {option: action for action in actions for option in action.option_strings}
+
+    @functools.cached_property
+    def defaults(self) -> argparse.Namespace:
+        """The namespace of an empty line."""
+        return self.parse_args([])
+
+
+class _CommandLine(argparse.ArgumentParser):
+    """The full parser.  It reports a malformed line as a command's parser
+    does, and refuses a command's option given ahead of the command, where
+    argparse would take the option as unknown and its value as the
+    command."""
+
+    error = _Parser.error
 
     def parse_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
         flag = args[0].split("=", 1)[0] if args else ""
-        if flag in self.command_options:
+        if any(flag in command.flags for command in self.commands.values()):
             raise ConfigurationError(f"option {flag} goes after the command name")
         return super().parse_args(args, namespace)
 
@@ -488,36 +531,21 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The ycel parser, built once per process: parse_args keeps no state.
 
-    Its ``commands`` maps each command name to that command's parser, and
-    its ``command_options`` holds the option strings of all the commands.
-    Each command's parser holds its ``flags``, the Action each of its
-    option strings names, and its ``defaults``, the namespace of an empty
-    line once _parse_exact first needs it.
+    Its ``commands`` maps each command name to that command's parser, which
+    holds the command's help line, function and name.  A command's parser
+    adds its arguments, and builds its ``flags``, the Action each of its
+    option strings names, when it first parses or its ``flags`` are first
+    read; its ``defaults`` is the namespace of an empty line.  The full
+    parser reads the commands' ``flags`` only for a line that does not
+    start with a command.
     """
     parser = _CommandLine(
         prog="ycel",
         description="Three-mode correlated-emission laser: moments, oracles, entanglement.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.command_options = set()
-    for command, (func, text, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        actions = [
-            p.add_argument("--config",
-                           help="JSON file with parameters (a previous run's JSON output works)"),
-            p.add_argument("--out", help="write here instead of stdout"),
-            p.add_argument("--format", choices=("csv", "json"), default="csv"),
-        ]
-        for key in names:
-            _, _, choices, flag = PARAMETERS[key]
-            flag = dict(flag, dest=key)
-            if choices and "action" not in flag:
-                flag["choices"] = choices
-            actions.append(p.add_argument(flag.pop("flag", "--" + key.replace("_", "-")), **flag))
-        p.set_defaults(func=func, command=command)
-        p.flags = {option: action for action in actions for option in action.option_strings}
-        p.defaults = None
-        parser.command_options.update(p.flags)
+    for command, (func, text, _) in COMMANDS.items():
+        sub.add_parser(command, help=text).set_defaults(func=func, command=command)
     parser.commands = sub.choices
     return parser
 
@@ -553,8 +581,6 @@ def _parse_exact(parser: argparse.ArgumentParser, argv: list[str]):
     value led by '-', the value '--' (argparse drops it), and a value that
     fails its type or lies outside its choices.
     """
-    if parser.defaults is None:
-        parser.defaults = parser.parse_args([])
     args = argparse.Namespace()
     args.__dict__.update(parser.defaults.__dict__)
     tokens = iter(argv)

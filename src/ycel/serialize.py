@@ -12,15 +12,15 @@ JSON is written directly, as ``json.dumps(indent=2, allow_nan=True)``
 writes it: the document around the rows by a recursive writer, a column of
 finite floats by one map of ``float.__repr__``, and every other cell by the
 same writer.
+
+The csv module loads with the first CSV document and json with the first
+JSON document or config, so a process imports only what it writes or reads.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigurationError
 
@@ -57,6 +57,8 @@ class _Records(list):
 
 def _csv_records(records: Iterable[Sequence[str]]) -> list[str]:
     """Each record as the csv module writes it, ending in "\\n"."""
+    import csv
+
     out = _Records()
     csv.writer(out, lineterminator="\n").writerows(records)
     return out
@@ -119,6 +121,15 @@ def csv_document(
     return _csv(command, params, columns, list(zip(*rows, strict=True)), notes)
 
 
+def _ascii_string(text: str) -> str:
+    """text as a JSON string with every non-ASCII character escaped.  The
+    first call loads json and puts json's own writer in this one's place."""
+    global _ascii_string
+    from json.encoder import encode_basestring_ascii as _ascii_string
+
+    return _ascii_string(text)
+
+
 # The constants, and the float reprs, that JSON spells its own way
 _SPELLED = {None: "null", True: "true", False: "false",
             "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -132,7 +143,7 @@ def _json(value: object, indent: str) -> str:
         text = float.__repr__(value)
         return _SPELLED.get(text, text)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return _ascii_string(value)
     if value is None or value is True or value is False:
         return _SPELLED[value]
     if isinstance(value, int):
@@ -141,7 +152,7 @@ def _json(value: object, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         texts, ends = [_json(item, inner) for item in value], "[]"
     elif isinstance(value, dict):
-        texts, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+        texts, ends = [f"{_ascii_string(k)}: {_json(v, inner)}"
                        for k, v in value.items()], "{}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -174,7 +185,7 @@ def _json_document(command: str, params: Mapping[str, object], payload: Mapping[
     if notes:
         doc["notes"] = list(notes)
     doc.update(payload)
-    items = [encode_basestring_ascii(key) + ": " + (
+    items = [_ascii_string(key) + ": " + (
         _json_rows(cells) if key == "rows" and cells is not None else _json(value, "\n  "))
         for key, value in doc.items()]
     return "{\n  " + ",\n  ".join(items) + "\n}\n"
@@ -217,6 +228,8 @@ def load_config(path: str) -> tuple[str | None, dict[str, object]]:
     previous run, whose ``params`` block is then extracted.  An unreadable
     file, malformed JSON or a non-object raises ConfigurationError.
     """
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -143,6 +143,17 @@ def test_steady_paper_literal_reports_negative_occupation(capsys):
     assert any("negative mean photon number" in c for c in comments)
 
 
+@pytest.mark.parametrize("command", [("steady",), ("evolve", "--t", "3")])
+def test_rate_trio_warning_comes_before_the_computations(command, capsys):
+    code, out, err = run_cli(capsys, *command, "--eta1", "0.25", "--eta2", "0.25", "--r-a", "1",
+                             "--g", "1", "--gamma", "0.5", "--backend", "paper-literal")
+    assert (code, err) == (0, "")
+    warnings_noted = [c for c in parse_csv(out)[0] if c.startswith("# warning: ")]
+    assert "assumes a good cavity" in warnings_noted[0]
+    assert len(warnings_noted) > 1
+    assert all("negative mean photon number" in c for c in warnings_noted[1:])
+
+
 def test_steady_unstable_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "steady", "--eta1", "0", "--eta2", "0", "--A", "3.5"
@@ -587,6 +598,7 @@ OPTIONS_AHEAD = [
     (("--out", "x.csv", *STEADY_ARGS), "--out"),
     (("--absolute-units", *STEADY_ARGS), "--absolute-units"),
     (("--eta1", "0", "steady", "--eta2", "0"), "--eta1"),
+    (("--no-optimize", "sweep"), "--no-optimize"),  # an option of the last command only
 ]
 
 
@@ -630,7 +642,9 @@ COMMAND_KEYS = {
 
 def flag_destinations(command):
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help", "config", "out", "format"}
+    parser = sub.choices[command]
+    parser.flags  # a command's parser adds its arguments when its flags are first read
+    return {a.dest for a in parser._actions} - {"help", "config", "out", "format"}
 
 
 def config_keys(command, tmp_path):
@@ -1275,10 +1289,10 @@ def test_help_and_argument_errors_never_import_numpy(capsys):
         assert (proc.returncode, proc.stderr) == (code, err)
 
 
-# What a bare start of a CLI loads anyway: argparse, json and csv, and one
-# parser with one subparser.  Prints the names of the loaded modules.
+# What a bare start of a CLI loads anyway: argparse, and one parser with one
+# subparser.  Prints the names of the loaded modules.
 BARE_START = """\
-import argparse, csv, json, sys
+import argparse, sys
 argparse.ArgumentParser().add_subparsers().add_parser("x")
 print(*sys.modules)
 """
@@ -1306,6 +1320,75 @@ def test_cli_start_path_loads_no_dataclasses_inspect_or_typing(capsys):
     extra = set(proc.stderr.split()) - set(bare.stdout.split())
     assert {"ycel.cli", "ycel.model", "ycel.serialize"} <= extra
     assert not extra & {"dataclasses", "inspect", "typing"}, sorted(extra)
+
+
+# import ycel.cli and build_parser(), then one call of main on argv[1:]; on
+# stderr, which of json and csv were loaded after build_parser and after main.
+JSON_CSV_LOADS = """\
+import sys
+import ycel.cli
+ycel.cli.build_parser()
+print(*sorted({"json", "csv"} & set(sys.modules)), file=sys.stderr)
+code = ycel.cli.main(sys.argv[1:])
+print(*sorted({"json", "csv"} & set(sys.modules)), sep=",", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("form, loaded", [("csv", "csv"), ("json", "json"), ("config", "csv,json")])
+def test_json_and_csv_load_with_the_first_document_or_config_that_needs_them(form, loaded,
+                                                                             tmp_path, capsys):
+    config = tmp_path / "prefactors.json"
+    config.write_text(json.dumps({"eta1": 0, "eta2": 0}))
+    argv = {"csv": PREFACTORS_ARGS, "json": (*PREFACTORS_ARGS, "--format", "json"),
+            "config": ("prefactors", "--config", str(config))}[form]
+    proc = run_child([sys.executable, "-S", "-c", JSON_CSV_LOADS, *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"\n{loaded}\n"
+    assert proc.stdout == run_cli(capsys, *(PREFACTORS_ARGS if form == "config" else argv))[1]
+
+
+# Runs main on argv[1:], then prints the warning filters and the modules the
+# run loaded, in the order they loaded.
+FILTERS_AFTER_RUN = """\
+import contextlib, io, sys, warnings
+import ycel.cli
+
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ycel.cli.main(sys.argv[1:]) == 0
+print(repr(warnings.filters))
+print(*[name for name in sys.modules if name not in before])
+"""
+
+# Imports the modules named in argv[1:], in that order, then prints the
+# warning filters.
+FILTERS_AFTER_IMPORT = """\
+import importlib, sys, warnings
+import ycel.cli
+
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(repr(warnings.filters))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    (*EVOLVE_ARGS, "--t", "1"),
+    (*EVOLVE_ARGS, "--t", "1", "--route", "ode", "--format", "json"),
+    (*STEADY_ARGS, "--format", "json"),
+    (*ORACLE_POINT, "--nmax", "2", "--t", "0.1", "--dt", "0.05"),
+], ids=["evolve", "evolve-ode", "steady", "oracle"])
+def test_a_command_keeps_the_warning_filters_of_the_modules_it_loads(argv):
+    # the modules a command loads set their warning filters at import, and
+    # the note scopes that collect the command's warnings must not drop them
+    run = run_child([sys.executable, "-c", FILTERS_AFTER_RUN, *argv])
+    assert run.returncode == 0, run.stderr
+    filters, loaded = run.stdout.splitlines()
+    assert "numpy" in loaded.split() and {"json", "csv"} & set(loaded.split())
+    direct = run_child([sys.executable, "-c", FILTERS_AFTER_IMPORT, *loaded.split()])
+    assert direct.returncode == 0, direct.stderr
+    assert filters == direct.stdout.rstrip("\n")
 
 
 def run_call(argv, out_path):
