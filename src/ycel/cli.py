@@ -2,10 +2,11 @@
 
 Subcommands: prefactors, evolve, steady, oracle, sweep.  All rates and
 times are entered in units of the cavity decay kappa unless
---absolute-units is given; with the default kappa of 1 the two conventions
-coincide.  Output is deterministic: the same parameters always produce
-byte-identical text, and every JSON document can be fed back through
---config to reproduce its run.
+--absolute-units is given.  A kappa-unit run computes at kappa = 1, so no
+number of its document but the recorded kappa depends on --kappa.  Output
+is deterministic: the same parameters always produce byte-identical text,
+and every JSON document can be fed back through --config to reproduce its
+run.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     "times", and A is 1 unless the --r-a/--g/--gamma trio is given; the
     unused side of that choice is dropped.  Refuses mistyped config values,
     a non-positive or infinite --kappa or --A, a missing required
-    parameter, malformed times, then a partial trio or both A and the trio.
+    parameter, an --A, --dt or --at-time below the normal range, malformed
+    times, then a partial trio or both A and the trio.
     """
     command = args.command
     params = {key: PARAMETERS[key][0] for key in COMMANDS[command][2]}
@@ -189,6 +191,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         cast = PARAMETERS[key][3].get("type")
         if value is not None and cast in (float, int):
             params[key] = cast(value)
+    for key in ("A", "dt", "at_time"):
+        if params.get(key) is not None:
+            _check_normal(params[key], "--" + key.replace("_", "-"))
     if "times" in params:
         params["times"] = _resolve_times(params, command)
         del params["t"], params["samples"]
@@ -207,69 +212,32 @@ def _resolve(args: argparse.Namespace) -> dict:
     return params
 
 
-def _rate_scale(params: dict) -> float:
-    """Multiplier turning entered rates into absolute rates."""
-    return params["kappa"] if params["units"] == "kappa" else 1.0
+def _engine_kappa(params: dict) -> float:
+    """The kappa the engine, the oracle and the sweep run at.  The moments
+    depend only on the rates over kappa and on kappa t, so a run entered in
+    kappa units runs its values as entered at kappa = 1, and only an
+    --absolute-units run hands over --kappa."""
+    return params["kappa"] if params["units"] == "absolute" else 1.0
 
 
-def _time_scale(params: dict) -> float:
-    """Multiplier turning entered times into absolute times."""
-    return 1.0 / params["kappa"] if params["units"] == "kappa" else 1.0
-
-
-def _out_of_range(value: float, scaled: float) -> bool:
-    """Whether a positive finite value, once scaled, overflows or lies below
-    the normal floating-point range: at 0, or subnormal, with fewer
-    significant bits than a float carries."""
-    return 0.0 < value < math.inf and not sys.float_info.min <= scaled < math.inf
-
-
-def _gain_rate(params: dict) -> float:
-    """The absolute linear gain rate --A gives."""
-    scale = _rate_scale(params)
-    gain = params["A"] * scale
-    if _out_of_range(params["A"], gain):
-        raise ConfigurationError(
-            f"--A {params['A']!r} times --kappa {scale!r} is out of floating-point range"
-        )
-    return gain
-
-
-def _absolute_time(value: float, params: dict, flag: str) -> float:
-    """The absolute time an entered time gives, refused when a scaled
-    positive one leaves the floating-point range."""
-    absolute = value * _time_scale(params)
-    if _out_of_range(value, absolute):
-        raise ConfigurationError(
-            f"{flag} {value!r} over --kappa {params['kappa']!r} is out of floating-point range"
-        )
-    return absolute
-
-
-def _final_time(times: list[float], params: dict) -> float:
-    """The absolute last time of a --t or --times grid, refused when that
-    time or the smallest positive one leaves the floating-point range."""
-    if times[-1] == math.inf:  # the --t grid multiplies before it divides
-        raise ConfigurationError(
-            f"--t over --samples {len(times)} is out of floating-point range"
-        )
-    final = _absolute_time(times[-1], params, "--t/--times")
-    _absolute_time(next((t for t in times if t > 0.0), 0.0), params, "--t/--times")
-    return final
+def _check_normal(value: float, flag: str) -> None:
+    """Refuses a positive value below the normal floating-point range:
+    subnormal, with fewer significant bits than a float carries."""
+    if 0.0 < value < sys.float_info.min:
+        raise ConfigurationError(f"{flag} {value!r} is below the normal floating-point range")
 
 
 def _build_prefactors(params: dict, notes: _NoteCollector) -> Prefactors:
     """The run's prefactors.  Only the rate trio's ModelParams can warn (of a
     bad cavity), and notes records that warning."""
-    scale = _rate_scale(params)
     if "A" in params:
-        return prefactors_from_inversions(params["eta1"], params["eta2"], _gain_rate(params))
+        return prefactors_from_inversions(params["eta1"], params["eta2"], params["A"])
     with notes:
         model = ModelParams(
-            r_a=params["r_a"] * scale,
-            g=params["g"] * scale,
-            gamma=params["gamma"] * scale,
-            kappa=params["kappa"],
+            r_a=params["r_a"],
+            g=params["g"],
+            gamma=params["gamma"],
+            kappa=_engine_kappa(params),
             eta1=params["eta1"],
             eta2=params["eta2"],
         )
@@ -299,8 +267,13 @@ def _resolve_times(params: dict, command: str) -> list[float]:
         if samples > MAX_SAMPLES:
             raise ConfigurationError(f"--samples {samples} exceeds the limit {MAX_SAMPLES}")
         times = [t] if samples == 1 else [t * i / (samples - 1) for i in range(samples)]
+        if times[-1] == math.inf:  # the grid multiplies before it divides
+            raise ConfigurationError(
+                f"--t over --samples {samples} is out of floating-point range"
+            )
     if command == "oracle" and times[-1] <= 0:
         raise ConfigurationError("oracle needs a positive final time")
+    _check_normal(next((v for v in times if v > 0.0), 0.0), "--t/--times")
     return times
 
 
@@ -358,13 +331,12 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     times = params["times"]
     notes = _NoteCollector()
     pref = _build_prefactors(params, notes)
-    _final_time(times, params)
     from .dynamics import _trajectory_rows
     if params["route"] == "ode":
         import scipy.integrate  # noqa: F401 -- the ode route's solver, outside the note scope
     with notes:
-        rows = _trajectory_rows(pref, params["kappa"], [t * _time_scale(params) for t in times],
-                                params["backend"], params["route"])
+        rows = _trajectory_rows(pref, _engine_kappa(params), times, params["backend"],
+                                params["route"])
     cells = [times, *zip(*rows)]
     columns = ("time", *MOMENT_COLUMNS)
     return table_document(args.format, args.command, params, columns, cells, notes)
@@ -376,7 +348,7 @@ def cmd_steady(args: argparse.Namespace) -> str:
     pref = _build_prefactors(params, notes)
     from .dynamics import _steady_state
     with notes:
-        margin, moments = _steady_state(pref, params["kappa"], params["backend"])
+        margin, moments = _steady_state(pref, _engine_kappa(params), params["backend"])
     notes.append(f"stability margin = {format_value(margin)}")
     cells = [(v,) for v in moments.as_tuple()]
     return table_document(args.format, args.command, params, MOMENT_COLUMNS, cells, notes)
@@ -384,11 +356,10 @@ def cmd_steady(args: argparse.Namespace) -> str:
 
 def cmd_oracle(args: argparse.Namespace) -> str:
     params = _resolve(args)
-    times, tscale = params["times"], _time_scale(params)
+    times = params["times"]
     notes = _NoteCollector()
     pref = _build_prefactors(params, notes)
-    dt = _absolute_time(params["dt"], params, "--dt")
-    cfg = FockConfig(params["nmax"], dt, _final_time(times, params), params["edge_tol"])
+    cfg = FockConfig(params["nmax"], params["dt"], times[-1], params["edge_tol"])
     from .fock_oracle import DensityState, integrate
     import scipy.sparse  # noqa: F401 -- integrate's operator, outside the note scope
     with notes:
@@ -396,8 +367,8 @@ def cmd_oracle(args: argparse.Namespace) -> str:
             DensityState.vacuum(cfg.n_max),
             cfg,
             pref,
-            params["kappa"],
-            sample_times=[t * tscale for t in times],
+            _engine_kappa(params),
+            sample_times=times,
             check_convergence=params["check_convergence"],
         )
     if run.convergence_delta is not None:
@@ -417,17 +388,15 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     at_time = params["at_time"]
     if at_time is not None and not 0.0 <= at_time < math.inf:
         raise ConfigurationError(f"--at-time must be finite and nonnegative, got {at_time!r}")
-    gain_scale = _gain_rate(params)
-    if at_time is not None:
-        at_time = _absolute_time(at_time, params, "--at-time")
+    kappa = _engine_kappa(params)
     from .dynamics import _eigen_margins
     from .entanglement import BIPARTITIONS, sweep as run_sweep
 
     table = run_sweep(
         _axis(lo1, hi1, n1),
         _axis(lo2, hi2, n2),
-        gain_scale=gain_scale,
-        kappa=params["kappa"],
+        gain_scale=params["A"],
+        kappa=kappa,
         backend=params["backend"],
         at_time=at_time,
         optimize=params["optimize"],
@@ -438,7 +407,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     columns += ["fully_inseparable", "failure"]
     # the margin column is the eigensolver's, as is_stable reports it; the
     # verdict and the refusal reason come from the exact margin
-    margins = _eigen_margins(table.prefactors, params["kappa"])
+    margins = _eigen_margins(table.prefactors, kappa)
     # a failed point prints NaN ratios and empty verdicts
     solved = [not f for f in table.failure]
 
