@@ -44,9 +44,10 @@ buffers allocated once per march.  scipy.sparse loads at the first
 records costs numpy only.  Full steps fill the rows of a block of
 up to 64 rows (fewer past 2 MiB), and one audit per block and run checks
 every state with the same bounds and messages as an audit after each
-step.  With the dt/2 check the two runs march side by side: one step of a
-two-row state on a block-diagonal operator moves the dt run by dt and the
-dt/2 run by dt/2, and one more dt/2 step completes the interval, each row
+step.  With the dt/2 check the dt/2 run takes each step h of the dt run,
+full or remainder, as two halves, side by side with it: one step of a
+two-row state on a block-diagonal operator moves the dt run by h and the
+dt/2 run by h/2, and one more h/2 step completes the interval, each row
 equal to its own run's step bit for bit.  Overflow is silent: a step that
 overflows leaves a state that is not finite, and the audit refuses it.  A
 refusal marches the dt run again alone, so its message is the one a march
@@ -369,9 +370,9 @@ class OracleRun:
     folded support of the (a1, b) space, or every coordinate with
     restrict=False), operator_nnz the stored entries of the real operator
     marched on them, and steps the RK4 steps taken, those of the dt/2
-    run included.  min_eigenvalue is the smallest eigenvalue of the
-    final (a1, b) state when spectrum tracking was requested; its nonzero
-    spectrum is the three-mode one.
+    run included: two for each step of the dt run.  min_eigenvalue is the
+    smallest eigenvalue of the final (a1, b) state when spectrum tracking
+    was requested; its nonzero spectrum is the three-mode one.
     """
 
     times: tuple
@@ -555,70 +556,62 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     residues and edge populations at the samples and the final vector, and
     the number of steps all runs took.
 
-    Full steps fill consecutive rows of a block (``_steps``), and one audit
-    per block and run checks that run's states in step order, raising the
-    error and time an audit after each step would; the next block starts
-    from the last row, so no later state is read before a step is audited.
-    Two runs step side by side, one dt interval a row, as far as both have
-    full steps left; the rest of each run steps alone.  The state at each
-    sample, past its remainder step, is audited as a block of one row.
+    Each sample span is split once (``_split``), and the dt/2 run takes
+    each step h of the dt run, full or remainder, as two of h/2.  Full
+    steps fill consecutive rows of a block (``_steps``), and one audit per
+    block and run checks that run's states in step order, raising the error
+    and time an audit after each step would; the next block starts from the
+    last row, so no later state is read before a step is audited.  The dt/2
+    run's state halfway through a remainder is audited at its time, then
+    each run's state at the sample.
 
     Overflow is silent: a step that overflows leaves a state that is not
-    finite, and the audit refuses it as divergence.  Side by side, a refusal
-    is the dt run's first or else the dt/2 run's first, since each block
-    audits its dt states first; ``integrate`` then marches the dt run alone.
+    finite, and the audit refuses it as divergence.  A refusal where the dt
+    run passes is the dt/2 run's first; ``integrate`` then marches the dt
+    run alone.
     """
-    size = support.size
+    size, dt, width = support.size, dts[0], 2 * len(dts) - 1  # width: states a row holds
     step = _rk4_step(lop)
+    if len(dts) == 1:
+        def interval(h):
+            sizes = _sizes(h)
+            return lambda vec, row: step(vec[0], sizes, row[0])
+    else:
+        pair = _rk4_step(lop, runs=2)
 
-    def alone(dt):  # one state a row
-        sizes = _sizes(dt)
-        return lambda vec, row: step(vec, sizes, row)
-
-    if len(dts) == 2:
-        pair, sizes, half = _rk4_step(lop, runs=2), _sizes(np.repeat(dts, size)), _sizes(dts[1])
-
-        def interval(vec, row):
-            # row holds the dt state, then the second and first dt/2 states, so
+        def interval(h):
+            # a row holds the dt state, then the second and first dt/2 states, so
             # the pair reads rows 0:2 of the interval before and writes rows 0, 2
-            pair(vec[:2], sizes, row[::2])
-            step(row[2], half, row[1])
+            sizes, half = _sizes(np.repeat((h, 0.5 * h), size)), _sizes(0.5 * h)
 
-        paired = np.empty((_block_rows(3 * size), 3, size))
-        start = np.empty((2, size))
-        in_order = (lambda part: part[:, 0], lambda part: part[:, 2:0:-1].reshape(-1, size))
-    # what each run steps alone: with two runs, a full step or none, most samples
-    blocks = [np.empty((_block_rows(size) if len(dts) == 1 else 1, size)) for _ in dts]
-    vecs = [vec for _ in dts]
+            def advance(vec, row):
+                pair(vec[:2], sizes, row[::2])
+                step(row[2], half, row[1])
+            return advance
+
+    in_order = (lambda part: part[:, 0], lambda part: part[:, 2:0:-1].reshape(-1, size))
+    rows = np.empty((_block_rows(width * size), width, size))
+    full = interval(dt)
+    vec = np.stack([vec] * len(dts))  # row i: run i's state
     runs = [([], [], []) for _ in dts]
     t_last, steps = 0.0, 0
     for t in samples:
-        splits = [_split(t - t_last, dt) for dt in dts]
-        steps += sum(nfull + bool(rem) for nfull, rem in splits)
-        full = [nfull for nfull, _ in splits]
-        t_prevs = [t_last for _ in dts]
-        count = min(full[0], full[1] // 2) if len(dts) == 2 else 0
-        if count:
-            start[0], start[1] = vecs
-            last, t_prevs = _steps(interval, support, start, count, paired,
-                                   list(zip(t_prevs, dts, in_order)), edge_tol)
-            vecs = list(last[:2])
-            full = [full[0] - count, full[1] - 2 * count]
-        for i, (_, rem) in enumerate(splits):
-            block = blocks[i]
-            vec, _ = _steps(alone(dts[i]), support, vecs[i], full[i], block,
-                            [(t_prevs[i], dts[i], lambda part: part)], edge_tol)
-            if rem:
-                step(vec, _sizes(rem), block[0])
-                vec = block[0]
-            residue, edge = _audit(support, vec[None], edge_tol, (t,))
-            tables, residues, edges = runs[i]
-            tables.append(_table_at(maps, vec))
-            residues.append(float(residue[0]))
-            edges.append(float(edge[0]))
-            vecs[i] = vec
+        nfull, rem = _split(t - t_last, dt)
+        steps += width * (nfull + bool(rem))
+        vec, t_prevs = _steps(full, support, vec, nfull, rows,
+                              [(t_last, h, states) for h, states in zip(dts, in_order)], edge_tol)
+        if rem:
+            interval(rem)(vec, rows[0])
+            vec = rows[0]
+            if len(dts) == 2:
+                _audit(support, vec[2:], edge_tol, (t_prevs[1] + 0.5 * rem,))
+        residue, edge = _audit(support, vec[:len(dts)], edge_tol, [t] * len(dts))
+        for (tables, residues, edges), state, r, e in zip(runs, vec, residue, edge):
+            tables.append(_table_at(maps, state))
+            residues.append(float(r))
+            edges.append(float(e))
         t_last = t
-    return [(*run, vec) for run, vec in zip(runs, vecs)], steps
+    return [(*run, state) for run, state in zip(runs, vec)], steps
 
 
 def _sample_grid(cfg: FockConfig, sample_times):
@@ -660,7 +653,9 @@ def integrate(
     population (the cutoff is too small for the physics) or when the trace
     drifts or the state diverges (the step is too large).  With
     check_convergence the march is also made at dt/2, side by side with the
-    dt run, and the tracked moments must agree within 1e-6.
+    dt run, each step of the dt run, a remainder step shorter than dt
+    included, taken as two halves, and the tracked moments must agree
+    within 1e-6 at every sample.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  The run holds one record
@@ -697,8 +692,8 @@ def integrate(
         runs, steps = _march(lop, support, maps, vec0, samples, dts, cfg.edge_tol)
     except (IntegrationError, TruncationError):
         if check_convergence:
-            # the refusal is the dt run's first or else the dt/2 run's first:
-            # the dt run marched alone raises its own if it has one
+            # the dt run marched alone raises its own refusal if it has one;
+            # otherwise the refusal caught is the dt/2 run's first
             _march(lop, support, maps, vec0, samples, dts[:1], cfg.edge_tol)
         raise
     (tables, residues, edges, vec), *halved = runs

@@ -403,6 +403,17 @@ def test_oracle_refuses_a_step_that_halving_moves(capsys):
                    "(tolerance 1.0e-06); reduce dt\n")
 
 
+@pytest.mark.parametrize("dt", ["0.3", "1e300"])
+def test_oracle_halves_a_step_longer_than_the_sample_spacing(dt, capsys):
+    # samples 0.1 apart: at --dt 0.1 each span is one full step, and at 0.3 or
+    # 1e300 one remainder step; the dt/2 run halves either, so all three refuse
+    line = (*ORACLE_POINT, "--t", "1")
+    want = run_cli(capsys, *line, "--dt", "0.1")
+    assert want == (3, "", "error: halving dt moves tracked moments by 2.560e-06 "
+                           "(tolerance 1.0e-06); reduce dt\n")
+    assert run_cli(capsys, *line, "--dt", dt) == want
+
+
 def test_oracle_refuses_too_many_steps(capsys):
     code, out, err = run_cli(capsys, "oracle", "--eta1", "0", "--eta2", "0", "--A", "1",
                              "--nmax", "3", "--dt", "1e-300", "--t", "1")
@@ -968,7 +979,8 @@ KAPPA_SCALED_TIMES = [
     pytest.param((*EVOLVE_ARGS, "--times", "1e150"), "1e-160", 0, id="times=1e150-kappa=1e-160"),
     pytest.param(("sweep", "--eta-grid", "3x3", "--at-time", "1e300"), "1e-10", 0,
                  id="at-time=1e300-kappa=1e-10"),
-    pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e300"), "1e-10", 0,
+    # the dt/2 run halves the one step of 0.1 to each sample and refuses
+    pytest.param((*ORACLE_POINT, "--t", "1", "--dt", "1e300"), "1e-10", 3,
                  id="oracle-dt=1e300-kappa=1e-10"),
     pytest.param((*EVOLVE_ARGS, "--t", "1e-300"), "1e300", 0, id="t=1e-300-kappa=1e300"),
     pytest.param((*EVOLVE_ARGS, "--t", "1e-300"), "1e10", 0, id="t=1e-300-kappa=1e10"),

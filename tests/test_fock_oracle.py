@@ -413,6 +413,20 @@ def test_convergence_refusal_names_the_move_and_the_tolerance():
     assert run.convergence_delta is None
 
 
+@pytest.mark.parametrize("dt", [0.3, 1e300])
+def test_convergence_check_halves_a_step_longer_than_the_sample_spacing(dt):
+    # a step longer than every span is one remainder step per span, which the
+    # dt/2 run takes as two halves, as it halves each full step at dt = 0.1
+    def refusal(dt):
+        cfg = FockConfig(n_max=6, dt=dt, t_final=1.0, edge_tol=1e-3)
+        with pytest.raises(IntegrationError, match="halving dt") as caught:
+            integrate(DensityState.vacuum(6), cfg, pref(0.0, 0.0, a=1.0), 1.0,
+                      sample_times=np.linspace(0.0, 1.0, 11))
+        return str(caught.value)
+
+    assert refusal(dt) == refusal(0.1)
+
+
 def test_decoupled_loss_mode_stays_dark():
     p = pref(-0.5, -0.5, a=0.5)
     cfg = FockConfig(n_max=5, dt=0.02, t_final=4.0, edge_tol=1e-2)

@@ -1,6 +1,7 @@
 """The oracle's kernel march, stacked support search and index-arithmetic
 set-up against the code they replaced, kept verbatim in ``oracle_reference``:
-equal bit for bit."""
+equal bit for bit.  The dt/2 run of the convergence check is pinned to a
+halved march built here from the reference's RK4 step and audit."""
 
 import math
 import re
@@ -101,6 +102,40 @@ def one_run_march(lop, support, maps, vec, samples, dt, edge_tol):
     """The live march of one run, laid out as the reference's, then its steps."""
     (run,), steps = fock_oracle._march(lop, support, maps, vec, samples, (dt,), edge_tol)
     return (*run, steps)
+
+
+def halved_march(lop, support, maps, vec, samples, dt, edge_tol):
+    """The dt/2 run as the reference takes it: each step of a dt run, full or
+    remainder, as two halves of ``oracle_reference._rk4``, each state audited
+    on its own by ``oracle_reference._audit`` at its time and the state at
+    each sample again at the sample time.  Returns the tables, trace residues
+    and edge populations at the samples, the final vector, the steps taken,
+    and each audited (time, state bytes), in order."""
+    support = oracle_reference.Support(support.cutoffs, support.keys)
+    tables, residues, edges, audited = [], [], [], []
+    t_prev, steps = 0.0, 0
+
+    def audit(vec, t):
+        audited.append((t, vec.tobytes()))
+        return oracle_reference._audit(support, vec, edge_tol, t)
+
+    for t in samples:
+        nfull, rem = fock_oracle._split(t - t_prev, dt)
+        for _ in range(2 * nfull):
+            vec = oracle_reference._rk4(lop, vec, 0.5 * dt)
+            t_prev += 0.5 * dt
+            audit(vec, t_prev)
+        if rem:
+            vec = oracle_reference._rk4(lop, vec, 0.5 * rem)
+            audit(vec, t_prev + 0.5 * rem)
+            vec = oracle_reference._rk4(lop, vec, 0.5 * rem)
+        steps += 2 * (nfull + bool(rem))
+        t_prev = t
+        residue, edge = audit(vec, t)
+        tables.append(fock_oracle._table_at(maps, vec))
+        residues.append(residue)
+        edges.append(edge)
+    return tables, residues, edges, vec, steps, audited
 
 
 def both_marches(case, samples, dt, edge_tol):
@@ -350,11 +385,14 @@ def test_divergent_march_raises_no_runtime_warning(dt, t_final, check_convergenc
 
 
 def reference_march(lop, support, maps, vec, samples, dts, edge_tol):
-    """The reference march in ``integrate``'s place, one run after another;
-    it counts no steps, which no document prints."""
+    """The reference marches in ``integrate``'s place, the dt run and then the
+    halved one; it counts no steps, which no document prints."""
     reference_support = oracle_reference.Support(support.cutoffs, support.keys)
-    return [oracle_reference._march(lop, reference_support, maps, vec, samples, dt, edge_tol)
-            for dt in dts], 0
+    dt = dts[0]
+    runs = [oracle_reference._march(lop, reference_support, maps, vec, samples, dt, edge_tol)]
+    if len(dts) == 2:
+        runs.append(halved_march(lop, support, maps, vec, samples, dt, edge_tol)[:4])
+    return runs, 0
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -387,16 +425,17 @@ def test_run_counts_its_steps_and_operator_entries():
     )
     assert single.operator_nnz == checked.operator_nnz == lop.nnz
     assert single.steps == 6 + 15 + 8
-    # at dt/2: 12 steps to 0.3, 28 and a remainder to 1.01, 14 and a remainder to 1.37
-    assert checked.steps == single.steps + 12 + 29 + 15
+    # the dt/2 run takes each step of the dt run as two
+    assert checked.steps == 3 * single.steps
 
 
-# 0.05 * (4 - 7e-10) past 0.3 is four steps of dt and seven of dt/2 and a
-# remainder: fewer than twice as many, so each run takes a full step alone
+# a remainder before the second and third samples, and the fourth; and a span
+# a hair short of four steps, which takes four and leaves the next span a
+# remainder of 3.5e-11
 TWO_RUN_SAMPLES = [
-    pytest.param(SAMPLES, id="twice-as-many"),
-    pytest.param(np.array([0.3, 1.01, 1.37, 1.66]), id="one-more-dt/2-step"),
-    pytest.param(np.array([0.3, 0.3 + DT * (4 - 7e-10), 1.0]), id="one-fewer-dt/2-step"),
+    pytest.param(SAMPLES, id="two-remainders"),
+    pytest.param(np.array([0.3, 1.01, 1.37, 1.66]), id="three-remainders"),
+    pytest.param(np.array([0.3, 0.3 + DT * (4 - 7e-10), 1.0]), id="a-tiny-remainder"),
 ]
 
 
@@ -415,18 +454,21 @@ def audit_spy(monkeypatch):
 @pytest.mark.parametrize("samples", TWO_RUN_SAMPLES)
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 @pytest.mark.parametrize("block_rows", [64, 1, 7])
-def test_two_run_march_equals_two_one_run_marches(case, samples, block_rows, monkeypatch):
+def test_two_run_march_equals_the_one_run_and_halved_marches(case, samples, block_rows,
+                                                            monkeypatch):
     monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
     lop, support, maps, vec0 = march_inputs(case)
     audited = audit_spy(monkeypatch)
-    want = [one_run_march(lop, support, maps, vec0, samples, dt, 0.5) for dt in (DT, DT / 2)]
-    want_audited = sorted(audited)
+    want = [one_run_march(lop, support, maps, vec0, samples, DT, 0.5),
+            halved_march(lop, support, maps, vec0, samples, DT, 0.5)]
+    want_audited = sorted(audited + want[1][5])
     audited.clear()
     runs, steps = fock_oracle._march(lop, support, maps, vec0, samples, (DT, DT / 2), 0.5)
-    # every state of both runs audited once, at its time, as the one-run marches do
+    # every state of both runs audited, at its time, as the one-run march and
+    # the halved reference audit it
     assert sorted(audited) == want_audited
-    assert steps == want[0][4] + want[1][4]
-    for (tables, residues, edges, vec), (*want_run, _) in zip(runs, want, strict=True):
+    assert steps == want[0][4] + want[1][4] == 3 * want[0][4]
+    for (tables, residues, edges, vec), want_run in zip(runs, want, strict=True):
         for table, want_table in zip(tables, want_run[0], strict=True):
             for field in ("first", "cross", "pair"):
                 assert np.array_equal(getattr(table, field), getattr(want_table, field)), field
@@ -434,22 +476,23 @@ def test_two_run_march_equals_two_one_run_marches(case, samples, block_rows, mon
         assert np.array_equal(vec, want_run[3])
 
 
-def one_run_outcomes(case, samples, dt, edge_tol):
+def reference_outcomes(case, samples, dt, edge_tol):
     """What ``integrate`` with the dt/2 check must raise and warn: the error
-    of the dt run marched alone, or else of the dt/2 run, and the warnings
-    of the runs marched."""
+    of the dt run marched alone, or else of the halved reference march,
+    which overflows silently as the live march does, and the warnings of
+    the runs marched."""
     eta1, eta2, n_max, restrict = case
     p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
-    caught = []
-    for h in (dt, 0.5 * dt):
-        cfg = FockConfig(n_max=n_max, dt=h, t_final=max(samples), edge_tol=edge_tol)
-        error, warned = outcome(
-            lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
-                              restrict=restrict, check_convergence=False))
+    cfg = FockConfig(n_max=n_max, dt=dt, t_final=max(samples), edge_tol=edge_tol)
+    error, caught = outcome(
+        lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
+                          restrict=restrict, check_convergence=False))
+    if error is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            error, warned = outcome(lambda: halved_march(*march_inputs(case), np.unique(samples),
+                                                         dt, edge_tol))
         caught += warned
-        if error is not None:
-            return error, caught
-    return None, caught
+    return error, caught
 
 
 def outcome(run):
@@ -494,7 +537,7 @@ def test_failing_checked_runs_replay_the_one_run_errors(case, samples, dt, edge_
                                                        error, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
-    want, want_warnings = one_run_outcomes(case, samples, dt, edge_tol)
+    want, want_warnings = reference_outcomes(case, samples, dt, edge_tol)
     calls = counting_march(monkeypatch)
     got, got_warnings = checked_run_outcome(case, samples, dt, edge_tol)
     assert type(got) is type(want) is error
@@ -510,14 +553,14 @@ def test_a_failing_dt2_run_alone_is_replayed():
     # the two refuses the dt/2 run alone, at its last step
     case, samples, dt = (0.0, 0.0, 3, True), [1.0], 0.1
     lop, support, maps, vec0 = march_inputs(case)
-    edges = [one_run_march(lop, support, maps, vec0, np.array(samples), h, 0.5)[2][0]
-             for h in (dt, dt / 2)]
+    edges = [march(lop, support, maps, vec0, np.array(samples), dt, 0.5)[2][0]
+             for march in (one_run_march, halved_march)]
     assert edges[0] < edges[1]
     edge_tol = 0.5 * (edges[0] + edges[1])
     cfg = FockConfig(n_max=3, dt=dt, t_final=1.0, edge_tol=edge_tol)
     integrate(DensityState.vacuum(3), cfg, prefactors_from_inversions(0.0, 0.0, gain_scale=0.5),
               1.0, sample_times=samples, check_convergence=False)  # the dt run passes
-    want, want_warnings = one_run_outcomes(case, samples, dt, edge_tol)
+    want, want_warnings = reference_outcomes(case, samples, dt, edge_tol)
     assert isinstance(want, TruncationError) and "near t=1;" in str(want)
     got, got_warnings = checked_run_outcome(case, samples, dt, edge_tol)
     assert type(got) is type(want) and str(got) == str(want)
@@ -538,8 +581,8 @@ def test_a_refused_checked_run_replays_the_dt_run_alone(monkeypatch):
     # side by side is raised
     case, samples, dt = (0.0, 0.0, 3, True), [1.0], 0.1
     lop, support, maps, vec0 = march_inputs(case)
-    edges = [one_run_march(lop, support, maps, vec0, np.array(samples), h, 0.5)[2][0]
-             for h in (dt, dt / 2)]
+    edges = [march(lop, support, maps, vec0, np.array(samples), dt, 0.5)[2][0]
+             for march in (one_run_march, halved_march)]
     calls = counting_march(monkeypatch)
     got, _ = checked_run_outcome(case, samples, dt, 0.5 * (edges[0] + edges[1]))
     assert isinstance(got, TruncationError)
