@@ -21,7 +21,7 @@ import warnings
 
 from .errors import ConfigurationError, PreparationError, YcelError
 from .model import (BACKENDS, MAX_SWEEP_POINTS, ROUTES, FockConfig, ModelParams, Prefactors,
-                    populations_from_inversions, prefactors, prefactors_from_inversions)
+                    prefactors, prefactors_from_inversions)
 from .serialize import csv_document, format_value, json_document, load_config, table_document
 
 # The numerical modules, and numpy with them, are imported by the commands
@@ -302,14 +302,14 @@ def cmd_prefactors(args: argparse.Namespace) -> str:
     params = _resolve(args)
     notes = _NoteCollector()
     pref = _build_prefactors(params, notes)
-    prep = populations_from_inversions(params["eta1"], params["eta2"])
     residues = {
         "residue_sum_rule": abs(pref.gain3 + pref.gain2 + pref.loss1 - 0.5),
         "residue_cross32": abs(pref.cross32 - math.sqrt(pref.gain3 * pref.gain2)),
         "residue_cross31": abs(pref.cross31 - math.sqrt(pref.gain3 * pref.loss1)),
         "residue_cross21": abs(pref.cross21 - math.sqrt(pref.gain2 * pref.loss1)),
     }
-    populations = {"rho00": prep.rho00, "rho22": prep.rho22, "rho33": prep.rho33}
+    # each weight is its population over 2
+    populations = {"rho00": 2.0 * pref.loss1, "rho22": 2.0 * pref.gain2, "rho33": 2.0 * pref.gain3}
     coefficients = pref._asdict()
     if args.format == "json":
         return json_document(

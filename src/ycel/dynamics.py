@@ -346,11 +346,13 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
     psi(h t)^2 for h >= 0; F is 0 steady.  No step divides by mu, so the
     defective line lambda = 0 takes no branch (McCurdy, Ng and Parlett,
     Math. Comp. 43, 501 (1984)).  Each term of S is symmetric in floating
-    point, so S is too.  Past a gain rate or a time near 1e154 a product
-    overflows, and inf * 0 gives NaN: a preparation with a non-finite row
-    is refused.  The rows of drifts that the caller refuses as unstable
-    are evaluated too, and may divide by zero; no floating-point warning
-    is raised.
+    point, so S is too.  Past a gain rate near 1e154 a product overflows,
+    and inf * 0 gives NaN: a preparation with a non-finite row is refused.
+    Past a time near 1e154 t * t overflows too, but only in the curve term,
+    whose decay a stable drift has underflowed to 0 long before; where it
+    has, the term is -0.0, the product's value wherever t * t is finite.
+    The rows of drifts that the caller refuses as unstable are evaluated
+    too, and may divide by zero; no floating-point warning is raised.
     """
     with np.errstate(all="ignore"):
         # g[kappa, x1] has the nodes kappa and x1, g[x1, y2] x1 and y2
@@ -367,7 +369,9 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
             i0 = t * _psi(kappa * t)
             g1 = t * np.exp(-np.minimum(kappa, x1) * t) * pm - t * _psi(q1 * t)
             g2 = t * np.exp(-np.minimum(x1, y2) * t) * pm - t * _psi(q2 * t)
-            curve = -0.5 * t * t * np.exp(-np.minimum(kappa, end) * t) * pm ** 2
+            d3 = np.exp(-np.minimum(kappa, end) * t)
+            # -0.0 where the decay underflowed, though t * t may overflow
+            curve = np.where(d3 == 0.0, -0.0, -0.5 * t * t * d3 * pm ** 2)
         i1 = g1 / p1
         rest = np.where(far, i1, g2 / p2)
         i2 = (curve - rest) / np.where(far, end, kappa)
@@ -477,8 +481,9 @@ def _closed_form_rows(kappa: float, a: float, mu: float, c: float, entries,
         for k, t in enumerate(times):
             pm, pk, pq1, pq2 = psi[4 * k:4 * k + 4]
             d1, d2, d3 = decay[3 * k:3 * k + 3]
+            # the curve term: -0.0 where the decay underflowed, though t * t may overflow
             terms.append((t * pk, t * d1 * pm - t * pq1, t * d2 * pm - t * pq2,
-                          -0.5 * t * t * d3 * (pm * pm)))
+                          -0.5 * t * t * d3 * (pm * pm) if d3 else -0.0))
         when = f"by t={times[-1]:.6g}"
     ac2 = 2.0 * a * a * c
     rows = []

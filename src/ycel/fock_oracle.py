@@ -89,7 +89,7 @@ __all__ = [
     "integrate",
 ]
 
-# Full steps fill a block of up to _BLOCK_ROWS rows, audited once per run;
+# Full steps fill a block of up to _BLOCK_ROWS rows, checked once per run;
 # fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
 # A row is one state, or the three states of one interval of the dt and dt/2
 # runs marched together.
@@ -213,13 +213,12 @@ class _Support:
 
     Coordinate i holds rho[ket, bra] = rho[bra, ket] for the i-th key
     (ket <= bra) of ``keys``.  Keys are ket * dim + bra, sorted, so
-    positions resolve by binary search.  ``audited`` holds the diagonal
-    positions followed by the diagonal positions sitting in each mode's
-    edge layer, so an audit reads them all with one gather; ``diag_slice``
-    and ``edge_slices`` locate each part in that gather.
+    positions resolve by binary search.  ``diag`` holds the diagonal
+    positions and ``edge`` those sitting in each mode's edge layer; an audit
+    reads each part with its own gather.
     """
 
-    __slots__ = ("cutoffs", "dim", "keys", "size", "audited", "diag_slice", "edge_slices")
+    __slots__ = ("cutoffs", "dim", "keys", "size", "diag", "edge")
 
     def __init__(self, cutoffs: tuple, keys: np.ndarray):
         sides = tuple(n + 1 for n in cutoffs)
@@ -228,12 +227,9 @@ class _Support:
         self.keys = keys
         self.size = keys.size
         ket, bra = np.divmod(keys, self.dim)
-        diag = np.flatnonzero(ket == bra)
-        occupations = np.unravel_index(ket[diag], sides)
-        edge = [diag[occ == n] for occ, n in zip(occupations, cutoffs)]
-        self.audited = np.concatenate((diag, *edge))
-        bounds = np.cumsum([0, diag.size, *(idx.size for idx in edge)]).tolist()
-        self.diag_slice, *self.edge_slices = map(slice, bounds[:-1], bounds[1:])
+        self.diag = np.flatnonzero(ket == bra)
+        occupations = np.unravel_index(ket[self.diag], sides)
+        self.edge = tuple(self.diag[occ == n] for occ, n in zip(occupations, cutoffs))
 
     def dense(self, vec: np.ndarray) -> np.ndarray:
         """The density matrix a folded vector stands for."""
@@ -259,7 +255,7 @@ def _explore(maps, dim: int, seeds: np.ndarray):
     # one (terms, dim) array per field, so a level gathers every term at once;
     # masks flatten term by term, in the order of ``maps``
     coef, kmap, kw, bmap, bw = (np.array(field) for field in zip(*maps))
-    frontier = _sorted_unique(seeds.astype(np.int64))
+    frontier = np.unique(seeds.astype(np.int64))
     seen = np.zeros(dim * dim, dtype=bool)  # by key: the pairs found so far
     seen[frontier] = True
     targets, sources, weights = [frontier[:0]], [frontier[:0]], [np.zeros(0)]
@@ -275,21 +271,13 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         targets.append(found)
         sources.append(src[pos])
         weights.append(coef[term] * kw[term, ket[pos]] * bw[term, bra[pos]])
-        frontier = _sorted_unique(found[~seen[found]])
+        frontier = np.unique(found[~seen[found]])
         seen[frontier] = True
     keys = np.flatnonzero(seen)
     rows = np.searchsorted(keys, np.concatenate(targets))
     cols = np.searchsorted(keys, np.concatenate(sources))
     mat = csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
     return keys, mat
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    # a sort is many times faster here than np.unique's hash table
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
 
 
 def _folded_moment_maps(support: _Support, modes):
@@ -451,11 +439,11 @@ def _rk4_step(lop, runs: int = 1):
     return step
 
 
-def _row_sums(audited, part):
+def _row_sums(rows, idx):
     # the gather rows[:, idx] comes out column-major, and numpy sums strided
     # rows in another order than the 1-D .sum() of each row; C-contiguous
     # rows round exactly as that sum does
-    return np.ascontiguousarray(audited[:, part]).sum(axis=1)
+    return np.ascontiguousarray(rows[:, idx]).sum(axis=1)
 
 
 def _audit(support, rows, edge_tol, times):
@@ -464,16 +452,16 @@ def _audit(support, rows, edge_tol, times):
     Checks the rows in order and raises for the first that fails: divergence
     (an element beyond 1 in magnitude, or not finite), then trace drift, then
     edge population, each with that row's time and value.  Otherwise returns
-    every row's trace residue and edge population.
+    every row's trace residue and edge population, the sums of its diagonal
+    and of each edge layer, each part read with its own gather.
     """
     peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
-    diverged = np.nan_to_num(peak, nan=np.inf) > _DIVERGENCE_PEAK
+    diverged = ~(peak <= _DIVERGENCE_PEAK)  # NaN too
     # rows from the first diverged one on are not summed: they need not be finite
     n = int(diverged.argmax()) if diverged.any() else len(rows)
-    audited = rows[:n, support.audited]
-    trace = _row_sums(audited, support.diag_slice)
+    trace = _row_sums(rows[:n], support.diag)
     residue = np.abs(trace - 1.0)
-    edge = np.max([_row_sums(audited, part) for part in support.edge_slices], axis=0)
+    edge = np.max([_row_sums(rows[:n], idx) for idx in support.edge], axis=0)
     drifted, filled = residue > _TRACE_TOL, edge > edge_tol
     failed = np.flatnonzero(drifted | filled)
     if failed.size:
@@ -520,7 +508,7 @@ def _steps(advance, support, vec, count, block, runs, edge_tol):
 
     runs holds, per run whose states the rows carry, its time before the
     first step, its step size and ``states(part)``, that run's states in a
-    filled part of the block in step order.  Each run's states are audited
+    filled part of the block in step order.  Each run's states are checked
     at their times, summed step by step, before the next part of the block
     starts from the part's last row.
     """
@@ -561,8 +549,8 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     steps fill consecutive rows of a block (``_steps``), and one audit per
     block and run checks that run's states in step order, raising the error
     and time an audit after each step would; the next block starts from the
-    last row, so no later state is read before a step is audited.  The dt/2
-    run's state halfway through a remainder is audited at its time, then
+    last row, so no later state is read before a step is checked.  The dt/2
+    run's state halfway through a remainder is checked at its time, then
     each run's state at the sample.
 
     Overflow is silent: a step that overflows leaves a state that is not

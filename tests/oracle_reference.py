@@ -1,7 +1,7 @@
 """The Fock oracle's march, support search and operator set-up as they were
 before the march called scipy's CSR kernel into preallocated buffers, audited
-once per block of steps with one gather, and stepped the dt and dt/2 runs
-together, and before the set-up built its maps by index arithmetic.
+once per block of steps, and stepped the dt and dt/2 runs together, and
+before the set-up built its maps by index arithmetic.
 
 ``Support``, ``_explore``, ``_rk4``, ``_audit`` and ``_march`` are kept
 verbatim (``Support`` was ``fock_oracle._Support``) as the reference that
@@ -11,6 +11,9 @@ gathers, and the search loops over the term maps at every level.  One
 difference is deliberate: this ``_march`` drops a remainder of at most
 1e-12 * max(dt, 1) even when no full step precedes it, so a span shorter
 than that and than dt takes no step at all; the live march takes it.
+Each search level is de-duplicated with ``np.unique``, as the live search's
+is; from the live module this imports only its audit bounds and
+``_table_at``, the moment read-out.
 
 ``_reduced_model``, ``_term_maps`` and ``_folded_moment_maps`` are the
 set-up as scipy sparse algebra: Kronecker-product ladders, sparse products
@@ -29,7 +32,6 @@ from ycel.errors import ConsistencyError, IntegrationError, TruncationError
 from ycel.fock_oracle import (
     _DIVERGENCE_PEAK,
     _TRACE_TOL,
-    _sorted_unique,
     _table_at,
 )
 
@@ -187,7 +189,7 @@ def _explore(maps, dim: int, seeds: np.ndarray):
     conjugate term of each term sends the mirrored source to the mirror of
     every target.
     """
-    keys = frontier = _sorted_unique(seeds.astype(np.int64))
+    keys = frontier = np.unique(seeds.astype(np.int64))
     targets, sources, weights = [keys[:0]], [keys[:0]], [np.zeros(0)]
     while frontier.size:
         ket, bra = np.divmod(frontier, dim)
@@ -202,7 +204,7 @@ def _explore(maps, dim: int, seeds: np.ndarray):
             sources.append(src[keep])
             weights.append(coef * kw[ket[keep]] * bw[bra[keep]])
         targets.extend(found)
-        found = _sorted_unique(np.concatenate(found))
+        found = np.unique(np.concatenate(found))
         frontier = found[~_lookup(keys, found)[1]]
         keys = np.sort(np.concatenate((keys, frontier)))
     rows = _lookup(keys, np.concatenate(targets))[0]

@@ -64,6 +64,21 @@ def test_prefactors_json_structure(capsys):
     assert doc["params"]["eta1"] == 1.0
 
 
+@pytest.mark.parametrize("point", [
+    ("--eta1=0.1", "--eta2=0.25"), ("--eta1=0", "--eta2=-1"), ("--eta1=1", "--eta2=1"),
+    # rho33 = 5e-324 halves to the weight gain3 = 0, and rho33 prints as 0
+    ("--eta1=-5e-324", "--eta2=-1"),
+], ids=["inside", "rho00=0", "rho00=1", "rho33-subnormal"])
+def test_prefactors_prints_the_populations_of_its_weights(point, capsys):
+    code, out, _ = run_cli(capsys, "prefactors", *point, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    weights = doc["prefactors"]
+    assert doc["populations"] == {"rho00": 2.0 * weights["loss1"],
+                                  "rho22": 2.0 * weights["gain2"],
+                                  "rho33": 2.0 * weights["gain3"]}
+
+
 def test_prefactors_invalid_preparation_names_population(capsys):
     code, _, err = run_cli(capsys, "prefactors", "--eta1", "2", "--eta2", "0")
     assert code == 2
@@ -519,15 +534,17 @@ def test_points_within_the_boundary_tolerance_run(argv, point, computed, capsys)
     assert out
 
 
-# Past a gain rate or a time near 1.3e154 a product of the closed form
-# overflows, and inf * 0 gives NaN: such moments are refused, never printed.
+# Past a gain rate near 1.3e154 a product of the closed form overflows, and
+# inf * 0 gives NaN: such moments are refused, never printed.  A time alone
+# does not get there: past t near 1.3e154, t * t overflows only in a curve
+# term whose decay has underflowed, and that term is taken as -0.0.
 BEYOND_FLOAT_RANGE = {
     "steady-inf": (("steady", "--eta1", "0.5", "--eta2", "0.5", "--A", "1e155"),
                    "gain rate 1e+155 in the steady state"),
     "steady-nan": (("steady", "--eta1", "1", "--eta2", "1", "--A", "1e300"),
                    "gain rate 1e+300 in the steady state"),
-    "evolve": (("evolve", "--eta1", "0", "--eta2", "0", "--t", "1e308", "--samples", "2"),
-               "gain rate 1 by t=1e+308"),
+    "evolve": (("evolve", "--eta1", "0.5", "--eta2", "0.5", "--A", "1e155", "--times", "1e10"),
+               "gain rate 1e+155 by t=1e+10"),
 }
 
 
@@ -538,8 +555,36 @@ def test_moments_beyond_the_float_range_exit_3(argv, named, capsys):
     assert err == f"error: second moments at {named} leave the floating-point range\n"
 
 
+@pytest.mark.parametrize("point, times", [
+    pytest.param(("--eta1", "0", "--eta2", "0"), ("--times", "1e155"), id="times=1e155"),
+    pytest.param(("--eta1", "0", "--eta2", "0"), ("--t", "1e308", "--samples", "2"),
+                 id="t=1e308"),
+    # the defective line eta1 + eta2 = 0.5
+    pytest.param(("--eta1", "0.25", "--eta2", "0.25"), ("--times", "1e200"), id="defective"),
+])
+def test_a_stable_drift_at_a_huge_time_prints_its_steady_row(point, times, capsys):
+    code, out, err = run_cli(capsys, "evolve", *point, *times)
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    _, steady_header, (steady,) = parse_csv(run_cli(capsys, "steady", *point)[1])
+    assert header[1:] == steady_header
+    assert rows[-1][1:] == steady
+
+
+def test_a_sweep_at_a_huge_time_prints_the_steady_rows(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--eta-grid", "5x5", "--at-time", "1e300")
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    _, _, steady = parse_csv(run_cli(capsys, "sweep", "--eta-grid", "5x5")[1])
+    valid = [row for row in rows if row[2] == "valid"]
+    # every stable point; only the marginal ones, with margin 0, are refused
+    assert len(valid) == len(rows) - 3
+    assert valid == [row for row in steady if row[2] == "valid"]
+
+
 @pytest.mark.parametrize("argv", [("sweep", "--eta-grid", "3x3", "--A", "1e300"),
-                                  ("sweep", "--eta-grid", "2x2", "--at-time", "1e308")],
+                                  ("sweep", "--eta-grid", "3x3", "--A", "1e300",
+                                   "--at-time", "1")],
                          ids=["gain", "time"])
 def test_sweep_records_moments_beyond_the_float_range(argv, capsys):
     code, out, err = run_cli(capsys, *argv, "--format", "json")
@@ -970,11 +1015,10 @@ def test_oracle_step_that_is_not_positive_and_finite_keeps_its_message(dt, capsy
 
 # Times and steps that overflow or fall below the normal range only once
 # divided by --kappa.  A kappa-unit line runs them as entered at kappa = 1,
-# and prints the kappa = 1 rows, or refuses as the kappa = 1 line does: the
-# closed form's own range past t near 1.3e154 exits 3.
+# and prints the kappa = 1 rows, or refuses as the kappa = 1 line does.
 KAPPA_SCALED_TIMES = [
-    pytest.param((*EVOLVE_ARGS, "--t", "1e300"), "1e-10", 3, id="t=1e300-kappa=1e-10"),
-    pytest.param((*EVOLVE_ARGS, "--times", "1e300"), "1e-10", 3, id="times=1e300-kappa=1e-10"),
+    pytest.param((*EVOLVE_ARGS, "--t", "1e300"), "1e-10", 0, id="t=1e300-kappa=1e-10"),
+    pytest.param((*EVOLVE_ARGS, "--times", "1e300"), "1e-10", 0, id="times=1e300-kappa=1e-10"),
     pytest.param((*EVOLVE_ARGS, "--t", "1e150"), "1e-160", 0, id="t=1e150-kappa=1e-160"),
     pytest.param((*EVOLVE_ARGS, "--times", "1e150"), "1e-160", 0, id="times=1e150-kappa=1e-160"),
     pytest.param(("sweep", "--eta-grid", "3x3", "--at-time", "1e300"), "1e-10", 0,
@@ -1323,6 +1367,9 @@ def test_prefactors_never_imports_numpy(form, capsys):
 # with a text its error line holds.
 NUMERIC_REFUSALS = (
     (("sweep", "--eta-grid", "3y3"), "grid '3y3' must look like NxM"),
+    (("sweep", "--eta-grid", "3xa"), "grid '3xa': invalid literal for int()"),
+    (("sweep", "--eta-grid", "0x3"), "grid sizes must be at least 1"),
+    (("sweep", "--eta1-range", "1"), "--eta1-range '1' must look like lo:hi"),
     (("sweep", "--eta1-range", "1:0"), "--eta1-range '1:0' must be finite and nondecreasing"),
     (("steady", "--eta1", "5", "--eta2", "0"), "unphysical preparation eta1=5.0"),
     (("evolve", "--eta1", "5", "--eta2", "0", "--t", "1"), "unphysical preparation eta1=5.0"),

@@ -310,6 +310,40 @@ def test_first_moments_refuse_a_non_finite_or_negative_time(t):
         evolve_first_moments(pref(0.0, 0.0), 1.0, [1.0, 0.0, 0.0], t)
 
 
+def test_first_moments_refuse_amplitudes_that_are_not_a_3_vector():
+    for r0 in ([1.0, 0.0], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="^r0 must be a 3-vector$"):
+            evolve_first_moments(pref(0.0, 0.0), 1.0, r0, 1.0)
+
+
+BACKEND_CALLS = {
+    "diffusion_matrix": lambda p, backend: diffusion_matrix(p, backend),
+    "steady_state_moments": lambda p, backend: steady_state_moments(p, 1.0, backend=backend),
+    "second_moment_trajectory": lambda p, backend: second_moment_trajectory(
+        p, 1.0, [1.0], backend=backend),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BACKEND_CALLS))
+def test_moment_calls_refuse_an_unknown_backend(call):
+    with pytest.raises(ValueError, match="^unknown backend 'paper'; choose from "):
+        BACKEND_CALLS[call](pref(0.0, 0.0), "paper")
+
+
+def test_trajectory_refuses_decreasing_times_and_an_unknown_route():
+    with pytest.raises(ValueError, match="^times must be nondecreasing$"):
+        second_moment_trajectory(pref(0.1, 0.1), 1.0, [0.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="^unknown route 'euler'$"):
+        second_moment_trajectory(pref(0.1, 0.1), 1.0, [1.0], route="euler")
+
+
+def test_ode_route_at_zero_times_gives_the_vacuum():
+    # no integration span: every sample is the vacuum, as on the closed form
+    for route in ("ode", "closed-form"):
+        rows = second_moment_trajectory(pref(0.1, 0.1), 1.0, [0.0, 0.0], route=route)
+        assert rows == [SecondMoments.vacuum()] * 2
+
+
 @pytest.mark.parametrize("route", ["closed-form", "ode"])
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_second_moments_refuse_a_non_finite_time(t, route):

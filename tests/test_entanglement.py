@@ -67,6 +67,26 @@ def test_covariance_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError, match="asymmetry"):
         CovarianceMatrix(bad)
+    for value in (np.nan, np.inf):
+        bad = np.eye(6)
+        bad[2, 2] = value
+        with pytest.raises(ValueError, match="^covariance entries must be finite$"):
+            CovarianceMatrix(bad)
+
+
+def test_witness_calls_refuse_arguments_of_the_wrong_type():
+    with pytest.raises(TypeError, match="^m must be a SecondMoments value$"):
+        covariance_from_moments(SecondMoments.vacuum().as_tuple())
+    for call in (vlf_evaluate, optimize_gains):
+        with pytest.raises(TypeError, match="^cov must be a CovarianceMatrix$"):
+            call(np.eye(6))
+
+
+def test_report_record_refuses_an_unknown_bipartition():
+    report = vlf_evaluate(covariance_from_moments(SecondMoments.vacuum()))
+    assert report.record("2|13").name == "2|13"
+    with pytest.raises(KeyError, match=r"^'1\|2'$"):
+        report.record("1|2")
 
 
 def test_vacuum_saturates_every_witness():

@@ -11,9 +11,9 @@ import scipy.sparse as sp
 
 import ycel
 from ycel import fock_oracle, model
-from ycel.dynamics import second_moment_trajectory, stability
-from ycel.errors import ConfigurationError, IntegrationError, TruncationError
-from ycel.fock_oracle import DensityState, FockConfig, integrate
+from ycel.dynamics import SecondMoments, second_moment_trajectory, stability
+from ycel.errors import ConfigurationError, ConsistencyError, IntegrationError, TruncationError
+from ycel.fock_oracle import DensityState, FockConfig, MomentTable, integrate
 from ycel.model import prefactors_from_inversions, validate_physical
 
 from reduced_reference import reduced_march, three_mode_table
@@ -85,6 +85,26 @@ def test_integrate_takes_the_one_fock_config_and_not_its_tuple():
     cfg = FockConfig(n_max=2, dt=0.02, t_final=0.1)
     with pytest.raises(ConfigurationError, match="^cfg must be a FockConfig$"):
         integrate(DensityState.vacuum(2), tuple(cfg), pref(0.0, 0.0), 1.0)
+
+
+def test_integrate_refuses_a_start_or_prefactors_of_the_wrong_type():
+    cfg = FockConfig(n_max=2, dt=0.02, t_final=0.1)
+    with pytest.raises(ConfigurationError, match="^rho0 must be a DensityState$"):
+        integrate(2, cfg, pref(0.0, 0.0), 1.0)
+    with pytest.raises(TypeError, match="^pref must be a Prefactors value$"):
+        integrate(DensityState.vacuum(2), cfg, tuple(pref(0.0, 0.0)), 1.0)
+
+
+def test_closure_refuses_an_imaginary_residue_on_a_tracked_moment():
+    zeros = np.zeros((3, 3), dtype=complex)
+    cross = zeros.copy()
+    cross[0, 0] = 0.25 + 1e-10j
+    table = MomentTable(first=np.zeros(3, dtype=complex), cross=cross, pair=zeros)
+    with pytest.raises(ConsistencyError, match=r"^imaginary residue 1\.000e-10 on tracked "
+                       r"moments \(tol 1\.0e-10\)$"):
+        table.closure()
+    cross[0, 0] = 0.25 + 9e-11j  # below the tolerance: the real parts
+    assert table.closure() == SecondMoments(0.25, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_each_group_is_traceless():
@@ -481,6 +501,18 @@ def test_positivity_of_transient_states():
     run = integrate(DensityState.vacuum(3), cfg, pref(0.0, 0.0, a=0.5), 1.0,
                     sample_times=[1.0], track_spectrum=True)
     assert run.min_eigenvalue > -1e-10
+
+
+def test_a_negative_final_eigenvalue_warns_and_the_run_returns():
+    # at A = 3 the cutoff 5 already truncates the state enough to push an
+    # eigenvalue below -1e-8, inside the edge and dt/2 bounds
+    cfg = FockConfig(n_max=5, dt=0.05, t_final=0.2, edge_tol=1e-5)
+    with pytest.warns(UserWarning, match=r"^final state developed eigenvalue -2\.013e-06; "
+                      "truncation or step error is distorting the state$"):
+        run = integrate(DensityState.vacuum(5), cfg, pref(0.0, 0.0, a=3.0), 1.0,
+                        sample_times=[0.2], track_spectrum=True)
+    assert run.min_eigenvalue < -1e-8
+    assert run.convergence_delta < 1e-6
 
 
 def test_sampling_and_shape_validation():

@@ -142,7 +142,8 @@ def test_sweep_document_within_the_boundary_tolerance(case, edge, fmt, tmp_path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", [{"grid": "3x3", "A": 1e300}, {"grid": "2x2", "at_time": 1e308}],
+@pytest.mark.parametrize("case", [{"grid": "3x3", "A": 1e300},
+                                  {"grid": "3x3", "A": 1e300, "at_time": 1.0}],
                          ids=["gain", "time"])
 def test_sweep_document_beyond_the_float_range(case, fmt, tmp_path):
     doc, _ = assert_documents_match(tmp_path, fmt, **case)
