@@ -35,8 +35,9 @@ __version__ = "0.1.0"
 # Names whose modules import numpy (dynamics, entanglement, fock_oracle) load
 # on first access (PEP 562), so `import ycel`, the CLI's parser and `ycel
 # prefactors` load no numpy, and a caller pays only for the modules it uses.
-# No scipy module loads with them: the oracle imports scipy.sparse at its
-# first `integrate` call, and dynamics scipy.integrate on the ode route.
+# No scipy module loads with them: the oracle loads scipy's compiled sparse
+# kernels at its first `integrate` call without importing any scipy package,
+# and dynamics imports scipy.integrate on the ode route.
 _LAZY = {
     **dict.fromkeys(("NegativeOccupationWarning", "SecondMoments", "StabilityReport",
                      "diffusion_matrix", "drift_matrix", "evolve_first_moments",

@@ -361,7 +361,6 @@ def cmd_oracle(args: argparse.Namespace) -> str:
     pref = _build_prefactors(params, notes)
     cfg = FockConfig(params["nmax"], params["dt"], times[-1], params["edge_tol"])
     from .fock_oracle import DensityState, integrate
-    import scipy.sparse  # noqa: F401 -- integrate's operator, outside the note scope
     with notes:
         run = integrate(
             DensityState.vacuum(cfg.n_max),

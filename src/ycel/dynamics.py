@@ -351,6 +351,9 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
     Past a time near 1e154 t * t overflows too, but only in the curve term,
     whose decay a stable drift has underflowed to 0 long before; where it
     has, the term is -0.0, the product's value wherever t * t is finite.
+    A marginal drift's decay stays 1, and there the term is formed as
+    (-0.5 t d3 pm) (t pm), finite while the moments are; a time with a
+    finite t * t keeps the product as it was.
     The rows of drifts that the caller refuses as unstable are evaluated
     too, and may divide by zero; no floating-point warning is raised.
     """
@@ -370,8 +373,10 @@ def _moment_rows_at(a, v, mu, q, kappa: float, t: float | None):
             g1 = t * np.exp(-np.minimum(kappa, x1) * t) * pm - t * _psi(q1 * t)
             g2 = t * np.exp(-np.minimum(x1, y2) * t) * pm - t * _psi(q2 * t)
             d3 = np.exp(-np.minimum(kappa, end) * t)
-            # -0.0 where the decay underflowed, though t * t may overflow
-            curve = np.where(d3 == 0.0, -0.0, -0.5 * t * t * d3 * pm ** 2)
+            # t * pm twice where t * t overflows; -0.0 where the decay underflowed
+            curve = (-0.5 * t * t * d3 * pm ** 2 if math.isfinite(t * t)
+                     else -0.5 * t * d3 * pm * (t * pm))
+            curve = np.where(d3 == 0.0, -0.0, curve)
         i1 = g1 / p1
         rest = np.where(far, i1, g2 / p2)
         i2 = (curve - rest) / np.where(far, end, kappa)
@@ -481,9 +486,12 @@ def _closed_form_rows(kappa: float, a: float, mu: float, c: float, entries,
         for k, t in enumerate(times):
             pm, pk, pq1, pq2 = psi[4 * k:4 * k + 4]
             d1, d2, d3 = decay[3 * k:3 * k + 3]
-            # the curve term: -0.0 where the decay underflowed, though t * t may overflow
+            # the curve term: -0.0 where the decay underflowed; t * pm twice
+            # where t * t overflows
+            curve = (-0.5 * t * t * d3 * (pm * pm) if math.isfinite(t * t)
+                     else -0.5 * t * d3 * pm * (t * pm))
             terms.append((t * pk, t * d1 * pm - t * pq1, t * d2 * pm - t * pq2,
-                          -0.5 * t * t * d3 * (pm * pm) if d3 else -0.0))
+                          curve if d3 else -0.0))
         when = f"by t={times[-1]:.6g}"
     ac2 = 2.0 * a * a * c
     rows = []

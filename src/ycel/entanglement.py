@@ -375,9 +375,10 @@ def _prefactor_columns(eta1: np.ndarray, eta2: np.ndarray, gain_scale: float):
     # min(max(v, 0.0), 1.0) with Python's choice among equals: -0.0 stays
     rho33, rho22, rho00 = (np.where(1.0 < v, 1.0, np.where(0.0 > v, 0.0, v))
                            for v in (rho33, rho22, rho00))
-    cols = np.stack([np.full_like(rho00, gain_scale), rho33 / 2.0, rho22 / 2.0, rho00 / 2.0,
-                     np.sqrt(rho33 * rho22) / 2.0, np.sqrt(rho33 * rho00) / 2.0,
-                     np.sqrt(rho22 * rho00) / 2.0], axis=1)
+    gain3, gain2, loss1 = rho33 / 2.0, rho22 / 2.0, rho00 / 2.0
+    cols = np.stack([np.full_like(rho00, gain_scale), gain3, gain2, loss1,
+                     np.sqrt(gain3 * gain2), np.sqrt(gain3 * loss1), np.sqrt(gain2 * loss1)],
+                    axis=1)
     if len(cols):
         Prefactors(gain_scale, *cols[0, 1:].tolist())
     return physical, cols

@@ -39,9 +39,9 @@ charge sector w_ket = w_bra.  Pass ``restrict=False`` to march every
 coordinate regardless.
 
 March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
-buffers allocated once per march.  scipy.sparse loads at the first
-``integrate`` call, not with this module, so importing the oracle's
-records costs numpy only.  Full steps fill the rows of a block of
+buffers allocated once per march.  The first ``integrate`` call loads
+scipy's compiled sparse kernels from their extension file, importing no
+scipy package.  Full steps fill the rows of a block of
 up to 64 rows (fewer past 2 MiB), and one audit per block and run checks
 every state with the same bounds and messages as an audit after each
 step.  With the dt/2 check the dt/2 run takes each step h of the dt run,
@@ -65,10 +65,16 @@ negative, so runs report the smallest final eigenvalue when asked
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from itertools import accumulate, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,18 +246,36 @@ class _Support:
         return mat
 
 
+@functools.cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, scipy/sparse/_sparsetools, loaded
+    without the scipy packages.  The sys.modules entry single-phase init
+    adds is dropped, so a later ``import scipy.sparse`` binds its own."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:  # scipy.sparse is loaded: its kernels serve
+        return sys.modules[name]
+    path = os.path.join(*importlib.util.find_spec("scipy").submodule_search_locations, "sparse")
+    spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} extension in {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
 def _explore(maps, dim: int, seeds: np.ndarray):
     """Pairs reachable from ``seeds``, and the generator on them.
 
     Pairs are (k, b) with k <= b; returns their sorted keys and the sparse
-    matrix acting on one real number per pair.  A symmetric state holds
-    (k, b) and (b, k) together, so every pair feeds the terms in both
-    orientations, and only targets on or above the diagonal are kept: the
-    conjugate term of each term sends the mirrored source to the mirror of
-    every target.
+    matrix acting on one real number per pair, as CSR arrays under scipy's
+    names.  A symmetric state holds (k, b) and (b, k) together, so every
+    pair feeds the terms in both orientations, and only targets on or above
+    the diagonal are kept: the conjugate term of each term sends the
+    mirrored source to the mirror of every target.  The matrix is built by
+    the kernels ``csr_matrix((data, (rows, cols)), shape)`` runs on scipy
+    1.10 to 1.17, in its order, so it equals that matrix bit for bit.
     """
-    from scipy.sparse import csr_matrix
-
     # one (terms, dim) array per field, so a level gathers every term at once;
     # masks flatten term by term, in the order of ``maps``
     coef, kmap, kw, bmap, bw = (np.array(field) for field in zip(*maps))
@@ -274,10 +298,18 @@ def _explore(maps, dim: int, seeds: np.ndarray):
         frontier = np.unique(found[~seen[found]])
         seen[frontier] = True
     keys = np.flatnonzero(seen)
-    rows = np.searchsorted(keys, np.concatenate(targets))
-    cols = np.searchsorted(keys, np.concatenate(sources))
-    mat = csr_matrix((np.concatenate(weights), (rows, cols)), shape=(keys.size, keys.size))
-    return keys, mat
+    n, kernels = keys.size, _sparsetools()
+    rows, cols = (np.searchsorted(keys, np.concatenate(ends)).astype(np.int32)
+                  for ends in (targets, sources))
+    indptr, indices, data = np.empty(n + 1, np.int32), np.empty_like(rows), np.empty(rows.size)
+    kernels.coo_tocsr(n, n, rows.size, rows, cols, np.concatenate(weights), indptr, indices, data)
+    if not kernels.csr_has_canonical_format(n, indptr, indices):
+        if not kernels.csr_has_sorted_indices(n, indptr, indices):
+            kernels.csr_sort_indices(n, indptr, indices, data)
+        kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+    nnz = int(indptr[-1])
+    return keys, SimpleNamespace(indptr=indptr, indices=indices[:nnz], data=data[:nnz],
+                                 shape=(n, n))
 
 
 def _folded_moment_maps(support: _Support, modes):
@@ -402,12 +434,11 @@ def _rk4_step(lop, runs: int = 1):
     order, once per state, and 0.5 * h and h / 6 are the same operations
     coordinate by coordinate, so each row equals a one-run step bit for bit.
     """
-    from scipy.sparse._sparsetools import csr_matvec
-
+    csr_matvec = _sparsetools().csr_matvec
     n = lop.shape[0]
     indptr, indices, data = lop.indptr, lop.indices, lop.data
     if runs > 1:
-        indptr = np.concatenate([indptr[:1], *(indptr[1:] + r * lop.nnz for r in range(runs))])
+        indptr = np.concatenate([indptr[:1], *(indptr[1:] + r * data.size for r in range(runs))])
         indices = np.concatenate([indices + r * n for r in range(runs)])
         data = np.tile(data, runs)
     csr = (runs * n, runs * n, indptr, indices, data)
@@ -718,7 +749,7 @@ def integrate(
         edge_populations=tuple(edges[i] for i in index),
         convergence_delta=delta,
         support_size=support.size,
-        operator_nnz=lop.nnz,
+        operator_nnz=lop.data.size,
         steps=steps,
         min_eigenvalue=min_eig,
     )

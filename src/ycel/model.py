@@ -285,16 +285,20 @@ def prefactors_from_inversions(
 
     The cross coefficients are returned in product form, which is exactly
     symmetric under eta1 <-> eta2 together with the mode 2 <-> 3 relabeling.
+    Each is built from the halved weights, sqrt(gain3 * gain2) and so on,
+    so the product rules hold where a population halves below the normal
+    range; elsewhere it equals rho32 / 2 and its kin bit for bit.
     """
     prep = populations_from_inversions(eta1, eta2)
+    gain3, gain2, loss1 = prep.rho33 / 2.0, prep.rho22 / 2.0, prep.rho00 / 2.0
     return Prefactors(
         gain_scale=gain_scale,
-        gain3=prep.rho33 / 2.0,
-        gain2=prep.rho22 / 2.0,
-        loss1=prep.rho00 / 2.0,
-        cross32=prep.rho32 / 2.0,
-        cross31=prep.rho30 / 2.0,
-        cross21=prep.rho20 / 2.0,
+        gain3=gain3,
+        gain2=gain2,
+        loss1=loss1,
+        cross32=math.sqrt(gain3 * gain2),
+        cross31=math.sqrt(gain3 * loss1),
+        cross21=math.sqrt(gain2 * loss1),
     )
 
 

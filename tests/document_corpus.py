@@ -1,8 +1,9 @@
 """The committed document corpus in tests/documents, and its regeneration.
 
 MANIFEST.json maps each document's name to the ycel argv that makes it and
-records the numpy and scipy versions the corpus was made with, and the
-OpenBLAS kernel ("core") numpy's library picked on that CPU.  Each argv
+records the numpy and scipy versions the corpus was made with, the
+OpenBLAS kernel ("core") numpy's library picked on that CPU, and the SIMD
+targets numpy dispatched its ufunc kernels to.  Each argv
 is run twice, with --format csv and --format json.  A document of at most
 EXCERPT_BYTES is stored whole as <name>.csv or <name>.json; a larger one
 as <name>.<format>.excerpt: its lines through the first table row, one
@@ -62,14 +63,25 @@ def openblas_core() -> str | None:
     return None
 
 
+def simd_targets() -> list[str] | None:
+    """The SIMD targets numpy dispatches its ufunc kernels to on this CPU,
+    such as ["X86_V3", "X86_V4"]: np.exp rounds differently on each.  None
+    where numpy's private module does not say (numpy 1.x keeps it elsewhere)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return None
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
 def versions() -> dict:
     """What the corpus's bytes depend on besides the code: the numpy and
-    scipy versions and numpy's OpenBLAS kernel."""
+    scipy versions, numpy's OpenBLAS kernel and its SIMD targets."""
     import numpy
     import scipy
 
     return {"numpy": numpy.__version__, "scipy": scipy.__version__,
-            "openblas_core": openblas_core()}
+            "openblas_core": openblas_core(), "simd_targets": simd_targets()}
 
 
 def render(argv: str, fmt: str) -> str:

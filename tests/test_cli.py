@@ -79,6 +79,16 @@ def test_prefactors_prints_the_populations_of_its_weights(point, capsys):
                                   "rho33": 2.0 * weights["gain3"]}
 
 
+def test_prefactors_at_a_subnormal_population_keep_every_product_rule(capsys):
+    # rho33 = 5e-324 halves to gain3 = 0, and each cross coefficient is built
+    # from the halved weights, so cross32 is 0 too
+    code, out, _ = run_cli(capsys, "prefactors", "--eta1=-5e-324", "--eta2=-1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["prefactors"]["cross32"] == 0.0
+    assert set(doc["residues"].values()) == {0.0}
+
+
 def test_prefactors_invalid_preparation_names_population(capsys):
     code, _, err = run_cli(capsys, "prefactors", "--eta1", "2", "--eta2", "0")
     assert code == 2
@@ -537,7 +547,8 @@ def test_points_within_the_boundary_tolerance_run(argv, point, computed, capsys)
 # Past a gain rate near 1.3e154 a product of the closed form overflows, and
 # inf * 0 gives NaN: such moments are refused, never printed.  A time alone
 # does not get there: past t near 1.3e154, t * t overflows only in a curve
-# term whose decay has underflowed, and that term is taken as -0.0.
+# term whose decay has underflowed, and that term is taken as -0.0; or, on a
+# marginal drift, whose decay stays 1, the term is formed from t * psi twice.
 BEYOND_FLOAT_RANGE = {
     "steady-inf": (("steady", "--eta1", "0.5", "--eta2", "0.5", "--A", "1e155"),
                    "gain rate 1e+155 in the steady state"),
@@ -571,15 +582,26 @@ def test_a_stable_drift_at_a_huge_time_prints_its_steady_row(point, times, capsy
     assert rows[-1][1:] == steady
 
 
+def test_a_marginal_drift_at_a_huge_time_grows_linearly(capsys):
+    # margin 0 at (-1, 0): n3 = t, on both sides of t near 1.3e154, where t * t overflows
+    code, out, err = run_cli(capsys, "evolve", "--eta1", "-1", "--eta2", "0",
+                             "--times", "1e154,1e155,1e300")
+    assert (code, err) == (0, "")
+    _, header, rows = parse_csv(out)
+    assert column(header, rows, "n3") == ["1e+154", "1e+155", "1e+300"]
+
+
 def test_a_sweep_at_a_huge_time_prints_the_steady_rows(capsys):
     code, out, err = run_cli(capsys, "sweep", "--eta-grid", "5x5", "--at-time", "1e300")
     assert (code, err) == (0, "")
     _, header, rows = parse_csv(out)
     _, _, steady = parse_csv(run_cli(capsys, "sweep", "--eta-grid", "5x5")[1])
-    valid = [row for row in rows if row[2] == "valid"]
-    # every stable point; only the marginal ones, with margin 0, are refused
-    assert len(valid) == len(rows) - 3
-    assert valid == [row for row in steady if row[2] == "valid"]
+    # every point, the three marginal ones with margin 0 included, is valid
+    assert [row[2] for row in rows] == ["valid"] * len(rows)
+    marginal = [row for row in rows if row[3] == "0"]
+    assert [row[:2] for row in marginal] == [["-1", "0"], ["-0.5", "-0.5"], ["0", "-1"]]
+    # every stable point prints its steady row
+    assert [row for row in rows if row[3] != "0"] == [row for row in steady if row[2] == "valid"]
 
 
 @pytest.mark.parametrize("argv", [("sweep", "--eta-grid", "3x3", "--A", "1e300"),
@@ -1323,10 +1345,16 @@ def test_cold_start_skips_scipy_integrate_until_the_ode_route(tmp_path, capsys):
         assert max(abs(a - b) for a, b in zip(row_ode, row_closed)) <= 1e-10 * scale
 
 
-def test_cold_start_skips_scipy_sparse_until_the_oracle(tmp_path, capsys):
+def test_cold_start_and_the_oracle_load_no_scipy_package(tmp_path, capsys):
+    # the oracle runs on scipy's compiled sparse kernels, loaded without the
+    # scipy and scipy.sparse packages
     argv = (*ROUND_TRIPS["oracle"], "--format", "json")
     out = tmp_path / "oracle.json"
-    proc = run_child([sys.executable, "-c", COLD_START, "scipy.sparse", *argv,
+    script = COLD_START + (
+        'loaded = {"scipy", "scipy.sparse"} & set(sys.modules)\n'
+        'assert not loaded, f"{sorted(loaded)} imported by the oracle"\n'
+    )
+    proc = run_child([sys.executable, "-c", script, "ycel.fock_oracle", *argv,
                       "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     code, expected, _ = run_cli(capsys, *argv)
@@ -1466,14 +1494,17 @@ print(repr(warnings.filters))
 print(*[name for name in sys.modules if name not in before])
 """
 
-# Imports the modules named in argv[1:], in that order, then prints the
-# warning filters.
+# Imports the modules named in argv[1:], in that order, then loads the
+# oracle's compiled kernels if the oracle is among them, as its integrate
+# does, and prints the warning filters.
 FILTERS_AFTER_IMPORT = """\
 import importlib, sys, warnings
 import ycel.cli
 
 for name in sys.argv[1:]:
     importlib.import_module(name)
+if "ycel.fock_oracle" in sys.modules:
+    sys.modules["ycel.fock_oracle"]._sparsetools()
 print(repr(warnings.filters))
 """
 

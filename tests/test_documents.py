@@ -1,9 +1,9 @@
 """Every document of the committed corpus in tests/documents, made afresh.
 
-On the numpy and scipy versions and the OpenBLAS kernel that MANIFEST.json
-records, each document must equal its stored form byte for byte.  Elsewhere
-numpy's ufunc kernels, the LAPACK build and the kernel OpenBLAS picks for
-the CPU move the last bits, so each document is compared as
+On the numpy and scipy versions, the OpenBLAS kernel and numpy's SIMD
+targets that MANIFEST.json records, each document must equal its stored
+form byte for byte.  Elsewhere numpy's ufunc kernels, the LAPACK build and
+the kernel OpenBLAS picks for the CPU move the last bits, so each document is compared as
 parsed text: the same lines, the same text between the numbers, and each
 number within ULP_BOUND float64 ulps (at unit scale or above; a CSV cell,
 printed at 12 digits, is allowed one unit in its last digit besides; see
@@ -28,7 +28,7 @@ from document_corpus import (CORPUS, FORMATS, MANIFEST, distance, excerpt, manif
 ULP_BOUND = 8192
 
 SPEC = manifest()
-RECORDED = {key: SPEC[key] for key in ("numpy", "scipy", "openblas_core")}
+RECORDED = {key: SPEC[key] for key in ("numpy", "scipy", "openblas_core", "simd_targets")}
 DOCUMENTS = [(name, fmt) for name in SPEC["documents"] for fmt in FORMATS]
 
 

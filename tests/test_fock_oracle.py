@@ -1,5 +1,8 @@
 import importlib
+import importlib.machinery
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -401,6 +404,7 @@ def test_trace_drift_detected(monkeypatch):
 
     def leaky(*args):
         keys, lop = explore(*args)
+        lop = sp.csr_matrix((lop.data, lop.indices, lop.indptr), shape=lop.shape)
         return keys, (lop - 0.01 * sp.identity(keys.size, format="csr")).tocsr()
 
     monkeypatch.setattr(fock_oracle, "_explore", leaky)
@@ -614,29 +618,80 @@ def test_package_star_import_binds_no_oracle_name():
     assert not STAR_NAMES & set(ORACLE_EXPORTS)
 
 
-# Imports the oracle and reads its names in a fresh interpreter: no scipy
-# module loads until the first integrate call, which loads scipy.sparse.
+# Imports the oracle, reads its names and integrates in a fresh interpreter:
+# no scipy module loads, the compiled kernels integrate runs on included.
 ORACLE_IMPORT = """\
 import sys
 import ycel.fock_oracle
 from ycel import DensityState, FockConfig, MomentTable, OracleRun, integrate
 from ycel.model import prefactors_from_inversions
 
-loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
-assert not loaded, f"{loaded} imported with the oracle's names"
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+assert not scipy_modules(), f"{scipy_modules()} imported with the oracle's names"
 integrate(DensityState.vacuum(4), FockConfig(n_max=4, dt=0.1, t_final=0.2),
           prefactors_from_inversions(0.0, 0.0, gain_scale=0.5), 1.0,
           check_convergence=False)
-assert "scipy.sparse" in sys.modules, "integrate ran without scipy.sparse"
+assert not scipy_modules(), f"{scipy_modules()} imported by integrate"
+"""
+
+# In a fresh interpreter: loading the kernels leaves sys.modules as it was,
+# before and after scipy.sparse loads; scipy.sparse then binds its own
+# extension; and an oracle document made with scipy.sparse loaded equals
+# one made without it.
+KERNELS_THEN_SCIPY = """\
+import contextlib, io, sys
+import ycel.cli
+from ycel import fock_oracle
+
+def document():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert ycel.cli.main(sys.argv[1:]) == 0
+    return out.getvalue()
+
+before = dict(sys.modules)
+fock_oracle._sparsetools()
+assert dict(sys.modules) == before, sorted(set(sys.modules) ^ set(before))
+without = document()
+import scipy.sparse
+assert scipy.sparse._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+assert (scipy.sparse.csr_matrix([[0.0, 2.0], [3.0, 0.0]]) @ [1.0, 1.0]).tolist() == [2.0, 3.0]
+fock_oracle._sparsetools.cache_clear()
+before = dict(sys.modules)
+assert fock_oracle._sparsetools() is scipy.sparse._sparsetools
+assert dict(sys.modules) == before
+assert document() == without
 """
 
 
-def test_oracle_names_load_no_scipy_until_integrate():
+def run_fresh(script, *argv):
     src = str(Path(fock_oracle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", ORACLE_IMPORT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_loads_no_scipy_module_through_integrate():
+    run_fresh(ORACLE_IMPORT)
+
+
+def test_kernels_load_without_touching_scipy_sparse():
+    run_fresh(KERNELS_THEN_SCIPY, "oracle", "--eta1", "0.25", "--eta2", "0.25", "--A", "0.5",
+              "--nmax", "3", "--t", "0.5", "--dt", "0.05", "--format", "json")
+
+
+def test_kernels_missing_raise_an_import_error_naming_the_path(tmp_path, monkeypatch):
+    # a scipy installation whose sparse directory holds no compiled extension
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    (tmp_path / "sparse").mkdir()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+    with pytest.raises(ImportError, match=f"in {re.escape(str(tmp_path / 'sparse'))}$"):
+        fock_oracle._sparsetools.__wrapped__()
 
 
 def test_package_refuses_an_unknown_name():

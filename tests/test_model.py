@@ -171,7 +171,9 @@ def prefactor_probes():
     and inversions that are not finite or whose populations overflow."""
     rng = np.random.default_rng(21)
     grids = [(e1, e2) for n in (17, 33) for e1 in grid(n) for e2 in grid(n)]
+    # (-5e-324, -1) and its mirror: a population that halves to 0
     special = [*TOLERATED_POINTS, (1.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (-0.5, -0.5),
+               (-5e-324, -1.0), (-1.0, -5e-324),
                (math.nan, 0.0), (0.0, math.inf), (-math.inf, -math.inf),
                (1e308, 1e308), (-1e308, 1e308), (1e308, -1e308)]
     return np.concatenate([rng.uniform(-1.2, 1.2, (10_000, 2)), edge_probes(rng, 10_000),

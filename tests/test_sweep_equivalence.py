@@ -209,6 +209,17 @@ def stacked_trajectory(pref, backend, times, kappa=1.0):
     return rows
 
 
+@pytest.mark.parametrize("point", [(-1.0, 0.0), (0.0, -1.0), (-0.5, -0.5)])
+def test_a_marginal_drift_past_the_overflow_of_t_squared_matches_the_stacked_rows(point):
+    # margin 0: the curve term's decay stays 1, and past t near 1.3e154 its
+    # t * t overflows; the rows stay finite, on floats and stacked alike
+    pref = prefactors_from_inversions(*point, 1.0)
+    times = [1e154, 1e155, 1e300]
+    got = [m.as_tuple() for m in second_moment_trajectory(pref, 1.0, times)]
+    assert all(math.isfinite(x) for row in got for x in row)
+    assert exact(got) == exact(stacked_trajectory(pref, "ehrenfest", times))
+
+
 @pytest.mark.parametrize("gain_scale", [0.5, 2.0, 3.5, 1e200])
 @pytest.mark.parametrize("backend", ["ehrenfest", "paper-literal"])
 def test_trajectory_rows_match_the_stacked_rows_at_each_time(backend, gain_scale):
