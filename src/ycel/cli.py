@@ -132,7 +132,7 @@ PARAMETERS = {
         "help": "edge-population guard (default 1e-3; oracle-grade checks want 1e-6)"}),
     "check_convergence": (True, _BOOLEAN, (), {
         "flag": "--no-convergence-check", "action": "store_const", "const": False,
-        "help": "skip the step-halving audit (3x faster)"}),
+        "help": "skip the step-halving audit, which takes 3 RK4 steps per dt step"}),
     "eta_grid": ("21x21", _STRING, (), {"help": "NxM grid (default 21x21)"}),
     "eta1_range": ("-1:1", _STRING, (), {"help": "lo:hi (default -1:1)"}),
     "eta2_range": ("-1:1", _STRING, (), {"help": "lo:hi (default -1:1)"}),

@@ -39,19 +39,20 @@ charge sector w_ket = w_bra.  Pass ``restrict=False`` to march every
 coordinate regardless.
 
 March.  Fixed RK4 steps, each stage one call of scipy's CSR kernel into
-buffers allocated once per march.  The first ``integrate`` call loads
-scipy's compiled sparse kernels from their extension file, importing no
-scipy package.  Full steps fill the rows of a block of
-up to 64 rows (fewer past 2 MiB), and one audit per block and run checks
-every state with the same bounds and messages as an audit after each
-step.  With the dt/2 check the dt/2 run takes each step h of the dt run,
-full or remainder, as two halves, side by side with it: one step of a
-two-row state on a block-diagonal operator moves the dt run by h and the
-dt/2 run by h/2, and one more h/2 step completes the interval, each row
-equal to its own run's step bit for bit.  Overflow is silent: a step that
-overflows leaves a state that is not finite, and the audit refuses it.  A
-refusal marches the dt run again alone, so its message is the one a march
-of one run raises.
+buffers allocated once per march.  A step calls only C functions bound
+once, on arrays bound once, and a single run's step sizes are 0-d arrays.
+The first ``integrate`` call loads scipy's compiled sparse kernels from
+their extension file, importing no scipy package.  Full steps fill the
+rows of a block of up to 64 rows (fewer past 2 MiB), and one audit per
+block and run checks every state with the same bounds and messages as an
+audit after each step.  With the dt/2 check the dt/2 run takes each step
+h of the dt run, full or remainder, as two halves, side by side with it:
+one step of a two-row state on a block-diagonal operator moves the dt run
+by h and the dt/2 run by h/2, and one more h/2 step completes the
+interval, each row equal to its own run's step bit for bit.  Overflow is
+silent: a step that overflows leaves a state that is not finite, and the
+audit refuses it.  A refusal marches the dt run again alone, so its
+message is the one a march of one run raises.
 
 Set-up.  Every operator here is a shift monomial on the (a1, b) grid, so
 the term maps and moment maps are built by index arithmetic, each weight
@@ -412,20 +413,25 @@ class OracleRun:
 
 def _sizes(h):
     """A step size as the three factors an RK4 step multiplies by: 0.5 * h,
-    h and h / 6.  h may be an array of sizes, one per coordinate."""
-    return 0.5 * h, h, h / 6.0
+    h and h / 6, as float64 arrays (0-d for one size, which numpy multiplies
+    by as by a Python float, bit for bit, but without converting it on every
+    call).  h may be an array of sizes, one per coordinate."""
+    return np.asarray(0.5 * h), np.asarray(h), np.asarray(h / 6.0)
 
 
 def _rk4_step(lop, runs: int = 1):
     """The RK4 step of dx/dt = lop @ x as ``step(vec, sizes, out)``, which
     writes the state one step past vec into out (out may be vec) and
-    allocates nothing; sizes is ``_sizes(h)``.
+    allocates nothing, but for the temporary numpy takes to write an out
+    that is not C-contiguous; sizes is ``_sizes(h)``.
 
     Each stage is one call of scipy's CSR kernel, the call ``lop @ x`` makes
     after its type dispatch, into a row of one stage buffer zeroed once per
     step: the kernel adds into its output.  The vector arithmetic is that of
     vec + (h/6) (k1 + 2 (k2 + k3) + k4), operation for operation, so a step
-    equals ``lop @``-based RK4 bit for bit.
+    equals ``lop @``-based RK4 bit for bit.  The kernel's seven arguments,
+    the ufuncs and the constant 2 (a 0-d array) are bound when the step is
+    built, so a step converts no Python float and unpacks no argument tuple.
 
     With runs > 1 the step moves that many states at once, one per row of a
     C-contiguous (runs, n) vec, out any view of that shape, each by its own
@@ -441,31 +447,32 @@ def _rk4_step(lop, runs: int = 1):
         indptr = np.concatenate([indptr[:1], *(indptr[1:] + r * data.size for r in range(runs))])
         indices = np.concatenate([indices + r * n for r in range(runs)])
         data = np.tile(data, runs)
-    csr = (runs * n, runs * n, indptr, indices, data)
-    stages = np.empty((4, runs * n))  # flat, as the kernel and h read them
+    m = runs * n
+    stages = np.empty((4, m))  # flat, as the kernel and h read them
     k1, k2, k3, k4 = stages
-    x = np.empty(runs * n)
+    x = np.empty(m)
     xs = x if runs == 1 else x.reshape(runs, n)  # x in vec's shape, for sums with vec
+    add, multiply, zero, two = np.add, np.multiply, stages.fill, np.asarray(2.0)
 
     def step(vec, sizes, out):
         half, h, sixth = sizes
-        stages.fill(0.0)
-        csr_matvec(*csr, vec, k1)
-        np.multiply(half, k1, out=x)
-        np.add(vec, xs, out=xs)
-        csr_matvec(*csr, x, k2)
-        np.multiply(half, k2, out=x)
-        np.add(vec, xs, out=xs)
-        csr_matvec(*csr, x, k3)
-        np.multiply(h, k3, out=x)
-        np.add(vec, xs, out=xs)
-        csr_matvec(*csr, x, k4)
-        np.add(k2, k3, out=x)
-        np.multiply(2.0, x, out=x)
-        np.add(k1, x, out=x)
-        np.add(x, k4, out=x)
-        np.multiply(sixth, x, out=x)
-        np.add(vec, xs, out=out)
+        zero(0.0)
+        csr_matvec(m, m, indptr, indices, data, vec, k1)
+        multiply(half, k1, x)
+        add(vec, xs, xs)
+        csr_matvec(m, m, indptr, indices, data, x, k2)
+        multiply(half, k2, x)
+        add(vec, xs, xs)
+        csr_matvec(m, m, indptr, indices, data, x, k3)
+        multiply(h, k3, x)
+        add(vec, xs, xs)
+        csr_matvec(m, m, indptr, indices, data, x, k4)
+        add(k2, k3, x)
+        multiply(two, x, x)
+        add(k1, x, x)
+        add(x, k4, x)
+        multiply(sixth, x, x)
+        add(vec, xs, out)
 
     return step
 
