@@ -46,8 +46,8 @@ _LAZY = {
     **dict.fromkeys(("BIPARTITIONS", "CovarianceMatrix", "SweepTable", "VlfReport",
                      "WitnessRecord", "covariance_from_moments", "optimize_gains",
                      "sweep", "vlf_evaluate"), "entanglement"),
-    **dict.fromkeys(("DensityState", "FockConfig", "MomentTable", "OracleRun", "integrate"),
-                    "fock_oracle"),
+    **dict.fromkeys(("DensityState", "MomentTable", "OracleRun", "integrate"), "fock_oracle"),
+    "FockConfig": "model",  # the oracle's record lives in numpy-free model
 }
 
 # `from ycel import *` binds every public name but those of the oracle, the
@@ -55,7 +55,7 @@ _LAZY = {
 # that hold the others.
 __all__ = sorted(
     {name for name in globals() if not name.startswith("_")}
-    | {name for name, module in _LAZY.items() if module != "fock_oracle"}
+    | {name for name, module in _LAZY.items() if module in ("dynamics", "entanglement")}
     | {"dynamics", "entanglement"}
 )
 

@@ -44,15 +44,16 @@ once, on arrays bound once, and a single run's step sizes are 0-d arrays.
 The first ``integrate`` call loads scipy's compiled sparse kernels from
 their extension file, importing no scipy package.  Full steps fill the
 rows of a block of up to 64 rows (fewer past 2 MiB), and one audit per
-block and run checks every state with the same bounds and messages as an
-audit after each step.  With the dt/2 check the dt/2 run takes each step
-h of the dt run, full or remainder, as two halves, side by side with it:
-one step of a two-row state on a block-diagonal operator moves the dt run
-by h and the dt/2 run by h/2, and one more h/2 step completes the
-interval, each row equal to its own run's step bit for bit.  Overflow is
-silent: a step that overflows leaves a state that is not finite, and the
-audit refuses it.  A refusal marches the dt run again alone, so its
-message is the one a march of one run raises.
+block checks every state with the same bounds and messages as an audit
+after each step.  With the dt/2 check the dt/2 run takes each step h of
+the dt run, full or remainder, as two halves, side by side with it: one
+step of a two-row state on a block-diagonal operator moves the dt run by
+h and the dt/2 run by h/2, and one more h/2 step completes the interval,
+each row equal to its own run's step bit for bit.  The audit reads the
+states of both runs where the march wrote them, in time order, and a
+checked run refuses at the earliest state that fails, the dt/2 run's
+first at equal times, in one march.  Overflow is silent: a step that
+overflows leaves a state that is not finite, and the audit refuses it.
 
 Set-up.  Every operator here is a shift monomial on the (a1, b) grid, so
 the term maps and moment maps are built by index arithmetic, each weight
@@ -96,7 +97,7 @@ __all__ = [
     "integrate",
 ]
 
-# Full steps fill a block of up to _BLOCK_ROWS rows, checked once per run;
+# Full steps fill a block of up to _BLOCK_ROWS rows, checked in one audit;
 # fewer rows where the block would pass _BLOCK_BYTES (2 MiB), and at least one.
 # A row is one state, or the three states of one interval of the dt and dt/2
 # runs marched together.
@@ -477,45 +478,44 @@ def _rk4_step(lop, runs: int = 1):
     return step
 
 
-def _row_sums(rows, idx):
-    # the gather rows[:, idx] comes out column-major, and numpy sums strided
-    # rows in another order than the 1-D .sum() of each row; C-contiguous
-    # rows round exactly as that sum does
-    return np.ascontiguousarray(rows[:, idx]).sum(axis=1)
+def _row_sums(states, idx):
+    # the gather states[..., idx] need not come out C-contiguous, and numpy
+    # sums strided rows in another order than the 1-D .sum() of each state;
+    # C-contiguous rows round exactly as that sum does
+    return np.ascontiguousarray(states[..., idx]).sum(axis=-1)
 
 
-def _audit(support, rows, edge_tol, times):
-    """Audit each state in ``rows``, the state at ``times[i]`` in row i.
+def _audit(support, states, edge_tol, times):
+    """Audit each state along the last axis of ``states``, the i-th of them
+    in row-major order at ``times[i]``.
 
-    Checks the rows in order and raises for the first that fails: divergence
-    (an element beyond 1 in magnitude, or not finite), then trace drift, then
-    edge population, each with that row's time and value.  Otherwise returns
-    every row's trace residue and edge population, the sums of its diagonal
-    and of each edge layer, each part read with its own gather.
+    Raises for the first state that fails: divergence (an element beyond 1
+    in magnitude, or not finite), then trace drift, then edge population,
+    with that state's time and value.  Otherwise returns every state's trace
+    residue and edge population, the sums of its diagonal and of each edge
+    layer, each part read with its own gather.
     """
-    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    peak = np.maximum(states.max(axis=-1), -states.min(axis=-1))
     diverged = ~(peak <= _DIVERGENCE_PEAK)  # NaN too
-    # rows from the first diverged one on are not summed: they need not be finite
-    n = int(diverged.argmax()) if diverged.any() else len(rows)
-    trace = _row_sums(rows[:n], support.diag)
+    trace = _row_sums(states, support.diag)
     residue = np.abs(trace - 1.0)
-    edge = np.max([_row_sums(rows[:n], idx) for idx in support.edge], axis=0)
+    edge = np.max([_row_sums(states, idx) for idx in support.edge], axis=0)
     drifted, filled = residue > _TRACE_TOL, edge > edge_tol
-    failed = np.flatnonzero(drifted | filled)
+    failed = np.flatnonzero(diverged | drifted | filled)
     if failed.size:
         i = failed[0]
-        if drifted[i]:
+        if diverged.flat[i]:
             raise IntegrationError(
-                f"trace drifted to {float(trace[i]):.9g} near t={times[i]:.6g}; reduce dt"
+                f"integration diverged near t={times[i]:.6g} (peak element "
+                f"{float(peak.flat[i]):.3e}); reduce dt"
+            )
+        if drifted.flat[i]:
+            raise IntegrationError(
+                f"trace drifted to {float(trace.flat[i]):.9g} near t={times[i]:.6g}; reduce dt"
             )
         raise TruncationError(
-            f"edge-layer population {float(edge[i]):.3e} exceeds edge_tol {edge_tol:.1e} "
+            f"edge-layer population {float(edge.flat[i]):.3e} exceeds edge_tol {edge_tol:.1e} "
             f"near t={times[i]:.6g}; increase n_max beyond {support.cutoffs[0]}"
-        )
-    if n < len(rows):
-        raise IntegrationError(
-            f"integration diverged near t={times[n]:.6g} (peak element "
-            f"{float(peak[n]):.3e}); reduce dt"
         )
     return residue, edge
 
@@ -539,28 +539,26 @@ def _times(t_prev, dt, n):
     return list(accumulate(repeat(dt, n), initial=t_prev))[1:]
 
 
-def _steps(advance, support, vec, count, block, runs, edge_tol):
+def _steps(advance, support, vec, count, block, t_prevs, dts, edge_tol):
     """count calls of ``advance(vec, row)`` into consecutive rows of block,
     the first from vec and each next from the row before: the last row and
     each run's time after it.
 
-    runs holds, per run whose states the rows carry, its time before the
-    first step, its step size and ``states(part)``, that run's states in a
-    filled part of the block in step order.  Each run's states are checked
-    at their times, summed step by step, before the next part of the block
-    starts from the part's last row.
+    A row holds, in reverse time order, the states of one step of each run:
+    run i, of step size dts[i] from time t_prevs[i], takes 2**i steps a row.
+    Each filled part of the block is audited once, where it lies, its rows
+    reversed (``block[:n, ::-1]``) so that states come in time order, each
+    run's times summed step by step; the next part starts from its last row.
     """
-    t_prevs = [t for t, _, _ in runs]
     while count:
         n = min(count, len(block))
         for row in block[:n]:
             advance(vec, row)
             vec = row
-        for i, (_, dt, states) in enumerate(runs):
-            part = states(block[:n])
-            times = _times(t_prevs[i], dt, len(part))
-            _audit(support, part, edge_tol, times)
-            t_prevs[i] = times[-1]
+        sums = [_times(t, h, n * 2**i) for i, (t, h) in enumerate(zip(t_prevs, dts))]
+        times = np.hstack([np.reshape(s, (n, -1)) for s in sums[::-1]])
+        _audit(support, block[:n, ::-1], edge_tol, times.ravel().tolist())
+        t_prevs = [s[-1] for s in sums]
         count -= n
     return vec, t_prevs
 
@@ -585,16 +583,14 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     Each sample span is split once (``_split``), and the dt/2 run takes
     each step h of the dt run, full or remainder, as two of h/2.  Full
     steps fill consecutive rows of a block (``_steps``), and one audit per
-    block and run checks that run's states in step order, raising the error
-    and time an audit after each step would; the next block starts from the
-    last row, so no later state is read before a step is checked.  The dt/2
-    run's state halfway through a remainder is checked at its time, then
-    each run's state at the sample.
+    block checks every state in time order, the dt/2 run's first at equal
+    times, raising for the earliest that fails with the error and time an
+    audit after each step would; the next block starts from the last row,
+    so no later state is read before a step is checked.  A remainder row
+    is checked the same way, its end states at the sample.
 
     Overflow is silent: a step that overflows leaves a state that is not
-    finite, and the audit refuses it as divergence.  A refusal where the dt
-    run passes is the dt/2 run's first; ``integrate`` then marches the dt
-    run alone.
+    finite, and the audit refuses it as divergence.
     """
     size, dt, width = support.size, dts[0], 2 * len(dts) - 1  # width: states a row holds
     step = _rk4_step(lop)
@@ -615,7 +611,6 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
                 step(row[2], half, row[1])
             return advance
 
-    in_order = (lambda part: part[:, 0], lambda part: part[:, 2:0:-1].reshape(-1, size))
     rows = np.empty((_block_rows(width * size), width, size))
     full = interval(dt)
     vec = np.stack([vec] * len(dts))  # row i: run i's state
@@ -624,15 +619,16 @@ def _march(lop, support, maps, vec, samples, dts, edge_tol):
     for t in samples:
         nfull, rem = _split(t - t_last, dt)
         steps += width * (nfull + bool(rem))
-        vec, t_prevs = _steps(full, support, vec, nfull, rows,
-                              [(t_last, h, states) for h, states in zip(dts, in_order)], edge_tol)
+        vec, t_prevs = _steps(full, support, vec, nfull, rows, [t_last] * len(dts), dts, edge_tol)
         if rem:
             interval(rem)(vec, rows[0])
             vec = rows[0]
-            if len(dts) == 2:
-                _audit(support, vec[2:], edge_tol, (t_prevs[1] + 0.5 * rem,))
-        residue, edge = _audit(support, vec[:len(dts)], edge_tol, [t] * len(dts))
-        for (tables, residues, edges), state, r, e in zip(runs, vec, residue, edge):
+        # a remainder row is checked whole, its dt/2 midpoint at its own time;
+        # else only the states at t, which their block checked at their times
+        n = width if rem else len(dts)
+        residue, edge = _audit(support, vec[n - 1::-1], edge_tol,
+                               [t_prevs[-1] + 0.5 * rem, t, t][-n:])
+        for (tables, residues, edges), state, r, e in zip(runs, vec, residue[::-1], edge[::-1]):
             tables.append(_table_at(maps, state))
             residues.append(float(r))
             edges.append(float(e))
@@ -681,7 +677,8 @@ def integrate(
     check_convergence the march is also made at dt/2, side by side with the
     dt run, each step of the dt run, a remainder step shorter than dt
     included, taken as two halves, and the tracked moments must agree
-    within 1e-6 at every sample.
+    within 1e-6 at every sample; a refusal is that of the earliest failing
+    state of either run, the dt/2 run's at equal times.
 
     sample_times defaults to 21 evenly spaced instants over the horizon;
     explicit times must lie inside [0, t_final].  The run holds one record
@@ -714,14 +711,7 @@ def integrate(
     vec0[0] = 1.0  # the vacuum pair (0, 0) holds the smallest key
 
     dts = (cfg.dt, 0.5 * cfg.dt) if check_convergence else (cfg.dt,)
-    try:
-        runs, steps = _march(lop, support, maps, vec0, samples, dts, cfg.edge_tol)
-    except (IntegrationError, TruncationError):
-        if check_convergence:
-            # the dt run marched alone raises its own refusal if it has one;
-            # otherwise the refusal caught is the dt/2 run's first
-            _march(lop, support, maps, vec0, samples, dts[:1], cfg.edge_tol)
-        raise
+    runs, steps = _march(lop, support, maps, vec0, samples, dts, cfg.edge_tol)
     (tables, residues, edges, vec), *halved = runs
 
     delta = None

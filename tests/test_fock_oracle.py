@@ -611,7 +611,7 @@ def test_package_exports_each_oracle_name(name):
 
 
 def test_package_star_import_binds_no_oracle_name():
-    assert {n for n, m in ycel._LAZY.items() if m == "fock_oracle"} == set(ORACLE_EXPORTS)
+    assert set(ycel._LAZY) - set(ycel.__all__) == set(ORACLE_EXPORTS)
     namespace = {}
     exec("from ycel import *", namespace)
     assert set(namespace) - {"__builtins__"} == STAR_NAMES
@@ -676,6 +676,13 @@ def run_fresh(script, *argv):
 
 def test_oracle_loads_no_scipy_module_through_integrate():
     run_fresh(ORACLE_IMPORT)
+
+
+def test_package_fock_config_loads_no_numpy():
+    # the record lives in numpy-free ycel.model
+    run_fresh("import sys, ycel\n"
+              "assert ycel.FockConfig is sys.modules['ycel.model'].FockConfig\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported with ycel.FockConfig'\n")
 
 
 def test_kernels_load_without_touching_scipy_sparse():

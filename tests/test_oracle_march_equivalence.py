@@ -377,17 +377,18 @@ def test_block_length_changes_no_result(case, monkeypatch):
 def test_divergent_march_raises_no_runtime_warning(dt, t_final, check_convergence, monkeypatch):
     # steps of 1e8 grow the state about 1e31-fold each, so later rows of the
     # block that holds the first failing one overflow in numpy's arithmetic; a
-    # step of 1e200 overflows in the block's first row.  Checked, both the
-    # attempt and the replay march.
+    # step of 1e200 overflows in the block's first row.  Checked, the dt/2
+    # run's first half step is the earliest state to diverge.
     cfg = FockConfig(n_max=2, dt=dt, t_final=t_final, edge_tol=0.999)
     p = prefactors_from_inversions(0.0, 0.0, gain_scale=0.5)
     calls = counting_march(monkeypatch)
+    t = 0.5 * dt if check_convergence else dt
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationError, match=re.escape(f"diverged near t={dt:.6g} (")):
+        with pytest.raises(IntegrationError, match=re.escape(f"diverged near t={t:.6g} (")):
             integrate(DensityState.vacuum(2), cfg, p, 1.0, sample_times=[t_final],
                       check_convergence=check_convergence)
-    assert calls == ([(dt, 0.5 * dt), (dt,)] if check_convergence else [(dt,)])
+    assert calls == [(dt, 0.5 * dt) if check_convergence else (dt,)]
 
 
 def reference_march(lop, support, maps, vec, samples, dts, edge_tol):
@@ -449,9 +450,10 @@ def audit_spy(monkeypatch):
     """Patch ``_audit`` to record each state it audits, with its time."""
     seen, audit = [], fock_oracle._audit
 
-    def spy(support, rows, edge_tol, times):
-        seen.extend((t, row.tobytes()) for t, row in zip(times, rows, strict=True))
-        return audit(support, rows, edge_tol, times)
+    def spy(support, states, edge_tol, times):
+        flat = states.reshape(-1, states.shape[-1])
+        seen.extend((t, state.tobytes()) for t, state in zip(times, flat, strict=True))
+        return audit(support, states, edge_tol, times)
 
     monkeypatch.setattr(fock_oracle, "_audit", spy)
     return seen
@@ -482,23 +484,24 @@ def test_two_run_march_equals_the_one_run_and_halved_marches(case, samples, bloc
         assert np.array_equal(vec, want_run[3])
 
 
+def failure_time(error):
+    return float(re.search(r"near t=([^ ;]+)", str(error)).group(1))
+
+
 def reference_outcomes(case, samples, dt, edge_tol):
-    """What ``integrate`` with the dt/2 check must raise and warn: the error
-    of the dt run marched alone, or else of the halved reference march,
-    which overflows silently as the live march does, and the warnings of
-    the runs marched."""
-    eta1, eta2, n_max, restrict = case
-    p = prefactors_from_inversions(eta1, eta2, gain_scale=0.5)
-    cfg = FockConfig(n_max=n_max, dt=dt, t_final=max(samples), edge_tol=edge_tol)
-    error, caught = outcome(
-        lambda: integrate(DensityState.vacuum(n_max), cfg, p, 1.0, sample_times=samples,
-                          restrict=restrict, check_convergence=False))
-    if error is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            error, warned = outcome(lambda: halved_march(*march_inputs(case), np.unique(samples),
-                                                         dt, edge_tol))
-        caught += warned
-    return error, caught
+    """What ``integrate`` with the dt/2 check must raise, and warn: the error
+    of the reference march at dt or of the halved reference march, whichever
+    fails first in time, the halved one's at equal times, or None; the
+    references overflow silently, as the live march does."""
+    lop, support, maps, vec0 = march_inputs(case)
+    reference_support = oracle_reference.Support(support.cutoffs, support.keys)
+    samples = np.unique(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = [outcome(lambda: march(lop, where, maps, vec0, samples, dt, edge_tol))
+                  for march, where in ((halved_march, support),
+                                       (oracle_reference._march, reference_support))]
+    failed = [error for error, _ in errors if error is not None]
+    return min(failed, key=failure_time, default=None), sum((w for _, w in errors), [])
 
 
 def outcome(run):
@@ -533,24 +536,27 @@ def counting_march(monkeypatch):
     return calls
 
 
+# where the dt/2 run fails first, the refusal moves from the dt run's: at
+# dt 2 to the dt/2 run's peak 5.980e+00 at t=2 (from 2.918e+00), at dt 0.02
+# to t=0.11 with 1.333e-06 (from t=0.12 with 1.837e-06), at dt 1e200 to
+# t=5e+199 (from 1e+200)
 @pytest.mark.parametrize("case, samples, dt, edge_tol, block_rows, error", [
     *FAILING_MARCHES,
-    # a first step of 1e200 overflows, and the replay warns as the one-run march
+    # a first step of 1e200 overflows
     pytest.param((0.0, 0.0, 2, True), [1e200], 1e200, 0.999, None, IntegrationError,
                  id="1e200-overflow"),
 ])
-def test_failing_checked_runs_replay_the_one_run_errors(case, samples, dt, edge_tol, block_rows,
+def test_failing_checked_runs_raise_the_earliest_error(case, samples, dt, edge_tol, block_rows,
                                                        error, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(fock_oracle, "_BLOCK_ROWS", block_rows)
-    want, want_warnings = reference_outcomes(case, samples, dt, edge_tol)
+    want, _ = reference_outcomes(case, samples, dt, edge_tol)
     calls = counting_march(monkeypatch)
     got, got_warnings = checked_run_outcome(case, samples, dt, edge_tol)
     assert type(got) is type(want) is error
     assert str(got) == str(want)
-    assert got_warnings == want_warnings
-    dts = (dt, 0.5 * dt)
-    assert calls[0] == dts and calls[1] == dts[:1]  # the attempt, then the replay
+    assert got_warnings == []
+    assert calls == [(dt, 0.5 * dt)]
 
 
 def test_a_failing_dt2_run_alone_is_replayed():
@@ -579,17 +585,3 @@ def test_a_passing_checked_run_marches_once(case, monkeypatch):
     got, _ = checked_run_outcome(case, list(SAMPLES), DT, 0.5)
     assert got is None
     assert calls == [(DT, 0.5 * DT)]
-
-
-def test_a_refused_checked_run_replays_the_dt_run_alone(monkeypatch):
-    # the dt run passes and the dt/2 run is refused, as in the test above:
-    # the one replay march of the dt run passes, and the refusal caught
-    # side by side is raised
-    case, samples, dt = (0.0, 0.0, 3, True), [1.0], 0.1
-    lop, support, maps, vec0 = march_inputs(case)
-    edges = [march(lop, support, maps, vec0, np.array(samples), dt, 0.5)[2][0]
-             for march in (one_run_march, halved_march)]
-    calls = counting_march(monkeypatch)
-    got, _ = checked_run_outcome(case, samples, dt, 0.5 * (edges[0] + edges[1]))
-    assert isinstance(got, TruncationError)
-    assert calls == [(dt, 0.5 * dt), (dt,)]
